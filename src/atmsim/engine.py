@@ -2,10 +2,18 @@
 
 Events are dispatched in (time, insertion sequence) order, so identical
 (scenario, seed) pairs replay the exact same event stream and produce
-byte-identical reports.  Cells are carried as value objects wrapped in a
-TransitCell envelope holding the owning flow, entry time and a per-flow
-sequence number; the envelope is simulator bookkeeping and never touches
-the wire image.
+byte-identical reports.  An event is a ``(time, seq, fn, arg)`` heap
+entry; dispatch calls ``fn(arg)``, and the handler identifies the kind of
+event.
+
+Inside the simulator a cell is a TransitCell: the header bits the model
+acts on (VCI, CLP, EFCI, payload type) as plain attributes, beside the
+owning flow, entry time and a per-flow sequence number.  Switches rewrite
+the VCI in place and queues set the EFCI bit in place; the UNI/NNI header
+format is a property of the link.  Cell and CellHeader, with their range
+checks and HEC, exist only at codec boundaries (the trace format and the
+conformance command), so label ranges are checked when a path is
+installed.
 
 Node output ports share one mechanism: a bounded OutputQueue feeding a
 single-cell transmitter per link direction (424 bits serialized at the
@@ -20,7 +28,8 @@ import hashlib
 import heapq
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,9 +41,10 @@ from .abr import (
     EfciObserver,
     FeedbackIndication,
     default_source,
+    next_emission,
     source_adjust,
 )
-from .cell import Cell, CellHeader, InterfaceKind
+from .cell import VCI_MAX, ZERO_PAYLOAD, InterfaceKind
 from .errors import OrderingError
 from .lane import (
     OP_ARP_REPLY,
@@ -64,7 +74,6 @@ from .switch import (
     VcRoute,
     VcTable,
     cac_admit,
-    route_cell,
 )
 from .traffic import (
     ConnectionMetrics,
@@ -86,29 +95,15 @@ class ScenarioInvalid(ValueError):
         self.violations = list(violations)
 
 
-class EventKind(enum.Enum):
-    CELL_ARRIVAL = "cell_arrival"
-    CELL_TRANSMIT_COMPLETE = "cell_transmit_complete"
-    GENERATOR_FIRE = "generator_fire"
-    FEEDBACK_EPOCH = "feedback_epoch"
-    CONTROL_MESSAGE = "control_message"
-    TIMER_EXPIRY = "timer_expiry"
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    seq: int
-    kind: EventKind
-    fn: Callable[[], None]
-    payload: Any = None
-
-
 class EventQueue:
-    """Future event list ordered by (time, insertion sequence)."""
+    """Future event list of (time, seq, fn, arg) entries.
+
+    Entries pop in (time, insertion sequence) order; the run loop calls
+    ``fn(arg)`` for each.
+    """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         self.now = 0.0
         self.processed = 0
@@ -116,27 +111,17 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(
-        self, time: float, kind: EventKind, fn: Callable[[], None], payload: Any = None
-    ) -> Event:
+    def schedule(self, time: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         if time < self.now:
             raise OrderingError(f"cannot schedule at {time} before now {self.now}")
-        event = Event(time, self._seq, kind, fn, payload)
-        heapq.heappush(self._heap, (time, self._seq, event))
+        heapq.heappush(self._heap, (time, self._seq, fn, arg))
         self._seq += 1
-        return event
 
-    def next_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> Event:
-        time, seq, event = heapq.heappop(self._heap)
-        self.now = time
+    def pop(self) -> Tuple[float, int, Callable[[Any], None], Any]:
+        entry = heapq.heappop(self._heap)
+        self.now = entry[0]
         self.processed += 1
-        return event
-
-    def unprocessed(self) -> List[Event]:
-        return [entry[2] for entry in self._heap]
+        return entry
 
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
@@ -212,25 +197,61 @@ class AbrEmitter:
         return start
 
     def next(self, now: float) -> float:
-        return now + 1.0 / self.source.acr
+        return next_emission(now, self.source.acr)
 
 
 # ---------------------------------------------------------------------------
 # flows
 
 
-@dataclass
 class TransitCell:
-    """Envelope for a cell inside the simulator (not part of the wire image)."""
+    """A cell inside the simulator: the header bits the model acts on as
+    plain attributes, plus bookkeeping that never touches the wire image.
 
-    cell: Cell
-    flow: "FlowState"
-    entry_time: float
-    seq: int
+    The VPI is always 0 on the paths the engine installs, and the header
+    format (UNI/NNI) belongs to the link the cell is crossing.
+    """
+
+    __slots__ = (
+        "flow",
+        "entry_time",
+        "seq",
+        "vci",
+        "clp",
+        "is_management",
+        "aal5_last",
+        "payload",
+        "efci",
+    )
+
+    def __init__(
+        self,
+        flow: "FlowState",
+        entry_time: float,
+        seq: int,
+        vci: int,
+        clp: int = 0,
+        is_management: bool = False,
+        aal5_last: bool = False,
+        payload: bytes = ZERO_PAYLOAD,
+    ):
+        self.flow = flow
+        self.entry_time = entry_time
+        self.seq = seq
+        self.vci = vci
+        self.clp = clp
+        self.is_management = is_management
+        self.aal5_last = aal5_last
+        self.payload = payload
+        self.efci = False
 
 
 class FlowState:
-    """Cell conservation bookkeeping shared by every traffic class."""
+    """Cell conservation bookkeeping shared by every traffic class.
+
+    ``tx`` and ``vci`` are the first hop of the flow's path: the output
+    port its cells enter and the label they carry on the first link.
+    """
 
     def __init__(self, flow_id: str):
         self.id = flow_id
@@ -240,6 +261,8 @@ class FlowState:
         self.loss_reasons: Dict[str, int] = {}
         self.next_seq = 0
         self.last_delivered_seq = -1
+        self.tx: Optional[PortTx] = None
+        self.vci = 0
 
     def take_seq(self) -> int:
         seq = self.next_seq
@@ -265,15 +288,9 @@ class ContractFlow(FlowState):
         self.spec = spec
         self.metrics = ConnectionMetrics()
         self.emitter: Any = None
-        self.forward_vci = 0
-        self.forward_kind = InterfaceKind.UNI
-        self.src_port = 0
         self.abr_source: Optional[AbrSourceState] = None
         self.observer: Optional[EfciObserver] = None
         self.feedback: Optional[FeedbackFlow] = None
-        self.backward_vci = 0
-        self.backward_kind = InterfaceKind.UNI
-        self.dst_port = 0
         self.acr_log: List[Tuple[float, float, bool]] = []
 
     def on_emitted(self, clp: int) -> None:
@@ -285,7 +302,7 @@ class ContractFlow(FlowState):
 
     def on_lost(self, tc: TransitCell, reason: str, now: float) -> None:
         super().on_lost(tc, reason, now)
-        if tc.cell.header.clp == 1:
+        if tc.clp == 1:
             self.metrics.lost_clp1 += 1
         else:
             self.metrics.lost_clp0 += 1
@@ -314,13 +331,9 @@ class LaneVc(FlowState):
         super().__init__(flow_id)
         self.kind = kind
         self.reassembler = Reassembler()
-        self.on_frame: Callable[[bytes], None] = lambda frame: None
+        self.on_frame: Callable[[bytes], Any] = lambda frame: None
         self.frames_in = 0
         self.reassembly_errors = 0
-        self.src_node = ""
-        self.src_port = 0
-        self.first_vci = 0
-        self.first_kind = InterfaceKind.UNI
 
 
 class LaneTrafficState:
@@ -368,25 +381,28 @@ class DirectedLink:
         self.cells = 0
         self.busy_first_half = 0.0
         self.busy_second_half = 0.0
-        self._next_vci = FIRST_VCI
+        self.next_vci = FIRST_VCI
 
     @property
     def name(self) -> str:
         return f"{self.src}->{self.dst}"
 
     def alloc_vci(self) -> int:
-        vci = self._next_vci
-        self._next_vci += 1
+        vci = self.next_vci
+        self.next_vci += 1
         return vci
 
 
 class PortTx:
-    """Transmitter for one outgoing link direction: queue + wire."""
+    """Transmitter for one outgoing link direction: queue + wire.
+
+    ``holding`` is the cell being serialized; the wire is busy exactly
+    while it is set.
+    """
 
     def __init__(self, queue: OutputQueue, link: DirectedLink):
         self.queue = queue
         self.link = link
-        self.busy = False
         self.holding: Optional[TransitCell] = None
 
 
@@ -451,7 +467,11 @@ class _EnginePort(LecPort):
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         events = self._engine.events
-        events.schedule(events.now + delay, EventKind.TIMER_EXPIRY, fn)
+        events.schedule(events.now + delay, _expire_timer, fn)
+
+
+def _expire_timer(timer: Callable[[], None]) -> None:
+    timer()
 
 
 # A nominal descriptor for best-effort LAN-emulation VCs: admission books
@@ -534,9 +554,19 @@ class Engine:
         return chain
 
     def _install_path(
-        self, chain: Sequence[DirectedLink], sink: Callable[[TransitCell], None]
-    ) -> List[int]:
-        """Allocate one VCI per hop, fill switch tables, bind the sink."""
+        self, flow: FlowState, chain: Sequence[DirectedLink], sink: Callable[[TransitCell], None]
+    ) -> None:
+        """Allocate one VCI per hop, fill switch tables, bind the sink and
+        point the flow at its first hop.
+
+        Refuses, before allocating anything, a path across a link whose
+        VCIs are used up, so every label a cell carries fits its header.
+        """
+        exhausted = [link.name for link in chain if link.next_vci > VCI_MAX]
+        if exhausted:
+            raise ScenarioInvalid(
+                [f"{flow.id}: no VCI left on link {name} (all up to {VCI_MAX} in use)" for name in exhausted]
+            )
         vcis = [link.alloc_vci() for link in chain]
         for i in range(len(chain) - 1):
             sw = self.nodes[chain[i].dst]
@@ -548,7 +578,9 @@ class Engine:
             )
         last = chain[-1]
         self.nodes[last.dst].endpoints[(last.dst_port, 0, vcis[-1])] = sink
-        return vcis
+        first = chain[0]
+        flow.tx = self.nodes[first.src].ports[first.src_port]
+        flow.vci = vcis[0]
 
     def _build_connections(self) -> List[str]:
         violations: List[str] = []
@@ -559,10 +591,7 @@ class Engine:
             if not cac_admit([l.booking for l in chain], spec.category, spec.descriptor):
                 violations.append(f"connection {spec.id}: rejected by admission control")
                 continue
-            vcis = self._install_path(chain, self._data_sink(flow))
-            flow.forward_vci = vcis[0]
-            flow.forward_kind = chain[0].kind
-            flow.src_port = chain[0].src_port
+            self._install_path(flow, chain, self._data_sink)
             if spec.category is ServiceCategory.ABR:
                 self._setup_abr(flow)
             flow.emitter = self._make_emitter(flow, generators[spec.generator])
@@ -589,10 +618,7 @@ class Engine:
         flow.observer = EfciObserver(nrm=nrm)
         flow.feedback = FeedbackFlow(flow)
         back = self._chain(tuple(reversed(spec.route)))
-        vcis = self._install_path(back, self._feedback_sink(flow))
-        flow.backward_vci = vcis[0]
-        flow.backward_kind = back[0].kind
-        flow.dst_port = back[0].src_port
+        self._install_path(flow.feedback, back, self._feedback_sink)
 
     def _make_emitter(self, flow: ContractFlow, gen: GeneratorSpec) -> Any:
         if gen.kind == "paced_cbr":
@@ -633,22 +659,22 @@ class Engine:
             self.nodes[host].lec = lec
 
             to_les = self._lane_path(host, spec.les, LaneVcKind.TO_LES)
-            to_les.on_frame = self._les_request_handler(host)
+            to_les.on_frame = partial(self._les_request, host)
             lane.to_les[host] = to_les
 
             from_les = self._lane_path(spec.les, host, LaneVcKind.FROM_LES)
-            from_les.on_frame = self._lec_reply_handler(lec)
+            from_les.on_frame = partial(self._lec_reply, lec)
             lane.from_les[host] = from_les
 
             to_bus = self._lane_path(host, spec.bus, LaneVcKind.TO_BUS)
-            to_bus.on_frame = self._bus_ingress_handler(atm)
+            to_bus.on_frame = partial(lane.bus.forward, origin_atm=atm)
             lane.to_bus[host] = to_bus
 
             from_bus = self._lane_path(spec.bus, host, LaneVcKind.FROM_BUS)
-            from_bus.on_frame = self._lec_deliver_handler(lec, via_bus=True)
+            from_bus.on_frame = partial(lec.deliver, via_bus=True)
             lane.from_bus[host] = from_bus
 
-            lane.bus.attach(atm, self._bus_egress(from_bus))
+            lane.bus.attach(atm, partial(self._send_frame, from_bus))
         for i, traffic in enumerate(spec.traffic):
             rng = rng_stream(self.sc.seed, f"lane:{i}:{traffic.src}")
             lane.traffic.append(LaneTrafficState(traffic, rng))
@@ -659,11 +685,7 @@ class Engine:
         chain = self._chain(route)
         vc = LaneVc(f"lane:{kind.value}:{src}->{dst}", kind)
         cac_admit([l.booking for l in chain], ServiceCategory.UBR, _LANE_VC_DESCRIPTOR)
-        vcis = self._install_path(chain, self._lane_sink(vc))
-        vc.src_node = src
-        vc.src_port = chain[0].src_port
-        vc.first_vci = vcis[0]
-        vc.first_kind = chain[0].kind
+        self._install_path(vc, chain, self._lane_sink)
         self.flows.append(vc)
         return vc
 
@@ -690,40 +712,33 @@ class Engine:
 
     # -- per-flow sinks ------------------------------------------------------
 
-    def _data_sink(self, flow: ContractFlow) -> Callable[[TransitCell], None]:
-        def sink(tc: TransitCell) -> None:
-            now = self.events.now
-            flow.check_fifo(tc)
-            flow.delivered += 1
-            flow.metrics.delivered += 1
-            flow.metrics.delay_samples.append(now - tc.entry_time)
-            if flow.observer is not None:
-                indication = flow.observer.observe(tc.cell.header.efci)
-                if indication is not None:
-                    self.events.schedule(
-                        now,
-                        EventKind.FEEDBACK_EPOCH,
-                        lambda: self._send_feedback(flow, indication),
-                    )
+    def _data_sink(self, tc: TransitCell) -> None:
+        flow = tc.flow
+        now = self.events.now
+        flow.check_fifo(tc)
+        flow.delivered += 1
+        flow.metrics.delivered += 1
+        flow.metrics.delay_samples.append(now - tc.entry_time)
+        if flow.observer is not None:
+            indication = flow.observer.observe(tc.efci)
+            if indication is not None:
+                self.events.schedule(now, self._send_feedback, (flow, indication))
 
-        return sink
+    def _feedback_sink(self, tc: TransitCell) -> None:
+        feedback = tc.flow
+        flow = feedback.conn
+        assert flow.abr_source is not None
+        feedback.check_fifo(tc)
+        feedback.delivered += 1
+        payload = tc.payload
+        indication = FeedbackIndication(
+            congested=payload[0] == 1, epoch=int.from_bytes(payload[1:9], "big")
+        )
+        acr = source_adjust(flow.abr_source, indication)
+        flow.acr_log.append((self.events.now, acr, indication.congested))
 
-    def _feedback_sink(self, flow: ContractFlow) -> Callable[[TransitCell], None]:
-        def sink(tc: TransitCell) -> None:
-            feedback = flow.feedback
-            assert feedback is not None and flow.abr_source is not None
-            feedback.check_fifo(tc)
-            feedback.delivered += 1
-            payload = tc.cell.payload
-            indication = FeedbackIndication(
-                congested=payload[0] == 1, epoch=int.from_bytes(payload[1:9], "big")
-            )
-            acr = source_adjust(flow.abr_source, indication)
-            flow.acr_log.append((self.events.now, acr, indication.congested))
-
-        return sink
-
-    def _send_feedback(self, flow: ContractFlow, indication: FeedbackIndication) -> None:
+    def _send_feedback(self, arg: Tuple[ContractFlow, FeedbackIndication]) -> None:
+        flow, indication = arg
         feedback = flow.feedback
         assert feedback is not None
         payload = (
@@ -731,89 +746,63 @@ class Engine:
             + indication.epoch.to_bytes(8, "big")
             + bytes(39)
         )
-        header = CellHeader(
-            kind=flow.backward_kind,
-            vpi=0,
-            vci=flow.backward_vci,
+        tc = TransitCell(
+            feedback,
+            self.events.now,
+            feedback.take_seq(),
+            feedback.vci,
             is_management=True,
+            payload=payload,
         )
-        now = self.events.now
-        tc = TransitCell(Cell(header, payload), feedback, now, feedback.take_seq())
         feedback.emitted += 1
-        dst_host = self.nodes[flow.spec.route[-1]]
-        self._send(dst_host, flow.dst_port, tc)
+        self._send(feedback.tx, tc)
 
-    def _lane_sink(self, vc: LaneVc) -> Callable[[TransitCell], None]:
-        def sink(tc: TransitCell) -> None:
-            vc.check_fifo(tc)
-            vc.delivered += 1
-            result = vc.reassembler.push(tc.cell.payload, tc.cell.header.aal5_last)
-            if result is None:
-                return
-            if isinstance(result, ReassemblyError):
-                vc.reassembly_errors += 1
-                return
-            vc.frames_in += 1
-            vc.on_frame(result)
+    def _lane_sink(self, tc: TransitCell) -> None:
+        vc = tc.flow
+        vc.check_fifo(tc)
+        vc.delivered += 1
+        result = vc.reassembler.push(tc.payload, tc.aal5_last)
+        if result is None:
+            return
+        if isinstance(result, ReassemblyError):
+            vc.reassembly_errors += 1
+            return
+        vc.frames_in += 1
+        vc.on_frame(result)
 
-        return sink
+    def _control_body(self, message: bytes, expected_op: int) -> Any:
+        """Body of a LANE control message, or None (counted) when it does
+        not decode or carries another operation."""
+        lane = self.lane
+        assert lane is not None
+        try:
+            op, body = decode_control(message)
+        except ValueError:
+            op = None
+        if op != expected_op:
+            lane.control_decode_errors += 1
+            return None
+        return body
 
-    def _les_request_handler(self, origin_host: str) -> Callable[[bytes], None]:
-        def handle(message: bytes) -> None:
-            lane = self.lane
-            assert lane is not None
-            try:
-                op, body = decode_control(message)
-            except ValueError:
-                lane.control_decode_errors += 1
-                return
-            if op != OP_ARP_REQUEST:
-                lane.control_decode_errors += 1
-                return
-            _requester_mac, target_mac = body
-            atm = lane.les.resolve(target_mac)
-            self._send_frame(lane.from_les[origin_host], encode_arp_reply(target_mac, atm))
+    def _les_request(self, origin_host: str, message: bytes) -> None:
+        body = self._control_body(message, OP_ARP_REQUEST)
+        if body is None:
+            return
+        _requester_mac, target_mac = body
+        lane = self.lane
+        assert lane is not None
+        atm = lane.les.resolve(target_mac)
+        self._send_frame(lane.from_les[origin_host], encode_arp_reply(target_mac, atm))
 
-        return handle
-
-    def _lec_reply_handler(self, lec: Lec) -> Callable[[bytes], None]:
-        def handle(message: bytes) -> None:
-            lane = self.lane
-            assert lane is not None
-            try:
-                op, body = decode_control(message)
-            except ValueError:
-                lane.control_decode_errors += 1
-                return
-            if op != OP_ARP_REPLY:
-                lane.control_decode_errors += 1
-                return
+    def _lec_reply(self, lec: Lec, message: bytes) -> None:
+        body = self._control_body(message, OP_ARP_REPLY)
+        if body is not None:
             mac, atm = body
             lec.on_arp_reply(mac, atm)
 
-        return handle
-
-    def _bus_ingress_handler(self, origin_atm: bytes) -> Callable[[bytes], None]:
-        def handle(frame: bytes) -> None:
-            lane = self.lane
-            assert lane is not None
-            lane.bus.forward(frame, origin_atm)
-
-        return handle
-
-    def _bus_egress(self, from_bus: LaneVc) -> Callable[[bytes], None]:
-        def send(frame: bytes) -> None:
-            self._send_frame(from_bus, frame)
-
-        return send
-
-    def _lec_deliver_handler(self, lec: Lec, via_bus: bool) -> Callable[[bytes], None]:
-        def handle(frame: bytes) -> None:
-            lec.deliver(frame, via_bus=via_bus)
-
-        return handle
-
     def _open_data_vc(self, src_host: str, dest_atm: bytes) -> Optional[LaneVc]:
+        """A data-direct VC, or None when admission refuses it or a link
+        on the way has no VCI left."""
         lane = self.lane
         assert lane is not None
         dst_host = lane.host_by_atm.get(dest_atm)
@@ -821,47 +810,43 @@ class Engine:
             return None
         route = self._bfs_route(src_host, dst_host)
         chain = self._chain(route)
-        if not cac_admit([l.booking for l in chain], ServiceCategory.UBR, _LANE_VC_DESCRIPTOR):
+        bookings = [l.booking for l in chain]
+        if not cac_admit(bookings, ServiceCategory.UBR, _LANE_VC_DESCRIPTOR):
             return None
         vc = LaneVc(f"lane:data:{src_host}->{dst_host}", LaneVcKind.DATA_DIRECT)
-        vc.on_frame = self._lec_deliver_handler(lane.lecs[dst_host], via_bus=False)
-        vcis = self._install_path(chain, self._lane_sink(vc))
-        vc.src_node = src_host
-        vc.src_port = chain[0].src_port
-        vc.first_vci = vcis[0]
-        vc.first_kind = chain[0].kind
+        try:
+            self._install_path(vc, chain, self._lane_sink)
+        except ScenarioInvalid:
+            for booking in bookings:
+                booking.release(ServiceCategory.UBR, _LANE_VC_DESCRIPTOR)
+            return None
+        vc.on_frame = partial(lane.lecs[dst_host].deliver, via_bus=False)
         self.flows.append(vc)
         lane.direct_vcs.append(vc)
         return vc
 
     # -- cell movement -------------------------------------------------------
 
-    def _send(self, node: NodeRuntime, port: int, tc: TransitCell) -> None:
-        tx = node.ports[port]
-        outcome = tx.queue.enqueue(tc.cell, self.events.now, meta=tc)
+    def _send(self, tx: PortTx, tc: TransitCell) -> None:
+        outcome = tx.queue.enqueue(tc, self.events.now)
         if outcome is EnqueueOutcome.ACCEPTED:
-            self._try_start(tx)
+            if tx.holding is None:
+                self._start(tx)
         else:
             tc.flow.on_lost(tc, outcome.value, self.events.now)
 
-    def _try_start(self, tx: PortTx) -> None:
-        if tx.busy:
+    def _start(self, tx: PortTx) -> None:
+        """Put the head of an idle port's queue on the wire."""
+        tc = tx.queue.dequeue()
+        if tc is None:
             return
-        item = tx.queue.dequeue()
-        if item is None:
-            return
-        cell, tc = item
-        tc.cell = cell  # queue may have EFCI-marked it
-        tx.busy = True
         tx.holding = tc
         link = tx.link
         start = self.events.now
         finish = start + link.tx_time
         link.cells += 1
         self._accrue_busy(link, start, finish)
-        self.events.schedule(
-            finish, EventKind.CELL_TRANSMIT_COMPLETE, lambda: self._complete(tx)
-        )
+        self.events.schedule(finish, self._complete, tx)
 
     def _accrue_busy(self, link: DirectedLink, start: float, finish: float) -> None:
         half = self.duration / 2.0
@@ -876,45 +861,27 @@ class Engine:
         tc = tx.holding
         assert tc is not None
         tx.holding = None
-        tx.busy = False
         link = tx.link
-        self.events.schedule(
-            self.events.now + link.prop,
-            EventKind.CELL_ARRIVAL,
-            lambda: self._arrive(link, tc),
-            payload=tc,
-        )
-        self._try_start(tx)
+        self.events.schedule(self.events.now + link.prop, self._arrive, (link, tc))
+        self._start(tx)
 
-    def _arrive(self, link: DirectedLink, tc: TransitCell) -> None:
+    def _arrive(self, arg: Tuple[DirectedLink, TransitCell]) -> None:
+        link, tc = arg
         node = self.nodes[link.dst]
         if node.kind == "switch":
-            self._switch_cell(node, link.dst_port, tc)
+            route = node.vc_table.lookup(link.dst_port, 0, tc.vci)
+            if route is not None:
+                node.routed += 1
+                tc.vci = route.out_vci
+                self._send(node.ports[route.out_port], tc)
+                return
         else:
-            self._host_cell(node, link.dst_port, tc)
-
-    def _switch_cell(self, node: NodeRuntime, in_port: int, tc: TransitCell) -> None:
-        routed = route_cell(tc.cell, in_port, node.vc_table)
-        if routed is None:
-            node.unknown_vc += 1
-            tc.flow.on_lost(tc, "unknown_vc", self.events.now)
-            return
-        cell, out_port = routed
-        node.routed += 1
-        out_link = node.ports[out_port].link
-        if cell.header.kind is not out_link.kind:
-            cell = Cell(replace(cell.header, kind=out_link.kind), cell.payload)
-        tc.cell = cell
-        self._send(node, out_port, tc)
-
-    def _host_cell(self, node: NodeRuntime, port: int, tc: TransitCell) -> None:
-        header = tc.cell.header
-        sink = node.endpoints.get((port, header.vpi, header.vci))
-        if sink is None:
-            node.unknown_vc += 1
-            tc.flow.on_lost(tc, "unknown_vc", self.events.now)
-            return
-        sink(tc)
+            sink = node.endpoints.get((link.dst_port, 0, tc.vci))
+            if sink is not None:
+                sink(tc)
+                return
+        node.unknown_vc += 1
+        tc.flow.on_lost(tc, "unknown_vc", self.events.now)
 
     # -- traffic sources -------------------------------------------------------
 
@@ -922,68 +889,44 @@ class Engine:
         for flow in self.connections:
             first = flow.emitter.first(0.0)
             if first <= self.duration:
-                self.events.schedule(
-                    first, EventKind.GENERATOR_FIRE, self._fire_handler(flow)
-                )
+                self.events.schedule(first, self._fire, flow)
         if self.lane is not None:
             for state in self.lane.traffic:
                 if state.spec.start <= self.duration:
-                    self.events.schedule(
-                        state.spec.start,
-                        EventKind.GENERATOR_FIRE,
-                        self._lane_fire_handler(state),
-                    )
+                    self.events.schedule(state.spec.start, self._lane_fire, state)
 
-    def _fire_handler(self, flow: ContractFlow) -> Callable[[], None]:
-        def fire() -> None:
-            now = self.events.now
-            header = CellHeader(
-                kind=flow.forward_kind,
-                vpi=0,
-                vci=flow.forward_vci,
-                clp=flow.spec.clp,
-            )
-            tc = TransitCell(Cell(header), flow, now, flow.take_seq())
-            flow.on_emitted(flow.spec.clp)
-            self._send(self.nodes[flow.spec.route[0]], flow.src_port, tc)
-            nxt = flow.emitter.next(now)
-            if nxt <= self.duration:
-                self.events.schedule(nxt, EventKind.GENERATOR_FIRE, fire)
+    def _fire(self, flow: ContractFlow) -> None:
+        now = self.events.now
+        clp = flow.spec.clp
+        tc = TransitCell(flow, now, flow.take_seq(), flow.vci, clp)
+        flow.on_emitted(clp)
+        self._send(flow.tx, tc)
+        nxt = flow.emitter.next(now)
+        if nxt <= self.duration:
+            self.events.schedule(nxt, self._fire, flow)
 
-        return fire
-
-    def _lane_fire_handler(self, state: LaneTrafficState) -> Callable[[], None]:
+    def _lane_fire(self, state: LaneTrafficState) -> None:
         lane = self.lane
         assert lane is not None
-        lec = lane.lecs[state.spec.src]
-        period = 1.0 / state.spec.rate
-
-        def fire() -> None:
-            now = self.events.now
-            size = state.draw_size()
-            seq = lane.next_seq.get(state.spec.src, 0)
-            lane.next_seq[state.spec.src] = seq + 1
-            payload = seq.to_bytes(8, "big") + bytes(size - 8)
-            state.sent += 1
-            lec.send(state.spec.dst_mac, payload)
-            if state.spec.count is not None and state.sent >= state.spec.count:
-                return
-            nxt = now + period
-            if nxt <= self.duration:
-                self.events.schedule(nxt, EventKind.GENERATOR_FIRE, fire)
-
-        return fire
+        spec = state.spec
+        size = state.draw_size()
+        seq = lane.next_seq.get(spec.src, 0)
+        lane.next_seq[spec.src] = seq + 1
+        payload = seq.to_bytes(8, "big") + bytes(size - 8)
+        state.sent += 1
+        lane.lecs[spec.src].send(spec.dst_mac, payload)
+        if spec.count is not None and state.sent >= spec.count:
+            return
+        nxt = self.events.now + 1.0 / spec.rate
+        if nxt <= self.duration:
+            self.events.schedule(nxt, self._lane_fire, state)
 
     def _send_frame(self, vc: LaneVc, frame: bytes) -> None:
         now = self.events.now
-        node = self.nodes[vc.src_node]
         for payload, last in segment(frame):
-            header = CellHeader(
-                kind=vc.first_kind, vpi=0, vci=vc.first_vci, aal5_last=last
-            )
-            tc = TransitCell(Cell(header, payload), vc, now, vc.take_seq())
+            tc = TransitCell(vc, now, vc.take_seq(), vc.vci, aal5_last=last, payload=payload)
             vc.emitted += 1
-            self._send(node, vc.src_port, tc)
+            self._send(vc.tx, tc)
 
     # -- run -------------------------------------------------------------------
 
@@ -993,14 +936,16 @@ class Engine:
         self._ran = True
         self._schedule_sources()
         events = self.events
-        last_key = (-math.inf, -1)
-        while events._heap and events._heap[0][0] <= self.duration:
-            event = events.pop()
-            key = (event.time, event.seq)
-            if key <= last_key:
+        heap = events._heap
+        pop = events.pop
+        duration = self.duration
+        last_time, last_seq = -math.inf, -1
+        while heap and heap[0][0] <= duration:
+            time, seq, fn, arg = pop()
+            if time < last_time or (time == last_time and seq <= last_seq):
                 raise AssertionError("event dispatched out of order")
-            last_key = key
-            event.fn()
+            last_time, last_seq = time, seq
+            fn(arg)
         self._audit()
         return self._report()
 
@@ -1015,11 +960,12 @@ class Engine:
             for tx in node.ports.values():
                 if tx.holding is not None:
                     count(tx.holding.flow)
-                for _cell, meta in tx.queue.pending():
-                    count(meta.flow)
-        for event in self.events.unprocessed():
-            if event.kind is EventKind.CELL_ARRIVAL and event.payload is not None:
-                count(event.payload.flow)
+                for tc in tx.queue.pending():
+                    count(tc.flow)
+        arrive = self._arrive
+        for _time, _seq, fn, arg in self.events._heap:
+            if fn == arrive:
+                count(arg[1].flow)
         for flow in self.flows:
             expected = flow.emitted - flow.delivered - flow.lost
             actual = in_network.get(flow.id, 0)

@@ -5,6 +5,10 @@ rewriting the labels for the next hop.  Each output port owns a bounded
 FIFO with two thresholds: above clp_threshold arriving clp=1 cells are
 dropped (selective discard), and cells accepted while the queue sits
 above efci_threshold are forwarded with their congestion bit set.
+
+The queue holds the simulator's transit cells, whose header bits are
+plain attributes, so marking sets ``efci`` on the item itself.
+route_cell and set_efci do the same on codec-level Cell values.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .cell import Cell, set_efci
+from .cell import Cell
 from .traffic import ServiceCategory, TrafficDescriptor
 
 DEFAULT_QUEUE_CAPACITY = 128
@@ -84,9 +88,11 @@ class QueueDrop:
 class OutputQueue:
     """Bounded FIFO for one output port.
 
-    Occupancy counts waiting cells only (a cell being serialized onto the
-    link is in service, not in the buffer).  Thresholds default to 80%
-    (EFCI) and 90% (CLP discard) of capacity.
+    Items are cells with ``clp``, ``is_management`` and a writable
+    ``efci`` attribute, as the engine's TransitCell has.  Occupancy
+    counts waiting cells only (a cell being serialized onto the link is
+    in service, not in the buffer).  Thresholds default to 80% (EFCI)
+    and 90% (CLP discard) of capacity.
     """
 
     def __init__(
@@ -108,7 +114,7 @@ class OutputQueue:
             raise ValueError("clp_threshold must lie within [0, capacity]")
         if not 0 <= self.efci_threshold <= capacity:
             raise ValueError("efci_threshold must lie within [0, capacity]")
-        self._items: Deque[Tuple[Cell, Any]] = deque()
+        self._items: Deque[Any] = deque()
         self.accepted = 0
         self.full_drops = 0
         self.clp_drops = 0
@@ -119,33 +125,35 @@ class OutputQueue:
     def occupancy(self) -> int:
         return len(self._items)
 
-    def enqueue(self, cell: Cell, now: float = 0.0, meta: Any = None) -> EnqueueOutcome:
+    def enqueue(self, item: Any, now: float = 0.0) -> EnqueueOutcome:
         """Selective discard, then capacity check, then EFCI marking.
 
         The CLP check runs first so a low-priority cell hitting a full
         queue is attributed to the threshold rule it crossed first.
+        Management cells are never marked.
         """
-        occ = len(self._items)
-        if cell.header.clp == 1 and occ >= self.clp_threshold:
+        items = self._items
+        occ = len(items)
+        if item.clp == 1 and occ >= self.clp_threshold:
             self.clp_drops += 1
             self.drop_log.append(QueueDrop(now, 1, EnqueueOutcome.DISCARDED_CLP, occ))
             return EnqueueOutcome.DISCARDED_CLP
         if occ >= self.capacity:
             self.full_drops += 1
-            self.drop_log.append(QueueDrop(now, cell.header.clp, EnqueueOutcome.DISCARDED_FULL, occ))
+            self.drop_log.append(QueueDrop(now, item.clp, EnqueueOutcome.DISCARDED_FULL, occ))
             return EnqueueOutcome.DISCARDED_FULL
-        if occ + 1 > self.efci_threshold and not cell.header.is_management:
-            cell = set_efci(cell)
+        if occ + 1 > self.efci_threshold and not item.is_management:
+            item.efci = True
             self.efci_marks += 1
-        self._items.append((cell, meta))
+        items.append(item)
         self.accepted += 1
         return EnqueueOutcome.ACCEPTED
 
-    def pending(self) -> Iterator[Tuple[Cell, Any]]:
-        """Waiting (cell, meta) pairs in queue order, without removing them."""
+    def pending(self) -> Iterator[Any]:
+        """Waiting items in queue order, without removing them."""
         return iter(self._items)
 
-    def dequeue(self) -> Optional[Tuple[Cell, Any]]:
+    def dequeue(self) -> Optional[Any]:
         if not self._items:
             return None
         return self._items.popleft()

@@ -651,3 +651,13 @@ def test_c13_equal_seeds_reproduce_byte_identical_reports(tmp_path, capsys):
     assert (out_a / "abr_bulk.csv").read_bytes() == (out_b / "abr_bulk.csv").read_bytes()
     assert json.loads(report_a)["seed"] == 42
     print("criterion 13: PASS - equal-seed runs produce byte-identical reports and series")
+
+
+def test_reference_report_matches_golden_file():
+    # The golden report was recorded from the simulator before its hot path
+    # stopped building cell headers; any refactor must reproduce it byte
+    # for byte.  Regenerate it only for a change meant to alter reports.
+    scenario_path = os.path.join(DATA_DIR, "reference_scenario.json")
+    with open(os.path.join(DATA_DIR, "reference_report.json"), encoding="utf-8") as handle:
+        golden = handle.read()
+    assert run(scenario_path).to_json() == golden

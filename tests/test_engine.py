@@ -1,17 +1,19 @@
 """End-to-end runs of the event-driven simulator."""
 
+import heapq
 import math
 
 import pytest
 
+from atmsim.cell import VCI_MAX
 from atmsim.engine import (
     CELL_BITS,
     Engine,
-    EventKind,
     EventQueue,
     OrderingError,
     ScenarioInvalid,
     build,
+    load_scenario,
     preflight,
     rng_stream,
     run,
@@ -48,26 +50,43 @@ class TestEventQueue:
     def test_orders_by_time_then_insertion(self):
         q = EventQueue()
         seen = []
-        q.schedule(2.0, EventKind.TIMER_EXPIRY, lambda: seen.append("late"))
-        q.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: seen.append("first"))
-        q.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: seen.append("second"))
+        q.schedule(2.0, seen.append, "late")
+        q.schedule(1.0, seen.append, "first")
+        q.schedule(1.0, seen.append, "second")
         for _ in range(3):
-            q.pop().fn()
+            _time, _seq, fn, arg = q.pop()
+            fn(arg)
         assert seen == ["first", "second", "late"]
 
     def test_schedule_into_past_raises(self):
         q = EventQueue()
-        q.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: None)
+        q.schedule(1.0, print)
         q.pop()
         with pytest.raises(OrderingError):
-            q.schedule(0.5, EventKind.TIMER_EXPIRY, lambda: None)
+            q.schedule(0.5, print)
 
     def test_schedule_at_now_allowed(self):
         q = EventQueue()
-        q.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: None)
+        q.schedule(1.0, print)
         q.pop()
-        q.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: None)
-        assert q.pop().time == 1.0
+        q.schedule(1.0, print)
+        assert q.pop()[0] == 1.0
+
+
+class TestAudit:
+    def test_lost_arrival_breaks_conservation(self):
+        # Cells leave every millisecond and take 1.4 ms per hop, so the
+        # run ends with cells still propagating toward s and b.
+        eng = build(cbr_scenario(rate=1000.0, duration=0.0055))
+        eng.run()
+        heap = eng.events._heap
+        arrivals = [entry for entry in heap if entry[2] == eng._arrive]
+        assert arrivals
+        eng._audit()
+        heap.remove(arrivals[0])
+        heapq.heapify(heap)
+        with pytest.raises(AssertionError, match="conservation broken on c1"):
+            eng._audit()
 
 
 class TestRngStreams:
@@ -274,6 +293,50 @@ class TestAdmission:
         raw = cbr_scenario()
         raw["duration_s"] = -1.0
         assert any("duration_s" in p for p in preflight(raw))
+
+
+class _LastLabelEngine(Engine):
+    """Every link hands out VCI_MAX first: the first path across a link
+    takes the last label and the next one finds none."""
+
+    def _build_topology(self):
+        super()._build_topology()
+        for link in self.links:
+            link.next_vci = VCI_MAX
+
+
+class _NoLabelsLeftEngine(Engine):
+    """No link has a label left once the scenario's own paths are built."""
+
+    def _build_lane(self):
+        violations = super()._build_lane()
+        for link in self.links:
+            link.next_vci = VCI_MAX + 1
+        return violations
+
+
+class TestLabelRange:
+    def test_highest_vci_carries_cells(self):
+        eng = _LastLabelEngine(load_scenario(cbr_scenario()))
+        assert eng.connections[0].vci == VCI_MAX
+        assert eng.run().connections["c1"]["delivered"] > 0
+
+    def test_path_past_the_last_vci_is_invalid(self):
+        raw = cbr_scenario(rate=100.0)
+        raw["connections"].append(dict(raw["connections"][0], id="c2"))
+        with pytest.raises(ScenarioInvalid) as info:
+            _LastLabelEngine(load_scenario(raw))
+        assert info.value.violations == [
+            f"c2: no VCI left on link a->s (all up to {VCI_MAX} in use)",
+            f"c2: no VCI left on link s->b (all up to {VCI_MAX} in use)",
+        ]
+
+    def test_data_direct_vc_without_labels_is_a_setup_drop(self):
+        report = _NoLabelsLeftEngine(load_scenario(TestLaneRuns().lane_scenario())).run()
+        sender = report.lane["lecs"]["h1"]
+        assert report.lane["data_direct_vcs"] == 0
+        assert sender["per_destination"]["02:00:00:00:00:02"]["dropped_setup"] == 20
+        assert report.lane["lecs"]["h2"]["received_direct"] == 0
 
 
 class TestAbrLoop:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from atmsim.cell import Cell, CellHeader, InterfaceKind
+from atmsim.engine import TransitCell
 from atmsim.switch import (
     EnqueueOutcome,
     LinkBooking,
@@ -59,40 +60,44 @@ class TestVcTable:
         assert route_cell(_cell(), 0, VcTable()) is None
 
 
+def _transit(vci=40, clp=0, management=False) -> TransitCell:
+    return TransitCell(None, 0.0, 0, vci, clp, management)
+
+
 class TestOutputQueue:
     def test_fifo_order(self):
         queue = OutputQueue(capacity=8)
         for vci in (40, 41, 42):
-            queue.enqueue(_cell(vci=vci), meta=vci)
-        out = [queue.dequeue()[1] for _ in range(3)]
+            queue.enqueue(_transit(vci=vci))
+        out = [queue.dequeue().vci for _ in range(3)]
         assert out == [40, 41, 42]
         assert queue.dequeue() is None
 
     def test_capacity_enforced(self):
         queue = OutputQueue(capacity=2)
-        assert queue.enqueue(_cell()) is EnqueueOutcome.ACCEPTED
-        assert queue.enqueue(_cell()) is EnqueueOutcome.ACCEPTED
-        assert queue.enqueue(_cell()) is EnqueueOutcome.DISCARDED_FULL
+        assert queue.enqueue(_transit()) is EnqueueOutcome.ACCEPTED
+        assert queue.enqueue(_transit()) is EnqueueOutcome.ACCEPTED
+        assert queue.enqueue(_transit()) is EnqueueOutcome.DISCARDED_FULL
         assert queue.full_drops == 1
         assert queue.accepted == 2
 
     def test_clp_discard_threshold(self):
         queue = OutputQueue(capacity=10, clp_threshold=3, efci_threshold=10)
         for _ in range(3):
-            assert queue.enqueue(_cell(clp=1)) is EnqueueOutcome.ACCEPTED
+            assert queue.enqueue(_transit(clp=1)) is EnqueueOutcome.ACCEPTED
         # occupancy 3 reaches the threshold: tagged cells now bounce,
         # untagged cells still get the remaining room
-        assert queue.enqueue(_cell(clp=1)) is EnqueueOutcome.DISCARDED_CLP
-        assert queue.enqueue(_cell(clp=0)) is EnqueueOutcome.ACCEPTED
+        assert queue.enqueue(_transit(clp=1)) is EnqueueOutcome.DISCARDED_CLP
+        assert queue.enqueue(_transit(clp=0)) is EnqueueOutcome.ACCEPTED
         assert queue.clp_drops == 1
         assert queue.full_drops == 0
 
     def test_drop_log_records(self):
         queue = OutputQueue(capacity=2, clp_threshold=1, efci_threshold=2)
-        queue.enqueue(_cell(clp=0), now=1.0)
-        queue.enqueue(_cell(clp=1), now=2.0)
-        queue.enqueue(_cell(clp=0), now=3.0)
-        queue.enqueue(_cell(clp=0), now=4.0)
+        queue.enqueue(_transit(clp=0), now=1.0)
+        queue.enqueue(_transit(clp=1), now=2.0)
+        queue.enqueue(_transit(clp=0), now=3.0)
+        queue.enqueue(_transit(clp=0), now=4.0)
         assert len(queue.drop_log) == 2
         clp_drop, full_drop = queue.drop_log
         assert (clp_drop.time, clp_drop.clp) == (2.0, 1)
@@ -103,18 +108,18 @@ class TestOutputQueue:
 
     def test_efci_marking_above_threshold(self):
         queue = OutputQueue(capacity=8, clp_threshold=8, efci_threshold=2)
-        queue.enqueue(_cell())
-        queue.enqueue(_cell())
-        queue.enqueue(_cell())  # post-enqueue occupancy 3 > 2: marked
-        cells = [queue.dequeue()[0] for _ in range(3)]
-        assert [c.header.efci for c in cells] == [False, False, True]
+        queue.enqueue(_transit())
+        queue.enqueue(_transit())
+        queue.enqueue(_transit())  # post-enqueue occupancy 3 > 2: marked
+        cells = [queue.dequeue() for _ in range(3)]
+        assert [c.efci for c in cells] == [False, False, True]
         assert queue.efci_marks == 1
 
     def test_management_cells_not_efci_marked(self):
         queue = OutputQueue(capacity=8, clp_threshold=8, efci_threshold=0)
-        queue.enqueue(_cell(management=True))
-        cell, _ = queue.dequeue()
-        assert not cell.header.efci
+        queue.enqueue(_transit(management=True))
+        cell = queue.dequeue()
+        assert not cell.efci
         assert queue.efci_marks == 0
 
     def test_default_thresholds(self):
@@ -124,9 +129,9 @@ class TestOutputQueue:
 
     def test_pending_iterates_without_removing(self):
         queue = OutputQueue(capacity=4)
-        queue.enqueue(_cell(vci=40))
-        queue.enqueue(_cell(vci=41))
-        assert [c.header.vci for c, _ in queue.pending()] == [40, 41]
+        queue.enqueue(_transit(vci=40))
+        queue.enqueue(_transit(vci=41))
+        assert [c.vci for c in queue.pending()] == [40, 41]
         assert queue.occupancy == 2
 
     def test_invalid_configuration(self):
