@@ -134,11 +134,6 @@ class CellHeader:
         """The 3-bit payload type field."""
         return (int(self.is_management) << 2) | (int(self.efci) << 1) | int(self.aal5_last)
 
-    @property
-    def routing_field(self) -> int:
-        """Concatenated VPI+VCI switching label: 24 bits at UNI, 28 at NNI."""
-        return (self.vpi << 16) | self.vci
-
 
 class DecodeStatus(enum.Enum):
     VALID = "valid"

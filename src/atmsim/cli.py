@@ -23,9 +23,9 @@ from .cell import (
     encode_header,
     parse_trace_line,
 )
-from .engine import ScenarioInvalid, build
+from .engine import ScenarioInvalid, build, preflight
 from .errors import OrderingError
-from .scenario import ScenarioError, load_scenario, validate_scenario
+from .scenario import ScenarioError, load_scenario
 from .traffic import (
     Policer,
     PolicingAction,
@@ -136,12 +136,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         sc = load_scenario(args.scenario)
     except ScenarioError as exc:
         return _die(str(exc), FAILURE)
-    violations = validate_scenario(sc)
-    if not violations:
-        try:
-            build(sc)
-        except ScenarioInvalid as exc:
-            violations = exc.violations
+    violations = preflight(sc)
     if violations:
         for violation in violations:
             print(violation)

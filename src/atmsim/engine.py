@@ -9,26 +9,31 @@ event.
 Inside the simulator a cell is a TransitCell: the header bits the model
 acts on (VCI, CLP, EFCI, payload type) as plain attributes, beside the
 owning flow, entry time and a per-flow sequence number.  Switches rewrite
-the VCI in place and queues set the EFCI bit in place; the UNI/NNI header
-format is a property of the link.  Cell and CellHeader, with their range
-checks and HEC, exist only at codec boundaries (the trace format and the
-conformance command), so label ranges are checked when a path is
-installed.
+the VCI in place and queues set the EFCI bit in place.  The UNI and NNI
+header layouts differ only in fields the model leaves at zero (GFC and the
+upper VPI bits), so the engine does not track them.  Cell and CellHeader,
+with their range checks and HEC, exist only at codec boundaries (the trace
+format and the conformance command), so label ranges are checked when a
+path is installed.
 
-Node output ports share one mechanism: a bounded OutputQueue feeding a
-single-cell transmitter per link direction (424 bits serialized at the
-link rate, then the propagation delay).  Queue occupancy therefore
-counts waiting cells, with the cell on the wire "in service".
+An output port and the link direction it feeds are one record, the
+DirectedLink: a bounded OutputQueue, a single-cell transmitter (424 bits
+serialized at the link rate, then the propagation delay) and the link's
+transmit stats.  Queue occupancy therefore counts waiting cells, with the
+cell on the wire "in service".
+
+Every flow counts its cells once, in its ConnectionMetrics: emitted and
+lost by loss priority, and delivered.  Cell conservation, the audit run
+at the end, compares those counters with the cells still in the network.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -36,15 +41,13 @@ import numpy as np
 
 from .aal5 import Reassembler, ReassemblyError, segment
 from .abr import (
-    DEFAULT_NRM,
     AbrSourceState,
     EfciObserver,
     FeedbackIndication,
-    default_source,
     next_emission,
     source_adjust,
 )
-from .cell import VCI_MAX, ZERO_PAYLOAD, InterfaceKind
+from .cell import VCI_MAX, ZERO_PAYLOAD
 from .errors import OrderingError
 from .lane import (
     OP_ARP_REPLY,
@@ -64,7 +67,10 @@ from .scenario import (
     GeneratorSpec,
     LaneTrafficSpec,
     Scenario,
+    abr_observer,
+    abr_source,
     load_scenario,
+    output_queue,
     validate_scenario,
 )
 from .switch import (
@@ -107,9 +113,6 @@ class EventQueue:
         self._seq = 0
         self.now = 0.0
         self.processed = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def schedule(self, time: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         if time < self.now:
@@ -208,8 +211,7 @@ class TransitCell:
     """A cell inside the simulator: the header bits the model acts on as
     plain attributes, plus bookkeeping that never touches the wire image.
 
-    The VPI is always 0 on the paths the engine installs, and the header
-    format (UNI/NNI) belongs to the link the cell is crossing.
+    The VPI is always 0 on the paths the engine installs.
     """
 
     __slots__ = (
@@ -247,21 +249,21 @@ class TransitCell:
 
 
 class FlowState:
-    """Cell conservation bookkeeping shared by every traffic class.
+    """One unidirectional cell stream of any traffic class.
 
-    ``tx`` and ``vci`` are the first hop of the flow's path: the output
-    port its cells enter and the label they carry on the first link.
+    ``metrics`` holds its only cell counters (emitted and lost by loss
+    priority, delivered), which the conservation audit checks.  ``tx``
+    and ``vci`` are the first hop of the flow's path: the link its cells
+    enter and the label they carry on it.
     """
 
     def __init__(self, flow_id: str):
         self.id = flow_id
-        self.emitted = 0
-        self.delivered = 0
-        self.lost = 0
+        self.metrics = ConnectionMetrics()
         self.loss_reasons: Dict[str, int] = {}
         self.next_seq = 0
         self.last_delivered_seq = -1
-        self.tx: Optional[PortTx] = None
+        self.tx: Optional[DirectedLink] = None
         self.vci = 0
 
     def take_seq(self) -> int:
@@ -269,9 +271,18 @@ class FlowState:
         self.next_seq += 1
         return seq
 
-    def on_lost(self, tc: TransitCell, reason: str, now: float) -> None:
-        self.lost += 1
+    def on_emitted(self, clp: int) -> None:
+        if clp == 1:
+            self.metrics.transmitted_clp1 += 1
+        else:
+            self.metrics.transmitted_clp0 += 1
+
+    def on_lost(self, tc: TransitCell, reason: str) -> None:
         self.loss_reasons[reason] = self.loss_reasons.get(reason, 0) + 1
+        if tc.clp == 1:
+            self.metrics.lost_clp1 += 1
+        else:
+            self.metrics.lost_clp0 += 1
 
     def check_fifo(self, tc: TransitCell) -> None:
         # Cells of one VC must come out in emission order (gaps = losses).
@@ -281,31 +292,16 @@ class FlowState:
 
 
 class ContractFlow(FlowState):
-    """One scenario connection: metrics, generator state, ABR machinery."""
+    """One scenario connection: generator state, delays, ABR machinery."""
 
     def __init__(self, spec: ConnectionSpec):
         super().__init__(spec.id)
         self.spec = spec
-        self.metrics = ConnectionMetrics()
         self.emitter: Any = None
         self.abr_source: Optional[AbrSourceState] = None
         self.observer: Optional[EfciObserver] = None
         self.feedback: Optional[FeedbackFlow] = None
         self.acr_log: List[Tuple[float, float, bool]] = []
-
-    def on_emitted(self, clp: int) -> None:
-        self.emitted += 1
-        if clp == 1:
-            self.metrics.transmitted_clp1 += 1
-        else:
-            self.metrics.transmitted_clp0 += 1
-
-    def on_lost(self, tc: TransitCell, reason: str, now: float) -> None:
-        super().on_lost(tc, reason, now)
-        if tc.clp == 1:
-            self.metrics.lost_clp1 += 1
-        else:
-            self.metrics.lost_clp0 += 1
 
 
 class FeedbackFlow(FlowState):
@@ -316,23 +312,13 @@ class FeedbackFlow(FlowState):
         self.conn = conn
 
 
-class LaneVcKind(enum.Enum):
-    TO_LES = "to_les"
-    FROM_LES = "from_les"
-    TO_BUS = "to_bus"
-    FROM_BUS = "from_bus"
-    DATA_DIRECT = "data_direct"
-
-
 class LaneVc(FlowState):
     """One unidirectional LAN-emulation VC carrying AAL5 frames."""
 
-    def __init__(self, flow_id: str, kind: LaneVcKind):
+    def __init__(self, flow_id: str):
         super().__init__(flow_id)
-        self.kind = kind
         self.reassembler = Reassembler()
         self.on_frame: Callable[[bytes], Any] = lambda frame: None
-        self.frames_in = 0
         self.reassembly_errors = 0
 
 
@@ -356,7 +342,13 @@ class LaneTrafficState:
 
 
 class DirectedLink:
-    """One direction of a physical link, with its transmit stats."""
+    """One direction of a physical link, which is also the output port
+    ``src_port`` of node ``src``: the bounded queue, the wire and the
+    transmit stats.
+
+    ``holding`` is the cell being serialized; the wire is busy exactly
+    while it is set.
+    """
 
     def __init__(
         self,
@@ -366,17 +358,17 @@ class DirectedLink:
         dst_port: int,
         bit_rate: float,
         prop: float,
-        kind: InterfaceKind,
         booking: LinkBooking,
+        queue: OutputQueue,
     ):
         self.src = src
         self.src_port = src_port
         self.dst = dst
         self.dst_port = dst_port
-        self.bit_rate = bit_rate
         self.prop = prop
-        self.kind = kind
         self.booking = booking
+        self.queue = queue
+        self.holding: Optional[TransitCell] = None
         self.tx_time = CELL_BITS / bit_rate
         self.cells = 0
         self.busy_first_half = 0.0
@@ -393,31 +385,16 @@ class DirectedLink:
         return vci
 
 
-class PortTx:
-    """Transmitter for one outgoing link direction: queue + wire.
-
-    ``holding`` is the cell being serialized; the wire is busy exactly
-    while it is set.
-    """
-
-    def __init__(self, queue: OutputQueue, link: DirectedLink):
-        self.queue = queue
-        self.link = link
-        self.holding: Optional[TransitCell] = None
-
-
 class NodeRuntime:
     def __init__(self, name: str, kind: str):
         self.name = name
         self.kind = kind
-        self.ports: Dict[int, PortTx] = {}
+        self.ports: Dict[int, DirectedLink] = {}
         self.neighbor_port: Dict[str, int] = {}
         self.vc_table = VcTable()
         self.routed = 0
         self.unknown_vc = 0
         self.endpoints: Dict[Tuple[int, int, int], Callable[[TransitCell], None]] = {}
-        # LAN-emulation roles, when this host has any
-        self.lec: Optional[Lec] = None
 
 
 class LaneRuntime:
@@ -426,11 +403,9 @@ class LaneRuntime:
         self.bus = Bus()
         self.lecs: Dict[str, Lec] = {}  # host name -> client
         self.host_by_atm: Dict[bytes, str] = {}
-        self.host_by_mac: Dict[bytes, str] = {}
         self.to_les: Dict[str, LaneVc] = {}
         self.from_les: Dict[str, LaneVc] = {}
         self.to_bus: Dict[str, LaneVc] = {}
-        self.from_bus: Dict[str, LaneVc] = {}
         self.direct_vcs: List[LaneVc] = []
         self.traffic: List[LaneTrafficState] = []
         # receivers identify frames by (source MAC, sequence), so every
@@ -442,22 +417,19 @@ class LaneRuntime:
 class _EnginePort(LecPort):
     """Fabric adapter handed to each LEC."""
 
-    def __init__(self, engine: "Engine", host: str):
+    def __init__(self, engine: "Engine", lane: LaneRuntime, host: str):
         self._engine = engine
+        self._lane = lane
         self._host = host
 
     def now(self) -> float:
         return self._engine.events.now
 
     def send_arp_request(self, message: bytes) -> None:
-        lane = self._engine.lane
-        assert lane is not None
-        self._engine._send_frame(lane.to_les[self._host], message)
+        self._engine._send_frame(self._lane.to_les[self._host], message)
 
     def send_to_bus(self, frame: bytes) -> None:
-        lane = self._engine.lane
-        assert lane is not None
-        self._engine._send_frame(lane.to_bus[self._host], frame)
+        self._engine._send_frame(self._lane.to_bus[self._host], frame)
 
     def send_on_vc(self, vc: Any, frame: bytes) -> None:
         self._engine._send_frame(vc, frame)
@@ -490,9 +462,7 @@ class Engine:
         self.duration = sc.duration_s
         self.events = EventQueue()
         self.nodes: Dict[str, NodeRuntime] = {}
-        self.directed: Dict[Tuple[str, int], DirectedLink] = {}
         self.links: List[DirectedLink] = []
-        self.adjacency: Dict[str, List[str]] = {}
         self.flows: List[FlowState] = []
         self.connections: List[ContractFlow] = []
         self.lane: Optional[LaneRuntime] = None
@@ -513,11 +483,6 @@ class Engine:
             self.nodes[spec.name] = NodeRuntime(spec.name, spec.kind)
             node_spec[spec.name] = spec
         for spec in self.sc.links:
-            kind = (
-                InterfaceKind.UNI
-                if "host" in (node_spec[spec.a].kind, node_spec[spec.b].kind)
-                else InterfaceKind.NNI
-            )
             for src, dst in ((spec.a, spec.b), (spec.b, spec.a)):
                 src_node = self.nodes[src]
                 dst_node = self.nodes[dst]
@@ -530,28 +495,16 @@ class Engine:
                     dst_port,
                     spec.bit_rate,
                     spec.propagation_delay,
-                    kind,
                     LinkBooking(spec.bit_rate / CELL_BITS, spec.booking_factor),
+                    output_queue(node_spec[src]),
                 )
-                ns = node_spec[src]
-                queue = OutputQueue(
-                    capacity=ns.queue_capacity if ns.queue_capacity is not None else 128,
-                    clp_threshold=ns.clp_threshold,
-                    efci_threshold=ns.efci_threshold,
-                )
-                src_node.ports[src_port] = PortTx(queue, link)
+                src_node.ports[src_port] = link
                 src_node.neighbor_port[dst] = src_port
-                self.directed[(src, src_port)] = link
                 self.links.append(link)
-            self.adjacency.setdefault(spec.a, []).append(spec.b)
-            self.adjacency.setdefault(spec.b, []).append(spec.a)
 
     def _chain(self, route: Sequence[str]) -> List[DirectedLink]:
-        chain = []
-        for a, b in zip(route, route[1:]):
-            port = self.nodes[a].neighbor_port[b]
-            chain.append(self.directed[(a, port)])
-        return chain
+        nodes = self.nodes
+        return [nodes[a].ports[nodes[a].neighbor_port[b]] for a, b in zip(route, route[1:])]
 
     def _install_path(
         self, flow: FlowState, chain: Sequence[DirectedLink], sink: Callable[[TransitCell], None]
@@ -578,8 +531,7 @@ class Engine:
             )
         last = chain[-1]
         self.nodes[last.dst].endpoints[(last.dst_port, 0, vcis[-1])] = sink
-        first = chain[0]
-        flow.tx = self.nodes[first.src].ports[first.src_port]
+        flow.tx = chain[0]
         flow.vci = vcis[0]
 
     def _build_connections(self) -> List[str]:
@@ -602,22 +554,10 @@ class Engine:
         return violations
 
     def _setup_abr(self, flow: ContractFlow) -> None:
-        spec = flow.spec
-        over = spec.abr
-        kwargs: Dict[str, Any] = {}
-        if over is not None:
-            if over.air is not None:
-                kwargs["air"] = over.air
-            if over.rdf is not None:
-                kwargs["rdf"] = over.rdf
-            if over.initial_acr is not None:
-                kwargs["initial_acr"] = over.initial_acr
-        mcr = spec.descriptor.mcr if spec.descriptor.mcr is not None else 0.0
-        flow.abr_source = default_source(spec.descriptor.pcr, mcr, **kwargs)
-        nrm = over.nrm if over is not None and over.nrm is not None else DEFAULT_NRM
-        flow.observer = EfciObserver(nrm=nrm)
+        flow.abr_source = abr_source(flow.spec)
+        flow.observer = abr_observer(flow.spec)
         flow.feedback = FeedbackFlow(flow)
-        back = self._chain(tuple(reversed(spec.route)))
+        back = self._chain(tuple(reversed(flow.spec.route)))
         self._install_path(flow.feedback, back, self._feedback_sink)
 
     def _make_emitter(self, flow: ContractFlow, gen: GeneratorSpec) -> Any:
@@ -650,29 +590,26 @@ class Engine:
             lec = Lec(
                 mac=lec_spec.mac,
                 atm=atm,
-                port=_EnginePort(self, host),
+                port=_EnginePort(self, lane, host),
                 parallel_bus=spec.parallel_bus,
             )
             lane.lecs[host] = lec
             lane.host_by_atm[atm] = host
-            lane.host_by_mac[lec_spec.mac] = host
-            self.nodes[host].lec = lec
 
-            to_les = self._lane_path(host, spec.les, LaneVcKind.TO_LES)
+            to_les = self._lane_path(host, spec.les, "to_les")
             to_les.on_frame = partial(self._les_request, host)
             lane.to_les[host] = to_les
 
-            from_les = self._lane_path(spec.les, host, LaneVcKind.FROM_LES)
+            from_les = self._lane_path(spec.les, host, "from_les")
             from_les.on_frame = partial(self._lec_reply, lec)
             lane.from_les[host] = from_les
 
-            to_bus = self._lane_path(host, spec.bus, LaneVcKind.TO_BUS)
+            to_bus = self._lane_path(host, spec.bus, "to_bus")
             to_bus.on_frame = partial(lane.bus.forward, origin_atm=atm)
             lane.to_bus[host] = to_bus
 
-            from_bus = self._lane_path(spec.bus, host, LaneVcKind.FROM_BUS)
+            from_bus = self._lane_path(spec.bus, host, "from_bus")
             from_bus.on_frame = partial(lec.deliver, via_bus=True)
-            lane.from_bus[host] = from_bus
 
             lane.bus.attach(atm, partial(self._send_frame, from_bus))
         for i, traffic in enumerate(spec.traffic):
@@ -680,10 +617,10 @@ class Engine:
             lane.traffic.append(LaneTrafficState(traffic, rng))
         return violations
 
-    def _lane_path(self, src: str, dst: str, kind: LaneVcKind) -> LaneVc:
+    def _lane_path(self, src: str, dst: str, role: str) -> LaneVc:
         route = self._bfs_route(src, dst)
         chain = self._chain(route)
-        vc = LaneVc(f"lane:{kind.value}:{src}->{dst}", kind)
+        vc = LaneVc(f"lane:{role}:{src}->{dst}")
         cac_admit([l.booking for l in chain], ServiceCategory.UBR, _LANE_VC_DESCRIPTOR)
         self._install_path(vc, chain, self._lane_sink)
         self.flows.append(vc)
@@ -697,7 +634,7 @@ class Engine:
         while frontier:
             nxt: List[str] = []
             for name in frontier:
-                for neighbor in self.adjacency.get(name, ()):
+                for neighbor in self.nodes[name].neighbor_port:
                     if neighbor not in parent:
                         parent[neighbor] = name
                         nxt.append(neighbor)
@@ -716,7 +653,6 @@ class Engine:
         flow = tc.flow
         now = self.events.now
         flow.check_fifo(tc)
-        flow.delivered += 1
         flow.metrics.delivered += 1
         flow.metrics.delay_samples.append(now - tc.entry_time)
         if flow.observer is not None:
@@ -729,7 +665,7 @@ class Engine:
         flow = feedback.conn
         assert flow.abr_source is not None
         feedback.check_fifo(tc)
-        feedback.delivered += 1
+        feedback.metrics.delivered += 1
         payload = tc.payload
         indication = FeedbackIndication(
             congested=payload[0] == 1, epoch=int.from_bytes(payload[1:9], "big")
@@ -754,20 +690,19 @@ class Engine:
             is_management=True,
             payload=payload,
         )
-        feedback.emitted += 1
+        feedback.on_emitted(0)
         self._send(feedback.tx, tc)
 
     def _lane_sink(self, tc: TransitCell) -> None:
         vc = tc.flow
         vc.check_fifo(tc)
-        vc.delivered += 1
+        vc.metrics.delivered += 1
         result = vc.reassembler.push(tc.payload, tc.aal5_last)
         if result is None:
             return
         if isinstance(result, ReassemblyError):
             vc.reassembly_errors += 1
             return
-        vc.frames_in += 1
         vc.on_frame(result)
 
     def _control_body(self, message: bytes, expected_op: int) -> Any:
@@ -813,7 +748,7 @@ class Engine:
         bookings = [l.booking for l in chain]
         if not cac_admit(bookings, ServiceCategory.UBR, _LANE_VC_DESCRIPTOR):
             return None
-        vc = LaneVc(f"lane:data:{src_host}->{dst_host}", LaneVcKind.DATA_DIRECT)
+        vc = LaneVc(f"lane:data:{src_host}->{dst_host}")
         try:
             self._install_path(vc, chain, self._lane_sink)
         except ScenarioInvalid:
@@ -827,26 +762,25 @@ class Engine:
 
     # -- cell movement -------------------------------------------------------
 
-    def _send(self, tx: PortTx, tc: TransitCell) -> None:
-        outcome = tx.queue.enqueue(tc, self.events.now)
+    def _send(self, link: DirectedLink, tc: TransitCell) -> None:
+        outcome = link.queue.enqueue(tc, self.events.now)
         if outcome is EnqueueOutcome.ACCEPTED:
-            if tx.holding is None:
-                self._start(tx)
+            if link.holding is None:
+                self._start(link)
         else:
-            tc.flow.on_lost(tc, outcome.value, self.events.now)
+            tc.flow.on_lost(tc, outcome.value)
 
-    def _start(self, tx: PortTx) -> None:
-        """Put the head of an idle port's queue on the wire."""
-        tc = tx.queue.dequeue()
+    def _start(self, link: DirectedLink) -> None:
+        """Put the head of an idle link's queue on the wire."""
+        tc = link.queue.dequeue()
         if tc is None:
             return
-        tx.holding = tc
-        link = tx.link
+        link.holding = tc
         start = self.events.now
         finish = start + link.tx_time
         link.cells += 1
         self._accrue_busy(link, start, finish)
-        self.events.schedule(finish, self._complete, tx)
+        self.events.schedule(finish, self._complete, link)
 
     def _accrue_busy(self, link: DirectedLink, start: float, finish: float) -> None:
         half = self.duration / 2.0
@@ -857,13 +791,12 @@ class Engine:
         if second > 0:
             link.busy_second_half += second
 
-    def _complete(self, tx: PortTx) -> None:
-        tc = tx.holding
+    def _complete(self, link: DirectedLink) -> None:
+        tc = link.holding
         assert tc is not None
-        tx.holding = None
-        link = tx.link
+        link.holding = None
         self.events.schedule(self.events.now + link.prop, self._arrive, (link, tc))
-        self._start(tx)
+        self._start(link)
 
     def _arrive(self, arg: Tuple[DirectedLink, TransitCell]) -> None:
         link, tc = arg
@@ -881,7 +814,7 @@ class Engine:
                 sink(tc)
                 return
         node.unknown_vc += 1
-        tc.flow.on_lost(tc, "unknown_vc", self.events.now)
+        tc.flow.on_lost(tc, "unknown_vc")
 
     # -- traffic sources -------------------------------------------------------
 
@@ -925,7 +858,7 @@ class Engine:
         now = self.events.now
         for payload, last in segment(frame):
             tc = TransitCell(vc, now, vc.take_seq(), vc.vci, aal5_last=last, payload=payload)
-            vc.emitted += 1
+            vc.on_emitted(0)
             self._send(vc.tx, tc)
 
     # -- run -------------------------------------------------------------------
@@ -950,30 +883,30 @@ class Engine:
         return self._report()
 
     def _audit(self) -> None:
-        """Cell conservation: emitted == delivered + lost + in-network."""
+        """Cell conservation: each flow's in_flight counter (emitted -
+        delivered - lost) equals the cells of it found in the network."""
         in_network: Dict[str, int] = {}
 
         def count(flow: FlowState) -> None:
             in_network[flow.id] = in_network.get(flow.id, 0) + 1
 
-        for node in self.nodes.values():
-            for tx in node.ports.values():
-                if tx.holding is not None:
-                    count(tx.holding.flow)
-                for tc in tx.queue.pending():
-                    count(tc.flow)
+        for link in self.links:
+            if link.holding is not None:
+                count(link.holding.flow)
+            for tc in link.queue.pending():
+                count(tc.flow)
         arrive = self._arrive
         for _time, _seq, fn, arg in self.events._heap:
             if fn == arrive:
                 count(arg[1].flow)
         for flow in self.flows:
-            expected = flow.emitted - flow.delivered - flow.lost
+            metrics = flow.metrics
             actual = in_network.get(flow.id, 0)
-            if expected != actual:
+            if metrics.in_flight != actual:
                 raise AssertionError(
                     f"conservation broken on {flow.id}: "
-                    f"{flow.emitted} emitted, {flow.delivered} delivered, "
-                    f"{flow.lost} lost, {actual} still in the network"
+                    f"{metrics.transmitted} emitted, {metrics.delivered} delivered, "
+                    f"{metrics.lost} lost, {actual} still in the network"
                 )
 
     # -- reporting ---------------------------------------------------------------
@@ -997,15 +930,7 @@ class Engine:
                 "clr": compute_clr(flow.metrics),
                 "clr_clp0": compute_clr(flow.metrics, 0),
                 "clr_clp1": compute_clr(flow.metrics, 1),
-                "delay": None
-                if stats is None
-                else {
-                    "count": stats.count,
-                    "mean_ctd": stats.mean_ctd,
-                    "max_ctd": stats.max_ctd,
-                    "cdv_peak_to_peak": stats.cdv_peak_to_peak,
-                    "cdv_stddev": stats.cdv_stddev,
-                },
+                "delay": None if stats is None else asdict(stats),
             }
             if flow.abr_source is not None:
                 feedback = flow.feedback
@@ -1015,9 +940,9 @@ class Engine:
                     "mcr": flow.abr_source.mcr,
                     "pcr": flow.abr_source.pcr,
                     "adjustments": len(flow.acr_log),
-                    "feedback_sent": feedback.emitted,
-                    "feedback_delivered": feedback.delivered,
-                    "feedback_lost": feedback.lost,
+                    "feedback_sent": feedback.metrics.transmitted,
+                    "feedback_delivered": feedback.metrics.delivered,
+                    "feedback_lost": feedback.metrics.lost,
                 }
                 abr_series[flow.id] = list(flow.acr_log)
             connections[flow.id] = entry
@@ -1027,10 +952,10 @@ class Engine:
             if node.kind != "switch":
                 continue
             ports = {}
-            for index, tx in sorted(node.ports.items()):
-                queue = tx.queue
+            for index, link in sorted(node.ports.items()):
+                queue = link.queue
                 ports[str(index)] = {
-                    "toward": tx.link.dst,
+                    "toward": link.dst,
                     "accepted": queue.accepted,
                     "full_drops": queue.full_drops,
                     "clp_drops": queue.clp_drops,
@@ -1039,9 +964,9 @@ class Engine:
             switches[node.name] = {
                 "routed": node.routed,
                 "unknown_vc_drops": node.unknown_vc,
-                "full_drops": sum(tx.queue.full_drops for tx in node.ports.values()),
-                "clp_drops": sum(tx.queue.clp_drops for tx in node.ports.values()),
-                "efci_marks": sum(tx.queue.efci_marks for tx in node.ports.values()),
+                "full_drops": sum(link.queue.full_drops for link in node.ports.values()),
+                "clp_drops": sum(link.queue.clp_drops for link in node.ports.values()),
+                "efci_marks": sum(link.queue.efci_marks for link in node.ports.values()),
                 "ports": ports,
             }
 
@@ -1073,29 +998,11 @@ class Engine:
     def _lane_report(self, lane: LaneRuntime) -> Dict[str, Any]:
         lecs = {}
         for host, lec in lane.lecs.items():
-            counters = lec.counters
             lecs[host] = {
                 "mac": format_mac(lec.mac),
-                "frames_sent": counters.frames_sent,
-                "broadcast_sent": counters.broadcast_sent,
-                "arp_requests": counters.arp_requests,
-                "arp_replies": counters.arp_replies,
-                "received_direct": counters.received_direct,
-                "received_bus": counters.received_bus,
-                "received_broadcast": counters.received_broadcast,
-                "filtered": counters.filtered,
-                "duplicates": counters.duplicates,
-                "pending_dropped": counters.pending_dropped,
+                **asdict(lec.counters),
                 "per_destination": {
-                    format_mac(mac): {
-                        "sent_direct": stats.sent_direct,
-                        "sent_bus": stats.sent_bus,
-                        "queued": stats.queued,
-                        "dropped_overflow": stats.dropped_overflow,
-                        "dropped_timeout": stats.dropped_timeout,
-                        "dropped_setup": stats.dropped_setup,
-                    }
-                    for mac, stats in lec.per_destination.items()
+                    format_mac(mac): asdict(stats) for mac, stats in lec.per_destination.items()
                 },
             }
         vc_errors = sum(

@@ -123,14 +123,12 @@ class Les:
         self.arp_requests = 0
         self.arp_hits = 0
         self.arp_misses = 0
-        self.conflicts = 0
 
     def register(self, mac: bytes, atm: bytes) -> None:
         """Idempotent for the same pair; a different ATM address for a
         known MAC is a registration conflict."""
         existing = self.directory.get(mac)
         if existing is not None and existing != atm:
-            self.conflicts += 1
             raise RegistrationConflict(
                 f"MAC {format_mac(mac)} already registered to a different address"
             )

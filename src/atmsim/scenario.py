@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .lane import BROADCAST_MAC, is_multicast, parse_mac
+from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver, default_source
+from .lane import BROADCAST_MAC, atm_address, is_multicast, parse_mac
+from .switch import DEFAULT_QUEUE_CAPACITY, OutputQueue
 from .traffic import (
     QosRequirement,
     ServiceCategory,
@@ -72,9 +74,12 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class AbrOverrides:
+    """ABR parameters; air and initial_acr left None take default_source's
+    values derived from the contract."""
+
     air: Optional[float] = None
-    rdf: Optional[float] = None
-    nrm: Optional[int] = None
+    rdf: float = DEFAULT_RDF
+    nrm: int = DEFAULT_NRM
     initial_acr: Optional[float] = None
 
 
@@ -87,7 +92,7 @@ class ConnectionSpec:
     descriptor: TrafficDescriptor
     qos: QosRequirement = QosRequirement()
     clp: int = 0
-    abr: Optional[AbrOverrides] = None
+    abr: AbrOverrides = AbrOverrides()
 
 
 @dataclass(frozen=True)
@@ -233,16 +238,14 @@ def _parse_connection(raw: Any, where: str) -> ConnectionSpec:
         raise ScenarioError(f"{where}.category: unknown service category {name!r}") from None
     route_raw = _expect(raw.get("route"), list, f"{where}.route")
     route = tuple(_expect(n, str, f"{where}.route[{i}]") for i, n in enumerate(route_raw))
-    abr = None
-    if "abr" in raw:
-        abr_raw = _expect(raw["abr"], dict, f"{where}.abr")
-        _check_keys(abr_raw, ("air", "rdf", "nrm", "initial_acr"), f"{where}.abr")
-        abr = AbrOverrides(
-            air=_get(abr_raw, "air", float, f"{where}.abr", None),
-            rdf=_get(abr_raw, "rdf", float, f"{where}.abr", None),
-            nrm=_get(abr_raw, "nrm", int, f"{where}.abr", None),
-            initial_acr=_get(abr_raw, "initial_acr", float, f"{where}.abr", None),
-        )
+    abr_raw = _expect(raw.get("abr", {}), dict, f"{where}.abr")
+    _check_keys(abr_raw, ("air", "rdf", "nrm", "initial_acr"), f"{where}.abr")
+    abr = AbrOverrides(
+        air=_get(abr_raw, "air", float, f"{where}.abr", None),
+        rdf=_get(abr_raw, "rdf", float, f"{where}.abr", DEFAULT_RDF),
+        nrm=_get(abr_raw, "nrm", int, f"{where}.abr", DEFAULT_NRM),
+        initial_acr=_get(abr_raw, "initial_acr", float, f"{where}.abr", None),
+    )
     return ConnectionSpec(
         id=_get(raw, "id", str, where),
         category=category,
@@ -357,6 +360,27 @@ def load_scenario(source: Union[str, Path, Dict[str, Any]]) -> Scenario:
     )
 
 
+# Components a spec configures.  The engine runs with these, and
+# validate_scenario builds them once so that their own range checks come
+# back as violations.
+
+
+def output_queue(node: NodeSpec) -> OutputQueue:
+    """The queue behind each output port of ``node``."""
+    capacity = node.queue_capacity if node.queue_capacity is not None else DEFAULT_QUEUE_CAPACITY
+    return OutputQueue(capacity, node.clp_threshold, node.efci_threshold)
+
+
+def abr_source(conn: ConnectionSpec) -> AbrSourceState:
+    mcr = conn.descriptor.mcr if conn.descriptor.mcr is not None else 0.0
+    abr = conn.abr
+    return default_source(conn.descriptor.pcr, mcr, abr.air, abr.rdf, abr.initial_acr)
+
+
+def abr_observer(conn: ConnectionSpec) -> EfciObserver:
+    return EfciObserver(nrm=conn.abr.nrm)
+
+
 def validate_scenario(sc: Scenario) -> List[str]:
     """Semantic preflight; returns all violations found (empty = good)."""
     v: List[str] = []
@@ -374,6 +398,8 @@ def validate_scenario(sc: Scenario) -> List[str]:
         nodes[node.name] = node
         if node.queue_capacity is not None and node.queue_capacity < 1:
             v.append(f"node {node.name}: queue_capacity must be >= 1")
+        else:
+            v.extend(_construction_errors(f"node {node.name}", output_queue, node))
 
     adjacency: Dict[str, List[str]] = {}
     seen_pairs = set()
@@ -459,10 +485,22 @@ def validate_scenario(sc: Scenario) -> List[str]:
                 v.append(f"connection {cid}: generator exceeds the declared pcr")
         for violation in validate_contract(conn.category, conn.descriptor, conn.qos):
             v.append(f"connection {cid}: {violation}")
+        if conn.category is ServiceCategory.ABR:
+            for component in (abr_source, abr_observer):
+                v.extend(_construction_errors(f"connection {cid}", component, conn))
 
     if sc.lane is not None:
         v.extend(_validate_lane(sc, nodes, adjacency))
     return v
+
+
+def _construction_errors(where: str, build: Callable[[Any], Any], spec: Any) -> List[str]:
+    """The ValueError a component raises for ``spec``, as a violation."""
+    try:
+        build(spec)
+    except ValueError as exc:
+        return [f"{where}: {exc}"]
+    return []
 
 
 def _validate_lane(
@@ -493,6 +531,7 @@ def _validate_lane(
             v.append(f"lane lec {lec.host}: MAC must be an individual address")
         if lec.host in (lane.les, lane.bus):
             v.append(f"lane lec {lec.host}: LEC host cannot also run the LES/BUS")
+        v.extend(_construction_errors(f"lane lec {lec.host}", atm_address, lec.host))
     for i, flow in enumerate(lane.traffic):
         w = f"lane.traffic[{i}]"
         if flow.src not in hosts:

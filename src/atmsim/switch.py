@@ -42,9 +42,6 @@ class VcTable:
     def __init__(self) -> None:
         self._entries: Dict[VcKey, VcRoute] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def install(self, in_port: int, in_vpi: int, in_vci: int, route: VcRoute) -> None:
         key = (in_port, in_vpi, in_vci)
         if key in self._entries:

@@ -661,3 +661,31 @@ def test_reference_report_matches_golden_file():
     with open(os.path.join(DATA_DIR, "reference_report.json"), encoding="utf-8") as handle:
         golden = handle.read()
     assert run(scenario_path).to_json() == golden
+
+
+def test_congested_report_matches_golden_file():
+    # The reference scenario never fills a queue.  This one overloads the
+    # s2->hd port, so EFCI marking, tagged-cell discard, overflow and ABR
+    # feedback are locked byte for byte as well.
+    scenario_path = os.path.join(DATA_DIR, "congested_scenario.json")
+    with open(os.path.join(DATA_DIR, "congested_report.json"), encoding="utf-8") as handle:
+        golden = handle.read()
+    assert run(scenario_path).to_json() == golden
+    report = json.loads(golden)
+    for counter in ("efci_marks", "full_drops", "clp_drops"):
+        assert report["switches"]["s2"][counter] > 0, counter
+    assert report["connections"]["bulk"]["abr"]["feedback_delivered"] > 0
+
+
+@pytest.mark.parametrize("name", ["reference", "congested"])
+def test_switch_and_connection_counters_balance(name):
+    report = run(os.path.join(DATA_DIR, f"{name}_scenario.json"))
+    for switch_name, switch in report.switches.items():
+        queued = sum(
+            port["accepted"] + port["full_drops"] + port["clp_drops"]
+            for port in switch["ports"].values()
+        )
+        assert switch["routed"] == queued, switch_name
+    for conn_id, conn in report.connections.items():
+        assert conn["transmitted"] == conn["delivered"] + conn["lost"] + conn["in_flight"], conn_id
+        assert sum(conn["loss_reasons"].values()) == conn["lost"], conn_id

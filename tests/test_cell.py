@@ -148,10 +148,6 @@ class TestHeaderCodec:
         with pytest.raises(ValueError):
             CellHeader(kind=InterfaceKind.UNI, vpi=0, vci=0, clp=2)
 
-    def test_routing_field(self):
-        header = CellHeader(kind=InterfaceKind.NNI, vpi=0xABC, vci=0x1234)
-        assert header.routing_field == (0xABC << 16) | 0x1234
-
 
 class TestSingleBitCorrection:
     def test_every_position_corrected(self):

@@ -1,11 +1,15 @@
 """CLI behaviour: exit codes, output, and file emission."""
 
 import json
+import os
 
 import pytest
 
 from atmsim.cell import Cell, CellHeader, InterfaceKind, encode_header, format_trace_line
 from atmsim.cli import main
+from atmsim.engine import preflight
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def write_scenario(tmp_path, raw: dict, name="scenario.json") -> str:
@@ -90,7 +94,73 @@ class TestHec:
         assert main(["hec", "001000"]) == 2
 
 
+def reference_scenario() -> dict:
+    with open(os.path.join(DATA_DIR, "reference_scenario.json"), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _set_node(name, **fields):
+    def mutate(raw):
+        next(n for n in raw["nodes"] if n["name"] == name).update(fields)
+        return raw
+
+    return mutate
+
+
+def _set_abr(**fields):
+    def mutate(raw):
+        next(c for c in raw["connections"] if c["id"] == "bulk")["abr"] = fields
+        return raw
+
+    return mutate
+
+
+LONG_HOST = "host-" + "x" * 16  # 21 bytes, one more than an ATM address holds
+
+
+def _rename_h1(raw):
+    return json.loads(json.dumps(raw).replace('"h1"', f'"{LONG_HOST}"'))
+
+
+# Parameter values only a component's constructor rejects, and the named
+# violation each must come back as.
+COMPONENT_RANGE_CASES = [
+    ("efci_above_capacity", _set_node("s1", efci_threshold=129),
+     "node s1: efci_threshold must lie within [0, capacity]"),
+    ("efci_negative", _set_node("s1", efci_threshold=-1),
+     "node s1: efci_threshold must lie within [0, capacity]"),
+    ("clp_above_capacity", _set_node("s2", queue_capacity=16, clp_threshold=17),
+     "node s2: clp_threshold must lie within [0, capacity]"),
+    ("clp_negative", _set_node("s2", clp_threshold=-1),
+     "node s2: clp_threshold must lie within [0, capacity]"),
+    ("rdf_zero", _set_abr(rdf=0.0), "connection bulk: rdf must lie in (0, 1]"),
+    ("rdf_above_one", _set_abr(rdf=1.5), "connection bulk: rdf must lie in (0, 1]"),
+    ("nrm_zero", _set_abr(nrm=0), "connection bulk: nrm must be >= 1"),
+    ("air_negative", _set_abr(air=-1.0), "connection bulk: air must be >= 0"),
+    ("initial_acr_below_mcr", _set_abr(initial_acr=5.0),
+     "connection bulk: acr must start within [mcr, pcr]"),
+    ("initial_acr_above_pcr", _set_abr(initial_acr=2000.0),
+     "connection bulk: acr must start within [mcr, pcr]"),
+    ("lec_host_name_too_long", _rename_h1,
+     f"lane lec {LONG_HOST}: node name {LONG_HOST!r} too long for an ATM address"),
+]
+
+
 class TestValidate:
+    @pytest.mark.parametrize(
+        "mutate, expected",
+        [case[1:] for case in COMPONENT_RANGE_CASES],
+        ids=[case[0] for case in COMPONENT_RANGE_CASES],
+    )
+    def test_component_range_is_a_named_violation(self, tmp_path, capsys, mutate, expected):
+        raw = mutate(reference_scenario())
+        assert preflight(raw) == [expected]
+        path = write_scenario(tmp_path, raw)
+        assert main(["validate", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [expected]
+        assert captured.err == ""
+
     def test_good_scenario_ok(self, tmp_path, capsys):
         path = write_scenario(tmp_path, small_scenario())
         assert main(["validate", path]) == 0
