@@ -4,9 +4,13 @@ A cell is 53 bytes: a 5-byte header followed by a 48-byte payload.  The
 header carries the routing labels (VPI/VCI), the 3-bit payload type
 indicator, the cell loss priority bit and, at the user-network interface,
 a 4-bit generic flow control field.  Byte 4 is the header error control
-byte: a CRC-8 over bytes 0..3 XORed with the 0x55 coset, which makes the
-code catch the all-zero header and gives single-bit correction across the
-whole 40-bit header.
+byte: a CRC-8 over bytes 0..3 XORed with the 0x55 coset, so that five
+zero bytes are not a valid header.  The 40 single-bit errors have distinct
+syndromes and are corrected.  The generator x^8+x^2+x+1 has the factor
+x+1, so a syndrome has the weight parity of its error pattern: every
+single-bit syndrome has odd weight and every double-bit error an even,
+nonzero one, so a double-bit error is always detected and never
+miscorrected.
 """
 
 from __future__ import annotations
@@ -198,16 +202,36 @@ def encode_header(header: CellHeader) -> bytes:
     return first4 + bytes((compute_hec(first4),))
 
 
+# Decoded outcomes by (header bytes, kind).  A link carries few distinct
+# headers (one per VC and CLP/PTI value, plus their corruptions), so most
+# decodes are lookups.  Outcomes are frozen and safe to share.  The memo is
+# cleared when it fills, which bounds it at DECODE_MEMO_MAX entries.
+DECODE_MEMO_MAX = 4096
+_decode_memo: Dict[Tuple[bytes, InterfaceKind], DecodeOutcome] = {}
+
+
 def decode_header(raw: bytes, kind: InterfaceKind) -> DecodeOutcome:
     """Decode 5 received header bytes, correcting a single flipped bit.
 
     A zero syndrome decodes as VALID.  A syndrome matching one of the 40
     single-bit error patterns flips that bit back and decodes as
     CORRECTED with the bit position reported.  Anything else is
-    UNCORRECTABLE and the cell should be dropped by the caller.
+    UNCORRECTABLE and the cell should be dropped by the caller.  Each
+    distinct header is decoded once; repeats return the memoized outcome.
     """
     if len(raw) != HEADER_BYTES:
         raise ValueError(f"header is {HEADER_BYTES} bytes, got {len(raw)}")
+    key = (bytes(raw), kind)
+    outcome = _decode_memo.get(key)
+    if outcome is None:
+        outcome = _decode(key[0], kind)
+        if len(_decode_memo) >= DECODE_MEMO_MAX:
+            _decode_memo.clear()
+        _decode_memo[key] = outcome
+    return outcome
+
+
+def _decode(raw: bytes, kind: InterfaceKind) -> DecodeOutcome:
     syndrome = crc8(raw[:4]) ^ HEC_COSET ^ raw[4]
     if syndrome == 0:
         return DecodeOutcome(DecodeStatus.VALID, _parse_fields(raw[:4], kind))
@@ -286,7 +310,7 @@ def parse_trace_line(line: str) -> Tuple[float, int, bytes]:
         raise TraceFormatError(f"bad port value {fields[1]!r}") from None
     if port < 0:
         raise TraceFormatError(f"port must be >= 0, got {port}")
-    hexrun = "".join(fields[2:])
+    hexrun = fields[2] if len(fields) == 3 else "".join(fields[2:])
     try:
         raw = bytes.fromhex(hexrun)
     except ValueError:

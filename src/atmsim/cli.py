@@ -154,6 +154,8 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         return _die(f"no such file: {args.trace}", USAGE_ERROR)
     if (args.scr is None) != (args.mbs is None):
         return _die("--scr and --mbs must be given together", USAGE_ERROR)
+    if args.port is not None and args.port < 0:
+        return _die(f"--port must be >= 0, got {args.port}", USAGE_ERROR)
     descriptor = TrafficDescriptor(
         pcr=args.pcr, cdvt=args.cdvt, scr=args.scr, mbs=args.mbs
     )

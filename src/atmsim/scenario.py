@@ -238,6 +238,10 @@ def _parse_connection(raw: Any, where: str) -> ConnectionSpec:
         raise ScenarioError(f"{where}.category: unknown service category {name!r}") from None
     route_raw = _expect(raw.get("route"), list, f"{where}.route")
     route = tuple(_expect(n, str, f"{where}.route[{i}]") for i, n in enumerate(route_raw))
+    if "abr" in raw and category is not ServiceCategory.ABR:
+        raise ScenarioError(
+            f"{where}.abr: only ABR connections take abr parameters, not {category.name}"
+        )
     abr_raw = _expect(raw.get("abr", {}), dict, f"{where}.abr")
     _check_keys(abr_raw, ("air", "rdf", "nrm", "initial_acr"), f"{where}.abr")
     abr = AbrOverrides(

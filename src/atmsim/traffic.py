@@ -11,10 +11,10 @@ import bisect
 import enum
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .cell import Cell
+from .cell import Cell, CellHeader
 from .errors import OrderingError
 
 
@@ -41,6 +41,10 @@ class TrafficDescriptor:
     mcr: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("pcr", "cdvt", "scr", "mcr"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.pcr <= 0:
             raise ValueError("pcr must be positive")
         if self.cdvt is not None and self.cdvt < 0:
@@ -183,12 +187,7 @@ class Gcra:
 
     def update(self, arrival: float) -> bool:
         """Account for a cell at ``arrival``; True when it conforms."""
-        down = self.drained(arrival)
-        if down > self.limit:
-            return False
-        self.level = down + self.increment
-        self.last_time = arrival
-        return True
+        return conform_update((self,), arrival)
 
     def earliest_conforming(self, not_before: float) -> float:
         """Smallest representable time >= not_before at which a cell conforms.
@@ -219,13 +218,19 @@ def conform_update(buckets: Sequence[Gcra], arrival: float) -> bool:
     """Dual (or n-fold) GCRA: conforming only if every bucket agrees.
 
     Buckets are only charged when the cell conforms overall, so a cell
-    rejected by one bucket does not consume credit in another.
+    rejected by one bucket does not consume credit in another.  One pass
+    drains every bucket and stops at the first that refuses.
     """
-    if all(bucket.conforms(arrival) for bucket in buckets):
-        for bucket in buckets:
-            bucket.update(arrival)
-        return True
-    return False
+    levels = []
+    for bucket in buckets:
+        down = bucket.drained(arrival)
+        if down > bucket.limit:
+            return False
+        levels.append(down)
+    for bucket, down in zip(buckets, levels):
+        bucket.level = down + bucket.increment
+        bucket.last_time = arrival
+    return True
 
 
 def contract_buckets(descriptor: TrafficDescriptor) -> List[Gcra]:
@@ -257,9 +262,20 @@ def police(cell: Cell, conforming: bool, action: PolicingAction) -> Optional[Cel
         return cell
     if action is PolicingAction.DROP:
         return None
-    if cell.header.clp == 1:
+    h = cell.header
+    if h.clp == 1:
         return cell
-    return Cell(replace(cell.header, clp=1), cell.payload)
+    tagged = CellHeader(
+        kind=h.kind,
+        vpi=h.vpi,
+        vci=h.vci,
+        gfc=h.gfc,
+        is_management=h.is_management,
+        efci=h.efci,
+        aal5_last=h.aal5_last,
+        clp=1,
+    )
+    return Cell(tagged, cell.payload)
 
 
 @dataclass
@@ -319,10 +335,8 @@ class Shaper:
             t = self._last_release
         for bucket in self.buckets:
             t = bucket.earliest_conforming(t)
-        while not all(bucket.conforms(t) for bucket in self.buckets):
+        while not conform_update(self.buckets, t):
             t = math.nextafter(t, math.inf)
-        for bucket in self.buckets:
-            bucket.update(t)
         self._last_release = t
         self._pending.append(t)
         return t

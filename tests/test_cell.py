@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from atmsim import cell as cell_module
 from atmsim.cell import (
     CELL_BYTES,
     HEADER_BYTES,
@@ -164,24 +165,69 @@ class TestSingleBitCorrection:
                 assert outcome.header == header
 
     def test_double_flip_never_valid(self):
-        # the 40 single-bit syndromes are distinct, so two flips cannot
-        # cancel; some alias to a third position (miscorrection), which a
-        # one-bit code is allowed to do, but none may pass as clean
+        # x^8+x^2+x+1 has the factor x+1, so a syndrome has the weight
+        # parity of its error: single-bit syndromes are odd, a double
+        # flip's is even and nonzero, so all 780 double flips are detected
+        # and none is miscorrected to a third position
         rng = random.Random(4)
-        header = random_header(rng)
-        raw = encode_header(header)
-        statuses = set()
-        for i in range(40):
-            for j in range(i + 1, 40):
+        for kind in InterfaceKind:
+            header = CellHeader(
+                kind=kind, vpi=rng.randrange(256), vci=rng.randrange(0x10000), clp=rng.randrange(2)
+            )
+            raw = encode_header(header)
+            for i in range(40):
+                for j in range(i + 1, 40):
+                    corrupted = bytearray(raw)
+                    corrupted[i // 8] ^= 0x80 >> (i % 8)
+                    corrupted[j // 8] ^= 0x80 >> (j % 8)
+                    outcome = decode_header(bytes(corrupted), kind)
+                    assert outcome.status is DecodeStatus.UNCORRECTABLE, (kind, i, j)
+                    assert outcome.header is None
+
+
+class TestDecodeMemo:
+    def test_memo_hit_equals_first_decode(self):
+        rng = random.Random(5)
+        for kind in InterfaceKind:
+            header = CellHeader(kind=kind, vpi=rng.randrange(256), vci=rng.randrange(0x10000))
+            raw = encode_header(header)
+            for bit in range(40):
                 corrupted = bytearray(raw)
-                corrupted[i // 8] ^= 0x80 >> (i % 8)
-                corrupted[j // 8] ^= 0x80 >> (j % 8)
-                outcome = decode_header(bytes(corrupted), header.kind)
-                assert outcome.status is not DecodeStatus.VALID
-                if outcome.status is DecodeStatus.CORRECTED:
-                    assert outcome.header != header
-                statuses.add(outcome.status)
-        assert DecodeStatus.UNCORRECTABLE in statuses
+                corrupted[bit // 8] ^= 0x80 >> (bit % 8)
+                cell_module._decode_memo.clear()
+                first = decode_header(bytes(corrupted), kind)
+                assert (bytes(corrupted), kind) in cell_module._decode_memo
+                again = decode_header(bytes(corrupted), kind)
+                assert again is first
+                assert (again.status, again.flipped_bit, again.header) == (
+                    DecodeStatus.CORRECTED, bit, header
+                )
+
+    def test_same_bytes_decode_per_kind(self):
+        # one 5-byte pattern reads differently at the UNI and the NNI
+        raw = encode_header(CellHeader(kind=InterfaceKind.UNI, vpi=0x12, vci=7, gfc=0xA))
+        uni = decode_header(raw, InterfaceKind.UNI)
+        nni = decode_header(raw, InterfaceKind.NNI)
+        assert (uni.header.gfc, uni.header.vpi) == (0xA, 0x12)
+        assert (nni.header.gfc, nni.header.vpi) == (0, 0xA12)
+
+    def test_accepts_bytearray(self):
+        raw = encode_header(CellHeader(kind=InterfaceKind.UNI, vpi=3, vci=99))
+        buffer = bytearray(raw)
+        outcome = decode_header(buffer, InterfaceKind.UNI)
+        assert outcome == decode_header(raw, InterfaceKind.UNI)
+        assert outcome.status is DecodeStatus.VALID
+        buffer[0] ^= 0x01  # the memo keys on a copy, not on the caller's buffer
+        assert decode_header(raw, InterfaceKind.UNI).status is DecodeStatus.VALID
+        with pytest.raises(ValueError):
+            decode_header(bytearray(4), InterfaceKind.UNI)
+
+    def test_stays_within_bound(self):
+        bound = cell_module.DECODE_MEMO_MAX
+        for vci in range(bound + 500):
+            header = CellHeader(kind=InterfaceKind.NNI, vpi=1, vci=vci)
+            assert decode_header(encode_header(header), InterfaceKind.NNI).header == header
+            assert len(cell_module._decode_memo) <= bound
 
 
 class TestCellCodec:

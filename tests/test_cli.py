@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import pytest
 
@@ -297,6 +298,22 @@ class TestConformance:
         assert main(["conformance", path, "--pcr", "1024", "--port", "1"]) == 0
         assert "cells: 1" in capsys.readouterr().out
 
+    def test_negative_port_is_usage_error(self, tmp_path, capsys):
+        path = self.conforming_trace(tmp_path)
+        assert main(["conformance", path, "--pcr", "1024", "--port", "-1"]) == 2
+        assert "--port must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, value", [("--pcr", "nan"), ("--pcr", "inf"), ("--cdvt", "inf"), ("--cdvt", "nan")]
+    )
+    def test_non_finite_contract_rejected(self, tmp_path, capsys, option, value):
+        path = self.conforming_trace(tmp_path)
+        args = {"--pcr": "1024", option: value}
+        assert main(["conformance", path, *(x for kv in args.items() for x in kv)]) == 1
+        captured = capsys.readouterr()
+        assert f"{option[2:]} must be finite" in captured.err
+        assert "cells:" not in captured.out
+
     def test_scr_requires_mbs(self, tmp_path):
         path = self.conforming_trace(tmp_path)
         assert main(["conformance", path, "--pcr", "1024", "--scr", "512"]) == 2
@@ -369,3 +386,59 @@ class TestConformance:
         path = write_trace(tmp_path, [format_trace_line(0.0, 1, trace_cell()), ""])
         assert main(["conformance", path, "--pcr", "1024"]) == 0
         assert "cells: 1" in capsys.readouterr().out
+
+
+GOLDEN_CONTRACT = ["--pcr", "1000.0", "--cdvt", "0.0005", "--scr", "400.0", "--mbs", "40"]
+GOLDEN_RUNS = {
+    "tag_port0": ["--action", "tag", "--port", "0"],
+    "tag_port1": ["--action", "tag", "--port", "1"],
+    "drop_all": ["--action", "drop"],
+}
+
+
+def write_seeded_trace(path, seed=7, cells=2000) -> None:
+    """Two ports, one VC each, 2000 cells: on/off bursts at the peak rate of
+    GOLDEN_CONTRACT long enough to overrun its SCR bucket, some CLP=1 cells
+    on port 1, and about 3% one-bit and 1% two-bit header errors."""
+    rng = random.Random(seed)
+    period = 1 / 1000.0
+    entries = []
+    for port in (0, 1):
+        t = rng.uniform(0.0, 0.05)
+        times = []
+        while len(times) < cells // 2:
+            for _ in range(rng.randint(10, 80)):
+                times.append(t)
+                t += period * (1 + rng.uniform(0.0, 0.2))
+            t += rng.uniform(0.02, 0.15)
+        entries.extend((time_s, port) for time_s in times[: cells // 2])
+    entries.sort()
+    payload = bytes(range(48))
+    lines = []
+    for time_s, port in entries:
+        clp = 1 if port == 1 and rng.random() < 0.1 else 0
+        header = CellHeader(kind=InterfaceKind.UNI, vpi=port + 1, vci=40 + port, clp=clp)
+        raw = bytearray(encode_header(header) + payload)
+        draw = rng.random()
+        if draw < 0.04:
+            bits = rng.sample(range(40), 2 if draw < 0.01 else 1)
+            for bit in bits:
+                raw[bit // 8] ^= 0x80 >> (bit % 8)
+        lines.append(f"{time_s!r} {port} {raw.hex()}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestConformanceGolden:
+    # tests/data/conformance_golden.json holds the exit code and the full
+    # stdout of each run, recorded before the decode memo and the fused
+    # bucket loop went in; regenerate it only for a change meant to alter
+    # the command's output.
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_output_matches_golden(self, tmp_path, capsys, name):
+        with open(os.path.join(DATA_DIR, "conformance_golden.json"), encoding="utf-8") as fh:
+            golden = json.load(fh)[name]
+        path = str(tmp_path / "trace.txt")
+        write_seeded_trace(path)
+        code = main(["conformance", path, *GOLDEN_CONTRACT, *GOLDEN_RUNS[name]])
+        assert (code, capsys.readouterr().out) == (golden["exit"], golden["stdout"])

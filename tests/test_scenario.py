@@ -176,6 +176,22 @@ class TestConnectionValidation:
         raw["connections"][0]["descriptor"] = {"pcr": 100.0, "cdvt": 0.001, "scr": 50.0, "mbs": 3}
         assert any(v.startswith("connection c1: SCR not applicable") for v in violations_of(raw))
 
+    @pytest.mark.parametrize("field", ["pcr", "cdvt"])
+    def test_non_finite_descriptor_rejected(self, tmp_path, field):
+        raw = base_scenario()
+        raw["connections"][0]["descriptor"][field] = float("nan")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert "NaN" in path.read_text()  # json writes and reads it back
+        with pytest.raises(ScenarioError, match=rf"connections\[0\]\.descriptor: {field} must be finite"):
+            load_scenario(str(path))
+
+    def test_abr_parameters_on_non_abr_connection_rejected(self):
+        raw = base_scenario()
+        raw["connections"][0]["abr"] = {"rdf": 5.0, "nrm": 0}
+        with pytest.raises(ScenarioError, match=r"^connections\[0\]\.abr: only ABR connections"):
+            load_scenario(raw)
+
     def test_clp_range(self):
         raw = base_scenario()
         raw["connections"][0]["clp"] = 2

@@ -169,6 +169,83 @@ class TestGcra:
         assert conform_update([peak, sust], Fraction(1, 2))
 
 
+def oracle_offer_all(oracles, t: Fraction) -> bool:
+    """All-or-none over independent oracle buckets: charge none of them
+    unless every one conforms at ``t``."""
+    levels = [max(Fraction(0), o.level - (t - o.last)) for o in oracles]
+    if any(level > o.limit for o, level in zip(oracles, levels)):
+        return False
+    for o, level in zip(oracles, levels):
+        o.level = level + o.increment
+        o.last = t
+    return True
+
+
+def random_dual_contract(rng: random.Random):
+    """(peak increment, peak limit, sustainable increment, sustainable limit)."""
+    peak_inc = random_rational(rng, 1, 4, 7)
+    sust_inc = peak_inc + random_rational(rng, 0, 6, 5)
+    return peak_inc, random_rational(rng, 0, 2, 3), sust_inc, random_rational(rng, 0, 12, 3)
+
+
+def fraction_buckets(peak_inc, peak_lim, sust_inc, sust_lim):
+    return [
+        Gcra(increment=peak_inc, limit=peak_lim, level=Fraction(0), last_time=Fraction(0)),
+        Gcra(increment=sust_inc, limit=sust_lim, level=Fraction(0), last_time=Fraction(0)),
+    ]
+
+
+class TestDualBucketOracle:
+    @pytest.mark.parametrize("action", list(PolicingAction))
+    def test_policer_matches_all_or_none_oracle(self, action):
+        rng = random.Random(41)
+        for _ in range(60):
+            contract = random_dual_contract(rng)
+            policer = Policer(buckets=fraction_buckets(*contract), action=action)
+            oracles = [BucketOracle(contract[0], contract[1]), BucketOracle(contract[2], contract[3])]
+            expected = {"passed": 0, "tagged": 0, "dropped": 0}
+            t = Fraction(0)
+            for _ in range(150):
+                t += random_rational(rng, 0, 3, 11)
+                cell = Cell(CellHeader(kind=InterfaceKind.UNI, vpi=1, vci=33, clp=int(rng.random() < 0.2)))
+                out = policer.offer(cell, t)
+                if oracle_offer_all(oracles, t):
+                    expected["passed"] += 1
+                    assert out is cell
+                elif action is PolicingAction.DROP:
+                    expected["dropped"] += 1
+                    assert out is None
+                else:
+                    expected["tagged"] += 1
+                    assert out is not None and out.header.clp == 1
+                    assert out.header.vci == cell.header.vci
+            for bucket, oracle in zip(policer.buckets, oracles):
+                assert (bucket.level, bucket.last_time) == (oracle.level, oracle.last)
+            assert (policer.passed, policer.tagged, policer.dropped) == (
+                expected["passed"], expected["tagged"], expected["dropped"]
+            )
+
+    def test_shaped_fraction_stream_repolices_clean(self):
+        rng = random.Random(42)
+        for _ in range(30):
+            contract = random_dual_contract(rng)
+            arrivals = []
+            t = Fraction(0)
+            for _ in range(150):
+                t += random_rational(rng, 0, 2, 13)  # mostly oversubscribed
+                arrivals.append(t)
+            releases, overflow = shape(arrivals, fraction_buckets(*contract), depth=10_000)
+            assert overflow == 0
+            policer = Policer(buckets=fraction_buckets(*contract), action=PolicingAction.TAG_CLP)
+            oracles = [BucketOracle(contract[0], contract[1]), BucketOracle(contract[2], contract[3])]
+            cell = Cell(CellHeader(kind=InterfaceKind.UNI, vpi=1, vci=33))
+            for arrival, release in zip(arrivals, releases):
+                assert isinstance(release, Fraction) and release >= arrival
+                assert policer.offer(cell, release) is cell
+                assert oracle_offer_all(oracles, release)
+            assert policer.passed == len(arrivals)
+
+
 class TestContractBuckets:
     def test_peak_only(self):
         buckets = contract_buckets(TrafficDescriptor(pcr=100.0, cdvt=0.01))
@@ -360,6 +437,13 @@ class TestContractRules:
             TrafficDescriptor(pcr=100.0, mcr=200.0)
         with pytest.raises(ValueError):
             QosRequirement(clr_clp0=1.5)
+
+    @pytest.mark.parametrize("field", ["pcr", "cdvt", "scr", "mcr"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_rejected(self, field, value):
+        fields = {"pcr": 100.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrafficDescriptor(**fields)
         with pytest.raises(ValueError):
             QosRequirement(max_cdv=-0.1)
 
