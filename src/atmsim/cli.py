@@ -186,20 +186,20 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             total += 1
             assert outcome.header is not None
             cell = Cell(outcome.header, payload)
+            passed = policer.passed
             try:
-                result = policer.offer(cell, time_s)
+                policer.offer(cell, time_s)
             except OrderingError:
                 return _die(
                     f"{args.trace}:{lineno}: cell times must be non-decreasing",
                     USAGE_ERROR,
                 )
-            if result is None or result.header.clp != cell.header.clp:
-                if len(violations) < 10:
-                    header = cell.header
-                    violations.append(
-                        f"  line {lineno}: t={_fmt(time_s)} vpi={header.vpi} "
-                        f"vci={header.vci} clp={header.clp}"
-                    )
+            if policer.passed == passed and len(violations) < 10:
+                header = cell.header
+                violations.append(
+                    f"  line {lineno}: t={_fmt(time_s)} vpi={header.vpi} "
+                    f"vci={header.vci} clp={header.clp}"
+                )
 
     nonconforming = policer.tagged + policer.dropped
     print(f"cells: {total}")
@@ -211,7 +211,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         print(f"dropped: {policer.dropped}")
     print(f"corrected_headers: {corrected}")
     print(f"uncorrectable_headers: {uncorrectable}")
-    if violations:
+    if nonconforming:
         print("first violations:")
         for entry in violations:
             print(entry)

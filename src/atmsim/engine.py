@@ -56,7 +56,6 @@ from .lane import (
     Lec,
     LecPort,
     Les,
-    RegistrationConflict,
     atm_address,
     decode_control,
     encode_arp_reply,
@@ -71,6 +70,7 @@ from .scenario import (
     abr_source,
     load_scenario,
     output_queue,
+    switch_route,
     validate_scenario,
 )
 from .switch import (
@@ -84,7 +84,6 @@ from .switch import (
 from .traffic import (
     ConnectionMetrics,
     ServiceCategory,
-    TrafficDescriptor,
     compute_clr,
     delay_stats,
 )
@@ -325,9 +324,10 @@ class LaneVc(FlowState):
 class LaneTrafficState:
     """One frame source feeding a LEC."""
 
-    def __init__(self, spec: LaneTrafficSpec, rng: np.random.Generator):
+    def __init__(self, spec: LaneTrafficSpec, rng: np.random.Generator, lec: Lec):
         self.spec = spec
         self.rng = rng
+        self.lec = lec
         self.sent = 0
 
     def draw_size(self) -> int:
@@ -403,33 +403,32 @@ class LaneRuntime:
         self.bus = Bus()
         self.lecs: Dict[str, Lec] = {}  # host name -> client
         self.host_by_atm: Dict[bytes, str] = {}
-        self.to_les: Dict[str, LaneVc] = {}
-        self.from_les: Dict[str, LaneVc] = {}
-        self.to_bus: Dict[str, LaneVc] = {}
         self.direct_vcs: List[LaneVc] = []
         self.traffic: List[LaneTrafficState] = []
-        # receivers identify frames by (source MAC, sequence), so every
-        # traffic entry of one source must draw from the same counter
-        self.next_seq: Dict[str, int] = {}
         self.control_decode_errors = 0
 
 
 class _EnginePort(LecPort):
-    """Fabric adapter handed to each LEC."""
+    """Fabric adapter handed to each LEC: its VCs to the LES and the BUS
+    and the frame counter of its traffic sources."""
 
-    def __init__(self, engine: "Engine", lane: LaneRuntime, host: str):
+    def __init__(self, engine: "Engine", host: str, to_les: LaneVc, to_bus: LaneVc):
         self._engine = engine
-        self._lane = lane
         self._host = host
+        self.to_les = to_les
+        self.to_bus = to_bus
+        # receivers identify frames by (source MAC, sequence), so every
+        # traffic entry of one source must draw from the same counter
+        self.next_seq = 0
 
     def now(self) -> float:
         return self._engine.events.now
 
     def send_arp_request(self, message: bytes) -> None:
-        self._engine._send_frame(self._lane.to_les[self._host], message)
+        self._engine._send_frame(self.to_les, message)
 
     def send_to_bus(self, frame: bytes) -> None:
-        self._engine._send_frame(self._lane.to_bus[self._host], frame)
+        self._engine._send_frame(self.to_bus, frame)
 
     def send_on_vc(self, vc: Any, frame: bytes) -> None:
         self._engine._send_frame(vc, frame)
@@ -444,11 +443,6 @@ class _EnginePort(LecPort):
 
 def _expire_timer(timer: Callable[[], None]) -> None:
     timer()
-
-
-# A nominal descriptor for best-effort LAN-emulation VCs: admission books
-# nothing for UBR, the peak value is never used for pacing.
-_LANE_VC_DESCRIPTOR = TrafficDescriptor(pcr=1.0)
 
 
 class Engine:
@@ -468,12 +462,9 @@ class Engine:
         self.lane: Optional[LaneRuntime] = None
         self._ran = False
         self._build_topology()
-        admission_violations = self._build_connections()
-        if admission_violations:
-            raise ScenarioInvalid(admission_violations)
-        lane_violations = self._build_lane()
-        if lane_violations:
-            raise ScenarioInvalid(lane_violations)
+        violations = self._build_connections() + self._build_lane()
+        if violations:
+            raise ScenarioInvalid(violations)
 
     # -- construction ------------------------------------------------------
 
@@ -501,25 +492,32 @@ class Engine:
                 src_node.ports[src_port] = link
                 src_node.neighbor_port[dst] = src_port
                 self.links.append(link)
+        # LANE VCs follow the route rule validate_scenario checks
+        self._adjacency = {name: node.neighbor_port for name, node in self.nodes.items()}
+        self._switches = {name for name, node in self.nodes.items() if node.kind == "switch"}
 
     def _chain(self, route: Sequence[str]) -> List[DirectedLink]:
         nodes = self.nodes
         return [nodes[a].ports[nodes[a].neighbor_port[b]] for a, b in zip(route, route[1:])]
 
-    def _install_path(
-        self, flow: FlowState, chain: Sequence[DirectedLink], sink: Callable[[TransitCell], None]
-    ) -> None:
-        """Allocate one VCI per hop, fill switch tables, bind the sink and
-        point the flow at its first hop.
+    def _open_vc(
+        self, flow: FlowState, route: Sequence[str], sink: Callable[[TransitCell], None]
+    ) -> List[str]:
+        """Set ``flow`` up along ``route``: allocate one VCI per hop, fill
+        switch tables, bind the sink and point the flow at its first hop.
 
         Refuses, before allocating anything, a path across a link whose
-        VCIs are used up, so every label a cell carries fits its header.
+        VCIs are used up, so every label a cell carries fits its header;
+        returns one violation per such link (none when the VC is open).
         """
-        exhausted = [link.name for link in chain if link.next_vci > VCI_MAX]
+        chain = self._chain(route)
+        exhausted = [
+            f"{flow.id}: no VCI left on link {link.name} (all up to {VCI_MAX} in use)"
+            for link in chain
+            if link.next_vci > VCI_MAX
+        ]
         if exhausted:
-            raise ScenarioInvalid(
-                [f"{flow.id}: no VCI left on link {name} (all up to {VCI_MAX} in use)" for name in exhausted]
-            )
+            return exhausted
         vcis = [link.alloc_vci() for link in chain]
         for i in range(len(chain) - 1):
             sw = self.nodes[chain[i].dst]
@@ -533,32 +531,32 @@ class Engine:
         self.nodes[last.dst].endpoints[(last.dst_port, 0, vcis[-1])] = sink
         flow.tx = chain[0]
         flow.vci = vcis[0]
+        self.flows.append(flow)
+        return []
+
+    def _lane_route(self, src: str, dst: str) -> List[str]:
+        route = switch_route(self._adjacency, self._switches, src, dst)
+        assert route is not None, "validate_scenario checks every LANE route"
+        return route
 
     def _build_connections(self) -> List[str]:
         violations: List[str] = []
         generators = {g.id: g for g in self.sc.generators}
         for spec in self.sc.connections:
-            flow = ContractFlow(spec)
-            chain = self._chain(spec.route)
-            if not cac_admit([l.booking for l in chain], spec.category, spec.descriptor):
+            bookings = [link.booking for link in self._chain(spec.route)]
+            if not cac_admit(bookings, spec.category, spec.descriptor):
                 violations.append(f"connection {spec.id}: rejected by admission control")
                 continue
-            self._install_path(flow, chain, self._data_sink)
+            flow = ContractFlow(spec)
+            violations += self._open_vc(flow, spec.route, self._data_sink)
             if spec.category is ServiceCategory.ABR:
-                self._setup_abr(flow)
+                flow.abr_source = abr_source(spec)
+                flow.observer = abr_observer(spec)
+                flow.feedback = FeedbackFlow(flow)
+                violations += self._open_vc(flow.feedback, spec.route[::-1], self._feedback_sink)
             flow.emitter = self._make_emitter(flow, generators[spec.generator])
-            self.flows.append(flow)
             self.connections.append(flow)
-            if flow.feedback is not None:
-                self.flows.append(flow.feedback)
         return violations
-
-    def _setup_abr(self, flow: ContractFlow) -> None:
-        flow.abr_source = abr_source(flow.spec)
-        flow.observer = abr_observer(flow.spec)
-        flow.feedback = FeedbackFlow(flow)
-        back = self._chain(tuple(reversed(flow.spec.route)))
-        self._install_path(flow.feedback, back, self._feedback_sink)
 
     def _make_emitter(self, flow: ContractFlow, gen: GeneratorSpec) -> Any:
         if gen.kind == "paced_cbr":
@@ -582,70 +580,35 @@ class Engine:
         for lec_spec in spec.lecs:
             host = lec_spec.host
             atm = atm_address(host)
-            try:
-                lane.les.register(lec_spec.mac, atm)
-            except RegistrationConflict as exc:
-                violations.append(f"lane lec {host}: {exc}")
-                continue
+            lane.les.register(lec_spec.mac, atm)
+            to_les = LaneVc(f"lane:to_les:{host}->{spec.les}")
+            from_les = LaneVc(f"lane:from_les:{spec.les}->{host}")
+            to_bus = LaneVc(f"lane:to_bus:{host}->{spec.bus}")
+            from_bus = LaneVc(f"lane:from_bus:{spec.bus}->{host}")
             lec = Lec(
                 mac=lec_spec.mac,
                 atm=atm,
-                port=_EnginePort(self, lane, host),
+                port=_EnginePort(self, host, to_les, to_bus),
                 parallel_bus=spec.parallel_bus,
             )
             lane.lecs[host] = lec
             lane.host_by_atm[atm] = host
-
-            to_les = self._lane_path(host, spec.les, "to_les")
-            to_les.on_frame = partial(self._les_request, host)
-            lane.to_les[host] = to_les
-
-            from_les = self._lane_path(spec.les, host, "from_les")
+            to_les.on_frame = partial(self._les_request, from_les)
             from_les.on_frame = partial(self._lec_reply, lec)
-            lane.from_les[host] = from_les
-
-            to_bus = self._lane_path(host, spec.bus, "to_bus")
             to_bus.on_frame = partial(lane.bus.forward, origin_atm=atm)
-            lane.to_bus[host] = to_bus
-
-            from_bus = self._lane_path(spec.bus, host, "from_bus")
             from_bus.on_frame = partial(lec.deliver, via_bus=True)
-
+            for vc, src, dst in (
+                (to_les, host, spec.les),
+                (from_les, spec.les, host),
+                (to_bus, host, spec.bus),
+                (from_bus, spec.bus, host),
+            ):
+                violations += self._open_vc(vc, self._lane_route(src, dst), self._lane_sink)
             lane.bus.attach(atm, partial(self._send_frame, from_bus))
         for i, traffic in enumerate(spec.traffic):
             rng = rng_stream(self.sc.seed, f"lane:{i}:{traffic.src}")
-            lane.traffic.append(LaneTrafficState(traffic, rng))
+            lane.traffic.append(LaneTrafficState(traffic, rng, lane.lecs[traffic.src]))
         return violations
-
-    def _lane_path(self, src: str, dst: str, role: str) -> LaneVc:
-        route = self._bfs_route(src, dst)
-        chain = self._chain(route)
-        vc = LaneVc(f"lane:{role}:{src}->{dst}")
-        cac_admit([l.booking for l in chain], ServiceCategory.UBR, _LANE_VC_DESCRIPTOR)
-        self._install_path(vc, chain, self._lane_sink)
-        self.flows.append(vc)
-        return vc
-
-    def _bfs_route(self, src: str, dst: str) -> List[str]:
-        if src == dst:
-            raise ScenarioInvalid([f"no route needed from {src} to itself"])
-        parent: Dict[str, str] = {src: src}
-        frontier = [src]
-        while frontier:
-            nxt: List[str] = []
-            for name in frontier:
-                for neighbor in self.nodes[name].neighbor_port:
-                    if neighbor not in parent:
-                        parent[neighbor] = name
-                        nxt.append(neighbor)
-            frontier = nxt
-        if dst not in parent:
-            raise ScenarioInvalid([f"no path between {src} and {dst}"])
-        route = [dst]
-        while route[-1] != src:
-            route.append(parent[route[-1]])
-        route.reverse()
-        return route
 
     # -- per-flow sinks ------------------------------------------------------
 
@@ -719,7 +682,7 @@ class Engine:
             return None
         return body
 
-    def _les_request(self, origin_host: str, message: bytes) -> None:
+    def _les_request(self, reply_vc: LaneVc, message: bytes) -> None:
         body = self._control_body(message, OP_ARP_REQUEST)
         if body is None:
             return
@@ -727,7 +690,7 @@ class Engine:
         lane = self.lane
         assert lane is not None
         atm = lane.les.resolve(target_mac)
-        self._send_frame(lane.from_les[origin_host], encode_arp_reply(target_mac, atm))
+        self._send_frame(reply_vc, encode_arp_reply(target_mac, atm))
 
     def _lec_reply(self, lec: Lec, message: bytes) -> None:
         body = self._control_body(message, OP_ARP_REPLY)
@@ -736,27 +699,16 @@ class Engine:
             lec.on_arp_reply(mac, atm)
 
     def _open_data_vc(self, src_host: str, dest_atm: bytes) -> Optional[LaneVc]:
-        """A data-direct VC, or None when admission refuses it or a link
-        on the way has no VCI left."""
+        """A data-direct VC, or None when a link on the way has no VCI
+        left.  LANE VCs are UBR and book no bandwidth, so admission never
+        refuses one."""
         lane = self.lane
         assert lane is not None
-        dst_host = lane.host_by_atm.get(dest_atm)
-        if dst_host is None:
-            return None
-        route = self._bfs_route(src_host, dst_host)
-        chain = self._chain(route)
-        bookings = [l.booking for l in chain]
-        if not cac_admit(bookings, ServiceCategory.UBR, _LANE_VC_DESCRIPTOR):
-            return None
+        dst_host = lane.host_by_atm[dest_atm]
         vc = LaneVc(f"lane:data:{src_host}->{dst_host}")
-        try:
-            self._install_path(vc, chain, self._lane_sink)
-        except ScenarioInvalid:
-            for booking in bookings:
-                booking.release(ServiceCategory.UBR, _LANE_VC_DESCRIPTOR)
+        if self._open_vc(vc, self._lane_route(src_host, dst_host), self._lane_sink):
             return None
         vc.on_frame = partial(lane.lecs[dst_host].deliver, via_bus=False)
-        self.flows.append(vc)
         lane.direct_vcs.append(vc)
         return vc
 
@@ -839,15 +791,15 @@ class Engine:
             self.events.schedule(nxt, self._fire, flow)
 
     def _lane_fire(self, state: LaneTrafficState) -> None:
-        lane = self.lane
-        assert lane is not None
         spec = state.spec
         size = state.draw_size()
-        seq = lane.next_seq.get(spec.src, 0)
-        lane.next_seq[spec.src] = seq + 1
+        port = state.lec.port
+        assert isinstance(port, _EnginePort)
+        seq = port.next_seq
+        port.next_seq += 1
         payload = seq.to_bytes(8, "big") + bytes(size - 8)
         state.sent += 1
-        lane.lecs[spec.src].send(spec.dst_mac, payload)
+        state.lec.send(spec.dst_mac, payload)
         if spec.count is not None and state.sent >= spec.count:
             return
         nxt = self.events.now + 1.0 / spec.rate

@@ -219,7 +219,8 @@ class LecPort:
         raise NotImplementedError
 
     def open_data_vc(self, dest_atm: bytes) -> Any:
-        """Set up a data-direct VC; None when admission refuses it."""
+        """Set up a data-direct VC; None when a link on the way has no
+        VCI left, the only reason the fabric refuses one."""
         raise NotImplementedError
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:

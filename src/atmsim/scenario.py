@@ -10,9 +10,10 @@ validate_scenario() as a list of human-readable violations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver, default_source
 from .lane import BROADCAST_MAC, atm_address, is_multicast, parse_mac
@@ -150,7 +151,10 @@ def _get(mapping: Dict[str, Any], key: str, kind: type, where: str, default: Any
         if default is ...:
             raise ScenarioError(f"{where}: missing required key {key!r}")
         return default
-    return _expect(mapping[key], kind, f"{where}.{key}")
+    value = _expect(mapping[key], kind, f"{where}.{key}")
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"{where}: {key} must be finite, got {value}")
+    return value
 
 
 def _check_keys(mapping: Dict[str, Any], allowed: Tuple[str, ...], where: str) -> None:
@@ -200,28 +204,26 @@ def _parse_generator(raw: Any, where: str) -> GeneratorSpec:
 def _parse_descriptor(raw: Any, where: str) -> TrafficDescriptor:
     raw = _expect(raw, dict, where)
     _check_keys(raw, ("pcr", "cdvt", "scr", "mbs", "mcr"), where)
+    fields = dict(
+        pcr=_get(raw, "pcr", float, where),
+        cdvt=_get(raw, "cdvt", float, where, None),
+        scr=_get(raw, "scr", float, where, None),
+        mbs=_get(raw, "mbs", int, where, None),
+        mcr=_get(raw, "mcr", float, where, None),
+    )
     try:
-        return TrafficDescriptor(
-            pcr=_get(raw, "pcr", float, where),
-            cdvt=_get(raw, "cdvt", float, where, None),
-            scr=_get(raw, "scr", float, where, None),
-            mbs=_get(raw, "mbs", int, where, None),
-            mcr=_get(raw, "mcr", float, where, None),
-        )
+        return TrafficDescriptor(**fields)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _parse_qos(raw: Any, where: str) -> QosRequirement:
     raw = _expect(raw, dict, where)
-    _check_keys(raw, ("clr_clp0", "clr_clp1", "max_ctd", "max_cdv"), where)
+    keys = ("clr_clp0", "clr_clp1", "max_ctd", "max_cdv")
+    _check_keys(raw, keys, where)
+    fields = {key: _get(raw, key, float, where, None) for key in keys}
     try:
-        return QosRequirement(
-            clr_clp0=_get(raw, "clr_clp0", float, where, None),
-            clr_clp1=_get(raw, "clr_clp1", float, where, None),
-            max_ctd=_get(raw, "max_ctd", float, where, None),
-            max_cdv=_get(raw, "max_cdv", float, where, None),
-        )
+        return QosRequirement(**fields)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
@@ -507,18 +509,51 @@ def _construction_errors(where: str, build: Callable[[Any], Any], spec: Any) -> 
     return []
 
 
+def switch_route(
+    adjacency: Mapping[str, Iterable[str]], switches: AbstractSet[str], src: str, dst: str
+) -> Optional[List[str]]:
+    """The route of a LANE VC from host ``src`` to ``dst``: the shortest
+    path whose inner nodes are all switches (a host never forwards a VC),
+    ties going to the neighbour listed first in link order.  None when
+    there is no such path."""
+    parent = {src: src}
+    frontier = [src]
+    while frontier and dst not in parent:
+        nxt: List[str] = []
+        for name in frontier:
+            for neighbor in adjacency.get(name, ()):
+                if neighbor not in parent:
+                    parent[neighbor] = name
+                    if neighbor in switches:
+                        nxt.append(neighbor)
+        frontier = nxt
+    if dst not in parent:
+        return None
+    route = [dst]
+    while route[-1] != src:
+        route.append(parent[route[-1]])
+    route.reverse()
+    return route
+
+
 def _validate_lane(
     sc: Scenario, nodes: Dict[str, NodeSpec], adjacency: Dict[str, List[str]]
 ) -> List[str]:
     v: List[str] = []
     lane = sc.lane
     assert lane is not None
+    switches = {name for name, node in nodes.items() if node.kind == "switch"}
+
+    def unreachable(src: str, dst: str) -> bool:
+        hosts_known = all(n in nodes and nodes[n].kind == "host" for n in (src, dst))
+        return hosts_known and switch_route(adjacency, switches, src, dst) is None
+
     for role, name in (("les", lane.les), ("bus", lane.bus)):
         if name not in nodes:
             v.append(f"lane.{role}: unknown node {name}")
         elif nodes[name].kind != "host":
             v.append(f"lane.{role}: node {name} must be a host")
-    macs = set()
+    host_of: Dict[bytes, str] = {}
     hosts = set()
     for lec in lane.lecs:
         if lec.host not in nodes:
@@ -528,20 +563,29 @@ def _validate_lane(
         if lec.host in hosts:
             v.append(f"lane lec {lec.host}: one LEC per host")
         hosts.add(lec.host)
-        if lec.mac in macs:
+        if lec.mac in host_of:
             v.append(f"lane lec {lec.host}: duplicate MAC")
-        macs.add(lec.mac)
+        host_of[lec.mac] = lec.host
         if is_multicast(lec.mac):
             v.append(f"lane lec {lec.host}: MAC must be an individual address")
         if lec.host in (lane.les, lane.bus):
             v.append(f"lane lec {lec.host}: LEC host cannot also run the LES/BUS")
         v.extend(_construction_errors(f"lane lec {lec.host}", atm_address, lec.host))
+        for server in dict.fromkeys((lane.les, lane.bus)):
+            if unreachable(lec.host, server):
+                v.append(f"lane lec {lec.host}: no route to {server} through switches only")
     for i, flow in enumerate(lane.traffic):
         w = f"lane.traffic[{i}]"
         if flow.src not in hosts:
             v.append(f"{w}: src {flow.src} has no LEC")
-        if flow.dst_mac != BROADCAST_MAC and flow.dst_mac not in macs:
-            v.append(f"{w}: dst MAC is not a member LEC")
+        if flow.dst_mac != BROADCAST_MAC:
+            dst = host_of.get(flow.dst_mac)
+            if dst is None:
+                v.append(f"{w}: dst MAC is not a member LEC")
+            elif dst == flow.src:
+                v.append(f"{w}: dst MAC is the MAC of its own src {flow.src}")
+            elif flow.src in hosts and unreachable(flow.src, dst):
+                v.append(f"{w}: no route from {flow.src} to {dst} through switches only")
         if flow.rate <= 0:
             v.append(f"{w}: rate must be positive")
         lo, hi = flow.frame_bytes

@@ -289,6 +289,18 @@ class TestConformance:
         out = capsys.readouterr().out
         assert "tagged: 1" in out
 
+    def test_tag_action_fails_when_cells_were_already_tagged(self, tmp_path, capsys):
+        # Tagging leaves a CLP=1 cell as it is, but the cell still does
+        # not conform and must fail the trace.
+        lines = [format_trace_line(0.0, 1, trace_cell(clp=1)) for _ in range(3)]
+        path = write_trace(tmp_path, lines)
+        assert main(["conformance", path, "--pcr", "1024", "--action", "tag"]) == 1
+        out = capsys.readouterr().out
+        assert "nonconforming: 2" in out
+        assert "tagged: 2" in out
+        assert "  line 2: t=0 vpi=0 vci=32 clp=1" in out
+        assert "  line 3: t=0 vpi=0 vci=32 clp=1" in out
+
     def test_port_filter(self, tmp_path, capsys):
         lines = [
             format_trace_line(0.0, 1, trace_cell()),

@@ -1,11 +1,13 @@
 """End-to-end runs of the event-driven simulator."""
 
 import heapq
+import json
 import math
 
 import pytest
 
 from atmsim.cell import VCI_MAX
+from atmsim.cli import main
 from atmsim.engine import (
     CELL_BITS,
     Engine,
@@ -474,10 +476,91 @@ class TestLaneRuns:
         assert first == second
 
 
+def lane_only_scenario(nodes, links, lecs, traffic=()) -> dict:
+    """LANE with its LES and BUS on host ``hs``; ``nodes`` maps names to
+    kinds, ``lecs`` hosts to MACs."""
+    return {
+        "duration_s": 1.0,
+        "seed": 3,
+        "nodes": [{"name": name, "kind": kind} for name, kind in nodes.items()],
+        "links": [
+            {"a": a, "b": b, "bit_rate": 1e7, "propagation_delay": 1e-5} for a, b in links
+        ],
+        "lane": {
+            "les": "hs",
+            "bus": "hs",
+            "lecs": [{"host": host, "mac": mac} for host, mac in lecs.items()],
+            "traffic": list(traffic),
+        },
+    }
+
+
+class TestLaneRoutes:
+    """A LANE VC crosses switches only, and preflight checks every one."""
+
+    M1, M2, M3 = "02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"
+
+    def assert_invalid(self, tmp_path, raw, expected):
+        assert preflight(raw) == expected
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 1
+
+    def test_host_never_forwards_a_data_direct_vc(self, tmp_path):
+        # h1 reaches the LES and BUS on hs directly, but its frames to h2
+        # would have to be forwarded by hs.
+        raw = lane_only_scenario(
+            {"h1": "host", "hs": "host", "h2": "host"},
+            [("h1", "hs"), ("hs", "h2")],
+            {"h1": self.M1, "h2": self.M2},
+            [{"src": "h1", "dst": self.M2, "rate": 20.0, "frame_bytes": 500, "count": 5}],
+        )
+        self.assert_invalid(
+            tmp_path, raw, ["lane.traffic[0]: no route from h1 to h2 through switches only"]
+        )
+
+    def test_switch_between_the_hosts_carries_the_vc(self):
+        raw = lane_only_scenario(
+            {"h1": "host", "hs": "host", "h2": "host", "s": "switch"},
+            [("h1", "hs"), ("hs", "h2"), ("h1", "s"), ("s", "h2")],
+            {"h1": self.M1, "h2": self.M2},
+            [{"src": "h1", "dst": self.M2, "rate": 20.0, "frame_bytes": 500, "count": 5}],
+        )
+        eng = build(raw)
+        report = eng.run()
+        assert report.lane["lecs"]["h2"]["received_direct"] == 5
+        assert report.switches["s"]["routed"] > 0
+        assert all(node.unknown_vc == 0 for node in eng.nodes.values())
+
+    def test_traffic_to_own_mac_is_invalid(self, tmp_path):
+        raw = lane_only_scenario(
+            {"h1": "host", "hs": "host", "s": "switch"},
+            [("h1", "s"), ("hs", "s")],
+            {"h1": self.M1},
+            [{"src": "h1", "dst": self.M1, "rate": 20.0, "frame_bytes": 100, "count": 5}],
+        )
+        self.assert_invalid(
+            tmp_path, raw, ["lane.traffic[0]: dst MAC is the MAC of its own src h1"]
+        )
+
+    def test_every_unlinked_lec_is_named(self, tmp_path):
+        raw = lane_only_scenario(
+            {"h1": "host", "hs": "host", "s": "switch", "h2": "host", "h3": "host"},
+            [("h1", "s"), ("hs", "s")],
+            {"h1": self.M1, "h2": self.M2, "h3": self.M3},
+        )
+        self.assert_invalid(
+            tmp_path,
+            raw,
+            [
+                "lane lec h2: no route to hs through switches only",
+                "lane lec h3: no route to hs through switches only",
+            ],
+        )
+
+
 class TestReportShape:
     def test_json_round_trips(self):
-        import json
-
         report = run(cbr_scenario())
         text = report.to_json()
         assert text.endswith("\n")
@@ -493,8 +576,6 @@ class TestReportShape:
             eng.run()
 
     def test_build_from_file(self, tmp_path):
-        import json
-
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(cbr_scenario()))
         report = run(str(path))

@@ -113,6 +113,51 @@ class TestLoading:
         sc = load_scenario(raw)
         assert sc.duration_s == 2.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            (("duration_s",), "scenario"),
+            (("links", 0, "bit_rate"), "links[0]"),
+            (("links", 0, "propagation_delay"), "links[0]"),
+            (("links", 0, "booking_factor"), "links[0]"),
+            (("generators", 0, "rate"), "generators[0]"),
+            (("connections", 0, "qos", "max_ctd"), "connections[0].qos"),
+            (("connections", 1, "abr", "rdf"), "connections[1].abr"),
+            (("lane", "traffic", 0, "rate"), "lane.traffic[0]"),
+            (("lane", "traffic", 0, "start"), "lane.traffic[0]"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, path, where, value):
+        # Only loads: a NaN duration or delay, or an infinite duration or
+        # LANE rate, would otherwise reach the report or never terminate.
+        raw = base_scenario()
+        raw["connections"][0]["qos"] = {}
+        raw["generators"].append({"id": "e", "kind": "greedy_abr"})
+        raw["connections"].append(
+            {
+                "id": "c2",
+                "category": "ABR",
+                "route": ["b", "s", "a"],
+                "generator": "e",
+                "descriptor": {"pcr": 100.0, "mcr": 0.0},
+                "abr": {},
+            }
+        )
+        raw["lane"] = {
+            "les": "a",
+            "bus": "a",
+            "lecs": [{"host": "b", "mac": "02:00:00:00:00:02"}],
+            "traffic": [{"src": "b", "dst": "broadcast", "rate": 10.0, "frame_bytes": 100}],
+        }
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(raw)
+        assert str(info.value) == f"{where}: {path[-1]} must be finite, got {value}"
+
 
 class TestTopologyValidation:
     def test_unknown_link_endpoint(self):
