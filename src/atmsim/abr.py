@@ -87,13 +87,6 @@ def source_adjust(state: AbrSourceState, indication: FeedbackIndication) -> floa
     return state.acr
 
 
-def next_emission(last_time: float, acr: float) -> float:
-    """Pacing rule for a backlogged source: one cell every 1/acr."""
-    if acr <= 0:
-        raise ValueError("acr must be positive")
-    return last_time + 1.0 / acr
-
-
 @dataclass
 class EfciObserver:
     """Destination-side window: OR of EFCI bits over runs of nrm data cells."""

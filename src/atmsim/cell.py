@@ -23,6 +23,7 @@ from typing import Dict, Optional, Tuple
 from .errors import ContractError
 
 CELL_BYTES = 53
+CELL_BITS = 8 * CELL_BYTES
 HEADER_BYTES = 5
 PAYLOAD_BYTES = 48
 

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,10 +45,9 @@ from .abr import (
     AbrSourceState,
     EfciObserver,
     FeedbackIndication,
-    next_emission,
     source_adjust,
 )
-from .cell import VCI_MAX, ZERO_PAYLOAD
+from .cell import CELL_BITS, VCI_MAX, ZERO_PAYLOAD
 from .errors import OrderingError
 from .lane import (
     OP_ARP_REPLY,
@@ -68,6 +68,7 @@ from .scenario import (
     Scenario,
     abr_observer,
     abr_source,
+    emission_rate,
     load_scenario,
     output_queue,
     switch_route,
@@ -88,7 +89,6 @@ from .traffic import (
     delay_stats,
 )
 
-CELL_BITS = 424
 FIRST_VCI = 32  # low label values left alone, control-plane style
 
 
@@ -138,68 +138,30 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# emission schedules
+# pacing
 
 
-class PacedEmitter:
-    """Constant spacing 1/rate, first cell at the start instant."""
+class OnOffGate:
+    """Exponential ON/OFF bursts of a source paced at its peak rate.
 
-    def __init__(self, rate: float):
-        self.period = 1.0 / rate
-
-    def first(self, start: float) -> float:
-        return start
-
-    def next(self, now: float) -> float:
-        return now + self.period
-
-
-class OnOffEmitter:
-    """Exponential ON/OFF bursts, paced at the peak rate while ON.
-
-    mean_off_s == 0 degenerates to always-on.  Draws come from the
-    connection's own stream, so schedules are reproducible per seed.
+    admit() moves an emission time that falls in an OFF period to the
+    start of the next ON period.  The first ON period starts at 0 and is
+    drawn here; mean_off_s == 0 degenerates to always-on.  Draws come from
+    the connection's own stream, so schedules are reproducible per seed.
     """
 
-    def __init__(self, peak_rate: float, mean_on_s: float, mean_off_s: float, rng: np.random.Generator):
-        self.period = 1.0 / peak_rate
+    def __init__(self, mean_on_s: float, mean_off_s: float, rng: np.random.Generator):
         self.mean_on = mean_on_s
         self.mean_off = mean_off_s
         self.rng = rng
-        self._on_end = 0.0
+        self.on_end = float(rng.exponential(mean_on_s))
 
-    def _draw_on(self) -> float:
-        return float(self.rng.exponential(self.mean_on))
-
-    def _draw_off(self) -> float:
-        if self.mean_off == 0:
-            return 0.0
-        return float(self.rng.exponential(self.mean_off))
-
-    def first(self, start: float) -> float:
-        self._on_end = start + self._draw_on()
-        return start
-
-    def next(self, now: float) -> float:
-        candidate = now + self.period
-        while candidate >= self._on_end:
-            start = self._on_end + self._draw_off()
-            self._on_end = start + self._draw_on()
-            candidate = start
-        return candidate
-
-
-class AbrEmitter:
-    """Greedy source paced at the current allowed cell rate."""
-
-    def __init__(self, source: AbrSourceState):
-        self.source = source
-
-    def first(self, start: float) -> float:
-        return start
-
-    def next(self, now: float) -> float:
-        return next_emission(now, self.source.acr)
+    def admit(self, t: float) -> float:
+        while t >= self.on_end:
+            off = float(self.rng.exponential(self.mean_off)) if self.mean_off else 0.0
+            t = self.on_end + off
+            self.on_end = t + float(self.rng.exponential(self.mean_on))
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +222,10 @@ class FlowState:
         self.id = flow_id
         self.metrics = ConnectionMetrics()
         self.loss_reasons: Dict[str, int] = {}
-        self.next_seq = 0
+        self.take_seq: Callable[[], int] = itertools.count().__next__  # 0, 1, ... per cell
         self.last_delivered_seq = -1
         self.tx: Optional[DirectedLink] = None
         self.vci = 0
-
-    def take_seq(self) -> int:
-        seq = self.next_seq
-        self.next_seq += 1
-        return seq
 
     def on_emitted(self, clp: int) -> None:
         if clp == 1:
@@ -291,13 +248,26 @@ class FlowState:
 
 
 class ContractFlow(FlowState):
-    """One scenario connection: generator state, delays, ABR machinery."""
+    """One scenario connection: its pacing, delays, ABR machinery.
 
-    def __init__(self, spec: ConnectionSpec):
+    ``rate`` (cells/s) paces emission: the generator's rate, or the ACR of
+    an ABR source, which feedback rewrites.  An on/off source also has a
+    ``gate``, drawing from the connection's own stream.
+    """
+
+    def __init__(self, spec: ConnectionSpec, gen: GeneratorSpec, seed: int):
         super().__init__(spec.id)
         self.spec = spec
-        self.emitter: Any = None
         self.abr_source: Optional[AbrSourceState] = None
+        if spec.category is ServiceCategory.ABR:
+            self.abr_source = abr_source(spec)
+        rate = emission_rate(gen) if self.abr_source is None else self.abr_source.acr
+        assert rate is not None, "validate_scenario checks every generator's rate"
+        self.rate = rate
+        self.gate: Optional[OnOffGate] = None
+        if gen.kind == "on_off_vbr":
+            rng = rng_stream(seed, f"conn:{spec.id}")
+            self.gate = OnOffGate(gen.mean_on_s, gen.mean_off_s, rng)  # type: ignore[arg-type]
         self.observer: Optional[EfciObserver] = None
         self.feedback: Optional[FeedbackFlow] = None
         self.acr_log: List[Tuple[float, float, bool]] = []
@@ -322,12 +292,22 @@ class LaneVc(FlowState):
 
 
 class LaneTrafficState:
-    """One frame source feeding a LEC."""
+    """One frame source feeding a LEC, paced at its frame rate.
 
-    def __init__(self, spec: LaneTrafficSpec, rng: np.random.Generator, lec: Lec):
+    Receivers identify frames by (source MAC, sequence), so every source
+    on one host draws its sequence numbers from the same ``frame_seq``.
+    """
+
+    gate = None
+
+    def __init__(
+        self, spec: LaneTrafficSpec, rng: np.random.Generator, lec: Lec, frame_seq: Iterator[int]
+    ):
         self.spec = spec
+        self.rate = spec.rate
         self.rng = rng
         self.lec = lec
+        self.frame_seq = frame_seq
         self.sent = 0
 
     def draw_size(self) -> int:
@@ -409,17 +389,14 @@ class LaneRuntime:
 
 
 class _EnginePort(LecPort):
-    """Fabric adapter handed to each LEC: its VCs to the LES and the BUS
-    and the frame counter of its traffic sources."""
+    """Fabric adapter handed to each LEC, holding its VCs to the LES and
+    the BUS."""
 
     def __init__(self, engine: "Engine", host: str, to_les: LaneVc, to_bus: LaneVc):
         self._engine = engine
         self._host = host
         self.to_les = to_les
         self.to_bus = to_bus
-        # receivers identify frames by (source MAC, sequence), so every
-        # traffic entry of one source must draw from the same counter
-        self.next_seq = 0
 
     def now(self) -> float:
         return self._engine.events.now
@@ -547,28 +524,14 @@ class Engine:
             if not cac_admit(bookings, spec.category, spec.descriptor):
                 violations.append(f"connection {spec.id}: rejected by admission control")
                 continue
-            flow = ContractFlow(spec)
+            flow = ContractFlow(spec, generators[spec.generator], self.sc.seed)
             violations += self._open_vc(flow, spec.route, self._data_sink)
             if spec.category is ServiceCategory.ABR:
-                flow.abr_source = abr_source(spec)
                 flow.observer = abr_observer(spec)
                 flow.feedback = FeedbackFlow(flow)
                 violations += self._open_vc(flow.feedback, spec.route[::-1], self._feedback_sink)
-            flow.emitter = self._make_emitter(flow, generators[spec.generator])
             self.connections.append(flow)
         return violations
-
-    def _make_emitter(self, flow: ContractFlow, gen: GeneratorSpec) -> Any:
-        if gen.kind == "paced_cbr":
-            return PacedEmitter(gen.rate)  # type: ignore[arg-type]
-        if gen.kind == "greedy_ubr":
-            return PacedEmitter(gen.cap)  # type: ignore[arg-type]
-        if gen.kind == "on_off_vbr":
-            rng = rng_stream(self.sc.seed, f"conn:{flow.id}")
-            return OnOffEmitter(gen.peak_rate, gen.mean_on_s, gen.mean_off_s, rng)  # type: ignore[arg-type]
-        assert gen.kind == "greedy_abr"
-        assert flow.abr_source is not None
-        return AbrEmitter(flow.abr_source)
 
     def _build_lane(self) -> List[str]:
         spec = self.sc.lane
@@ -605,9 +568,11 @@ class Engine:
             ):
                 violations += self._open_vc(vc, self._lane_route(src, dst), self._lane_sink)
             lane.bus.attach(atm, partial(self._send_frame, from_bus))
+        frame_seqs: Dict[str, Iterator[int]] = {}
         for i, traffic in enumerate(spec.traffic):
             rng = rng_stream(self.sc.seed, f"lane:{i}:{traffic.src}")
-            lane.traffic.append(LaneTrafficState(traffic, rng, lane.lecs[traffic.src]))
+            frame_seq = frame_seqs.setdefault(traffic.src, itertools.count())
+            lane.traffic.append(LaneTrafficState(traffic, rng, lane.lecs[traffic.src], frame_seq))
         return violations
 
     # -- per-flow sinks ------------------------------------------------------
@@ -633,8 +598,8 @@ class Engine:
         indication = FeedbackIndication(
             congested=payload[0] == 1, epoch=int.from_bytes(payload[1:9], "big")
         )
-        acr = source_adjust(flow.abr_source, indication)
-        flow.acr_log.append((self.events.now, acr, indication.congested))
+        flow.rate = source_adjust(flow.abr_source, indication)
+        flow.acr_log.append((self.events.now, flow.rate, indication.congested))
 
     def _send_feedback(self, arg: Tuple[ContractFlow, FeedbackIndication]) -> None:
         flow, indication = arg
@@ -772,9 +737,7 @@ class Engine:
 
     def _schedule_sources(self) -> None:
         for flow in self.connections:
-            first = flow.emitter.first(0.0)
-            if first <= self.duration:
-                self.events.schedule(first, self._fire, flow)
+            self.events.schedule(0.0, self._fire, flow)
         if self.lane is not None:
             for state in self.lane.traffic:
                 if state.spec.start <= self.duration:
@@ -786,25 +749,24 @@ class Engine:
         tc = TransitCell(flow, now, flow.take_seq(), flow.vci, clp)
         flow.on_emitted(clp)
         self._send(flow.tx, tc)
-        nxt = flow.emitter.next(now)
-        if nxt <= self.duration:
-            self.events.schedule(nxt, self._fire, flow)
+        self._pace(flow, self._fire)
 
     def _lane_fire(self, state: LaneTrafficState) -> None:
-        spec = state.spec
         size = state.draw_size()
-        port = state.lec.port
-        assert isinstance(port, _EnginePort)
-        seq = port.next_seq
-        port.next_seq += 1
-        payload = seq.to_bytes(8, "big") + bytes(size - 8)
+        payload = next(state.frame_seq).to_bytes(8, "big") + bytes(size - 8)
         state.sent += 1
-        state.lec.send(spec.dst_mac, payload)
-        if spec.count is not None and state.sent >= spec.count:
-            return
-        nxt = self.events.now + 1.0 / spec.rate
+        state.lec.send(state.spec.dst_mac, payload)
+        if state.spec.count is None or state.sent < state.spec.count:
+            self._pace(state, self._lane_fire)
+
+    def _pace(self, source: Any, fire: Callable[[Any], None]) -> None:
+        """The one pacing rule: a source emits again 1/rate after now,
+        moved out of an OFF period by its gate, if it has one."""
+        nxt = self.events.now + 1.0 / source.rate
+        if source.gate is not None:
+            nxt = source.gate.admit(nxt)
         if nxt <= self.duration:
-            self.events.schedule(nxt, self._lane_fire, state)
+            self.events.schedule(nxt, fire, source)
 
     def _send_frame(self, vc: LaneVc, frame: bytes) -> None:
         now = self.events.now

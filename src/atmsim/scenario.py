@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver, default_source
+from .cell import CELL_BITS
 from .lane import BROADCAST_MAC, atm_address, is_multicast, parse_mac
 from .switch import DEFAULT_QUEUE_CAPACITY, OutputQueue
 from .traffic import (
@@ -26,6 +27,10 @@ from .traffic import (
 )
 
 GENERATOR_KINDS = ("paced_cbr", "on_off_vbr", "greedy_abr", "greedy_ubr")
+
+# The field holding the cells/s a generator kind paces its source at.  A
+# greedy_abr source has none: it is paced at its allowed cell rate.
+RATE_FIELD = {"paced_cbr": "rate", "on_off_vbr": "peak_rate", "greedy_ubr": "cap"}
 
 # Which generator drives which service category.
 GENERATOR_FOR_CATEGORY = {
@@ -377,6 +382,12 @@ def output_queue(node: NodeSpec) -> OutputQueue:
     return OutputQueue(capacity, node.clp_threshold, node.efci_threshold)
 
 
+def emission_rate(gen: GeneratorSpec) -> Optional[float]:
+    """The cells/s ``gen`` paces its source at; None for greedy_abr."""
+    name = RATE_FIELD.get(gen.kind)
+    return None if name is None else getattr(gen, name)
+
+
 def abr_source(conn: ConnectionSpec) -> AbrSourceState:
     mcr = conn.descriptor.mcr if conn.descriptor.mcr is not None else 0.0
     abr = conn.abr
@@ -407,7 +418,7 @@ def validate_scenario(sc: Scenario) -> List[str]:
         else:
             v.extend(_construction_errors(f"node {node.name}", output_queue, node))
 
-    adjacency: Dict[str, List[str]] = {}
+    adjacency: Dict[str, Dict[str, float]] = {}  # node -> neighbour -> link cells/s
     seen_pairs = set()
     for link in sc.links:
         for end in (link.a, link.b):
@@ -425,8 +436,8 @@ def validate_scenario(sc: Scenario) -> List[str]:
             v.append(f"link {link.a}--{link.b}: propagation_delay must be >= 0")
         if link.booking_factor <= 0:
             v.append(f"link {link.a}--{link.b}: booking_factor must be positive")
-        adjacency.setdefault(link.a, []).append(link.b)
-        adjacency.setdefault(link.b, []).append(link.a)
+        adjacency.setdefault(link.a, {})[link.b] = link.bit_rate / CELL_BITS
+        adjacency.setdefault(link.b, {})[link.a] = link.bit_rate / CELL_BITS
 
     generators: Dict[str, GeneratorSpec] = {}
     for gen in sc.generators:
@@ -436,17 +447,16 @@ def validate_scenario(sc: Scenario) -> List[str]:
         if gen.kind not in GENERATOR_KINDS:
             v.append(f"generator {gen.id}: unknown kind {gen.kind!r}")
             continue
-        if gen.kind == "paced_cbr" and (gen.rate is None or gen.rate <= 0):
-            v.append(f"generator {gen.id}: paced_cbr needs a positive rate")
+        rate = emission_rate(gen)
+        if gen.kind in RATE_FIELD and (rate is None or rate <= 0):
+            v.append(f"generator {gen.id}: {gen.kind} needs a positive {RATE_FIELD[gen.kind]}")
         if gen.kind == "on_off_vbr":
-            if gen.peak_rate is None or gen.peak_rate <= 0:
-                v.append(f"generator {gen.id}: on_off_vbr needs a positive peak_rate")
             if gen.mean_on_s is None or gen.mean_on_s <= 0:
                 v.append(f"generator {gen.id}: on_off_vbr needs a positive mean_on_s")
+            elif rate is not None and rate > 0 and gen.mean_on_s < 1.0 / rate:
+                v.append(f"generator {gen.id}: on_off_vbr needs mean_on_s >= 1/peak_rate")
             if gen.mean_off_s is None or gen.mean_off_s < 0:
                 v.append(f"generator {gen.id}: on_off_vbr needs mean_off_s >= 0")
-        if gen.kind == "greedy_ubr" and (gen.cap is None or gen.cap <= 0):
-            v.append(f"generator {gen.id}: greedy_ubr needs a positive cap")
 
     conn_ids = set()
     for conn in sc.connections:
@@ -484,11 +494,18 @@ def validate_scenario(sc: Scenario) -> List[str]:
                     f"connection {cid}: category {conn.category.name} needs a "
                     f"{wanted} generator, got {gen.kind}"
                 )
-            peak = {"paced_cbr": gen.rate, "on_off_vbr": gen.peak_rate, "greedy_ubr": gen.cap}.get(
-                gen.kind
-            )
+            peak = emission_rate(gen)
             if peak is not None and peak > conn.descriptor.pcr:
                 v.append(f"connection {cid}: generator exceeds the declared pcr")
+            # a source faster than its first link makes a run without end
+            sends = conn.descriptor.pcr if gen.kind == "greedy_abr" else peak
+            link = conn.route[:2]
+            link_rate = adjacency.get(link[0], {}).get(link[1]) if len(link) == 2 else None
+            if sends is not None and link_rate is not None and sends > link_rate:
+                v.append(
+                    f"connection {cid}: sends up to {sends:g} cells/s, above the "
+                    f"{link_rate:g} cells/s of link {link[0]}--{link[1]}"
+                )
         for violation in validate_contract(conn.category, conn.descriptor, conn.qos):
             v.append(f"connection {cid}: {violation}")
         if conn.category is ServiceCategory.ABR:
@@ -537,7 +554,7 @@ def switch_route(
 
 
 def _validate_lane(
-    sc: Scenario, nodes: Dict[str, NodeSpec], adjacency: Dict[str, List[str]]
+    sc: Scenario, nodes: Dict[str, NodeSpec], adjacency: Dict[str, Dict[str, float]]
 ) -> List[str]:
     v: List[str] = []
     lane = sc.lane
@@ -588,6 +605,13 @@ def _validate_lane(
                 v.append(f"{w}: no route from {flow.src} to {dst} through switches only")
         if flow.rate <= 0:
             v.append(f"{w}: rate must be positive")
+        # frames come one cell or more each, so none can outrun every link
+        fastest = max(adjacency.get(flow.src, {}).values(), default=None)
+        if fastest is not None and flow.rate > fastest:
+            v.append(
+                f"{w}: sends {flow.rate:g} frames/s, above the {fastest:g} cells/s "
+                f"of the fastest link of {flow.src}"
+            )
         lo, hi = flow.frame_bytes
         if not MIN_LANE_FRAME_BYTES <= lo <= hi <= MAX_LANE_FRAME_BYTES:
             v.append(

@@ -9,7 +9,6 @@ from atmsim.abr import (
     EfciObserver,
     FeedbackIndication,
     default_source,
-    next_emission,
     source_adjust,
 )
 from atmsim.errors import OrderingError
@@ -90,15 +89,6 @@ class TestSourceAdjust:
         for epoch in range(5000):
             source_adjust(state, FeedbackIndication(rng.random() < 0.5, epoch))
             assert 50.0 <= state.acr <= 1000.0
-
-
-class TestNextEmission:
-    def test_pacing(self):
-        assert next_emission(2.0, 100.0) == 2.01
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            next_emission(0.0, 0.0)
 
 
 class TestEfciObserver:

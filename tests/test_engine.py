@@ -495,16 +495,18 @@ def lane_only_scenario(nodes, links, lecs, traffic=()) -> dict:
     }
 
 
+def assert_invalid(tmp_path, raw, expected):
+    """preflight names exactly ``expected`` and ``atmsim validate`` exits 1."""
+    assert preflight(raw) == expected
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 1
+
+
 class TestLaneRoutes:
     """A LANE VC crosses switches only, and preflight checks every one."""
 
     M1, M2, M3 = "02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"
-
-    def assert_invalid(self, tmp_path, raw, expected):
-        assert preflight(raw) == expected
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(raw))
-        assert main(["validate", str(path)]) == 1
 
     def test_host_never_forwards_a_data_direct_vc(self, tmp_path):
         # h1 reaches the LES and BUS on hs directly, but its frames to h2
@@ -515,7 +517,7 @@ class TestLaneRoutes:
             {"h1": self.M1, "h2": self.M2},
             [{"src": "h1", "dst": self.M2, "rate": 20.0, "frame_bytes": 500, "count": 5}],
         )
-        self.assert_invalid(
+        assert_invalid(
             tmp_path, raw, ["lane.traffic[0]: no route from h1 to h2 through switches only"]
         )
 
@@ -539,7 +541,7 @@ class TestLaneRoutes:
             {"h1": self.M1},
             [{"src": "h1", "dst": self.M1, "rate": 20.0, "frame_bytes": 100, "count": 5}],
         )
-        self.assert_invalid(
+        assert_invalid(
             tmp_path, raw, ["lane.traffic[0]: dst MAC is the MAC of its own src h1"]
         )
 
@@ -549,13 +551,107 @@ class TestLaneRoutes:
             [("h1", "s"), ("hs", "s")],
             {"h1": self.M1, "h2": self.M2, "h3": self.M3},
         )
-        self.assert_invalid(
+        assert_invalid(
             tmp_path,
             raw,
             [
                 "lane lec h2: no route to hs through switches only",
                 "lane lec h3: no route to hs through switches only",
             ],
+        )
+
+
+class TestPacing:
+    """Every source emits its next cell 1/rate after the last one."""
+
+    RATE = 1000.0 / 3.0
+    # 300 periods of 1/RATE summed in floats pass 0.9, so the recurrence
+    # gives 300 cells where k/RATE <= 0.9 would give 301
+    DURATION = 0.9
+
+    @pytest.mark.parametrize("kind", ["paced_cbr", "greedy_ubr", "greedy_abr"])
+    def test_cells_follow_the_float_recurrence(self, kind):
+        r = self.RATE
+        raw = cbr_scenario(rate=r, duration=self.DURATION)
+        conn = raw["connections"][0]
+        if kind == "greedy_ubr":
+            raw["generators"] = [{"id": "g", "kind": "greedy_ubr", "cap": r}]
+            conn.update(category="UBR", descriptor={"pcr": r})
+        elif kind == "greedy_abr":
+            # mcr == pcr pins the allowed cell rate whatever the feedback says
+            raw["generators"] = [{"id": "g", "kind": "greedy_abr"}]
+            conn.update(category="ABR", descriptor={"pcr": r, "mcr": r})
+        expected, t = 0, 0.0
+        while t <= self.DURATION:
+            expected += 1
+            t += 1.0 / r
+        assert run(raw).connections["c1"]["transmitted"] == expected == 300
+
+
+class TestSourcesThatCannotEnd:
+    """A source faster than its link, or an on/off source whose ON periods
+    are shorter than its cell spacing, is refused before the run."""
+
+    @pytest.mark.parametrize("rate, shown", [(1e9, "1e+09"), (1e300, "1e+300")])
+    def test_lec_faster_than_its_links(self, tmp_path, rate, shown):
+        raw = lane_only_scenario(
+            {"h1": "host", "hs": "host", "s": "switch"},
+            [("h1", "s"), ("hs", "s")],
+            {"h1": "02:00:00:00:00:01"},
+            [{"src": "h1", "dst": "broadcast", "rate": rate, "frame_bytes": 64}],
+        )
+        assert_invalid(
+            tmp_path,
+            raw,
+            [
+                f"lane.traffic[0]: sends {shown} frames/s, above the 23584.9 cells/s "
+                "of the fastest link of h1"
+            ],
+        )
+
+    def test_lec_as_fast_as_its_link_runs(self):
+        rate = 1e7 / CELL_BITS
+        raw = lane_only_scenario(
+            {"h1": "host", "hs": "host", "s": "switch"},
+            [("h1", "s"), ("hs", "s")],
+            {"h1": "02:00:00:00:00:01"},
+            [{"src": "h1", "dst": "broadcast", "rate": rate, "frame_bytes": 8, "count": 3}],
+        )
+        assert run(raw).lane["bus"]["frames_in"] == 3
+
+    def test_ubr_cap_above_its_first_link(self, tmp_path):
+        raw = cbr_scenario()
+        raw["generators"] = [{"id": "g", "kind": "greedy_ubr", "cap": 3000.0}]
+        raw["connections"][0].update(category="UBR", descriptor={"pcr": 3000.0})
+        assert_invalid(
+            tmp_path,
+            raw,
+            ["connection c1: sends up to 3000 cells/s, above the 2358.49 cells/s of link a--s"],
+        )
+
+    def test_abr_pcr_above_its_first_link(self, tmp_path):
+        raw = cbr_scenario()
+        raw["generators"] = [{"id": "g", "kind": "greedy_abr"}]
+        raw["connections"][0].update(category="ABR", descriptor={"pcr": 3000.0, "mcr": 0.0})
+        assert_invalid(
+            tmp_path,
+            raw,
+            ["connection c1: sends up to 3000 cells/s, above the 2358.49 cells/s of link a--s"],
+        )
+
+    @pytest.mark.parametrize("mean_on_s", [1e-30, 1e-6])
+    def test_on_periods_shorter_than_the_peak_spacing(self, tmp_path, mean_on_s):
+        raw = cbr_scenario(duration=5.0)
+        raw["generators"] = [
+            {"id": "g", "kind": "on_off_vbr", "peak_rate": 100.0,
+             "mean_on_s": mean_on_s, "mean_off_s": 0.01}
+        ]
+        raw["connections"][0].update(
+            category="VBR_RT",
+            descriptor={"pcr": 100.0, "cdvt": 0.001, "scr": 50.0, "mbs": 10},
+        )
+        assert_invalid(
+            tmp_path, raw, ["generator g: on_off_vbr needs mean_on_s >= 1/peak_rate"]
         )
 
 

@@ -1,9 +1,12 @@
 """Scenario loading: schema strictness and semantic validation."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from atmsim.engine import preflight
 from atmsim.scenario import (
     Scenario,
     ScenarioError,
@@ -253,6 +256,35 @@ class TestConnectionValidation:
         assert violations_of(raw) == []
 
 
+class TestGeneratorValidation:
+    @pytest.mark.parametrize(
+        "kind, field, extra",
+        [
+            ("paced_cbr", "rate", {}),
+            ("on_off_vbr", "peak_rate", {"mean_on_s": 0.1, "mean_off_s": 0.1}),
+            ("greedy_ubr", "cap", {}),
+        ],
+    )
+    @pytest.mark.parametrize("value", [None, 0.0, -5.0])
+    def test_rate_must_be_positive(self, kind, field, extra, value):
+        raw = base_scenario()
+        raw["connections"] = []
+        gen = {"id": "g", "kind": kind, **extra}
+        if value is not None:
+            gen[field] = value
+        raw["generators"] = [gen]
+        assert violations_of(raw) == [f"generator g: {kind} needs a positive {field}"]
+
+    def test_on_period_at_least_one_cell_spacing(self):
+        raw = base_scenario()
+        raw["connections"] = []
+        gen = {"id": "g", "kind": "on_off_vbr", "peak_rate": 100.0, "mean_off_s": 0.1}
+        raw["generators"] = [{**gen, "mean_on_s": 0.01}]
+        assert violations_of(raw) == []
+        raw["generators"] = [{**gen, "mean_on_s": 0.0099}]
+        assert violations_of(raw) == ["generator g: on_off_vbr needs mean_on_s >= 1/peak_rate"]
+
+
 class TestLaneValidation:
     def _with_lane(self) -> dict:
         raw = base_scenario()
@@ -326,3 +358,12 @@ class TestLaneValidation:
         sc = load_scenario(raw)
         assert sc.lane is not None
         assert sc.lane.traffic[0].frame_bytes == (64, 1500)
+
+
+class TestReadmeExample:
+    def test_scenario_format_example_passes_preflight(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Scenario format", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S)
+        assert block is not None
+        assert preflight(json.loads(block.group(1))) == []
