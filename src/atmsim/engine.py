@@ -2,9 +2,20 @@
 
 Events are dispatched in (time, insertion sequence) order, so identical
 (scenario, seed) pairs replay the exact same event stream and produce
-byte-identical reports.  An event is a ``(time, seq, fn, arg)`` heap
-entry; dispatch calls ``fn(arg)``, and the handler identifies the kind of
-event.
+byte-identical reports.  An event is a ``(time, seq, fn, arg)`` entry on
+the one heap of the EventQueue; dispatch calls ``fn(arg)``, and the
+handler identifies the kind of event.  Every entry draws its ``seq`` from
+the queue's one counter, ``EventQueue.next_seq``, so no two entries tie
+and the heap never compares handlers.
+
+``EventQueue.schedule`` serves the few events off the cell path (source
+start-up, LANE timers, ABR feedback).  The per-hop handlers (``_start``,
+``_complete``, ``_pace``) push their entries onto the heap directly, and
+``Engine.run`` pops them directly.  Each invariant is checked at one named
+place: no entry is dated before ``now`` (``OrderingError`` at every push,
+in ``schedule`` and in each handler that pushes), entries dispatch in
+strictly increasing (time, seq) order (an assertion in ``run``), and
+cells are conserved (``_audit``, after the run).
 
 Inside the simulator a cell is a TransitCell: the header bits the model
 acts on (VCI, CLP, EFCI, payload type) as plain attributes, beside the
@@ -18,9 +29,10 @@ path is installed.
 
 An output port and the link direction it feeds are one record, the
 DirectedLink: a bounded OutputQueue, a single-cell transmitter (424 bits
-serialized at the link rate, then the propagation delay) and the link's
-transmit stats.  Queue occupancy therefore counts waiting cells, with the
-cell on the wire "in service".
+serialized at the link rate, then the propagation delay), the node the
+link leads to and the link's transmit stats.  Queue occupancy therefore
+counts waiting cells, with the cell on the wire "in service".  A link
+is idle only while its queue is empty.
 
 Every flow counts its cells once, in its ConnectionMetrics: emitted and
 lost by loss priority, and delivered.  Cell conservation, the audit run
@@ -30,12 +42,12 @@ at the end, compares those counters with the cells still in the network.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,27 +112,32 @@ class ScenarioInvalid(ValueError):
         self.violations = list(violations)
 
 
+def _into_past(time: float, now: float) -> OrderingError:
+    return OrderingError(f"cannot schedule at {time} before now {now}")
+
+
 class EventQueue:
     """Future event list of (time, seq, fn, arg) entries.
 
     Entries pop in (time, insertion sequence) order; the run loop calls
-    ``fn(arg)`` for each.
+    ``fn(arg)`` for each.  Whoever pushes onto ``_heap`` draws ``seq``
+    from ``next_seq`` and refuses a time before ``now``, as ``schedule``
+    does.
     """
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
-        self._seq = 0
+        self.next_seq: Callable[[], int] = itertools.count().__next__
         self.now = 0.0
         self.processed = 0
 
     def schedule(self, time: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         if time < self.now:
-            raise OrderingError(f"cannot schedule at {time} before now {self.now}")
-        heapq.heappush(self._heap, (time, self._seq, fn, arg))
-        self._seq += 1
+            raise _into_past(time, self.now)
+        heappush(self._heap, (time, self.next_seq(), fn, arg))
 
     def pop(self) -> Tuple[float, int, Callable[[Any], None], Any]:
-        entry = heapq.heappop(self._heap)
+        entry = heappop(self._heap)
         self.now = entry[0]
         self.processed += 1
         return entry
@@ -324,7 +341,7 @@ class LaneTrafficState:
 class DirectedLink:
     """One direction of a physical link, which is also the output port
     ``src_port`` of node ``src``: the bounded queue, the wire and the
-    transmit stats.
+    transmit stats.  Cells leave it at port ``dst_port`` of ``dst_node``.
 
     ``holding`` is the cell being serialized; the wire is busy exactly
     while it is set.
@@ -334,7 +351,7 @@ class DirectedLink:
         self,
         src: str,
         src_port: int,
-        dst: str,
+        dst_node: "NodeRuntime",
         dst_port: int,
         bit_rate: float,
         prop: float,
@@ -343,7 +360,8 @@ class DirectedLink:
     ):
         self.src = src
         self.src_port = src_port
-        self.dst = dst
+        self.dst_node = dst_node
+        self.dst = dst_node.name
         self.dst_port = dst_port
         self.prop = prop
         self.booking = booking
@@ -431,6 +449,7 @@ class Engine:
             raise ScenarioInvalid(violations)
         self.sc = sc
         self.duration = sc.duration_s
+        self._half = sc.duration_s / 2.0
         self.events = EventQueue()
         self.nodes: Dict[str, NodeRuntime] = {}
         self.links: List[DirectedLink] = []
@@ -459,7 +478,7 @@ class Engine:
                 link = DirectedLink(
                     src,
                     src_port,
-                    dst,
+                    dst_node,
                     dst_port,
                     spec.bit_rate,
                     spec.propagation_delay,
@@ -497,15 +516,14 @@ class Engine:
             return exhausted
         vcis = [link.alloc_vci() for link in chain]
         for i in range(len(chain) - 1):
-            sw = self.nodes[chain[i].dst]
-            sw.vc_table.install(
+            chain[i].dst_node.vc_table.install(
                 chain[i].dst_port,
                 0,
                 vcis[i],
                 VcRoute(chain[i + 1].src_port, 0, vcis[i + 1]),
             )
         last = chain[-1]
-        self.nodes[last.dst].endpoints[(last.dst_port, 0, vcis[-1])] = sink
+        last.dst_node.endpoints[(last.dst_port, 0, vcis[-1])] = sink
         flow.tx = chain[0]
         flow.vci = vcis[0]
         self.flows.append(flow)
@@ -683,24 +701,33 @@ class Engine:
         outcome = link.queue.enqueue(tc, self.events.now)
         if outcome is EnqueueOutcome.ACCEPTED:
             if link.holding is None:
-                self._start(link)
+                # an idle link's queue was empty, so tc is its head
+                self._start(link, link.queue.dequeue())
         else:
             tc.flow.on_lost(tc, outcome.value)
 
-    def _start(self, link: DirectedLink) -> None:
-        """Put the head of an idle link's queue on the wire."""
-        tc = link.queue.dequeue()
-        if tc is None:
-            return
+    def _start(self, link: DirectedLink, tc: TransitCell) -> None:
+        """Put ``tc``, just dequeued, on an idle link's wire."""
         link.holding = tc
-        start = self.events.now
+        events = self.events
+        start = events.now
         finish = start + link.tx_time
         link.cells += 1
-        self._accrue_busy(link, start, finish)
-        self.events.schedule(finish, self._complete, link)
+        # add finish - start, as _accrue_busy does: (start + tx_time) -
+        # start may differ from tx_time in the last bit
+        if finish <= self._half:
+            link.busy_first_half += finish - start
+        elif start >= self._half and finish <= self.duration:
+            link.busy_second_half += finish - start
+        else:
+            self._accrue_busy(link, start, finish)
+        if finish < start:
+            raise _into_past(finish, start)
+        heappush(events._heap, (finish, events.next_seq(), self._complete, link))
 
     def _accrue_busy(self, link: DirectedLink, start: float, finish: float) -> None:
-        half = self.duration / 2.0
+        """Split a span that straddles duration/2 or duration."""
+        half = self._half
         first = min(finish, half) - min(start, half)
         second = min(finish, self.duration) - max(min(start, self.duration), half)
         if first > 0:
@@ -712,12 +739,19 @@ class Engine:
         tc = link.holding
         assert tc is not None
         link.holding = None
-        self.events.schedule(self.events.now + link.prop, self._arrive, (link, tc))
-        self._start(link)
+        events = self.events
+        now = events.now
+        arrival = now + link.prop
+        if arrival < now:
+            raise _into_past(arrival, now)
+        heappush(events._heap, (arrival, events.next_seq(), self._arrive, (link, tc)))
+        head = link.queue.dequeue()
+        if head is not None:
+            self._start(link, head)
 
     def _arrive(self, arg: Tuple[DirectedLink, TransitCell]) -> None:
         link, tc = arg
-        node = self.nodes[link.dst]
+        node = link.dst_node
         if node.kind == "switch":
             route = node.vc_table.lookup(link.dst_port, 0, tc.vci)
             if route is not None:
@@ -762,11 +796,15 @@ class Engine:
     def _pace(self, source: Any, fire: Callable[[Any], None]) -> None:
         """The one pacing rule: a source emits again 1/rate after now,
         moved out of an OFF period by its gate, if it has one."""
-        nxt = self.events.now + 1.0 / source.rate
+        events = self.events
+        now = events.now
+        nxt = now + 1.0 / source.rate
         if source.gate is not None:
             nxt = source.gate.admit(nxt)
         if nxt <= self.duration:
-            self.events.schedule(nxt, fire, source)
+            if nxt < now:
+                raise _into_past(nxt, now)
+            heappush(events._heap, (nxt, events.next_seq(), fire, source))
 
     def _send_frame(self, vc: LaneVc, frame: bytes) -> None:
         now = self.events.now
@@ -784,15 +822,18 @@ class Engine:
         self._schedule_sources()
         events = self.events
         heap = events._heap
-        pop = events.pop
         duration = self.duration
+        processed = events.processed
         last_time, last_seq = -math.inf, -1
         while heap and heap[0][0] <= duration:
-            time, seq, fn, arg = pop()
+            time, seq, fn, arg = heappop(heap)
             if time < last_time or (time == last_time and seq <= last_seq):
                 raise AssertionError("event dispatched out of order")
             last_time, last_seq = time, seq
+            events.now = time
+            processed += 1
             fn(arg)
+        events.processed = processed
         self._audit()
         return self._report()
 

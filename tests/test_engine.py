@@ -3,6 +3,7 @@
 import heapq
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from atmsim.engine import (
     EventQueue,
     OrderingError,
     ScenarioInvalid,
+    _expire_timer,
     build,
     load_scenario,
     preflight,
@@ -91,6 +93,78 @@ class TestAudit:
             eng._audit()
 
 
+class TestOrderingGuards:
+    """The handlers push onto the heap themselves; the past-time guard at
+    each push and the dispatch-order check in run both still hold."""
+
+    def test_gate_moving_an_emission_into_the_past_raises(self):
+        eng = build(cbr_scenario())
+        eng.connections[0].gate = SimpleNamespace(admit=lambda t: t - 1.0)
+        with pytest.raises(OrderingError):
+            eng.run()
+
+    def test_entry_dated_before_now_is_dispatched_out_of_order(self):
+        eng = build(cbr_scenario())
+        events = eng.events
+
+        def backdate(_arg):
+            heapq.heappush(events._heap, (events.now - 0.25, events.next_seq(), print, None))
+
+        events.schedule(0.5, backdate)
+        with pytest.raises(AssertionError, match="event dispatched out of order"):
+            eng.run()
+
+
+class TestOneSequence:
+    """Entries from EventQueue.schedule and entries the engine pushes
+    itself draw their seq from one counter."""
+
+    M1, M2 = "02:00:00:00:00:01", "02:00:00:00:00:02"
+
+    def test_lec_timers_and_cell_events_never_share_a_seq(self):
+        raw = lane_only_scenario(
+            {"h1": "host", "h2": "host", "hs": "host", "s": "switch"},
+            [("h1", "s"), ("h2", "s"), ("hs", "s")],
+            {"h1": self.M1, "h2": self.M2},
+            [{"src": "h1", "dst": self.M2, "rate": 1000.0, "frame_bytes": 500}],
+        )
+        # the run ends while the frame sent at 0.5 s is on the wire and the
+        # ARP timeout, set 1 s after the request, is still pending
+        raw["duration_s"] = 0.5002
+        eng = build(raw)
+        eng.run()
+        heap = list(eng.events._heap)
+        handlers = [fn for _time, _seq, fn, _arg in heap]
+        assert _expire_timer in handlers
+        assert any(fn == eng._complete or fn == eng._arrive for fn in handlers)
+        seqs = [seq for _time, seq, _fn, _arg in heap]
+        assert len(set(seqs)) == len(seqs)
+        # every entry ever pushed was either dispatched or is still here
+        assert eng.events.next_seq() == eng.events.processed + len(heap)
+        keys = [heapq.heappop(heap)[:2] for _ in range(len(seqs))]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    @pytest.mark.parametrize("order", [("scheduled", "pushed"), ("pushed", "scheduled")])
+    def test_entries_at_now_pop_in_insertion_order(self, order):
+        eng = build(cbr_scenario())
+        events = eng.events
+        seen = []
+        # at an infinite rate, _pace pushes the next emission at now
+        source = SimpleNamespace(rate=math.inf, gate=None)
+        insert = {
+            "scheduled": lambda: events.schedule(events.now, seen.append, "scheduled"),
+            "pushed": lambda: eng._pace(source, lambda _source: seen.append("pushed")),
+        }
+
+        def both(_arg):
+            for name in order:
+                insert[name]()
+
+        events.schedule(0.5, both)
+        eng.run()
+        assert seen == list(order)
+
+
 class TestRngStreams:
     def test_same_seed_same_label_reproduces(self):
         a = rng_stream(42, "alpha").random(8)
@@ -148,6 +222,37 @@ class TestCbrPath:
         # 1000 cells/s of 424-bit cells on a 1 Mb/s link.
         expected = 1000 * CELL_BITS / 1e6
         assert report.links["a->s"]["utilization"] == pytest.approx(expected, rel=0.02)
+
+
+class TestBusySplit:
+    """A link's busy time splits at duration/2 (and stops at duration)
+    exactly as the four-min rule splits each cell's span on the wire."""
+
+    def test_cells_straddling_half_and_end(self):
+        r, duration, bit_rate = 10.0, 1.02, 1e4
+        eng = build(cbr_scenario(rate=r, duration=duration, bit_rate=bit_rate))
+        eng.run()
+        link = eng.links[0]
+        assert link.name == "a->s"
+        tx = CELL_BITS / bit_rate
+        half = duration / 2.0
+        first = second = 0.0
+        straddled = set()
+        t = 0.0
+        while t <= duration:
+            # a cell every 1/r leaves a wire that is idle again after tx
+            start, finish = t, t + tx
+            straddled |= {edge for edge in (half, duration) if start < edge < finish}
+            in_first = min(finish, half) - min(start, half)
+            in_second = min(finish, duration) - max(min(start, duration), half)
+            if in_first > 0:
+                first += in_first
+            if in_second > 0:
+                second += in_second
+            t += 1.0 / r
+        assert straddled == {half, duration}
+        assert link.busy_first_half == first
+        assert link.busy_second_half == second
 
 
 class TestDeterminism:
