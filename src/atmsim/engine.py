@@ -14,8 +14,10 @@ start-up, LANE timers, ABR feedback).  The per-hop handlers (``_start``,
 ``Engine.run`` pops them directly.  Each invariant is checked at one named
 place: no entry is dated before ``now`` (``OrderingError`` at every push,
 in ``schedule`` and in each handler that pushes), entries dispatch in
-strictly increasing (time, seq) order (an assertion in ``run``), and
-cells are conserved (``_audit``, after the run).
+strictly increasing (time, seq) order (an assertion in ``run``), the
+cells of one VC reach its endpoint in emission order, gaps being losses
+(per-VC FIFO, an assertion in ``_arrive``), and cells are conserved
+(``_audit``, after the run).
 
 Inside the simulator a cell is a TransitCell: the header bits the model
 acts on (VCI, CLP, EFCI, payload type) as plain attributes, beside the
@@ -81,6 +83,7 @@ from .scenario import (
     abr_observer,
     abr_source,
     emission_rate,
+    link_booking,
     load_scenario,
     output_queue,
     switch_route,
@@ -165,16 +168,21 @@ class OnOffGate:
     start of the next ON period.  The first ON period starts at 0 and is
     drawn here; mean_off_s == 0 degenerates to always-on.  Draws come from
     the connection's own stream, so schedules are reproducible per seed.
+    A time past ``end``, the end of the run, is returned as it is: nothing
+    is sent then, and far enough out ``t + on`` rounds back to ``t``.
     """
 
-    def __init__(self, mean_on_s: float, mean_off_s: float, rng: np.random.Generator):
+    def __init__(
+        self, mean_on_s: float, mean_off_s: float, rng: np.random.Generator, end: float
+    ):
         self.mean_on = mean_on_s
         self.mean_off = mean_off_s
         self.rng = rng
+        self.end = end
         self.on_end = float(rng.exponential(mean_on_s))
 
     def admit(self, t: float) -> float:
-        while t >= self.on_end:
+        while self.on_end <= t <= self.end:
             off = float(self.rng.exponential(self.mean_off)) if self.mean_off else 0.0
             t = self.on_end + off
             self.on_end = t + float(self.rng.exponential(self.mean_on))
@@ -240,7 +248,7 @@ class FlowState:
         self.metrics = ConnectionMetrics()
         self.loss_reasons: Dict[str, int] = {}
         self.take_seq: Callable[[], int] = itertools.count().__next__  # 0, 1, ... per cell
-        self.last_delivered_seq = -1
+        self.last_delivered_seq = -1  # per-VC FIFO, checked by Engine._arrive
         self.tx: Optional[DirectedLink] = None
         self.vci = 0
 
@@ -257,12 +265,6 @@ class FlowState:
         else:
             self.metrics.lost_clp0 += 1
 
-    def check_fifo(self, tc: TransitCell) -> None:
-        # Cells of one VC must come out in emission order (gaps = losses).
-        if tc.seq <= self.last_delivered_seq:
-            raise AssertionError(f"per-VC FIFO violated on {self.id}")
-        self.last_delivered_seq = tc.seq
-
 
 class ContractFlow(FlowState):
     """One scenario connection: its pacing, delays, ABR machinery.
@@ -272,7 +274,7 @@ class ContractFlow(FlowState):
     ``gate``, drawing from the connection's own stream.
     """
 
-    def __init__(self, spec: ConnectionSpec, gen: GeneratorSpec, seed: int):
+    def __init__(self, spec: ConnectionSpec, gen: GeneratorSpec, seed: int, end: float):
         super().__init__(spec.id)
         self.spec = spec
         self.abr_source: Optional[AbrSourceState] = None
@@ -284,7 +286,7 @@ class ContractFlow(FlowState):
         self.gate: Optional[OnOffGate] = None
         if gen.kind == "on_off_vbr":
             rng = rng_stream(seed, f"conn:{spec.id}")
-            self.gate = OnOffGate(gen.mean_on_s, gen.mean_off_s, rng)  # type: ignore[arg-type]
+            self.gate = OnOffGate(gen.mean_on_s, gen.mean_off_s, rng, end)  # type: ignore[arg-type]
         self.observer: Optional[EfciObserver] = None
         self.feedback: Optional[FeedbackFlow] = None
         self.acr_log: List[Tuple[float, float, bool]] = []
@@ -482,7 +484,7 @@ class Engine:
                     dst_port,
                     spec.bit_rate,
                     spec.propagation_delay,
-                    LinkBooking(spec.bit_rate / CELL_BITS, spec.booking_factor),
+                    link_booking(spec),
                     output_queue(node_spec[src]),
                 )
                 src_node.ports[src_port] = link
@@ -542,7 +544,7 @@ class Engine:
             if not cac_admit(bookings, spec.category, spec.descriptor):
                 violations.append(f"connection {spec.id}: rejected by admission control")
                 continue
-            flow = ContractFlow(spec, generators[spec.generator], self.sc.seed)
+            flow = ContractFlow(spec, generators[spec.generator], self.sc.seed, self.duration)
             violations += self._open_vc(flow, spec.route, self._data_sink)
             if spec.category is ServiceCategory.ABR:
                 flow.observer = abr_observer(spec)
@@ -598,8 +600,6 @@ class Engine:
     def _data_sink(self, tc: TransitCell) -> None:
         flow = tc.flow
         now = self.events.now
-        flow.check_fifo(tc)
-        flow.metrics.delivered += 1
         flow.metrics.delay_samples.append(now - tc.entry_time)
         if flow.observer is not None:
             indication = flow.observer.observe(tc.efci)
@@ -610,8 +610,6 @@ class Engine:
         feedback = tc.flow
         flow = feedback.conn
         assert flow.abr_source is not None
-        feedback.check_fifo(tc)
-        feedback.metrics.delivered += 1
         payload = tc.payload
         indication = FeedbackIndication(
             congested=payload[0] == 1, epoch=int.from_bytes(payload[1:9], "big")
@@ -641,8 +639,6 @@ class Engine:
 
     def _lane_sink(self, tc: TransitCell) -> None:
         vc = tc.flow
-        vc.check_fifo(tc)
-        vc.metrics.delivered += 1
         result = vc.reassembler.push(tc.payload, tc.aal5_last)
         if result is None:
             return
@@ -762,6 +758,11 @@ class Engine:
         else:
             sink = node.endpoints.get((link.dst_port, 0, tc.vci))
             if sink is not None:
+                flow = tc.flow
+                if tc.seq <= flow.last_delivered_seq:
+                    raise AssertionError(f"per-VC FIFO violated on {flow.id}")
+                flow.last_delivered_seq = tc.seq
+                flow.metrics.delivered += 1
                 sink(tc)
                 return
         node.unknown_vc += 1
@@ -932,7 +933,7 @@ class Engine:
                 "cells": link.cells,
                 "busy_s": busy,
                 "utilization": busy / self.duration,
-                "second_half_utilization": link.busy_second_half / (self.duration / 2.0),
+                "second_half_utilization": 2.0 * link.busy_second_half / self.duration,
             }
 
         lane_report = None

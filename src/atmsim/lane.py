@@ -236,17 +236,11 @@ class Lec:
         atm: bytes,
         port: LecPort,
         parallel_bus: bool = False,
-        pending_depth: int = PENDING_DEPTH,
-        pending_timeout: float = PENDING_TIMEOUT_S,
-        cache_aging: float = CACHE_AGING_S,
     ):
         self.mac = mac
         self.atm = atm
         self.port = port
         self.parallel_bus = parallel_bus
-        self.pending_depth = pending_depth
-        self.pending_timeout = pending_timeout
-        self.cache_aging = cache_aging
         self.cache: Dict[bytes, ArpCacheEntry] = {}
         self.counters = LecCounters()
         self.per_destination: Dict[bytes, DestinationStats] = {}
@@ -281,7 +275,7 @@ class Lec:
                 stats.dropped_setup += 1
             return
         queue = self._pending.setdefault(dest_mac, deque())
-        if len(queue) >= self.pending_depth:
+        if len(queue) >= PENDING_DEPTH:
             stats.dropped_overflow += 1
             self.counters.pending_dropped += 1
             return
@@ -294,7 +288,7 @@ class Lec:
             self.counters.arp_requests += 1
             self.port.send_arp_request(encode_arp_request(self.mac, dest_mac))
             self.port.schedule(
-                self.pending_timeout, lambda: self._on_arp_timeout(dest_mac, request_id)
+                PENDING_TIMEOUT_S, lambda: self._on_arp_timeout(dest_mac, request_id)
             )
         if self.parallel_bus:
             stats.sent_bus += 1
@@ -366,7 +360,7 @@ class Lec:
         entry = self.cache.get(mac)
         if entry is None:
             return None
-        if self.port.now() - entry.learned_at >= self.cache_aging:
+        if self.port.now() - entry.learned_at >= CACHE_AGING_S:
             del self.cache[mac]
             return None
         self.lookup_log.append((mac, entry.atm))

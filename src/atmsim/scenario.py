@@ -2,29 +2,26 @@
 
 A scenario gives the topology (nodes, links), the contracted connections
 with their static routes and generators, optional LAN-emulation
-membership and traffic, a duration and an RNG seed.  Parsing problems
-raise ScenarioError; semantic problems come back from
+membership and traffic, a duration and an RNG seed.  The frozen spec
+dataclasses below are the schema: each JSON key is one field, read with
+that field's type and default by one reader, ``_record``.  Parsing
+problems raise ScenarioError; semantic problems come back from
 validate_scenario() as a list of human-readable violations.
 """
 
-from __future__ import annotations
-
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional
+from typing import Tuple, Union, get_args, get_origin, get_type_hints
 
 from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver, default_source
 from .cell import CELL_BITS
 from .lane import BROADCAST_MAC, atm_address, is_multicast, parse_mac
-from .switch import DEFAULT_QUEUE_CAPACITY, OutputQueue
-from .traffic import (
-    QosRequirement,
-    ServiceCategory,
-    TrafficDescriptor,
-    validate_contract,
-)
+from .switch import DEFAULT_QUEUE_CAPACITY, LinkBooking, OutputQueue
+from .traffic import QosRequirement, ServiceCategory, TrafficDescriptor, validate_contract
 
 GENERATOR_KINDS = ("paced_cbr", "on_off_vbr", "greedy_abr", "greedy_ubr")
 
@@ -49,94 +46,6 @@ class ScenarioError(ValueError):
     """A scenario document that cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    name: str
-    kind: str  # "host" | "switch"
-    queue_capacity: Optional[int] = None
-    clp_threshold: Optional[int] = None
-    efci_threshold: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    a: str
-    b: str
-    bit_rate: float
-    propagation_delay: float
-    booking_factor: float = 1.0
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    id: str
-    kind: str
-    rate: Optional[float] = None  # paced_cbr
-    peak_rate: Optional[float] = None  # on_off_vbr
-    mean_on_s: Optional[float] = None
-    mean_off_s: Optional[float] = None
-    cap: Optional[float] = None  # greedy_ubr
-
-
-@dataclass(frozen=True)
-class AbrOverrides:
-    """ABR parameters; air and initial_acr left None take default_source's
-    values derived from the contract."""
-
-    air: Optional[float] = None
-    rdf: float = DEFAULT_RDF
-    nrm: int = DEFAULT_NRM
-    initial_acr: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class ConnectionSpec:
-    id: str
-    category: ServiceCategory
-    route: Tuple[str, ...]
-    generator: str
-    descriptor: TrafficDescriptor
-    qos: QosRequirement = QosRequirement()
-    clp: int = 0
-    abr: AbrOverrides = AbrOverrides()
-
-
-@dataclass(frozen=True)
-class LecSpec:
-    host: str
-    mac: bytes
-
-
-@dataclass(frozen=True)
-class LaneTrafficSpec:
-    src: str  # host name of the sending LEC
-    dst_mac: bytes  # BROADCAST_MAC for broadcast traffic
-    rate: float  # frames per second
-    frame_bytes: Tuple[int, int]  # uniform range; lo == hi means fixed
-    start: float = 0.0
-    count: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class LaneSpec:
-    les: str
-    bus: str
-    lecs: Tuple[LecSpec, ...]
-    parallel_bus: bool = False
-    traffic: Tuple[LaneTrafficSpec, ...] = ()
-
-
-@dataclass(frozen=True)
-class Scenario:
-    duration_s: float
-    seed: int
-    nodes: Tuple[NodeSpec, ...]
-    links: Tuple[LinkSpec, ...]
-    connections: Tuple[ConnectionSpec, ...] = ()
-    generators: Tuple[GeneratorSpec, ...] = ()
-    lane: Optional[LaneSpec] = None
-
-
 def _expect(obj: Any, kind: type, where: str) -> Any:
     if kind is float:
         if not isinstance(obj, (int, float)) or isinstance(obj, bool):
@@ -151,180 +60,200 @@ def _expect(obj: Any, kind: type, where: str) -> Any:
     return obj
 
 
-def _get(mapping: Dict[str, Any], key: str, kind: type, where: str, default: Any = ...) -> Any:
-    if key not in mapping:
-        if default is ...:
-            raise ScenarioError(f"{where}: missing required key {key!r}")
-        return default
-    value = _expect(mapping[key], kind, f"{where}.{key}")
-    if kind is float and not math.isfinite(value):
-        raise ScenarioError(f"{where}: {key} must be finite, got {value}")
-    return value
-
-
-def _check_keys(mapping: Dict[str, Any], allowed: Tuple[str, ...], where: str) -> None:
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _parse_node(raw: Any, where: str) -> NodeSpec:
-    raw = _expect(raw, dict, where)
-    _check_keys(raw, ("name", "kind", "queue_capacity", "clp_threshold", "efci_threshold"), where)
-    return NodeSpec(
-        name=_get(raw, "name", str, where),
-        kind=_get(raw, "kind", str, where),
-        queue_capacity=_get(raw, "queue_capacity", int, where, None),
-        clp_threshold=_get(raw, "clp_threshold", int, where, None),
-        efci_threshold=_get(raw, "efci_threshold", int, where, None),
-    )
-
-
-def _parse_link(raw: Any, where: str) -> LinkSpec:
-    raw = _expect(raw, dict, where)
-    _check_keys(raw, ("a", "b", "bit_rate", "propagation_delay", "booking_factor"), where)
-    return LinkSpec(
-        a=_get(raw, "a", str, where),
-        b=_get(raw, "b", str, where),
-        bit_rate=_get(raw, "bit_rate", float, where),
-        propagation_delay=_get(raw, "propagation_delay", float, where),
-        booking_factor=_get(raw, "booking_factor", float, where, 1.0),
-    )
-
-
-def _parse_generator(raw: Any, where: str) -> GeneratorSpec:
-    raw = _expect(raw, dict, where)
-    _check_keys(raw, ("id", "kind", "rate", "peak_rate", "mean_on_s", "mean_off_s", "cap"), where)
-    return GeneratorSpec(
-        id=_get(raw, "id", str, where),
-        kind=_get(raw, "kind", str, where),
-        rate=_get(raw, "rate", float, where, None),
-        peak_rate=_get(raw, "peak_rate", float, where, None),
-        mean_on_s=_get(raw, "mean_on_s", float, where, None),
-        mean_off_s=_get(raw, "mean_off_s", float, where, None),
-        cap=_get(raw, "cap", float, where, None),
-    )
-
-
-def _parse_descriptor(raw: Any, where: str) -> TrafficDescriptor:
-    raw = _expect(raw, dict, where)
-    _check_keys(raw, ("pcr", "cdvt", "scr", "mbs", "mcr"), where)
-    fields = dict(
-        pcr=_get(raw, "pcr", float, where),
-        cdvt=_get(raw, "cdvt", float, where, None),
-        scr=_get(raw, "scr", float, where, None),
-        mbs=_get(raw, "mbs", int, where, None),
-        mcr=_get(raw, "mcr", float, where, None),
-    )
+def _category(raw: Any, where: str) -> ServiceCategory:
+    name = _expect(raw, str, where)
     try:
-        return TrafficDescriptor(**fields)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-
-
-def _parse_qos(raw: Any, where: str) -> QosRequirement:
-    raw = _expect(raw, dict, where)
-    keys = ("clr_clp0", "clr_clp1", "max_ctd", "max_cdv")
-    _check_keys(raw, keys, where)
-    fields = {key: _get(raw, key, float, where, None) for key in keys}
-    try:
-        return QosRequirement(**fields)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-
-
-def _parse_connection(raw: Any, where: str) -> ConnectionSpec:
-    raw = _expect(raw, dict, where)
-    _check_keys(
-        raw, ("id", "category", "route", "generator", "descriptor", "qos", "clp", "abr"), where
-    )
-    name = _get(raw, "category", str, where)
-    try:
-        category = ServiceCategory[name.upper()]
+        return ServiceCategory[name.upper()]
     except KeyError:
-        raise ScenarioError(f"{where}.category: unknown service category {name!r}") from None
-    route_raw = _expect(raw.get("route"), list, f"{where}.route")
-    route = tuple(_expect(n, str, f"{where}.route[{i}]") for i, n in enumerate(route_raw))
-    if "abr" in raw and category is not ServiceCategory.ABR:
-        raise ScenarioError(
-            f"{where}.abr: only ABR connections take abr parameters, not {category.name}"
-        )
-    abr_raw = _expect(raw.get("abr", {}), dict, f"{where}.abr")
-    _check_keys(abr_raw, ("air", "rdf", "nrm", "initial_acr"), f"{where}.abr")
-    abr = AbrOverrides(
-        air=_get(abr_raw, "air", float, f"{where}.abr", None),
-        rdf=_get(abr_raw, "rdf", float, f"{where}.abr", DEFAULT_RDF),
-        nrm=_get(abr_raw, "nrm", int, f"{where}.abr", DEFAULT_NRM),
-        initial_acr=_get(abr_raw, "initial_acr", float, f"{where}.abr", None),
-    )
-    return ConnectionSpec(
-        id=_get(raw, "id", str, where),
-        category=category,
-        route=route,
-        generator=_get(raw, "generator", str, where),
-        descriptor=_parse_descriptor(raw.get("descriptor", {}), f"{where}.descriptor"),
-        qos=_parse_qos(raw.get("qos", {}), f"{where}.qos"),
-        clp=_get(raw, "clp", int, where, 0),
-        abr=abr,
-    )
+        raise ScenarioError(f"{where}: unknown service category {name!r}") from None
 
 
-def _parse_mac_field(text: str, where: str) -> bytes:
+def _mac(raw: Any, where: str) -> bytes:
+    text = _expect(raw, str, where)
     try:
         return parse_mac(text)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _parse_lane(raw: Any, where: str) -> LaneSpec:
+def _dst_mac(raw: Any, where: str) -> bytes:
+    return BROADCAST_MAC if raw == "broadcast" else _mac(raw, where)
+
+
+def _frame_bytes(raw: Any, where: str) -> Tuple[int, int]:
+    if not isinstance(raw, list):
+        size = _expect(raw, int, where)
+        return (size, size)
+    if len(raw) != 2:
+        raise ScenarioError(f"{where}: a range needs exactly [lo, hi]")
+    return (_expect(raw[0], int, f"{where}[0]"), _expect(raw[1], int, f"{where}[1]"))
+
+
+def _json(read: Callable[[Any, str], Any], key: Optional[str] = None) -> Any:
+    """A required field whose JSON value is not of its type, so
+    ``read(value, where)`` converts it; from JSON key ``key`` if given."""
+    return field(metadata={"read": read, "key": key})
+
+
+@dataclass(frozen=True, kw_only=True)
+class NodeSpec:
+    name: str
+    kind: str  # "host" | "switch"
+    queue_capacity: Optional[int] = None
+    clp_threshold: Optional[int] = None
+    efci_threshold: Optional[int] = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class LinkSpec:
+    a: str
+    b: str
+    bit_rate: float
+    propagation_delay: float
+    booking_factor: float = 1.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class GeneratorSpec:
+    id: str
+    kind: str
+    rate: Optional[float] = None  # paced_cbr
+    peak_rate: Optional[float] = None  # on_off_vbr
+    mean_on_s: Optional[float] = None
+    mean_off_s: Optional[float] = None
+    cap: Optional[float] = None  # greedy_ubr
+
+
+@dataclass(frozen=True, kw_only=True)
+class AbrOverrides:
+    """ABR parameters; air and initial_acr left None take default_source's
+    values derived from the contract."""
+
+    air: Optional[float] = None
+    rdf: float = DEFAULT_RDF
+    nrm: int = DEFAULT_NRM
+    initial_acr: Optional[float] = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class ConnectionSpec:
+    id: str
+    category: ServiceCategory = _json(_category)
+    route: Tuple[str, ...]
+    generator: str
+    descriptor: TrafficDescriptor
+    qos: QosRequirement = QosRequirement()
+    clp: int = 0
+    abr: AbrOverrides = AbrOverrides()  # ABR connections only
+
+
+@dataclass(frozen=True, kw_only=True)
+class LecSpec:
+    host: str
+    mac: bytes = _json(_mac)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LaneTrafficSpec:
+    src: str  # host name of the sending LEC
+    dst_mac: bytes = _json(_dst_mac, key="dst")  # BROADCAST_MAC for "broadcast"
+    rate: float  # frames per second
+    frame_bytes: Tuple[int, int] = _json(_frame_bytes)  # lo == hi means fixed
+    start: float = 0.0
+    count: Optional[int] = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class LaneSpec:
+    les: str
+    bus: str
+    lecs: Tuple[LecSpec, ...] = ()
+    parallel_bus: bool = False
+    traffic: Tuple[LaneTrafficSpec, ...] = ()
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    duration_s: float
+    seed: int = 0
+    nodes: Tuple[NodeSpec, ...] = ()
+    links: Tuple[LinkSpec, ...] = ()
+    connections: Tuple[ConnectionSpec, ...] = ()
+    generators: Tuple[GeneratorSpec, ...] = ()
+    lane: Optional[LaneSpec] = None  # null reads as absent
+
+
+class _Key(NamedTuple):
+    """How ``_record`` reads one JSON key, taken from a dataclass field."""
+
+    name: str  # the field's name
+    read: Callable[[Any, str], Any]  # (value, where) -> field value
+    required: bool
+    finite: bool  # a number, so NaN and infinities are refused
+    null_absent: bool  # an optional record: null means the key is absent
+    bare: bool  # a list or record of the top level, named by its key alone
+
+
+def _reader(kind: Any) -> Callable[[Any, str], Any]:
+    if is_dataclass(kind):
+        return functools.partial(_record, kind)
+    if get_origin(kind) is tuple:  # Tuple[X, ...]
+        item = _reader(get_args(kind)[0])
+        return lambda raw, where: tuple(
+            item(x, f"{where}[{i}]") for i, x in enumerate(_expect(raw, list, where))
+        )
+    return lambda raw, where: _expect(raw, kind, where)
+
+
+@functools.cache
+def _keys(cls: type) -> Dict[str, _Key]:
+    """The JSON keys of spec dataclass ``cls``, in field order."""
+    hints = get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        optional = get_origin(kind) is Union
+        if optional:
+            kind = get_args(kind)[0]  # Optional[X] is Union[X, None]
+        keys[f.metadata.get("key") or f.name] = _Key(
+            name=f.name,
+            read=f.metadata.get("read") or _reader(kind),
+            required=f.default is MISSING and f.default_factory is MISSING,
+            finite=kind is float,
+            null_absent=optional and is_dataclass(kind),
+            bare=cls is Scenario and kind not in (str, int, float, bool),
+        )
+    return keys
+
+
+def _record(cls: type, raw: Any, where: str) -> Any:
+    """Read the JSON object ``raw``, found at ``where``, as a ``cls``."""
     raw = _expect(raw, dict, where)
-    _check_keys(raw, ("les", "bus", "lecs", "parallel_bus", "traffic"), where)
-    lecs_raw = _expect(raw.get("lecs", []), list, f"{where}.lecs")
-    lecs = []
-    for i, entry in enumerate(lecs_raw):
-        entry = _expect(entry, dict, f"{where}.lecs[{i}]")
-        _check_keys(entry, ("host", "mac"), f"{where}.lecs[{i}]")
-        lecs.append(
-            LecSpec(
-                host=_get(entry, "host", str, f"{where}.lecs[{i}]"),
-                mac=_parse_mac_field(
-                    _get(entry, "mac", str, f"{where}.lecs[{i}]"), f"{where}.lecs[{i}].mac"
-                ),
+    keys = _keys(cls)
+    unknown = raw.keys() - keys.keys()
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    values: Dict[str, Any] = {}
+    for key, spec in keys.items():
+        value = raw.get(key)
+        if value is None and (spec.null_absent or key not in raw):
+            if spec.required:
+                raise ScenarioError(f"{where}: missing required key {key!r}")
+            continue
+        if key == "abr" and values["category"] is not ServiceCategory.ABR:
+            # a ConnectionSpec's abr follows its category
+            raise ScenarioError(
+                f"{where}.abr: only ABR connections take abr parameters, "
+                f"not {values['category'].name}"
             )
-        )
-    traffic_raw = _expect(raw.get("traffic", []), list, f"{where}.traffic")
-    traffic = []
-    for i, entry in enumerate(traffic_raw):
-        w = f"{where}.traffic[{i}]"
-        entry = _expect(entry, dict, w)
-        _check_keys(entry, ("src", "dst", "rate", "frame_bytes", "start", "count"), w)
-        dst_text = _get(entry, "dst", str, w)
-        dst_mac = BROADCAST_MAC if dst_text == "broadcast" else _parse_mac_field(dst_text, f"{w}.dst")
-        fb = entry.get("frame_bytes")
-        if isinstance(fb, list):
-            if len(fb) != 2:
-                raise ScenarioError(f"{w}.frame_bytes: a range needs exactly [lo, hi]")
-            lo = _expect(fb[0], int, f"{w}.frame_bytes[0]")
-            hi = _expect(fb[1], int, f"{w}.frame_bytes[1]")
-        else:
-            lo = hi = _expect(fb, int, f"{w}.frame_bytes")
-        traffic.append(
-            LaneTrafficSpec(
-                src=_get(entry, "src", str, w),
-                dst_mac=dst_mac,
-                rate=_get(entry, "rate", float, w),
-                frame_bytes=(lo, hi),
-                start=_get(entry, "start", float, w, 0.0),
-                count=_get(entry, "count", int, w, None),
-            )
-        )
-    return LaneSpec(
-        les=_get(raw, "les", str, where),
-        bus=_get(raw, "bus", str, where),
-        lecs=tuple(lecs),
-        parallel_bus=_get(raw, "parallel_bus", bool, where, False),
-        traffic=tuple(traffic),
-    )
+        value = spec.read(value, key if spec.bare else f"{where}.{key}")
+        if spec.finite and not math.isfinite(value):
+            raise ScenarioError(f"{where}: {key} must be finite, got {value}")
+        values[spec.name] = value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def load_scenario(source: Union[str, Path, Dict[str, Any]]) -> Scenario:
@@ -337,38 +266,7 @@ def load_scenario(source: Union[str, Path, Dict[str, Any]]) -> Scenario:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from None
-    raw = _expect(raw, dict, "scenario")
-    _check_keys(
-        raw,
-        ("duration_s", "seed", "nodes", "links", "connections", "generators", "lane"),
-        "scenario",
-    )
-    nodes = tuple(
-        _parse_node(n, f"nodes[{i}]")
-        for i, n in enumerate(_expect(raw.get("nodes", []), list, "nodes"))
-    )
-    links = tuple(
-        _parse_link(l, f"links[{i}]")
-        for i, l in enumerate(_expect(raw.get("links", []), list, "links"))
-    )
-    generators = tuple(
-        _parse_generator(g, f"generators[{i}]")
-        for i, g in enumerate(_expect(raw.get("generators", []), list, "generators"))
-    )
-    connections = tuple(
-        _parse_connection(c, f"connections[{i}]")
-        for i, c in enumerate(_expect(raw.get("connections", []), list, "connections"))
-    )
-    lane = _parse_lane(raw["lane"], "lane") if raw.get("lane") is not None else None
-    return Scenario(
-        duration_s=_get(raw, "duration_s", float, "scenario"),
-        seed=_get(raw, "seed", int, "scenario", 0),
-        nodes=nodes,
-        links=links,
-        connections=connections,
-        generators=generators,
-        lane=lane,
-    )
+    return _record(Scenario, raw, "scenario")
 
 
 # Components a spec configures.  The engine runs with these, and
@@ -380,6 +278,11 @@ def output_queue(node: NodeSpec) -> OutputQueue:
     """The queue behind each output port of ``node``."""
     capacity = node.queue_capacity if node.queue_capacity is not None else DEFAULT_QUEUE_CAPACITY
     return OutputQueue(capacity, node.clp_threshold, node.efci_threshold)
+
+
+def link_booking(link: LinkSpec) -> LinkBooking:
+    """The bandwidth ledger of each direction of ``link``."""
+    return LinkBooking(link.bit_rate / CELL_BITS, link.booking_factor)
 
 
 def emission_rate(gen: GeneratorSpec) -> Optional[float]:
@@ -436,6 +339,8 @@ def validate_scenario(sc: Scenario) -> List[str]:
             v.append(f"link {link.a}--{link.b}: propagation_delay must be >= 0")
         if link.booking_factor <= 0:
             v.append(f"link {link.a}--{link.b}: booking_factor must be positive")
+        elif link.bit_rate > 0:
+            v.extend(_construction_errors(f"link {link.a}--{link.b}", link_booking, link))
         adjacency.setdefault(link.a, {})[link.b] = link.bit_rate / CELL_BITS
         adjacency.setdefault(link.b, {})[link.a] = link.bit_rate / CELL_BITS
 
@@ -497,7 +402,9 @@ def validate_scenario(sc: Scenario) -> List[str]:
             peak = emission_rate(gen)
             if peak is not None and peak > conn.descriptor.pcr:
                 v.append(f"connection {cid}: generator exceeds the declared pcr")
-            # a source faster than its first link makes a run without end
+            # a source faster than its first link makes a run without end, and
+            # so does one whose spacing rounds away (now + 1/rate == now)
+            # before the end
             sends = conn.descriptor.pcr if gen.kind == "greedy_abr" else peak
             link = conn.route[:2]
             link_rate = adjacency.get(link[0], {}).get(link[1]) if len(link) == 2 else None
@@ -505,6 +412,11 @@ def validate_scenario(sc: Scenario) -> List[str]:
                 v.append(
                     f"connection {cid}: sends up to {sends:g} cells/s, above the "
                     f"{link_rate:g} cells/s of link {link[0]}--{link[1]}"
+                )
+            elif sends is not None and sends > 0 and sc.duration_s + 1.0 / sends == sc.duration_s:
+                v.append(
+                    f"connection {cid}: at {sends:g} cells/s the clock stops advancing "
+                    f"before duration_s {sc.duration_s:g}"
                 )
         for violation in validate_contract(conn.category, conn.descriptor, conn.qos):
             v.append(f"connection {cid}: {violation}")
@@ -611,6 +523,11 @@ def _validate_lane(
             v.append(
                 f"{w}: sends {flow.rate:g} frames/s, above the {fastest:g} cells/s "
                 f"of the fastest link of {flow.src}"
+            )
+        elif flow.rate > 0 and sc.duration_s + 1.0 / flow.rate == sc.duration_s:
+            v.append(
+                f"{w}: at {flow.rate:g} frames/s the clock stops advancing "
+                f"before duration_s {sc.duration_s:g}"
             )
         lo, hi = flow.frame_bytes
         if not MIN_LANE_FRAME_BYTES <= lo <= hi <= MAX_LANE_FRAME_BYTES:

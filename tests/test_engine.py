@@ -697,6 +697,42 @@ class TestSourcesThatCannotEnd:
     """A source faster than its link, or an on/off source whose ON periods
     are shorter than its cell spacing, is refused before the run."""
 
+    def test_duration_past_the_clock_resolution_of_a_source(self, tmp_path):
+        # near 1e20 s, now + 0.01 rounds back to now: the run would stall
+        raw = cbr_scenario(duration=1e20)
+        raw["lane"] = {
+            "les": "b",
+            "bus": "b",
+            "lecs": [{"host": "a", "mac": "02:00:00:00:00:01"}],
+            "traffic": [{"src": "a", "dst": "broadcast", "rate": 20.0, "frame_bytes": 64}],
+        }
+        assert_invalid(
+            tmp_path,
+            raw,
+            [
+                "connection c1: at 100 cells/s the clock stops advancing before "
+                "duration_s 1e+20",
+                "lane.traffic[0]: at 20 frames/s the clock stops advancing before "
+                "duration_s 1e+20",
+            ],
+        )
+
+    def test_off_period_past_the_end_of_the_run_ends_the_source(self, guarded_run):
+        # The first OFF draw lands near 1e20 s, where t + an ON draw rounds
+        # back to t; the gate must stop there rather than draw forever.
+        raw = cbr_scenario()
+        raw["generators"] = [
+            {"id": "g", "kind": "on_off_vbr", "peak_rate": 50.0,
+             "mean_on_s": 0.1, "mean_off_s": 1e20}
+        ]
+        raw["connections"][0].update(
+            category="VBR_RT",
+            descriptor={"pcr": 50.0, "cdvt": 0.001, "scr": 25.0, "mbs": 10},
+        )
+        assert preflight(raw) == []
+        _engine, report = guarded_run(raw, seconds=2.0)
+        assert report.connections["c1"]["transmitted"] >= 1
+
     @pytest.mark.parametrize("rate, shown", [(1e9, "1e+09"), (1e300, "1e+300")])
     def test_lec_faster_than_its_links(self, tmp_path, rate, shown):
         raw = lane_only_scenario(

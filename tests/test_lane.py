@@ -4,6 +4,9 @@ import pytest
 
 from atmsim.lane import (
     BROADCAST_MAC,
+    CACHE_AGING_S,
+    PENDING_DEPTH,
+    PENDING_TIMEOUT_S,
     Bus,
     Lec,
     LecPort,
@@ -209,18 +212,18 @@ class TestLecSending:
         assert len(port.bus_frames) == 1  # resolved: direct only
 
     def test_pending_overflow_drops(self):
-        lec = make_lec(pending_depth=2)
-        for i in range(4):
+        lec = make_lec()
+        for i in range(PENDING_DEPTH + 2):
             lec.send(MAC_B, bytes((i,)))
         stats = lec.per_destination[MAC_B]
-        assert stats.queued == 2
+        assert stats.queued == PENDING_DEPTH
         assert stats.dropped_overflow == 2
         assert lec.counters.pending_dropped == 2
 
     def test_timeout_drops_queue(self):
-        lec = make_lec(pending_timeout=1.0)
+        lec = make_lec()
         lec.send(MAC_B, b"one")
-        lec.port.advance(1.5)
+        lec.port.advance(1.5 * PENDING_TIMEOUT_S)
         stats = lec.per_destination[MAC_B]
         assert stats.dropped_timeout == 1
         # a later send starts a fresh resolution
@@ -228,18 +231,18 @@ class TestLecSending:
         assert len(lec.port.arp_requests) == 2
 
     def test_stale_timeout_ignored_after_reply(self):
-        lec = make_lec(pending_timeout=1.0)
+        lec = make_lec()
         lec.send(MAC_B, b"one")
         lec.on_arp_reply(MAC_B, ATM_B)
-        lec.port.advance(2.0)  # timer fires but the request was satisfied
+        lec.port.advance(2.0 * PENDING_TIMEOUT_S)  # timer fires but the request was satisfied
         assert lec.per_destination[MAC_B].dropped_timeout == 0
 
     def test_negative_reply_keeps_waiting(self):
-        lec = make_lec(pending_timeout=1.0)
+        lec = make_lec()
         lec.send(MAC_B, b"one")
         lec.on_arp_reply(MAC_B, None)
         assert lec.per_destination[MAC_B].queued == 1
-        lec.port.advance(1.5)
+        lec.port.advance(1.5 * PENDING_TIMEOUT_S)
         assert lec.per_destination[MAC_B].dropped_timeout == 1
 
     def test_vc_setup_failure_counted(self):
@@ -253,10 +256,10 @@ class TestLecSending:
         assert lec.per_destination[MAC_B].sent_direct == 1
 
     def test_cache_aging_forces_new_resolution(self):
-        lec = make_lec(cache_aging=300.0)
+        lec = make_lec()
         lec.send(MAC_B, b"one")
         lec.on_arp_reply(MAC_B, ATM_B)
-        lec.port.advance(301.0)
+        lec.port.advance(CACHE_AGING_S + 1.0)
         lec.send(MAC_B, b"two")
         assert len(lec.port.arp_requests) == 2
         assert MAC_B not in lec.cache or lec.cache[MAC_B].learned_at > 0.0

@@ -46,6 +46,120 @@ def violations_of(raw: dict):
     return validate_scenario(load_scenario(raw))
 
 
+def every_record_scenario() -> dict:
+    """base_scenario with one record of every type: qos, an ABR
+    connection with abr overrides, and a LANE with a LEC and traffic."""
+    raw = base_scenario()
+    raw["connections"][0]["qos"] = {"clr_clp0": 0.01, "max_ctd": 0.1}
+    raw["generators"].append({"id": "e", "kind": "greedy_abr"})
+    raw["connections"].append(
+        {
+            "id": "c2",
+            "category": "ABR",
+            "route": ["b", "s", "a"],
+            "generator": "e",
+            "descriptor": {"pcr": 100.0, "mcr": 0.0},
+            "abr": {"rdf": 0.5},
+        }
+    )
+    raw["lane"] = {
+        "les": "a",
+        "bus": "a",
+        "lecs": [{"host": "b", "mac": "02:00:00:00:00:02"}],
+        "traffic": [{"src": "b", "dst": "broadcast", "rate": 10.0, "frame_bytes": 100}],
+    }
+    return raw
+
+
+DROP = object()  # a mutation that removes the key
+
+C0, C1, T0 = ("connections", 0), ("connections", 1), ("lane", "traffic", 0)
+
+# (path, value, the exact ScenarioError): for each record type a missing
+# required key, a wrong type, an unknown key, null and, for numbers, a
+# non-finite value.
+EXACT_MESSAGES = [
+    (("duration_s",), DROP, "scenario: missing required key 'duration_s'"),
+    (("seed",), "7", "scenario.seed: expected an integer, got str"),
+    (("colour",), 1, "scenario: unknown keys ['colour']"),
+    (("seed",), None, "scenario.seed: expected an integer, got NoneType"),
+    (("nodes",), None, "nodes: expected list, got NoneType"),
+    (("duration_s",), float("inf"), "scenario: duration_s must be finite, got inf"),
+    (("nodes", 0, "kind"), DROP, "nodes[0]: missing required key 'kind'"),
+    (("nodes", 0, "queue_capacity"), 1.5,
+     "nodes[0].queue_capacity: expected an integer, got float"),
+    (("nodes", 0, "colour"), "red", "nodes[0]: unknown keys ['colour']"),
+    (("nodes", 0, "efci_threshold"), None,
+     "nodes[0].efci_threshold: expected an integer, got NoneType"),
+    (("nodes", 0), None, "nodes[0]: expected dict, got NoneType"),
+    (("links", 0, "bit_rate"), DROP, "links[0]: missing required key 'bit_rate'"),
+    (("links", 0, "a"), 3, "links[0].a: expected str, got int"),
+    (("links", 0, "metric"), 10, "links[0]: unknown keys ['metric']"),
+    (("links", 0, "booking_factor"), None,
+     "links[0].booking_factor: expected a number, got NoneType"),
+    (("links", 0, "propagation_delay"), float("nan"),
+     "links[0]: propagation_delay must be finite, got nan"),
+    (("generators", 0, "kind"), DROP, "generators[0]: missing required key 'kind'"),
+    (("generators", 0, "rate"), "fast", "generators[0].rate: expected a number, got str"),
+    (("generators", 0, "burst"), 2, "generators[0]: unknown keys ['burst']"),
+    (("generators", 0, "rate"), None, "generators[0].rate: expected a number, got NoneType"),
+    (("generators", 0, "rate"), float("-inf"), "generators[0]: rate must be finite, got -inf"),
+    (C0 + ("generator",), DROP, "connections[0]: missing required key 'generator'"),
+    (C0 + ("category",), 5, "connections[0].category: expected str, got int"),
+    (C0 + ("route",), ["a", 1], "connections[0].route[1]: expected str, got int"),
+    (C0 + ("clp",), True, "connections[0].clp: expected an integer, got bool"),
+    (C0 + ("priority",), 1, "connections[0]: unknown keys ['priority']"),
+    (C0 + ("route",), None, "connections[0].route: expected list, got NoneType"),
+    (C0 + ("category",), "TURBO", "connections[0].category: unknown service category 'TURBO'"),
+    (C0 + ("abr",), None, "connections[0].abr: only ABR connections take abr parameters, not CBR"),
+    (C0 + ("descriptor", "pcr"), DROP, "connections[0].descriptor: missing required key 'pcr'"),
+    (C0 + ("descriptor", "mbs"), 2.5,
+     "connections[0].descriptor.mbs: expected an integer, got float"),
+    (C0 + ("descriptor", "bt"), 1, "connections[0].descriptor: unknown keys ['bt']"),
+    (C0 + ("descriptor", "cdvt"), None,
+     "connections[0].descriptor.cdvt: expected a number, got NoneType"),
+    (C0 + ("descriptor",), None, "connections[0].descriptor: expected dict, got NoneType"),
+    (C0 + ("descriptor", "pcr"), float("inf"),
+     "connections[0].descriptor: pcr must be finite, got inf"),
+    (C0 + ("descriptor", "pcr"), -1, "connections[0].descriptor: pcr must be positive"),
+    (C0 + ("qos", "max_ctd"), "1", "connections[0].qos.max_ctd: expected a number, got str"),
+    (C0 + ("qos", "clr"), 0.1, "connections[0].qos: unknown keys ['clr']"),
+    (C0 + ("qos", "max_cdv"), None, "connections[0].qos.max_cdv: expected a number, got NoneType"),
+    (C0 + ("qos",), None, "connections[0].qos: expected dict, got NoneType"),
+    (C0 + ("qos", "clr_clp0"), float("nan"),
+     "connections[0].qos: clr_clp0 must be finite, got nan"),
+    (C0 + ("qos", "clr_clp0"), 2, "connections[0].qos: clr_clp0 must be a ratio in [0, 1]"),
+    (C1 + ("abr", "nrm"), 1.5, "connections[1].abr.nrm: expected an integer, got float"),
+    (C1 + ("abr", "icr"), 1.0, "connections[1].abr: unknown keys ['icr']"),
+    (C1 + ("abr", "rdf"), None, "connections[1].abr.rdf: expected a number, got NoneType"),
+    (C1 + ("abr",), None, "connections[1].abr: expected dict, got NoneType"),
+    (C1 + ("abr", "air"), float("inf"), "connections[1].abr: air must be finite, got inf"),
+    (("lane", "les"), DROP, "lane: missing required key 'les'"),
+    (("lane", "parallel_bus"), 1, "lane.parallel_bus: expected bool, got int"),
+    (("lane", "elan"), "x", "lane: unknown keys ['elan']"),
+    (("lane", "bus"), None, "lane.bus: expected str, got NoneType"),
+    (("lane", "lecs"), None, "lane.lecs: expected list, got NoneType"),
+    (("lane", "lecs", 0, "mac"), DROP, "lane.lecs[0]: missing required key 'mac'"),
+    (("lane", "lecs", 0, "host"), 1, "lane.lecs[0].host: expected str, got int"),
+    (("lane", "lecs", 0, "vlan"), 1, "lane.lecs[0]: unknown keys ['vlan']"),
+    (("lane", "lecs", 0, "mac"), None, "lane.lecs[0].mac: expected str, got NoneType"),
+    (("lane", "lecs", 0, "mac"), "broadcast",
+     "lane.lecs[0].mac: MAC address needs 6 octets: 'broadcast'"),
+    (T0 + ("rate",), DROP, "lane.traffic[0]: missing required key 'rate'"),
+    (T0 + ("dst",), DROP, "lane.traffic[0]: missing required key 'dst'"),
+    (T0 + ("count",), 1.5, "lane.traffic[0].count: expected an integer, got float"),
+    (T0 + ("frame_bytes",), [64], "lane.traffic[0].frame_bytes: a range needs exactly [lo, hi]"),
+    (T0 + ("frame_bytes",), [64, "x"],
+     "lane.traffic[0].frame_bytes[1]: expected an integer, got str"),
+    (T0 + ("frame_bytes",), "64", "lane.traffic[0].frame_bytes: expected an integer, got str"),
+    (T0 + ("dst",), "02:00", "lane.traffic[0].dst: MAC address needs 6 octets: '02:00'"),
+    (T0 + ("vlan",), 1, "lane.traffic[0]: unknown keys ['vlan']"),
+    (T0 + ("start",), None, "lane.traffic[0].start: expected a number, got NoneType"),
+    (T0 + ("count",), None, "lane.traffic[0].count: expected an integer, got NoneType"),
+    (T0 + ("rate",), float("inf"), "lane.traffic[0]: rate must be finite, got inf"),
+]
+
+
 class TestLoading:
     def test_minimal_scenario_loads(self):
         sc = load_scenario(base_scenario())
@@ -109,6 +223,41 @@ class TestLoading:
         raw["connections"][0]["category"] = "TURBO"
         with pytest.raises(ScenarioError, match="unknown service category"):
             load_scenario(raw)
+
+    def test_every_record_scenario_is_valid(self):
+        assert violations_of(every_record_scenario()) == []
+
+    @pytest.mark.parametrize("path, value, message", EXACT_MESSAGES)
+    def test_exact_message(self, path, value, message):
+        raw = every_record_scenario()
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        if value is DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(raw)
+        assert str(info.value) == message
+
+    def test_document_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text("[]")
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(str(path))
+        assert str(info.value) == "scenario: expected dict, got list"
+
+    def test_null_lane_reads_as_absent(self):
+        raw = base_scenario()
+        raw["lane"] = None
+        assert load_scenario(raw) == load_scenario(base_scenario())
+
+    def test_optional_keys_take_their_defaults(self):
+        raw = every_record_scenario()
+        del raw["seed"], raw["nodes"], raw["links"], raw["lane"]["lecs"]
+        sc = load_scenario(raw)
+        assert (sc.seed, sc.nodes, sc.links, sc.lane.lecs) == (0, (), (), ())
 
     def test_integer_accepted_where_float_expected(self):
         raw = base_scenario()
