@@ -52,8 +52,6 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .aal5 import Reassembler, ReassemblyError, segment
 from .abr import (
     AbrSourceState,
@@ -75,6 +73,7 @@ from .lane import (
     encode_arp_reply,
     format_mac,
 )
+from .rng import Stream
 from .scenario import (
     ConnectionSpec,
     GeneratorSpec,
@@ -146,15 +145,16 @@ class EventQueue:
         return entry
 
 
-def rng_stream(seed: int, label: str) -> np.random.Generator:
+def rng_stream(seed: int, label: str) -> Stream:
     """Independent 64-bit Philox stream keyed by (seed, label).
 
     Keys are derived by hashing, so streams are stable per label: adding
     a connection to a scenario does not perturb the draws of the others.
+    The key is the first 16 bytes of the digest as two little-endian
+    64-bit words, as ``numpy.random.Philox(key=...)`` reads them.
     """
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Stream(int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +172,18 @@ class OnOffGate:
     is sent then, and far enough out ``t + on`` rounds back to ``t``.
     """
 
-    def __init__(
-        self, mean_on_s: float, mean_off_s: float, rng: np.random.Generator, end: float
-    ):
+    def __init__(self, mean_on_s: float, mean_off_s: float, rng: Stream, end: float):
         self.mean_on = mean_on_s
         self.mean_off = mean_off_s
         self.rng = rng
         self.end = end
-        self.on_end = float(rng.exponential(mean_on_s))
+        self.on_end = rng.exponential(mean_on_s)
 
     def admit(self, t: float) -> float:
         while self.on_end <= t <= self.end:
-            off = float(self.rng.exponential(self.mean_off)) if self.mean_off else 0.0
+            off = self.rng.exponential(self.mean_off) if self.mean_off else 0.0
             t = self.on_end + off
-            self.on_end = t + float(self.rng.exponential(self.mean_on))
+            self.on_end = t + self.rng.exponential(self.mean_on)
         return t
 
 
@@ -319,9 +317,7 @@ class LaneTrafficState:
 
     gate = None
 
-    def __init__(
-        self, spec: LaneTrafficSpec, rng: np.random.Generator, lec: Lec, frame_seq: Iterator[int]
-    ):
+    def __init__(self, spec: LaneTrafficSpec, rng: Stream, lec: Lec, frame_seq: Iterator[int]):
         self.spec = spec
         self.rate = spec.rate
         self.rng = rng
@@ -333,7 +329,7 @@ class LaneTrafficState:
         lo, hi = self.spec.frame_bytes
         if lo == hi:
             return lo
-        return int(self.rng.integers(lo, hi + 1))
+        return self.rng.integers(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,16 @@ class ScenarioError(ValueError):
 
 
 def _expect(obj: Any, kind: type, where: str) -> Any:
-    if kind is float:
-        if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-            raise ScenarioError(f"{where}: expected a number, got {type(obj).__name__}")
-        return float(obj)
-    if kind is int:
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            raise ScenarioError(f"{where}: expected an integer, got {type(obj).__name__}")
-        return obj
+    if kind is float or kind is int:
+        noun, types = ("a number", (int, float)) if kind is float else ("an integer", int)
+        if not isinstance(obj, types) or isinstance(obj, bool):
+            raise ScenarioError(f"{where}: expected {noun}, got {type(obj).__name__}")
+        # JSON integers are unbounded; every number here must fit a float
+        try:
+            as_float = float(obj)
+        except OverflowError:
+            raise ScenarioError(f"{where}: integer beyond the float range") from None
+        return as_float if kind is float else obj
     if not isinstance(obj, kind):
         raise ScenarioError(f"{where}: expected {kind.__name__}, got {type(obj).__name__}")
     return obj
@@ -264,7 +266,7 @@ def load_scenario(source: Union[str, Path, Dict[str, Any]]) -> Scenario:
         text = Path(source).read_text()
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
             raise ScenarioError(f"not valid JSON: {exc}") from None
     return _record(Scenario, raw, "scenario")
 

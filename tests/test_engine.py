@@ -165,20 +165,25 @@ class TestOneSequence:
         assert seen == list(order)
 
 
+def eight_draws(seed, label):
+    stream = rng_stream(seed, label)
+    return [stream.next_double() for _ in range(8)]
+
+
 class TestRngStreams:
     def test_same_seed_same_label_reproduces(self):
-        a = rng_stream(42, "alpha").random(8)
-        b = rng_stream(42, "alpha").random(8)
+        a = eight_draws(42, "alpha")
+        b = eight_draws(42, "alpha")
         assert list(a) == list(b)
 
     def test_labels_are_independent(self):
-        a = rng_stream(42, "alpha").random(8)
-        b = rng_stream(42, "beta").random(8)
+        a = eight_draws(42, "alpha")
+        b = eight_draws(42, "beta")
         assert list(a) != list(b)
 
     def test_seed_changes_stream(self):
-        a = rng_stream(1, "alpha").random(8)
-        b = rng_stream(2, "alpha").random(8)
+        a = eight_draws(1, "alpha")
+        b = eight_draws(2, "alpha")
         assert list(a) != list(b)
 
 

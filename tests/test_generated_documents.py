@@ -85,8 +85,8 @@ def key_paths(obj, prefix=()):
 
 PATHS = list(key_paths(document()))
 DROP = "<drop>"
-VALUES = [DROP, None, True, False, 0, -1, 1e20, 1e-300, 5e-324, "", "broadcast", "CBR",
-          "02:00:00:00:00:09", [], [64, 600], ["a", "s"], {}, {"pcr": 1.0}]
+VALUES = [DROP, None, True, False, 0, -1, 1e20, 1e-300, 5e-324, 10**400, "", "broadcast",
+          "CBR", "02:00:00:00:00:09", [], [64, 600], ["a", "s"], {}, {"pcr": 1.0}]
 
 
 def mutated(mutations) -> dict:

@@ -157,6 +157,11 @@ EXACT_MESSAGES = [
     (T0 + ("start",), None, "lane.traffic[0].start: expected a number, got NoneType"),
     (T0 + ("count",), None, "lane.traffic[0].count: expected an integer, got NoneType"),
     (T0 + ("rate",), float("inf"), "lane.traffic[0]: rate must be finite, got inf"),
+    pytest.param(("duration_s",), 10**400, "scenario.duration_s: integer beyond the float range",
+                 id="duration_s-10**400"),
+    pytest.param(("nodes", 0, "queue_capacity"), 10**400,
+                 "nodes[0].queue_capacity: integer beyond the float range",
+                 id="queue_capacity-10**400"),
 ]
 
 
@@ -240,6 +245,13 @@ class TestLoading:
         with pytest.raises(ScenarioError) as info:
             load_scenario(raw)
         assert str(info.value) == message
+
+    def test_integer_of_too_many_digits_rejected(self, tmp_path):
+        # json refuses it where Python limits int digits, _expect elsewhere
+        path = tmp_path / "scenario.json"
+        path.write_text('{"duration_s": 1' + "0" * 5000 + "}")
+        with pytest.raises(ScenarioError):
+            load_scenario(str(path))
 
     def test_document_that_is_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "scenario.json"
