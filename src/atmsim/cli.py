@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a scenario fails validation or a trace
-contains non-conforming cells, 2 on usage errors (missing files, bad
-hex, malformed trace lines).
+contains non-conforming cells, 2 on usage errors (a missing file or a
+directory given as one, a ``run --out`` that names a file, bad hex,
+malformed trace lines).
 """
 
 from __future__ import annotations
@@ -46,13 +47,25 @@ def _die(message: str, code: int) -> "int":
     return code
 
 
+def _not_a_file(path: str) -> Optional[str]:
+    """Why ``path`` cannot be read as an input file, or None."""
+    if not os.path.exists(path):
+        return f"no such file: {path}"
+    if os.path.isdir(path):
+        return f"is a directory: {path}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # run
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.scenario):
-        return _die(f"no such file: {args.scenario}", USAGE_ERROR)
+    problem = _not_a_file(args.scenario)
+    if problem is not None:
+        return _die(problem, USAGE_ERROR)
+    if args.out is not None and os.path.exists(args.out) and not os.path.isdir(args.out):
+        return _die(f"--out is not a directory: {args.out}", USAGE_ERROR)
     try:
         sc = load_scenario(args.scenario)
     except ScenarioError as exc:
@@ -130,8 +143,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.scenario):
-        return _die(f"no such file: {args.scenario}", USAGE_ERROR)
+    problem = _not_a_file(args.scenario)
+    if problem is not None:
+        return _die(problem, USAGE_ERROR)
     try:
         sc = load_scenario(args.scenario)
     except ScenarioError as exc:
@@ -150,8 +164,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.trace):
-        return _die(f"no such file: {args.trace}", USAGE_ERROR)
+    problem = _not_a_file(args.trace)
+    if problem is not None:
+        return _die(problem, USAGE_ERROR)
     if (args.scr is None) != (args.mbs is None):
         return _die("--scr and --mbs must be given together", USAGE_ERROR)
     if args.port is not None and args.port < 0:

@@ -36,6 +36,12 @@ link leads to and the link's transmit stats.  Queue occupancy therefore
 counts waiting cells, with the cell on the wire "in service".  A link
 is idle only while its queue is empty.
 
+Each DirectedLink also holds the VC table of its far end, keyed by the
+VCI a cell carries on the link, so an arrival is one lookup: at a switch
+the entry names the next link and VCI, at a host the sink of the VC that
+ends there.  The label tables of ``atmsim.switch`` serve codec-level
+Cell values only.
+
 Every flow counts its cells once, in its ConnectionMetrics: emitted and
 lost by loss priority, and delivered.  Cell conservation, the audit run
 at the end, compares those counters with the cells still in the network.
@@ -50,7 +56,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .aal5 import Reassembler, ReassemblyError, segment
 from .abr import (
@@ -88,14 +94,7 @@ from .scenario import (
     switch_route,
     validate_scenario,
 )
-from .switch import (
-    EnqueueOutcome,
-    LinkBooking,
-    OutputQueue,
-    VcRoute,
-    VcTable,
-    cac_admit,
-)
+from .switch import EnqueueOutcome, LinkBooking, OutputQueue, cac_admit
 from .traffic import (
     ConnectionMetrics,
     ServiceCategory,
@@ -337,30 +336,28 @@ class LaneTrafficState:
 
 
 class DirectedLink:
-    """One direction of a physical link, which is also the output port
-    ``src_port`` of node ``src``: the bounded queue, the wire and the
-    transmit stats.  Cells leave it at port ``dst_port`` of ``dst_node``.
+    """One direction of a physical link, which is also an output port of
+    node ``src``: the bounded queue, the wire and the transmit stats.
 
     ``holding`` is the cell being serialized; the wire is busy exactly
-    while it is set.
+    while it is set.  ``vcs`` is the VC table of ``dst_node`` for cells
+    arriving over this link, keyed by the VCI they carry on it: at a
+    switch an entry is (next link, next VCI), at a host the VC's sink.
     """
 
     def __init__(
         self,
         src: str,
-        src_port: int,
         dst_node: "NodeRuntime",
-        dst_port: int,
         bit_rate: float,
         prop: float,
         booking: LinkBooking,
         queue: OutputQueue,
     ):
         self.src = src
-        self.src_port = src_port
         self.dst_node = dst_node
         self.dst = dst_node.name
-        self.dst_port = dst_port
+        self.vcs: Dict[int, Union[Tuple[DirectedLink, int], Callable[[TransitCell], None]]] = {}
         self.prop = prop
         self.booking = booking
         self.queue = queue
@@ -385,12 +382,9 @@ class NodeRuntime:
     def __init__(self, name: str, kind: str):
         self.name = name
         self.kind = kind
-        self.ports: Dict[int, DirectedLink] = {}
-        self.neighbor_port: Dict[str, int] = {}
-        self.vc_table = VcTable()
+        self.ports: Dict[str, DirectedLink] = {}  # neighbour -> link to it, in link order
         self.routed = 0
         self.unknown_vc = 0
-        self.endpoints: Dict[Tuple[int, int, int], Callable[[TransitCell], None]] = {}
 
 
 class LaneRuntime:
@@ -469,36 +463,30 @@ class Engine:
             node_spec[spec.name] = spec
         for spec in self.sc.links:
             for src, dst in ((spec.a, spec.b), (spec.b, spec.a)):
-                src_node = self.nodes[src]
-                dst_node = self.nodes[dst]
-                src_port = len(src_node.ports)
-                dst_port = dst_node.neighbor_port.get(src, len(dst_node.ports))
                 link = DirectedLink(
                     src,
-                    src_port,
-                    dst_node,
-                    dst_port,
+                    self.nodes[dst],
                     spec.bit_rate,
                     spec.propagation_delay,
                     link_booking(spec),
                     output_queue(node_spec[src]),
                 )
-                src_node.ports[src_port] = link
-                src_node.neighbor_port[dst] = src_port
+                self.nodes[src].ports[dst] = link
                 self.links.append(link)
         # LANE VCs follow the route rule validate_scenario checks
-        self._adjacency = {name: node.neighbor_port for name, node in self.nodes.items()}
+        self._adjacency = {name: node.ports for name, node in self.nodes.items()}
         self._switches = {name for name, node in self.nodes.items() if node.kind == "switch"}
 
     def _chain(self, route: Sequence[str]) -> List[DirectedLink]:
         nodes = self.nodes
-        return [nodes[a].ports[nodes[a].neighbor_port[b]] for a, b in zip(route, route[1:])]
+        return [nodes[a].ports[b] for a, b in zip(route, route[1:])]
 
     def _open_vc(
         self, flow: FlowState, route: Sequence[str], sink: Callable[[TransitCell], None]
     ) -> List[str]:
         """Set ``flow`` up along ``route``: allocate one VCI per hop, fill
-        switch tables, bind the sink and point the flow at its first hop.
+        the VC table of each link with the next hop (at a switch) or the
+        sink (at the last host) and point the flow at its first hop.
 
         Refuses, before allocating anything, a path across a link whose
         VCIs are used up, so every label a cell carries fits its header;
@@ -513,15 +501,11 @@ class Engine:
         if exhausted:
             return exhausted
         vcis = [link.alloc_vci() for link in chain]
-        for i in range(len(chain) - 1):
-            chain[i].dst_node.vc_table.install(
-                chain[i].dst_port,
-                0,
-                vcis[i],
-                VcRoute(chain[i + 1].src_port, 0, vcis[i + 1]),
-            )
-        last = chain[-1]
-        last.dst_node.endpoints[(last.dst_port, 0, vcis[-1])] = sink
+        entries: List[Any] = list(zip(chain[1:], vcis[1:])) + [sink]
+        for link, vci, entry in zip(chain, vcis, entries):
+            if vci in link.vcs:
+                raise ValueError(f"{flow.id}: VCI {vci} already installed on link {link.name}")
+            link.vcs[vci] = entry
         flow.tx = chain[0]
         flow.vci = vcis[0]
         self.flows.append(flow)
@@ -690,7 +674,7 @@ class Engine:
     # -- cell movement -------------------------------------------------------
 
     def _send(self, link: DirectedLink, tc: TransitCell) -> None:
-        outcome = link.queue.enqueue(tc, self.events.now)
+        outcome = link.queue.enqueue(tc)
         if outcome is EnqueueOutcome.ACCEPTED:
             if link.holding is None:
                 # an idle link's queue was empty, so tc is its head
@@ -744,25 +728,21 @@ class Engine:
     def _arrive(self, arg: Tuple[DirectedLink, TransitCell]) -> None:
         link, tc = arg
         node = link.dst_node
-        if node.kind == "switch":
-            route = node.vc_table.lookup(link.dst_port, 0, tc.vci)
-            if route is not None:
-                node.routed += 1
-                tc.vci = route.out_vci
-                self._send(node.ports[route.out_port], tc)
-                return
+        entry = link.vcs.get(tc.vci)
+        if entry is None:
+            node.unknown_vc += 1
+            tc.flow.on_lost(tc, "unknown_vc")
+        elif node.kind == "switch":
+            node.routed += 1
+            out, tc.vci = entry
+            self._send(out, tc)
         else:
-            sink = node.endpoints.get((link.dst_port, 0, tc.vci))
-            if sink is not None:
-                flow = tc.flow
-                if tc.seq <= flow.last_delivered_seq:
-                    raise AssertionError(f"per-VC FIFO violated on {flow.id}")
-                flow.last_delivered_seq = tc.seq
-                flow.metrics.delivered += 1
-                sink(tc)
-                return
-        node.unknown_vc += 1
-        tc.flow.on_lost(tc, "unknown_vc")
+            flow = tc.flow
+            if tc.seq <= flow.last_delivered_seq:
+                raise AssertionError(f"per-VC FIFO violated on {flow.id}")
+            flow.last_delivered_seq = tc.seq
+            flow.metrics.delivered += 1
+            entry(tc)
 
     # -- traffic sources -------------------------------------------------------
 
@@ -904,7 +884,7 @@ class Engine:
             if node.kind != "switch":
                 continue
             ports = {}
-            for index, link in sorted(node.ports.items()):
+            for index, link in enumerate(node.ports.values()):
                 queue = link.queue
                 ports[str(index)] = {
                     "toward": link.dst,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from .errors import ContractError
 
@@ -244,10 +244,9 @@ class Lec:
         self.cache: Dict[bytes, ArpCacheEntry] = {}
         self.counters = LecCounters()
         self.per_destination: Dict[bytes, DestinationStats] = {}
-        self.lookup_log: List[Tuple[bytes, bytes]] = []  # (mac, atm) at each cache hit
+        # frames waiting for a MAC's LE-ARP reply; the queue stands for
+        # the request outstanding for that MAC
         self._pending: Dict[bytes, Deque[bytes]] = {}
-        self._request_id: Dict[bytes, int] = {}
-        self._next_request_id = 0
         self._seen: Dict[bytes, None] = {}  # (src+payload[:8]) keys, insertion-ordered
 
     # -- sending ---------------------------------------------------------
@@ -281,15 +280,10 @@ class Lec:
             return
         queue.append(frame)
         stats.queued += 1
-        if dest_mac not in self._request_id:
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._request_id[dest_mac] = request_id
+        if len(queue) == 1:  # a new queue: resolve dest_mac
             self.counters.arp_requests += 1
             self.port.send_arp_request(encode_arp_request(self.mac, dest_mac))
-            self.port.schedule(
-                PENDING_TIMEOUT_S, lambda: self._on_arp_timeout(dest_mac, request_id)
-            )
+            self.port.schedule(PENDING_TIMEOUT_S, lambda: self._on_arp_timeout(dest_mac, queue))
         if self.parallel_bus:
             stats.sent_bus += 1
             self.port.send_to_bus(frame)
@@ -302,7 +296,6 @@ class Lec:
             return
         entry = ArpCacheEntry(atm=atm, vc=None, learned_at=self.port.now())
         self.cache[target_mac] = entry
-        self._request_id.pop(target_mac, None)
         entry.vc = self.port.open_data_vc(atm)
         queue = self._pending.pop(target_mac, None)
         if not queue:
@@ -316,15 +309,13 @@ class Lec:
             stats.sent_direct += 1
             self.port.send_on_vc(entry.vc, frame)
 
-    def _on_arp_timeout(self, dest_mac: bytes, request_id: int) -> None:
-        if self._request_id.get(dest_mac) != request_id:
+    def _on_arp_timeout(self, dest_mac: bytes, queue: Deque[bytes]) -> None:
+        if self._pending.get(dest_mac) is not queue:
             return  # resolved, or superseded by a newer request
-        del self._request_id[dest_mac]
-        queue = self._pending.pop(dest_mac, None)
-        if queue:
-            stats = self._dst(dest_mac)
-            stats.dropped_timeout += len(queue)
-            self.counters.pending_dropped += len(queue)
+        del self._pending[dest_mac]
+        stats = self._dst(dest_mac)
+        stats.dropped_timeout += len(queue)
+        self.counters.pending_dropped += len(queue)
 
     # -- receiving -------------------------------------------------------
 
@@ -363,5 +354,4 @@ class Lec:
         if self.port.now() - entry.learned_at >= CACHE_AGING_S:
             del self.cache[mac]
             return None
-        self.lookup_log.append((mac, entry.atm))
         return entry

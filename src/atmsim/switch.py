@@ -1,14 +1,16 @@
-"""Cell switching: VC label tables, bounded output queues, CAC booking.
+"""Cell switching: bounded output queues, CAC booking, VC label tables.
 
-A switch forwards cells by exact-match lookup on (input port, VPI, VCI),
-rewriting the labels for the next hop.  Each output port owns a bounded
-FIFO with two thresholds: above clp_threshold arriving clp=1 cells are
-dropped (selective discard), and cells accepted while the queue sits
-above efci_threshold are forwarded with their congestion bit set.
+Each output port owns a bounded FIFO with two thresholds: above
+clp_threshold arriving clp=1 cells are dropped (selective discard), and
+cells accepted while the queue sits above efci_threshold are forwarded
+with their congestion bit set.  The queue holds the simulator's transit
+cells, whose header bits are plain attributes, so marking sets ``efci``
+on the item itself.
 
-The queue holds the simulator's transit cells, whose header bits are
-plain attributes, so marking sets ``efci`` on the item itself.
-route_cell and set_efci do the same on codec-level Cell values.
+VcTable and route_cell switch codec-level Cell values by exact-match
+lookup on (input port, VPI, VCI), rewriting the labels for the next hop,
+as cell.set_efci marks them.  The engine does not use them: it keeps one
+VC table per link (see engine.DirectedLink).
 """
 
 from __future__ import annotations
@@ -72,16 +74,6 @@ class EnqueueOutcome(enum.Enum):
     DISCARDED_CLP = "clp_threshold"
 
 
-@dataclass(frozen=True)
-class QueueDrop:
-    """One discard event, kept for threshold-ordering assertions."""
-
-    time: float
-    clp: int
-    outcome: EnqueueOutcome
-    occupancy: int
-
-
 class OutputQueue:
     """Bounded FIFO for one output port.
 
@@ -116,13 +108,12 @@ class OutputQueue:
         self.full_drops = 0
         self.clp_drops = 0
         self.efci_marks = 0
-        self.drop_log: List[QueueDrop] = []
 
     @property
     def occupancy(self) -> int:
         return len(self._items)
 
-    def enqueue(self, item: Any, now: float = 0.0) -> EnqueueOutcome:
+    def enqueue(self, item: Any) -> EnqueueOutcome:
         """Selective discard, then capacity check, then EFCI marking.
 
         The CLP check runs first so a low-priority cell hitting a full
@@ -133,11 +124,9 @@ class OutputQueue:
         occ = len(items)
         if item.clp == 1 and occ >= self.clp_threshold:
             self.clp_drops += 1
-            self.drop_log.append(QueueDrop(now, 1, EnqueueOutcome.DISCARDED_CLP, occ))
             return EnqueueOutcome.DISCARDED_CLP
         if occ >= self.capacity:
             self.full_drops += 1
-            self.drop_log.append(QueueDrop(now, item.clp, EnqueueOutcome.DISCARDED_FULL, occ))
             return EnqueueOutcome.DISCARDED_FULL
         if occ + 1 > self.efci_threshold and not item.is_management:
             item.efci = True

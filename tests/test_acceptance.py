@@ -472,24 +472,36 @@ def test_c10_discard_ordering_under_overload():
         ],
     }
     engine = build(raw)
+    drops = []  # (time, clp, outcome, occupancy) of every discard at s
+
+    def recording(queue):
+        enqueue = queue.enqueue
+
+        def record(item):
+            occupancy = queue.occupancy
+            outcome = enqueue(item)
+            if outcome is not EnqueueOutcome.ACCEPTED:
+                drops.append((engine.events.now, item.clp, outcome, occupancy))
+            return outcome
+
+        return record
+
+    for tx in engine.nodes["s"].ports.values():
+        tx.queue.enqueue = recording(tx.queue)
     report = engine.run()
 
-    node = engine.nodes["s"]
-    drops = []
-    for tx in node.ports.values():
-        drops.extend(tx.queue.drop_log)
-    drops.sort(key=lambda d: d.time)
-    clp_drops = [d for d in drops if d.outcome is EnqueueOutcome.DISCARDED_CLP]
-    full_drops = [d for d in drops if d.outcome is EnqueueOutcome.DISCARDED_FULL]
+    drops.sort(key=lambda d: d[0])
+    clp_drops = [d for d in drops if d[2] is EnqueueOutcome.DISCARDED_CLP]
+    full_drops = [d for d in drops if d[2] is EnqueueOutcome.DISCARDED_FULL]
     assert clp_drops and full_drops
 
-    for drop in clp_drops:
-        assert drop.clp == 1
-        assert drop.occupancy >= threshold
-    for drop in full_drops:
-        assert drop.clp == 0  # tagged cells never survive to a full queue
-        assert drop.occupancy == capacity
-    assert clp_drops[0].time < full_drops[0].time
+    for _time, clp, _outcome, occupancy in clp_drops:
+        assert clp == 1
+        assert occupancy >= threshold
+    for _time, clp, _outcome, occupancy in full_drops:
+        assert clp == 0  # tagged cells never survive to a full queue
+        assert occupancy == capacity
+    assert clp_drops[0][0] < full_drops[0][0]
 
     shed = report.connections["shed"]
     assert shed["loss_reasons"] == {"clp_threshold": shed["lost"]}
@@ -624,9 +636,9 @@ def test_c12_lan_emulation_resolution_and_broadcast():
 
         les = engine.lane.les
         for host, lec in engine.lane.lecs.items():
-            assert lec.lookup_log, host
-            for mac, atm in lec.lookup_log:
-                assert les.directory[mac] == atm
+            assert lec.cache, host
+            for mac, entry in lec.cache.items():
+                assert les.directory[mac] == entry.atm
     print(
         "criterion 12: PASS - 2/4/16-member LANs: unicast 100% direct after "
         "resolution, every broadcast delivered exactly once, caches match the directory"

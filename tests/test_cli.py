@@ -170,6 +170,10 @@ class TestValidate:
     def test_missing_file_usage_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_directory_usage_error(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
+
     def test_semantic_violation_fails(self, tmp_path, capsys):
         raw = small_scenario()
         raw["duration_s"] = -1.0
@@ -213,6 +217,20 @@ class TestRun:
 
     def test_run_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "gone.json")]) == 2
+
+    def test_run_directory_usage_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
+
+    def test_run_out_naming_a_file_refused_before_the_run(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, small_scenario())
+        out_file = tmp_path / "taken"
+        out_file.write_text("keep me")
+        assert main(["run", path, "--out", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert captured.err == f"error: --out is not a directory: {out_file}\n"
+        assert out_file.read_text() == "keep me"
 
     def test_run_invalid_scenario(self, tmp_path, capsys):
         raw = small_scenario()
@@ -393,6 +411,10 @@ class TestConformance:
 
     def test_missing_trace_usage_error(self, tmp_path):
         assert main(["conformance", str(tmp_path / "no.txt"), "--pcr", "10"]) == 2
+
+    def test_directory_trace_usage_error(self, tmp_path, capsys):
+        assert main(["conformance", str(tmp_path), "--pcr", "10"]) == 2
+        assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
 
     def test_blank_lines_ignored(self, tmp_path, capsys):
         path = write_trace(tmp_path, [format_trace_line(0.0, 1, trace_cell()), ""])

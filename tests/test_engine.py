@@ -13,8 +13,10 @@ from atmsim.engine import (
     CELL_BITS,
     Engine,
     EventQueue,
+    FlowState,
     OrderingError,
     ScenarioInvalid,
+    TransitCell,
     _expire_timer,
     build,
     load_scenario,
@@ -91,6 +93,36 @@ class TestAudit:
         heapq.heapify(heap)
         with pytest.raises(AssertionError, match="conservation broken on c1"):
             eng._audit()
+
+
+class TestUnknownVc:
+    """A cell whose VCI has no entry in the VC table of the link it
+    arrives on is lost as ``unknown_vc`` at the receiving node."""
+
+    @pytest.mark.parametrize(
+        "link_name, receiver",
+        [("a->s", "s"), ("s->b", "b")],
+        ids=["host_to_switch", "switch_to_host"],
+    )
+    def test_uninstalled_vci_is_lost_at_the_receiver(self, link_name, receiver):
+        eng = build(cbr_scenario())
+        link = next(link for link in eng.links if link.name == link_name)
+        stray = FlowState("stray")
+        eng.flows.append(stray)
+
+        def inject(_arg):
+            stray.on_emitted(0)
+            eng._send(link, TransitCell(stray, eng.events.now, stray.take_seq(), VCI_MAX))
+
+        eng.events.schedule(0.1, inject)
+        report = eng.run()
+        eng._audit()
+        assert stray.loss_reasons == {"unknown_vc": 1}
+        assert (stray.metrics.transmitted, stray.metrics.lost) == (1, 1)
+        unknown = {name: node.unknown_vc for name, node in eng.nodes.items()}
+        assert unknown == {name: int(name == receiver) for name in eng.nodes}
+        assert report.switches["s"]["unknown_vc_drops"] == unknown["s"]
+        assert report.connections["c1"]["lost"] == 0
 
 
 class TestOrderingGuards:

@@ -200,7 +200,7 @@ class TestLecSending:
         port = lec.port
         assert len(port.vc_frames) == 2
         assert len(port.arp_requests) == 1  # no second resolution
-        assert lec.lookup_log[-1] == (MAC_B, ATM_B)
+        assert lec.cache[MAC_B].atm == ATM_B
 
     def test_parallel_bus_copy(self):
         lec = make_lec(parallel_bus=True)

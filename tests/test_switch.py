@@ -92,20 +92,6 @@ class TestOutputQueue:
         assert queue.clp_drops == 1
         assert queue.full_drops == 0
 
-    def test_drop_log_records(self):
-        queue = OutputQueue(capacity=2, clp_threshold=1, efci_threshold=2)
-        queue.enqueue(_transit(clp=0), now=1.0)
-        queue.enqueue(_transit(clp=1), now=2.0)
-        queue.enqueue(_transit(clp=0), now=3.0)
-        queue.enqueue(_transit(clp=0), now=4.0)
-        assert len(queue.drop_log) == 2
-        clp_drop, full_drop = queue.drop_log
-        assert (clp_drop.time, clp_drop.clp) == (2.0, 1)
-        assert clp_drop.outcome is EnqueueOutcome.DISCARDED_CLP
-        assert clp_drop.occupancy == 1
-        assert (full_drop.time, full_drop.clp) == (4.0, 0)
-        assert full_drop.outcome is EnqueueOutcome.DISCARDED_FULL
-
     def test_efci_marking_above_threshold(self):
         queue = OutputQueue(capacity=8, clp_threshold=8, efci_threshold=2)
         queue.enqueue(_transit())
