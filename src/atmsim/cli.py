@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when a scenario fails validation or a trace
 contains non-conforming cells, 2 on usage errors (a missing file or a
-directory given as one, a ``run --out`` that names a file, bad hex,
-malformed trace lines).
+directory given as one, a ``run --out`` that names a file or a path
+below one, bad hex, malformed trace lines).
 """
 
 from __future__ import annotations
@@ -56,6 +56,22 @@ def _not_a_file(path: str) -> Optional[str]:
     return None
 
 
+def _not_a_directory(out: str) -> Optional[str]:
+    """Why ``out`` cannot be used or made as a directory, or None.
+
+    The nearest existing path at or above ``out`` decides: a directory
+    can hold it, anything else is in the way.
+    """
+    path = os.path.normpath(out)
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not path or os.path.isdir(path):
+        return None
+    if path == os.path.normpath(out):
+        return f"--out is not a directory: {out}"
+    return f"--out is below {path}, which is not a directory"
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -64,8 +80,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     problem = _not_a_file(args.scenario)
     if problem is not None:
         return _die(problem, USAGE_ERROR)
-    if args.out is not None and os.path.exists(args.out) and not os.path.isdir(args.out):
-        return _die(f"--out is not a directory: {args.out}", USAGE_ERROR)
+    if args.out is not None:
+        problem = _not_a_directory(args.out)
+        if problem is not None:
+            return _die(problem, USAGE_ERROR)
     try:
         sc = load_scenario(args.scenario)
     except ScenarioError as exc:

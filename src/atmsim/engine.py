@@ -96,6 +96,7 @@ from .scenario import (
 )
 from .switch import EnqueueOutcome, LinkBooking, OutputQueue, cac_admit
 from .traffic import (
+    DELAY_CHUNK,
     ConnectionMetrics,
     ServiceCategory,
     compute_clr,
@@ -580,7 +581,11 @@ class Engine:
     def _data_sink(self, tc: TransitCell) -> None:
         flow = tc.flow
         now = self.events.now
-        flow.metrics.delay_samples.append(now - tc.entry_time)
+        delays = flow.metrics.delays
+        pending = delays.pending
+        pending.append(now - tc.entry_time)
+        if len(pending) == DELAY_CHUNK:
+            delays.fold()
         if flow.observer is not None:
             indication = flow.observer.observe(tc.efci)
             if indication is not None:
@@ -847,7 +852,7 @@ class Engine:
         connections = {}
         abr_series = {}
         for flow in self.connections:
-            stats = delay_stats(flow.metrics.delay_samples)
+            stats = delay_stats(flow.metrics.delays)
             entry: Dict[str, Any] = {
                 "category": flow.spec.category.name,
                 "transmitted": flow.metrics.transmitted,

@@ -10,9 +10,10 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-import statistics
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import mul
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .cell import Cell, CellHeader
 from .errors import OrderingError
@@ -363,21 +364,119 @@ class DelayStats:
     cdv_stddev: float
 
 
-def delay_stats(samples: Sequence[float]) -> Optional[DelayStats]:
+# Delay samples a DelayMoments holds before folding them into its sums.
+DELAY_CHUNK = 4096
+
+
+class DelayMoments:
+    """Exact running moments of one connection's transfer delays.
+
+    Samples wait in ``pending`` until DELAY_CHUNK of them are folded at
+    once.  Every sample seen so far times ``2**scale`` is an exact
+    integer, and ``total`` and ``squares`` are the exact sums of those
+    integers and of their squares, so memory stays bounded however many
+    cells are delivered, and ``stats`` gives what ``statistics.fmean``
+    and ``statistics.pstdev`` give on the whole list, bit for bit.
+    """
+
+    __slots__ = ("pending", "folded", "scale", "total", "squares", "low", "high")
+
+    def __init__(self) -> None:
+        self.pending: List[float] = []
+        self.folded = 0
+        self.scale = 0
+        self.total = 0
+        self.squares = 0
+        self.low = math.inf
+        self.high = -math.inf
+
+    @property
+    def count(self) -> int:
+        return self.folded + len(self.pending)
+
+    def fold(self) -> None:
+        """Add the pending samples to the sums and empty the buffer."""
+        xs = self.pending
+        if not xs:
+            return
+        low, high = min(xs), max(xs)
+        # The smallest nonzero magnitude, 2**e > |x| >= 2**(e-1), has its
+        # last mantissa bit at or above 2**(e-53), and so has every larger one.
+        smallest = low if low > 0 else min(filter(None, map(abs, xs)), default=0.0)
+        scale = max(self.scale, 53 - math.frexp(smallest)[1])
+        try:
+            ints = list(map(int, map(math.ldexp, xs, repeat(scale))))
+        except (OverflowError, ValueError):
+            ints = _scaled_ints(xs, scale)
+        shift = scale - self.scale
+        self.scale = scale
+        self.total = (self.total << shift) + sum(ints)
+        self.squares = (self.squares << 2 * shift) + sum(map(mul, ints, ints))
+        self.folded += len(xs)
+        self.low = min(self.low, low)
+        self.high = max(self.high, high)
+        xs.clear()
+
+    def stats(self) -> Optional[DelayStats]:
+        """Statistics of every sample added; None when there are none."""
+        self.fold()
+        n = self.folded
+        if not n:
+            return None
+        total, scale = self.total, self.scale
+        return DelayStats(
+            count=n,
+            # int / int rounds once, correctly, as math.fsum does: this is fmean
+            mean_ctd=total / (1 << scale) / n,
+            max_ctd=self.high,
+            cdv_peak_to_peak=self.high - self.low,
+            cdv_stddev=_sqrt_of_frac(n * self.squares - total * total, n * n << 2 * scale),
+        )
+
+
+def _scaled_ints(xs: Sequence[float], scale: int) -> List[int]:
+    """Each x times 2**scale as an exact integer, where ldexp would overflow."""
+    ints = []
+    for x in xs:
+        if not math.isfinite(x):
+            raise ValueError(f"delay sample {x!r} is not finite")
+        num, den = x.as_integer_ratio()
+        ints.append(num << (scale + 1 - den.bit_length()))
+    return ints
+
+
+def _sqrt_of_frac(num: int, den: int) -> float:
+    """Correctly rounded square root of num/den, for num >= 0 and den > 0.
+
+    The integer root is taken to at least 55 bits and rounded to odd (its
+    last bit set when inexact), which makes the one rounding to a float
+    that follows correct.
+    """
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def delay_stats(delays: Union[DelayMoments, Sequence[float]]) -> Optional[DelayStats]:
     """Transfer-delay statistics; None for an empty sample set.
 
+    ``delays`` is a list of samples or the DelayMoments that took them.
     Peak-to-peak delay variation is max - min; the spread statistic is
-    the population standard deviation.
+    the population standard deviation.  A non-finite sample raises
+    ValueError.
     """
-    if not samples:
-        return None
-    return DelayStats(
-        count=len(samples),
-        mean_ctd=statistics.fmean(samples),
-        max_ctd=max(samples),
-        cdv_peak_to_peak=max(samples) - min(samples),
-        cdv_stddev=statistics.pstdev(samples),
-    )
+    if not isinstance(delays, DelayMoments):
+        moments = DelayMoments()
+        for start in range(0, len(delays), DELAY_CHUNK):
+            moments.pending.extend(delays[start : start + DELAY_CHUNK])
+            moments.fold()
+        delays = moments
+    return delays.stats()
 
 
 @dataclass
@@ -389,7 +488,7 @@ class ConnectionMetrics:
     lost_clp0: int = 0
     lost_clp1: int = 0
     delivered: int = 0
-    delay_samples: List[float] = field(default_factory=list)
+    delays: DelayMoments = field(default_factory=DelayMoments)
 
     @property
     def transmitted(self) -> int:

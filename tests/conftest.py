@@ -1,12 +1,16 @@
 """Shared test helpers."""
 
 import json
+import os
 import signal
-from typing import Any, Callable, Dict, Tuple
+import subprocess
+import sys
+from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
-from atmsim.engine import Engine, RunReport, build
+import atmsim
+from atmsim.engine import CELL_BITS, Engine, RunReport, build
 
 RUN_GUARD_S = 5.0
 
@@ -30,6 +34,63 @@ def run_guarded(raw: Dict[str, Any], seconds: float = RUN_GUARD_S) -> Tuple[Engi
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def c11_scenario() -> Dict[str, Any]:
+    """Criterion c11: two greedy ABR sources into a 0.5 Mb/s bottleneck
+    whose switch marks EFCI above 16 queued cells, for 30 s."""
+    pcr = 500_000 / CELL_BITS
+    return {
+        "duration_s": 30.0,
+        "seed": 11,
+        "nodes": [
+            {"name": "ha", "kind": "host"},
+            {"name": "hb", "kind": "host"},
+            {"name": "sw", "kind": "switch", "efci_threshold": 16},
+            {"name": "hd", "kind": "host"},
+        ],
+        "links": [
+            {"a": "ha", "b": "sw", "bit_rate": 2e6, "propagation_delay": 1e-4},
+            {"a": "hb", "b": "sw", "bit_rate": 2e6, "propagation_delay": 1e-4},
+            {"a": "sw", "b": "hd", "bit_rate": 5e5, "propagation_delay": 1e-4},
+        ],
+        "generators": [
+            {"id": "ga", "kind": "greedy_abr"},
+            {"id": "gb", "kind": "greedy_abr"},
+        ],
+        "connections": [
+            {
+                "id": "fa",
+                "category": "ABR",
+                "route": ["ha", "sw", "hd"],
+                "generator": "ga",
+                "descriptor": {"pcr": pcr, "mcr": 0.0},
+                "abr": {"air": pcr / 32, "rdf": 0.9375},
+            },
+            {
+                "id": "fb",
+                "category": "ABR",
+                "route": ["hb", "sw", "hd"],
+                "generator": "gb",
+                "descriptor": {"pcr": pcr, "mcr": 0.0},
+                "abr": {"air": pcr / 32, "rdf": 0.9375},
+            },
+        ],
+    }
+
+
+def modules_loaded_by_importing_atmsim(*packages: str) -> List[str]:
+    """The modules of ``packages`` that ``import atmsim, atmsim.cli``
+    loads in a fresh isolated interpreter."""
+    src = os.path.dirname(os.path.dirname(atmsim.__file__))
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r}); import atmsim, atmsim.cli; "
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    return json.loads(out)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import c11_scenario
 
 from atmsim.aal5 import (
     PAYLOAD_BYTES,
@@ -512,44 +513,7 @@ def test_c10_discard_ordering_under_overload():
 
 
 def test_c11_rate_adaptation_fills_bottleneck():
-    pcr = 500_000 / CELL_BITS
-    raw = {
-        "duration_s": 30.0,
-        "seed": 11,
-        "nodes": [
-            {"name": "ha", "kind": "host"},
-            {"name": "hb", "kind": "host"},
-            {"name": "sw", "kind": "switch", "efci_threshold": 16},
-            {"name": "hd", "kind": "host"},
-        ],
-        "links": [
-            {"a": "ha", "b": "sw", "bit_rate": 2e6, "propagation_delay": 1e-4},
-            {"a": "hb", "b": "sw", "bit_rate": 2e6, "propagation_delay": 1e-4},
-            {"a": "sw", "b": "hd", "bit_rate": 5e5, "propagation_delay": 1e-4},
-        ],
-        "generators": [
-            {"id": "ga", "kind": "greedy_abr"},
-            {"id": "gb", "kind": "greedy_abr"},
-        ],
-        "connections": [
-            {
-                "id": "fa",
-                "category": "ABR",
-                "route": ["ha", "sw", "hd"],
-                "generator": "ga",
-                "descriptor": {"pcr": pcr, "mcr": 0.0},
-                "abr": {"air": pcr / 32, "rdf": 0.9375},
-            },
-            {
-                "id": "fb",
-                "category": "ABR",
-                "route": ["hb", "sw", "hd"],
-                "generator": "gb",
-                "descriptor": {"pcr": pcr, "mcr": 0.0},
-                "abr": {"air": pcr / 32, "rdf": 0.9375},
-            },
-        ],
-    }
+    raw = c11_scenario()
     started = time.perf_counter()
     report = run(raw)
     elapsed = time.perf_counter() - started

@@ -232,6 +232,17 @@ class TestRun:
         assert captured.err == f"error: --out is not a directory: {out_file}\n"
         assert out_file.read_text() == "keep me"
 
+    @pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+    def test_run_out_below_a_file_refused_before_the_run(self, tmp_path, capsys, below):
+        path = write_scenario(tmp_path, small_scenario())
+        out_file = tmp_path / "taken"
+        out_file.write_text("keep me")
+        assert main(["run", path, "--out", str(out_file / below)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert captured.err == f"error: --out is below {out_file}, which is not a directory\n"
+        assert out_file.read_text() == "keep me"
+
     def test_run_invalid_scenario(self, tmp_path, capsys):
         raw = small_scenario()
         raw["duration_s"] = -1.0
@@ -377,6 +388,15 @@ class TestConformance:
         assert main(["conformance", path, "--pcr", "1024"]) == 2
         err = capsys.readouterr().err
         assert f"{path}:1:" in err or f"{path}:2:" in err
+
+    def test_malformed_line_on_a_filtered_port_is_usage_error(self, tmp_path, capsys):
+        # --port skips cells, not the check of the line that carries them.
+        good = format_trace_line(0.0, 1, trace_cell())
+        path = write_trace(tmp_path, [good, "0.0 2 " + "zz" * 53])
+        assert main(["conformance", path, "--pcr", "1024", "--port", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}:2: ")
+        assert "cells:" not in captured.out
 
     def test_time_regression_is_usage_error(self, tmp_path, capsys):
         lines = [

@@ -4,12 +4,10 @@ runs without numpy."""
 import hashlib
 import json
 import os
-import subprocess
-import sys
 
 import pytest
+from conftest import modules_loaded_by_importing_atmsim
 
-import atmsim
 from atmsim.engine import rng_stream
 from atmsim.rng import Stream
 
@@ -81,12 +79,4 @@ def test_integers_refuses_an_empty_or_64_bit_range():
 
 
 def test_importing_atmsim_leaves_numpy_unloaded():
-    src = os.path.dirname(os.path.dirname(atmsim.__file__))
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import atmsim, atmsim.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert modules_loaded_by_importing_atmsim("numpy") == []

@@ -6,17 +6,25 @@ exact (the implementation is numeric-type-agnostic and accepts Fraction
 inputs unchanged).
 """
 
+import dataclasses
 import math
 import random
 import statistics
 from fractions import Fraction
 
 import pytest
+from conftest import c11_scenario, modules_loaded_by_importing_atmsim
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atmsim.cell import Cell, CellHeader, InterfaceKind
+from atmsim.engine import build
 from atmsim.errors import OrderingError
 from atmsim.traffic import (
+    DELAY_CHUNK,
     ConnectionMetrics,
+    DelayMoments,
+    DelayStats,
     Gcra,
     Policer,
     PolicingAction,
@@ -454,10 +462,10 @@ class TestMetrics:
         stats = delay_stats(samples)
         assert stats is not None
         assert stats.count == 4
-        assert stats.mean_ctd == pytest.approx(0.003)
+        assert stats.mean_ctd == 0.003
         assert stats.max_ctd == 0.006
-        assert stats.cdv_peak_to_peak == pytest.approx(0.005)
-        assert stats.cdv_stddev == pytest.approx(statistics.pstdev(samples))
+        assert stats.cdv_peak_to_peak == 0.005
+        assert stats.cdv_stddev == statistics.pstdev(samples)
 
     def test_delay_stats_empty(self):
         assert delay_stats([]) is None
@@ -479,3 +487,119 @@ class TestMetrics:
         metrics.delivered = 7
         metrics.lost_clp0 = 1
         assert metrics.in_flight == 2
+def reference_stats(samples):
+    """What delay_stats must give: the statistics module on the whole list."""
+    return DelayStats(
+        count=len(samples),
+        mean_ctd=statistics.fmean(samples),
+        max_ctd=max(samples),
+        cdv_peak_to_peak=max(samples) - min(samples),
+        cdv_stddev=statistics.pstdev(samples),
+    )
+
+
+# Zeros of both signs, the smallest subnormal, the smallest normal, and
+# magnitudes far enough apart that one chunk spans ~1,300 binary orders.
+EDGE_SAMPLES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-9, 1.0, 1e300, -1e300)
+finite_samples = st.lists(
+    st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(EDGE_SAMPLES),
+    min_size=1,
+    max_size=60,
+)
+
+
+def delay_like(count, seed=5):
+    rng = random.Random(seed)
+    return [rng.uniform(1e-4, 2e-3) for _ in range(count)]
+
+
+class RecordingMoments(DelayMoments):
+    """A DelayMoments that also keeps every sample and the size of each fold."""
+
+    __slots__ = ("samples", "fold_sizes")
+
+    def __init__(self):
+        super().__init__()
+        self.samples = []
+        self.fold_sizes = []
+
+    def fold(self):
+        self.samples.extend(self.pending)
+        self.fold_sizes.append(len(self.pending))
+        super().fold()
+
+
+@pytest.fixture(scope="module")
+def c11_run():
+    engine = build(c11_scenario())
+    for flow in engine.connections:
+        flow.metrics.delays = RecordingMoments()
+    return engine, engine.run()
+
+
+class TestDelayMoments:
+    """delay_stats streams exact integer moments; each field must equal
+    what len, fmean, max, max - min and pstdev give on the whole list."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_samples)
+    def test_matches_statistics_module(self, samples):
+        assert delay_stats(samples) == reference_stats(samples)
+
+    @pytest.mark.parametrize("count", [1, DELAY_CHUNK - 1, DELAY_CHUNK, DELAY_CHUNK + 1])
+    def test_chunk_boundaries(self, count):
+        samples = delay_like(count)
+        assert delay_stats(samples) == reference_stats(samples)
+
+    def test_later_chunk_with_the_smallest_magnitude_rescales(self):
+        samples = delay_like(2 * DELAY_CHUNK + 100)
+        samples[2 * DELAY_CHUNK + 7] = 3e-9
+        moments = DelayMoments()
+        scales = []
+        for start in range(0, len(samples), DELAY_CHUNK):
+            moments.pending.extend(samples[start : start + DELAY_CHUNK])
+            moments.fold()
+            scales.append(moments.scale)
+        assert scales[0] == scales[1] < scales[2]
+        assert moments.stats() == delay_stats(samples) == reference_stats(samples)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [5e-324, 1e300],
+            [1e300] * DELAY_CHUNK + [5e-324],  # the tiny sample rescales the sums
+            [5e-324] * DELAY_CHUNK + [1e300],  # ldexp would overflow in chunk 2
+        ],
+        ids=["one-chunk", "tiny-last", "huge-last"],
+    )
+    def test_span_beyond_ldexp_range(self, samples):
+        assert delay_stats(samples) == reference_stats(samples)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("before", [1, DELAY_CHUNK])
+    def test_non_finite_sample_rejected(self, value, before):
+        with pytest.raises(ValueError, match=r"^delay sample -?(inf|nan) is not finite$"):
+            delay_stats([0.001] * before + [value])
+
+    def test_c11_delays_match_statistics_module(self, c11_run):
+        engine, report = c11_run
+        for flow in engine.connections:
+            samples = flow.metrics.delays.samples
+            assert len(samples) == flow.metrics.delivered > 2 * DELAY_CHUNK
+            expected = reference_stats(samples)
+            assert delay_stats(samples) == expected
+            assert report.connections[flow.id]["delay"] == dataclasses.asdict(expected)
+
+    def test_c11_buffer_stays_below_one_chunk(self, c11_run):
+        engine, _report = c11_run
+        for flow in engine.connections:
+            delays = flow.metrics.delays
+            assert len(delays.pending) < DELAY_CHUNK
+            assert delays.count == flow.metrics.delivered
+            # folded as each chunk filled during the run, never above one
+            assert max(delays.fold_sizes) == DELAY_CHUNK
+
+    def test_importing_atmsim_leaves_statistics_and_fractions_unloaded(self):
+        assert modules_loaded_by_importing_atmsim("statistics", "fractions", "decimal") == []
+
+
