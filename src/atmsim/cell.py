@@ -159,10 +159,6 @@ class DecodeOutcome:
     header: Optional[CellHeader] = None
     flipped_bit: Optional[int] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status is not DecodeStatus.UNCORRECTABLE
-
 
 def _parse_fields(first4: bytes, kind: InterfaceKind) -> CellHeader:
     b0, b1, b2, b3 = first4

@@ -72,7 +72,6 @@ from .lane import (
     OP_ARP_REQUEST,
     Bus,
     Lec,
-    LecPort,
     Les,
     atm_address,
     decode_control,
@@ -399,42 +398,12 @@ class LaneRuntime:
         self.control_decode_errors = 0
 
 
-class _EnginePort(LecPort):
-    """Fabric adapter handed to each LEC, holding its VCs to the LES and
-    the BUS."""
-
-    def __init__(self, engine: "Engine", host: str, to_les: LaneVc, to_bus: LaneVc):
-        self._engine = engine
-        self._host = host
-        self.to_les = to_les
-        self.to_bus = to_bus
-
-    def now(self) -> float:
-        return self._engine.events.now
-
-    def send_arp_request(self, message: bytes) -> None:
-        self._engine._send_frame(self.to_les, message)
-
-    def send_to_bus(self, frame: bytes) -> None:
-        self._engine._send_frame(self.to_bus, frame)
-
-    def send_on_vc(self, vc: Any, frame: bytes) -> None:
-        self._engine._send_frame(vc, frame)
-
-    def open_data_vc(self, dest_atm: bytes) -> Optional["LaneVc"]:
-        return self._engine._open_data_vc(self._host, dest_atm)
-
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        events = self._engine.events
-        events.schedule(events.now + delay, _expire_timer, fn)
-
-
-def _expire_timer(timer: Callable[[], None]) -> None:
-    timer()
-
-
 class Engine:
-    """Builds a runnable network from a scenario and runs it once."""
+    """Builds a runnable network from a scenario and runs it once.
+
+    It is also the LecPort of every LANE client: ``now``,
+    ``send_on_vc``, ``open_data_vc`` and ``set_timer``.
+    """
 
     def __init__(self, sc: Scenario):
         violations = validate_scenario(sc)
@@ -549,12 +518,7 @@ class Engine:
             from_les = LaneVc(f"lane:from_les:{spec.les}->{host}")
             to_bus = LaneVc(f"lane:to_bus:{host}->{spec.bus}")
             from_bus = LaneVc(f"lane:from_bus:{spec.bus}->{host}")
-            lec = Lec(
-                mac=lec_spec.mac,
-                atm=atm,
-                port=_EnginePort(self, host, to_les, to_bus),
-                parallel_bus=spec.parallel_bus,
-            )
+            lec = Lec(lec_spec.mac, atm, self, to_les, to_bus, parallel_bus=spec.parallel_bus)
             lane.lecs[host] = lec
             lane.host_by_atm[atm] = host
             to_les.on_frame = partial(self._les_request, from_les)
@@ -568,7 +532,7 @@ class Engine:
                 (from_bus, spec.bus, host),
             ):
                 violations += self._open_vc(vc, self._lane_route(src, dst), self._lane_sink)
-            lane.bus.attach(atm, partial(self._send_frame, from_bus))
+            lane.bus.attach(atm, partial(self.send_on_vc, from_bus))
         frame_seqs: Dict[str, Iterator[int]] = {}
         for i, traffic in enumerate(spec.traffic):
             rng = rng_stream(self.sc.seed, f"lane:{i}:{traffic.src}")
@@ -654,7 +618,7 @@ class Engine:
         lane = self.lane
         assert lane is not None
         atm = lane.les.resolve(target_mac)
-        self._send_frame(reply_vc, encode_arp_reply(target_mac, atm))
+        self.send_on_vc(reply_vc, encode_arp_reply(target_mac, atm))
 
     def _lec_reply(self, lec: Lec, message: bytes) -> None:
         body = self._control_body(message, OP_ARP_REPLY)
@@ -662,12 +626,26 @@ class Engine:
             mac, atm = body
             lec.on_arp_reply(mac, atm)
 
-    def _open_data_vc(self, src_host: str, dest_atm: bytes) -> Optional[LaneVc]:
+    # -- LecPort ---------------------------------------------------------------
+
+    def now(self) -> float:
+        return self.events.now
+
+    def send_on_vc(self, vc: LaneVc, frame: bytes) -> None:
+        """Segment ``frame`` with AAL5 and send its cells on ``vc``."""
+        now = self.events.now
+        for payload, last in segment(frame):
+            tc = TransitCell(vc, now, vc.take_seq(), vc.vci, aal5_last=last, payload=payload)
+            vc.on_emitted(0)
+            self._send(vc.tx, tc)
+
+    def open_data_vc(self, src_atm: bytes, dest_atm: bytes) -> Optional[LaneVc]:
         """A data-direct VC, or None when a link on the way has no VCI
         left.  LANE VCs are UBR and book no bandwidth, so admission never
         refuses one."""
         lane = self.lane
         assert lane is not None
+        src_host = lane.host_by_atm[src_atm]
         dst_host = lane.host_by_atm[dest_atm]
         vc = LaneVc(f"lane:data:{src_host}->{dst_host}")
         if self._open_vc(vc, self._lane_route(src_host, dst_host), self._lane_sink):
@@ -675,6 +653,10 @@ class Engine:
         vc.on_frame = partial(lane.lecs[dst_host].deliver, via_bus=False)
         lane.direct_vcs.append(vc)
         return vc
+
+    def set_timer(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        events = self.events
+        events.schedule(events.now + delay, fn, arg)
 
     # -- cell movement -------------------------------------------------------
 
@@ -788,13 +770,6 @@ class Engine:
                 raise _into_past(nxt, now)
             heappush(events._heap, (nxt, events.next_seq(), fire, source))
 
-    def _send_frame(self, vc: LaneVc, frame: bytes) -> None:
-        now = self.events.now
-        for payload, last in segment(frame):
-            tc = TransitCell(vc, now, vc.take_seq(), vc.vci, aal5_last=last, payload=payload)
-            vc.on_emitted(0)
-            self._send(vc.tx, tc)
-
     # -- run -------------------------------------------------------------------
 
     def run(self) -> "RunReport":
@@ -822,10 +797,10 @@ class Engine:
     def _audit(self) -> None:
         """Cell conservation: each flow's in_flight counter (emitted -
         delivered - lost) equals the cells of it found in the network."""
-        in_network: Dict[str, int] = {}
+        in_network: Dict[FlowState, int] = {}
 
         def count(flow: FlowState) -> None:
-            in_network[flow.id] = in_network.get(flow.id, 0) + 1
+            in_network[flow] = in_network.get(flow, 0) + 1
 
         for link in self.links:
             if link.holding is not None:
@@ -838,7 +813,7 @@ class Engine:
                 count(arg[1].flow)
         for flow in self.flows:
             metrics = flow.metrics
-            actual = in_network.get(flow.id, 0)
+            actual = in_network.get(flow, 0)
             if metrics.in_flight != actual:
                 raise AssertionError(
                     f"conservation broken on {flow.id}: "

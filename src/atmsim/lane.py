@@ -9,16 +9,16 @@ parallel), and switches to a fresh data-direct VC once the reply lands.
 Multicast and broadcast frames always go through the BUS, which floods
 every attached client except the sender exactly once.
 
-The entities are transport-agnostic: a LEC talks to the fabric through a
-LecPort adapter, so they run identically under the event engine and
-under plain unit tests.
+A LEC holds its control-direct VC to the LES and its multicast-send VC
+to the BUS, and drives whatever implements LecPort: the event engine
+itself, or a fake in the unit tests.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, Optional, Protocol, Tuple
 
 from .errors import ContractError
 
@@ -203,28 +203,19 @@ class LecCounters:
     pending_dropped: int = 0
 
 
-class LecPort:
-    """Fabric adapter a LEC drives; the engine (or a test fake) implements it."""
+class LecPort(Protocol):
+    """What a LEC needs of the fabric; the engine (or a test fake) is one."""
 
-    def now(self) -> float:
-        raise NotImplementedError
+    def now(self) -> float: ...
 
-    def send_arp_request(self, message: bytes) -> None:
-        raise NotImplementedError
+    def send_on_vc(self, vc: Any, frame: bytes) -> None: ...
 
-    def send_to_bus(self, frame: bytes) -> None:
-        raise NotImplementedError
-
-    def send_on_vc(self, vc: Any, frame: bytes) -> None:
-        raise NotImplementedError
-
-    def open_data_vc(self, dest_atm: bytes) -> Any:
+    def open_data_vc(self, src_atm: bytes, dest_atm: bytes) -> Any:
         """Set up a data-direct VC; None when a link on the way has no
         VCI left, the only reason the fabric refuses one."""
-        raise NotImplementedError
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        raise NotImplementedError
+    def set_timer(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Call ``fn(arg)`` ``delay`` seconds from now."""
 
 
 class Lec:
@@ -235,11 +226,15 @@ class Lec:
         mac: bytes,
         atm: bytes,
         port: LecPort,
+        to_les: Any,
+        to_bus: Any,
         parallel_bus: bool = False,
     ):
         self.mac = mac
         self.atm = atm
         self.port = port
+        self.to_les = to_les  # control-direct VC
+        self.to_bus = to_bus  # multicast-send VC
         self.parallel_bus = parallel_bus
         self.cache: Dict[bytes, ArpCacheEntry] = {}
         self.counters = LecCounters()
@@ -259,14 +254,14 @@ class Lec:
         self.counters.frames_sent += 1
         if is_multicast(dest_mac):
             self.counters.broadcast_sent += 1
-            self.port.send_to_bus(frame)
+            self.port.send_on_vc(self.to_bus, frame)
             return
         stats = self._dst(dest_mac)
         entry = self._cache_get(dest_mac)
         if entry is not None:
             if entry.vc is None:
                 # Address known but no VC (earlier setup refused); retry now.
-                entry.vc = self.port.open_data_vc(entry.atm)
+                entry.vc = self.port.open_data_vc(self.atm, entry.atm)
             if entry.vc is not None:
                 stats.sent_direct += 1
                 self.port.send_on_vc(entry.vc, frame)
@@ -282,11 +277,11 @@ class Lec:
         stats.queued += 1
         if len(queue) == 1:  # a new queue: resolve dest_mac
             self.counters.arp_requests += 1
-            self.port.send_arp_request(encode_arp_request(self.mac, dest_mac))
-            self.port.schedule(PENDING_TIMEOUT_S, lambda: self._on_arp_timeout(dest_mac, queue))
+            self.port.send_on_vc(self.to_les, encode_arp_request(self.mac, dest_mac))
+            self.port.set_timer(PENDING_TIMEOUT_S, self._on_arp_timeout, (dest_mac, queue))
         if self.parallel_bus:
             stats.sent_bus += 1
-            self.port.send_to_bus(frame)
+            self.port.send_on_vc(self.to_bus, frame)
 
     def on_arp_reply(self, target_mac: bytes, atm: Optional[bytes]) -> None:
         """Reply from the LES: fill the cache, set up the VC and flush the
@@ -296,7 +291,7 @@ class Lec:
             return
         entry = ArpCacheEntry(atm=atm, vc=None, learned_at=self.port.now())
         self.cache[target_mac] = entry
-        entry.vc = self.port.open_data_vc(atm)
+        entry.vc = self.port.open_data_vc(self.atm, atm)
         queue = self._pending.pop(target_mac, None)
         if not queue:
             return
@@ -309,7 +304,8 @@ class Lec:
             stats.sent_direct += 1
             self.port.send_on_vc(entry.vc, frame)
 
-    def _on_arp_timeout(self, dest_mac: bytes, queue: Deque[bytes]) -> None:
+    def _on_arp_timeout(self, arg: Tuple[bytes, Deque[bytes]]) -> None:
+        dest_mac, queue = arg
         if self._pending.get(dest_mac) is not queue:
             return  # resolved, or superseded by a newer request
         del self._pending[dest_mac]

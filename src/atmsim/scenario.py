@@ -371,6 +371,9 @@ def validate_scenario(sc: Scenario) -> List[str]:
         if cid in conn_ids:
             v.append(f"connection {cid}: duplicate id")
         conn_ids.add(cid)
+        if "/" in cid or "\0" in cid:
+            # run --out names a file abr_<id>.csv
+            v.append(f"connection {cid!r}: id must not contain '/' or NUL")
         if conn.clp not in (0, 1):
             v.append(f"connection {cid}: clp must be 0 or 1")
         if len(conn.route) < 2:

@@ -10,12 +10,12 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .cell import Cell, CellHeader
+from .cell import Cell
 from .errors import OrderingError
 
 
@@ -263,20 +263,9 @@ def police(cell: Cell, conforming: bool, action: PolicingAction) -> Optional[Cel
         return cell
     if action is PolicingAction.DROP:
         return None
-    h = cell.header
-    if h.clp == 1:
+    if cell.header.clp == 1:
         return cell
-    tagged = CellHeader(
-        kind=h.kind,
-        vpi=h.vpi,
-        vci=h.vci,
-        gfc=h.gfc,
-        is_management=h.is_management,
-        efci=h.efci,
-        aal5_last=h.aal5_last,
-        clp=1,
-    )
-    return Cell(tagged, cell.payload)
+    return Cell(replace(cell.header, clp=1), cell.payload)
 
 
 @dataclass

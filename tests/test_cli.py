@@ -249,6 +249,16 @@ class TestRun:
         path = write_scenario(tmp_path, raw)
         assert main(["run", path]) == 1
 
+    def test_run_refuses_an_id_that_cannot_name_a_file(self, tmp_path, capsys):
+        raw = small_scenario()
+        raw["connections"][0]["id"] = "x/y"
+        path = write_scenario(tmp_path, raw)
+        out_dir = tmp_path / "results"
+        assert main(["run", path, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid: connection 'x/y': id must not contain '/' or NUL\n" in err
+        assert not out_dir.exists()
+
     def test_run_writes_report(self, tmp_path, capsys):
         path = write_scenario(tmp_path, small_scenario())
         out_dir = tmp_path / "results"

@@ -3,6 +3,7 @@
 import heapq
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -17,13 +18,14 @@ from atmsim.engine import (
     OrderingError,
     ScenarioInvalid,
     TransitCell,
-    _expire_timer,
     build,
     load_scenario,
     preflight,
     rng_stream,
     run,
 )
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def cbr_scenario(rate=100.0, duration=1.0, bit_rate=1e6, prop=0.001) -> dict:
@@ -93,6 +95,33 @@ class TestAudit:
         heapq.heapify(heap)
         with pytest.raises(AssertionError, match="conservation broken on c1"):
             eng._audit()
+
+    def test_flows_that_share_an_id_are_audited_apart(self):
+        # "bulk:feedback" is also the id of ABR bulk's feedback flow
+        with open(os.path.join(DATA_DIR, "reference_scenario.json"), encoding="utf-8") as handle:
+            raw = json.load(handle)
+        voice = next(conn for conn in raw["connections"] if conn["id"] == "voice")
+        voice["id"] = "bulk:feedback"
+        eng = build(raw)
+        eng.run()
+        assert [flow.id for flow in eng.flows].count("bulk:feedback") == 2
+
+    def test_late_arp_replies_open_vcs_that_share_an_id(self):
+        # each LE-ARP round trip (4 hops of 0.6 s) outlasts the 1 s
+        # pending timeout, so every late reply opens one more h1->h2 VC
+        raw = lane_only_scenario(
+            {"h1": "host", "h2": "host", "hs": "host", "s": "switch"},
+            [("h1", "s"), ("h2", "s"), ("hs", "s")],
+            {"h1": "02:00:00:00:00:01", "h2": "02:00:00:00:00:02"},
+            [{"src": "h1", "dst": "02:00:00:00:00:02", "rate": 0.5, "frame_bytes": 8}],
+        )
+        for link in raw["links"]:
+            link.update(bit_rate=848, propagation_delay=0.6)
+        raw["duration_s"] = 22.1
+        eng = build(raw)
+        eng.run()
+        ids = [flow.id for flow in eng.flows]
+        assert ids.count("lane:data:h1->h2") >= 2
 
 
 class TestUnknownVc:
@@ -167,7 +196,7 @@ class TestOneSequence:
         eng.run()
         heap = list(eng.events._heap)
         handlers = [fn for _time, _seq, fn, _arg in heap]
-        assert _expire_timer in handlers
+        assert eng.lane.lecs["h1"]._on_arp_timeout in handlers
         assert any(fn == eng._complete or fn == eng._arrive for fn in handlers)
         seqs = [seq for _time, seq, _fn, _arg in heap]
         assert len(set(seqs)) == len(seqs)

@@ -1,7 +1,10 @@
 """LAN emulation: address resolution, data-direct VCs, flooding."""
 
+import inspect
+
 import pytest
 
+from atmsim.engine import Engine
 from atmsim.lane import (
     BROADCAST_MAC,
     CACHE_AGING_S,
@@ -28,6 +31,7 @@ MAC_B = parse_mac("02:00:00:00:00:0b")
 MAC_C = parse_mac("02:00:00:00:00:0c")
 ATM_A = atm_address("a")
 ATM_B = atm_address("b")
+TO_LES, TO_BUS = "vc-to-les", "vc-to-bus"  # the LEC's control-direct and multicast-send VCs
 
 
 class FakePort(LecPort):
@@ -36,45 +40,70 @@ class FakePort(LecPort):
     def __init__(self, vc_available: bool = True):
         self.clock = 0.0
         self.vc_available = vc_available
-        self.arp_requests = []
-        self.bus_frames = []
-        self.vc_frames = []  # (vc, frame)
+        self.sent = []  # (vc, frame), on every VC
         self.opened = []
-        self.timers = []  # (due, fn)
+        self.timers = []  # (due, fn, arg)
+
+    @property
+    def arp_requests(self):
+        return [frame for vc, frame in self.sent if vc == TO_LES]
+
+    @property
+    def bus_frames(self):
+        return [frame for vc, frame in self.sent if vc == TO_BUS]
+
+    @property
+    def vc_frames(self):
+        """(vc, frame) sent on data-direct VCs."""
+        return [(vc, frame) for vc, frame in self.sent if vc not in (TO_LES, TO_BUS)]
 
     def now(self) -> float:
         return self.clock
 
-    def send_arp_request(self, message: bytes) -> None:
-        self.arp_requests.append(message)
-
-    def send_to_bus(self, frame: bytes) -> None:
-        self.bus_frames.append(frame)
-
     def send_on_vc(self, vc, frame: bytes) -> None:
-        self.vc_frames.append((vc, frame))
+        self.sent.append((vc, frame))
 
-    def open_data_vc(self, dest_atm: bytes):
+    def open_data_vc(self, src_atm: bytes, dest_atm: bytes):
         if not self.vc_available:
             return None
         self.opened.append(dest_atm)
         return f"vc-to-{dest_atm.rstrip(bytes(1)).decode()}"
 
-    def schedule(self, delay: float, fn) -> None:
-        self.timers.append((self.clock + delay, fn))
+    def set_timer(self, delay: float, fn, arg) -> None:
+        self.timers.append((self.clock + delay, fn, arg))
 
     def advance(self, dt: float) -> None:
         self.clock += dt
-        due = [fn for when, fn in self.timers if when <= self.clock]
-        self.timers = [(when, fn) for when, fn in self.timers if when > self.clock]
-        for fn in due:
-            fn()
+        due = [(fn, arg) for when, fn, arg in self.timers if when <= self.clock]
+        self.timers = [timer for timer in self.timers if timer[0] > self.clock]
+        for fn, arg in due:
+            fn(arg)
 
 
 def make_lec(**kwargs) -> Lec:
     port = FakePort(vc_available=kwargs.pop("vc_available", True))
-    lec = Lec(mac=MAC_A, atm=ATM_A, port=port, **kwargs)
+    lec = Lec(mac=MAC_A, atm=ATM_A, port=port, to_les=TO_LES, to_bus=TO_BUS, **kwargs)
     return lec
+
+
+def port_methods():
+    """The public methods LecPort declares, in order."""
+    return [name for name, value in vars(LecPort).items() if callable(value) and name[0] != "_"]
+
+
+class TestLecPort:
+    """The engine and FakePort each define every LecPort method, with
+    the same parameter names, so the fake cannot drift from the port."""
+
+    def test_four_methods(self):
+        assert port_methods() == ["now", "send_on_vc", "open_data_vc", "set_timer"]
+
+    @pytest.mark.parametrize("impl", [Engine, FakePort])
+    def test_implementations_match_the_port(self, impl):
+        for name in port_methods():
+            expected = inspect.signature(vars(LecPort)[name]).parameters
+            assert name in vars(impl), f"{impl.__name__} does not define {name}"
+            assert list(inspect.signature(vars(impl)[name]).parameters) == list(expected)
 
 
 class TestAddressing:

@@ -401,6 +401,18 @@ class TestConnectionValidation:
         with pytest.raises(ScenarioError, match=r"^connections\[0\]\.abr: only ABR connections"):
             load_scenario(raw)
 
+    @pytest.mark.parametrize(
+        "cid, message",
+        [
+            ("x/y", "connection 'x/y': id must not contain '/' or NUL"),
+            ("x\0y", "connection 'x\\x00y': id must not contain '/' or NUL"),
+        ],
+    )
+    def test_id_that_cannot_name_a_file_rejected(self, cid, message):
+        raw = base_scenario()
+        raw["connections"][0]["id"] = cid
+        assert violations_of(raw) == [message]
+
     def test_clp_range(self):
         raw = base_scenario()
         raw["connections"][0]["clp"] = 2
