@@ -37,6 +37,11 @@ from .traffic import (
 USAGE_ERROR = 2
 FAILURE = 1
 
+# looked up once per cell in the conformance loop, so read as module
+# globals rather than through the enum class (see switch.ACCEPTED)
+_CORRECTED = DecodeStatus.CORRECTED
+_UNCORRECTABLE = DecodeStatus.UNCORRECTABLE
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
@@ -200,7 +205,9 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     corrected = 0
     uncorrectable = 0
     violations: List[str] = []
-    with open(args.trace) as fh:
+    # bytes that are not UTF-8 reach parse_trace_line as lone surrogates,
+    # so a bad line is refused with its number like any malformed one
+    with open(args.trace, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -211,10 +218,11 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             if args.port is not None and port != args.port:
                 continue
             outcome, payload = decode_cell(raw, kind)
-            if outcome.status is DecodeStatus.UNCORRECTABLE:
+            status = outcome.status
+            if status is _UNCORRECTABLE:
                 uncorrectable += 1
                 continue
-            if outcome.status is DecodeStatus.CORRECTED:
+            if status is _CORRECTED:
                 corrected += 1
             total += 1
             assert outcome.header is not None

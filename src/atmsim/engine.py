@@ -9,15 +9,20 @@ the queue's one counter, ``EventQueue.next_seq``, so no two entries tie
 and the heap never compares handlers.
 
 ``EventQueue.schedule`` serves the few events off the cell path (source
-start-up, LANE timers, ABR feedback).  The per-hop handlers (``_start``,
-``_complete``, ``_pace``) push their entries onto the heap directly, and
-``Engine.run`` pops them directly.  Each invariant is checked at one named
-place: no entry is dated before ``now`` (``OrderingError`` at every push,
-in ``schedule`` and in each handler that pushes), entries dispatch in
-strictly increasing (time, seq) order (an assertion in ``run``), the
-cells of one VC reach its endpoint in emission order, gaps being losses
-(per-VC FIFO, an assertion in ``_arrive``), and cells are conserved
-(``_audit``, after the run).
+start-up, LANE timers, ABR feedback).  Three per-hop handlers push onto
+the heap directly: ``_start``, the only code that puts a cell on a wire,
+pushes its finish (``_complete``); ``_complete`` pushes the cell's arrival
+at the far end (``_arrive``), then starts the next waiting cell; ``_pace``
+pushes a source's next emission.  An arrival entry carries the cell
+itself, whose ``link`` names the link it crossed.  The handlers pushed
+are bound once, in ``Engine.__init__``, and ``Engine.run`` pops the heap
+directly.  Each invariant is checked at one named place: no entry is
+dated before ``now`` (``OrderingError`` at every push, in ``schedule``
+and in each handler that pushes), entries dispatch in strictly increasing
+(time, seq) order (an assertion in ``run``), the cells of one VC reach
+its endpoint in emission order, gaps being losses (per-VC FIFO, an
+assertion in ``_arrive``), and cells are conserved (``_audit``, after the
+run).
 
 Inside the simulator a cell is a TransitCell: the header bits the model
 acts on (VCI, CLP, EFCI, payload type) as plain attributes, beside the
@@ -93,7 +98,7 @@ from .scenario import (
     switch_route,
     validate_scenario,
 )
-from .switch import EnqueueOutcome, LinkBooking, OutputQueue, cac_admit
+from .switch import ACCEPTED, LinkBooking, OutputQueue, cac_admit
 from .traffic import (
     DELAY_CHUNK,
     ConnectionMetrics,
@@ -194,11 +199,13 @@ class TransitCell:
     """A cell inside the simulator: the header bits the model acts on as
     plain attributes, plus bookkeeping that never touches the wire image.
 
-    The VPI is always 0 on the paths the engine installs.
+    The VPI is always 0 on the paths the engine installs.  ``link`` is
+    the link the cell last left, read by the arrival at its far end.
     """
 
     __slots__ = (
         "flow",
+        "link",
         "entry_time",
         "seq",
         "vci",
@@ -221,6 +228,7 @@ class TransitCell:
         payload: bytes = ZERO_PAYLOAD,
     ):
         self.flow = flow
+        self.link: Optional[DirectedLink] = None
         self.entry_time = entry_time
         self.seq = seq
         self.vci = vci
@@ -342,7 +350,8 @@ class DirectedLink:
     ``holding`` is the cell being serialized; the wire is busy exactly
     while it is set.  ``vcs`` is the VC table of ``dst_node`` for cells
     arriving over this link, keyed by the VCI they carry on it: at a
-    switch an entry is (next link, next VCI), at a host the VC's sink.
+    switch (``to_switch``) an entry is (next link, next VCI), at a host
+    the VC's sink.
     """
 
     def __init__(
@@ -357,6 +366,7 @@ class DirectedLink:
         self.src = src
         self.dst_node = dst_node
         self.dst = dst_node.name
+        self.to_switch = dst_node.kind == "switch"
         self.vcs: Dict[int, Union[Tuple[DirectedLink, int], Callable[[TransitCell], None]]] = {}
         self.prop = prop
         self.booking = booking
@@ -413,6 +423,13 @@ class Engine:
         self.duration = sc.duration_s
         self._half = sc.duration_s / 2.0
         self.events = EventQueue()
+        # the per-hop handlers push these very objects, so no push builds
+        # a bound method or looks through ``events``
+        self._heap = self.events._heap
+        self._next_seq = self.events.next_seq
+        self._complete = self._complete
+        self._arrive = self._arrive
+        self._fire = self._fire
         self.nodes: Dict[str, NodeRuntime] = {}
         self.links: List[DirectedLink] = []
         self.flows: List[FlowState] = []
@@ -662,31 +679,29 @@ class Engine:
 
     def _send(self, link: DirectedLink, tc: TransitCell) -> None:
         outcome = link.queue.enqueue(tc)
-        if outcome is EnqueueOutcome.ACCEPTED:
+        if outcome is ACCEPTED:
             if link.holding is None:
                 # an idle link's queue was empty, so tc is its head
-                self._start(link, link.queue.dequeue())
+                self._start(link, link.queue.dequeue(), self.events.now)
         else:
             tc.flow.on_lost(tc, outcome.value)
 
-    def _start(self, link: DirectedLink, tc: TransitCell) -> None:
-        """Put ``tc``, just dequeued, on an idle link's wire."""
+    def _start(self, link: DirectedLink, tc: TransitCell, now: float) -> None:
+        """Put ``tc``, just dequeued, on an idle link's wire at ``now``."""
         link.holding = tc
-        events = self.events
-        start = events.now
-        finish = start + link.tx_time
+        finish = now + link.tx_time
         link.cells += 1
-        # add finish - start, as _accrue_busy does: (start + tx_time) -
-        # start may differ from tx_time in the last bit
+        # add finish - now, as _accrue_busy does: (now + tx_time) - now
+        # may differ from tx_time in the last bit
         if finish <= self._half:
-            link.busy_first_half += finish - start
-        elif start >= self._half and finish <= self.duration:
-            link.busy_second_half += finish - start
+            link.busy_first_half += finish - now
+        elif now >= self._half and finish <= self.duration:
+            link.busy_second_half += finish - now
         else:
-            self._accrue_busy(link, start, finish)
-        if finish < start:
-            raise _into_past(finish, start)
-        heappush(events._heap, (finish, events.next_seq(), self._complete, link))
+            self._accrue_busy(link, now, finish)
+        if finish < now:
+            raise _into_past(finish, now)
+        heappush(self._heap, (finish, self._next_seq(), self._complete, link))
 
     def _accrue_busy(self, link: DirectedLink, start: float, finish: float) -> None:
         """Split a span that straddles duration/2 or duration."""
@@ -699,28 +714,30 @@ class Engine:
             link.busy_second_half += second
 
     def _complete(self, link: DirectedLink) -> None:
+        """The cell on ``link``'s wire is out: it arrives ``prop`` later,
+        and the queue's head, if any, starts now."""
         tc = link.holding
         assert tc is not None
-        link.holding = None
-        events = self.events
-        now = events.now
+        now = self.events.now
         arrival = now + link.prop
         if arrival < now:
             raise _into_past(arrival, now)
-        heappush(events._heap, (arrival, events.next_seq(), self._arrive, (link, tc)))
+        tc.link = link
+        heappush(self._heap, (arrival, self._next_seq(), self._arrive, tc))
         head = link.queue.dequeue()
-        if head is not None:
-            self._start(link, head)
+        if head is None:
+            link.holding = None
+        else:
+            self._start(link, head, now)
 
-    def _arrive(self, arg: Tuple[DirectedLink, TransitCell]) -> None:
-        link, tc = arg
-        node = link.dst_node
+    def _arrive(self, tc: TransitCell) -> None:
+        link = tc.link  # set by _complete
         entry = link.vcs.get(tc.vci)
         if entry is None:
-            node.unknown_vc += 1
+            link.dst_node.unknown_vc += 1
             tc.flow.on_lost(tc, "unknown_vc")
-        elif node.kind == "switch":
-            node.routed += 1
+        elif link.to_switch:
+            link.dst_node.routed += 1
             out, tc.vci = entry
             self._send(out, tc)
         else:
@@ -760,15 +777,14 @@ class Engine:
     def _pace(self, source: Any, fire: Callable[[Any], None]) -> None:
         """The one pacing rule: a source emits again 1/rate after now,
         moved out of an OFF period by its gate, if it has one."""
-        events = self.events
-        now = events.now
+        now = self.events.now
         nxt = now + 1.0 / source.rate
         if source.gate is not None:
             nxt = source.gate.admit(nxt)
         if nxt <= self.duration:
             if nxt < now:
                 raise _into_past(nxt, now)
-            heappush(events._heap, (nxt, events.next_seq(), fire, source))
+            heappush(self._heap, (nxt, self._next_seq(), fire, source))
 
     # -- run -------------------------------------------------------------------
 
@@ -808,9 +824,9 @@ class Engine:
             for tc in link.queue.pending():
                 count(tc.flow)
         arrive = self._arrive
-        for _time, _seq, fn, arg in self.events._heap:
+        for _time, _seq, fn, arg in self._heap:
             if fn == arrive:
-                count(arg[1].flow)
+                count(arg.flow)
         for flow in self.flows:
             metrics = flow.metrics
             actual = in_network.get(flow, 0)

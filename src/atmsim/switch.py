@@ -74,6 +74,14 @@ class EnqueueOutcome(enum.Enum):
     DISCARDED_CLP = "clp_threshold"
 
 
+# Hot paths read members through these names: on CPython 3.11 a lookup
+# such as ``EnqueueOutcome.ACCEPTED`` goes through the enum metaclass and
+# costs about ten times a module global.
+ACCEPTED = EnqueueOutcome.ACCEPTED
+DISCARDED_FULL = EnqueueOutcome.DISCARDED_FULL
+DISCARDED_CLP = EnqueueOutcome.DISCARDED_CLP
+
+
 class OutputQueue:
     """Bounded FIFO for one output port.
 
@@ -124,16 +132,16 @@ class OutputQueue:
         occ = len(items)
         if item.clp == 1 and occ >= self.clp_threshold:
             self.clp_drops += 1
-            return EnqueueOutcome.DISCARDED_CLP
+            return DISCARDED_CLP
         if occ >= self.capacity:
             self.full_drops += 1
-            return EnqueueOutcome.DISCARDED_FULL
+            return DISCARDED_FULL
         if occ + 1 > self.efci_threshold and not item.is_management:
             item.efci = True
             self.efci_marks += 1
         items.append(item)
         self.accepted += 1
-        return EnqueueOutcome.ACCEPTED
+        return ACCEPTED
 
     def pending(self) -> Iterator[Any]:
         """Waiting items in queue order, without removing them."""

@@ -252,6 +252,9 @@ class PolicingAction(enum.Enum):
     TAG_CLP = "tag_clp"
 
 
+_DROP = PolicingAction.DROP  # read per non-conforming cell; see switch.ACCEPTED
+
+
 def police(cell: Cell, conforming: bool, action: PolicingAction) -> Optional[Cell]:
     """Usage-parameter-control verdict for one cell.
 
@@ -261,7 +264,7 @@ def police(cell: Cell, conforming: bool, action: PolicingAction) -> Optional[Cel
     """
     if conforming:
         return cell
-    if action is PolicingAction.DROP:
+    if action is _DROP:
         return None
     if cell.header.clp == 1:
         return cell

@@ -408,6 +408,20 @@ class TestConformance:
         assert captured.err.startswith(f"error: {path}:2: ")
         assert "cells:" not in captured.out
 
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [(b"0.0 0 \xff\xfe", "cell bytes are not valid hex"), (b"\xff 0 00", "bad time value")],
+        ids=["in_cell_bytes", "in_time"],
+    )
+    def test_bytes_that_are_not_utf8_are_a_usage_error(self, tmp_path, capsys, bad_line, message):
+        good = format_trace_line(0.0, 1, trace_cell())
+        path = tmp_path / "trace.txt"
+        path.write_bytes(good.encode() + b"\n" + bad_line + b"\n")
+        assert main(["conformance", str(path), "--pcr", "1024"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}:2: {message}")
+        assert "cells:" not in captured.out
+
     def test_time_regression_is_usage_error(self, tmp_path, capsys):
         lines = [
             format_trace_line(0.5, 1, trace_cell()),

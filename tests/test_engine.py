@@ -225,6 +225,45 @@ class TestOneSequence:
         eng.run()
         assert seen == list(order)
 
+    @pytest.mark.parametrize("scheduled, occupancy", [("before_run", 1), ("by_handler", 0)])
+    def test_send_at_a_cells_finish_sees_the_queue_by_seq(self, scheduled, occupancy):
+        # Two cells sent at 0.5 s: the first goes on the wire, the second
+        # waits.  A third sent exactly when the first finishes runs before
+        # or after that finish by seq alone: before it when scheduled
+        # before the run, after it (the waiting cell has left the queue)
+        # when the 0.5 s handler scheduled it.
+        eng = build(cbr_scenario(rate=1.0))
+        events = eng.events
+        link = next(link for link in eng.links if link.name == "a->s")
+        stray = FlowState("stray")
+        eng.flows.append(stray)
+        seen = []
+        enqueue = link.queue.enqueue
+
+        def record(item):
+            if item.flow is stray:
+                seen.append(link.queue.occupancy)
+            return enqueue(item)
+
+        link.queue.enqueue = record
+
+        def send(_arg):
+            stray.on_emitted(0)
+            eng._send(link, TransitCell(stray, events.now, stray.take_seq(), VCI_MAX))
+
+        def send_two(_arg):
+            send(None)
+            send(None)
+            if scheduled == "by_handler":
+                events.schedule(events.now + link.tx_time, send)
+
+        events.schedule(0.5, send_two)
+        if scheduled == "before_run":
+            events.schedule(0.5 + link.tx_time, send)
+        eng.run()
+        assert seen == [0, 0, occupancy]
+        assert stray.loss_reasons == {"unknown_vc": 3}
+
 
 def eight_draws(seed, label):
     stream = rng_stream(seed, label)
