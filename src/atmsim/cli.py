@@ -1,5 +1,9 @@
 """Command line front end.
 
+``conformance`` decodes each traced header and asks the contract's
+cell-rate buckets whether the cell conforms; it counts verdicts and
+builds no cell.
+
 Exit codes: 0 on success, 1 when a scenario fails validation or a trace
 contains non-conforming cells, 2 on usage errors (a missing file or a
 directory given as one, a ``run --out`` that names a file or a path
@@ -14,7 +18,6 @@ import sys
 from typing import List, Optional
 
 from .cell import (
-    Cell,
     DecodeStatus,
     InterfaceKind,
     TraceFormatError,
@@ -27,12 +30,7 @@ from .cell import (
 from .engine import ScenarioInvalid, build, preflight
 from .errors import OrderingError
 from .scenario import ScenarioError, load_scenario
-from .traffic import (
-    Policer,
-    PolicingAction,
-    TrafficDescriptor,
-    contract_buckets,
-)
+from .traffic import TrafficDescriptor, conform_update, contract_buckets
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -194,14 +192,13 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         return _die("--scr and --mbs must be given together", USAGE_ERROR)
     if args.port is not None and args.port < 0:
         return _die(f"--port must be >= 0, got {args.port}", USAGE_ERROR)
-    descriptor = TrafficDescriptor(
-        pcr=args.pcr, cdvt=args.cdvt, scr=args.scr, mbs=args.mbs
+    buckets = contract_buckets(
+        TrafficDescriptor(pcr=args.pcr, cdvt=args.cdvt, scr=args.scr, mbs=args.mbs)
     )
-    action = PolicingAction.TAG_CLP if args.action == "tag" else PolicingAction.DROP
-    policer = Policer(buckets=contract_buckets(descriptor), action=action)
     kind = InterfaceKind.NNI if args.kind == "nni" else InterfaceKind.UNI
 
     total = 0
+    conforming = 0
     corrected = 0
     uncorrectable = 0
     violations: List[str] = []
@@ -217,7 +214,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
                 return _die(f"{args.trace}:{lineno}: {exc}", USAGE_ERROR)
             if args.port is not None and port != args.port:
                 continue
-            outcome, payload = decode_cell(raw, kind)
+            outcome = decode_cell(raw, kind)[0]
             status = outcome.status
             if status is _UNCORRECTABLE:
                 uncorrectable += 1
@@ -225,31 +222,28 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             if status is _CORRECTED:
                 corrected += 1
             total += 1
-            assert outcome.header is not None
-            cell = Cell(outcome.header, payload)
-            passed = policer.passed
             try:
-                policer.offer(cell, time_s)
+                ok = conform_update(buckets, time_s)
             except OrderingError:
                 return _die(
                     f"{args.trace}:{lineno}: cell times must be non-decreasing",
                     USAGE_ERROR,
                 )
-            if policer.passed == passed and len(violations) < 10:
-                header = cell.header
+            if ok:
+                conforming += 1
+            elif len(violations) < 10:
+                header = outcome.header
+                assert header is not None
                 violations.append(
                     f"  line {lineno}: t={_fmt(time_s)} vpi={header.vpi} "
                     f"vci={header.vci} clp={header.clp}"
                 )
 
-    nonconforming = policer.tagged + policer.dropped
+    nonconforming = total - conforming
     print(f"cells: {total}")
-    print(f"conforming: {policer.passed}")
+    print(f"conforming: {conforming}")
     print(f"nonconforming: {nonconforming}")
-    if action is PolicingAction.TAG_CLP:
-        print(f"tagged: {policer.tagged}")
-    else:
-        print(f"dropped: {policer.dropped}")
+    print(f"{'tagged' if args.action == 'tag' else 'dropped'}: {nonconforming}")
     print(f"corrected_headers: {corrected}")
     print(f"uncorrectable_headers: {uncorrectable}")
     if nonconforming:
@@ -316,7 +310,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--mbs", type=int, help="maximum burst size, cells")
     p_con.add_argument(
         "--action", choices=("drop", "tag"), default="drop",
-        help="what to do with non-conforming cells",
+        help="the word the non-conforming count is printed under: dropped or tagged",
     )
     p_con.add_argument("--port", type=int, help="only check cells on this port")
     p_con.add_argument(

@@ -285,13 +285,19 @@ class Lec:
 
     def on_arp_reply(self, target_mac: bytes, atm: Optional[bytes]) -> None:
         """Reply from the LES: fill the cache, set up the VC and flush the
-        queue in order.  Unknown targets stay queued until the timeout."""
+        queue in order.  Unknown targets stay queued until the timeout.  A
+        reply that names the address a cached VC already leads to (a late
+        reply to an earlier request) refreshes the entry and keeps its VC."""
         self.counters.arp_replies += 1
         if atm is None:
             return
-        entry = ArpCacheEntry(atm=atm, vc=None, learned_at=self.port.now())
-        self.cache[target_mac] = entry
-        entry.vc = self.port.open_data_vc(self.atm, atm)
+        entry = self.cache.get(target_mac)
+        if entry is not None and entry.atm == atm and entry.vc is not None:
+            entry.learned_at = self.port.now()
+        else:
+            entry = ArpCacheEntry(atm=atm, vc=None, learned_at=self.port.now())
+            self.cache[target_mac] = entry
+            entry.vc = self.port.open_data_vc(self.atm, atm)
         queue = self._pending.pop(target_mac, None)
         if not queue:
             return

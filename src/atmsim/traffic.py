@@ -255,25 +255,15 @@ class PolicingAction(enum.Enum):
 _DROP = PolicingAction.DROP  # read per non-conforming cell; see switch.ACCEPTED
 
 
-def police(cell: Cell, conforming: bool, action: PolicingAction) -> Optional[Cell]:
-    """Usage-parameter-control verdict for one cell.
-
-    Conforming cells pass unchanged.  Non-conforming cells are discarded
-    (None) under DROP, or passed with clp=1 under TAG_CLP; the rewritten
-    header gets a fresh HEC at serialization time by construction.
-    """
-    if conforming:
-        return cell
-    if action is _DROP:
-        return None
-    if cell.header.clp == 1:
-        return cell
-    return Cell(replace(cell.header, clp=1), cell.payload)
-
-
 @dataclass
 class Policer:
-    """Stateful UPC pipeline: bucket check + police(), with counters."""
+    """Usage parameter control of Cell values, with counters.
+
+    The buckets decide.  A conforming cell passes as the same object.  A
+    non-conforming one is discarded (None) under DROP, or passed with
+    clp=1 under TAG_CLP: as the same object when it is already tagged,
+    else as a copy whose header gets a fresh HEC when it is serialized.
+    """
 
     buckets: List[Gcra]
     action: PolicingAction = PolicingAction.DROP
@@ -282,15 +272,16 @@ class Policer:
     dropped: int = 0
 
     def offer(self, cell: Cell, arrival: float) -> Optional[Cell]:
-        conforming = conform_update(self.buckets, arrival)
-        out = police(cell, conforming, self.action)
-        if out is None:
-            self.dropped += 1
-        elif conforming:
+        if conform_update(self.buckets, arrival):
             self.passed += 1
-        else:
-            self.tagged += 1
-        return out
+            return cell
+        if self.action is _DROP:
+            self.dropped += 1
+            return None
+        self.tagged += 1
+        if cell.header.clp == 1:
+            return cell
+        return Cell(replace(cell.header, clp=1), cell.payload)
 
 
 class Shaper:

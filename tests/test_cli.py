@@ -453,6 +453,24 @@ class TestConformance:
         assert "uncorrectable_headers: 1" in out
         assert "cells: 0" in out
 
+    def test_checks_cells_without_building_any(self, tmp_path, capsys, monkeypatch):
+        cell = trace_cell()
+        raw = bytearray(encode_header(cell.header) + cell.payload)
+        raw[0] ^= 0x04
+        lines = [format_trace_line(0.0, 1, cell) for _ in range(2)]
+        lines.append(f"{1.0!r} 1 {bytes(raw).hex()}")
+        path = write_trace(tmp_path, lines)
+
+        def refuse(self):
+            raise AssertionError("conformance built a Cell")
+
+        monkeypatch.setattr(Cell, "__post_init__", refuse)
+        assert main(["conformance", path, "--pcr", "1024", "--action", "tag"]) == 1
+        out = capsys.readouterr().out
+        for line in ("cells: 3", "conforming: 2", "nonconforming: 1", "tagged: 1",
+                     "corrected_headers: 1", "  line 2: t=0 vpi=0 vci=32 clp=0"):
+            assert line + "\n" in out
+
     def test_missing_trace_usage_error(self, tmp_path):
         assert main(["conformance", str(tmp_path / "no.txt"), "--pcr", "10"]) == 2
 

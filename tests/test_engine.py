@@ -106,9 +106,10 @@ class TestAudit:
         eng.run()
         assert [flow.id for flow in eng.flows].count("bulk:feedback") == 2
 
-    def test_late_arp_replies_open_vcs_that_share_an_id(self):
+    def test_late_arp_replies_reuse_the_open_vc(self):
         # each LE-ARP round trip (4 hops of 0.6 s) outlasts the 1 s
-        # pending timeout, so every late reply opens one more h1->h2 VC
+        # pending timeout, so replies keep arriving after the first one
+        # opened the h1->h2 VC; they refresh the cache and open no other
         raw = lane_only_scenario(
             {"h1": "host", "h2": "host", "hs": "host", "s": "switch"},
             [("h1", "s"), ("h2", "s"), ("hs", "s")],
@@ -119,9 +120,10 @@ class TestAudit:
             link.update(bit_rate=848, propagation_delay=0.6)
         raw["duration_s"] = 22.1
         eng = build(raw)
-        eng.run()
+        report = eng.run()
         ids = [flow.id for flow in eng.flows]
-        assert ids.count("lane:data:h1->h2") >= 2
+        assert ids.count("lane:data:h1->h2") == 1
+        assert report.lane["data_direct_vcs"] == 1
 
 
 class TestUnknownVc:

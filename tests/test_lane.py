@@ -231,6 +231,27 @@ class TestLecSending:
         assert len(port.arp_requests) == 1  # no second resolution
         assert lec.cache[MAC_B].atm == ATM_B
 
+    def test_late_reply_keeps_the_open_vc(self):
+        # the first request times out, a second goes out, and both
+        # replies arrive: the second only refreshes the cache entry
+        lec = make_lec()
+        lec.send(MAC_B, b"one")
+        lec.port.advance(1.5 * PENDING_TIMEOUT_S)
+        lec.send(MAC_B, b"two")
+        lec.on_arp_reply(MAC_B, ATM_B)
+        vc = lec.cache[MAC_B].vc
+        lec.port.advance(0.5)
+        lec.on_arp_reply(MAC_B, ATM_B)
+        lec.send(MAC_B, b"three")
+        port = lec.port
+        assert port.opened == [ATM_B]
+        assert lec.cache[MAC_B].vc == vc
+        assert lec.cache[MAC_B].learned_at == port.clock
+        assert [(v, decode_frame(f)[2]) for v, f in port.vc_frames] == [
+            (vc, b"two"),
+            (vc, b"three"),
+        ]
+
     def test_parallel_bus_copy(self):
         lec = make_lec(parallel_bus=True)
         lec.send(MAC_B, b"one")

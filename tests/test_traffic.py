@@ -37,7 +37,6 @@ from atmsim.traffic import (
     conform_update,
     contract_buckets,
     delay_stats,
-    police,
     shape,
     validate_contract,
 )
@@ -339,17 +338,27 @@ class TestPolicing:
     def _cell(self, clp: int = 0) -> Cell:
         return Cell(CellHeader(kind=InterfaceKind.UNI, vpi=0, vci=5, clp=clp))
 
+    def _policer(self, action: PolicingAction) -> Policer:
+        # one cell per second: a cell at 0 conforms, a second one at 0 does not
+        return Policer(buckets=[Gcra(increment=1.0, limit=0.0)], action=action)
+
     def test_police_verdicts(self):
         cell = self._cell()
-        assert police(cell, True, PolicingAction.DROP) is cell
-        assert police(cell, False, PolicingAction.DROP) is None
-        tagged = police(cell, False, PolicingAction.TAG_CLP)
+        policer = self._policer(PolicingAction.DROP)
+        assert policer.offer(cell, 0.0) is cell
+        assert policer.offer(cell, 0.0) is None
+        policer = self._policer(PolicingAction.TAG_CLP)
+        policer.offer(cell, 0.0)
+        tagged = policer.offer(cell, 0.0)
         assert tagged is not None and tagged.header.clp == 1
         assert tagged.header.vci == cell.header.vci
+        assert tagged.payload == cell.payload
 
     def test_tagging_already_tagged_cell(self):
         cell = self._cell(clp=1)
-        tagged = police(cell, False, PolicingAction.TAG_CLP)
+        policer = self._policer(PolicingAction.TAG_CLP)
+        policer.offer(cell, 0.0)
+        tagged = policer.offer(cell, 0.0)
         assert tagged is not None and tagged.header.clp == 1
 
     def test_policer_counters_drop(self):
