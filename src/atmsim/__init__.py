@@ -3,93 +3,24 @@
 The protocol pieces (cells, AAL5, GCRA conformance, switching, ABR
 feedback, LAN emulation) are plain importable modules; the engine ties
 them into a deterministic discrete-event simulation driven by JSON
-scenario files.
+scenario files.  The package root names the run API only; everything
+else is imported from its own module.
 """
 
-from .aal5 import Reassembler, ReassemblyError, cell_count, segment
-from .abr import (
-    AbrSourceState,
-    EfciObserver,
-    FeedbackIndication,
-    default_source,
-    source_adjust,
-)
-from .cell import (
-    Cell,
-    CellHeader,
-    DecodeOutcome,
-    DecodeStatus,
-    InterfaceKind,
-    compute_hec,
-    decode_cell,
-    decode_header,
-    encode_cell,
-    encode_header,
-    set_efci,
-)
 from .engine import Engine, RunReport, ScenarioInvalid, build, preflight, run
-from .errors import ContractError, OrderingError
 from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
-from .switch import LinkBooking, OutputQueue, VcRoute, VcTable, cac_admit
-from .traffic import (
-    Gcra,
-    Policer,
-    PolicingAction,
-    QosRequirement,
-    ServiceCategory,
-    Shaper,
-    TrafficDescriptor,
-    burst_tolerance,
-    validate_contract,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbrSourceState",
-    "Cell",
-    "CellHeader",
-    "ContractError",
-    "DecodeOutcome",
-    "DecodeStatus",
-    "EfciObserver",
     "Engine",
-    "FeedbackIndication",
-    "Gcra",
-    "InterfaceKind",
-    "LinkBooking",
-    "OrderingError",
-    "OutputQueue",
-    "Policer",
-    "PolicingAction",
-    "QosRequirement",
-    "Reassembler",
-    "ReassemblyError",
     "RunReport",
     "Scenario",
     "ScenarioError",
     "ScenarioInvalid",
-    "ServiceCategory",
-    "Shaper",
-    "TrafficDescriptor",
-    "VcRoute",
-    "VcTable",
     "build",
-    "burst_tolerance",
-    "cac_admit",
-    "cell_count",
-    "compute_hec",
-    "decode_cell",
-    "decode_header",
-    "default_source",
-    "encode_cell",
-    "encode_header",
     "load_scenario",
     "preflight",
     "run",
-    "segment",
-    "set_efci",
-    "source_adjust",
-    "validate_contract",
     "validate_scenario",
 ]

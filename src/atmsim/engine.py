@@ -72,17 +72,7 @@ from .abr import (
 )
 from .cell import CELL_BITS, VCI_MAX, ZERO_PAYLOAD
 from .errors import OrderingError
-from .lane import (
-    OP_ARP_REPLY,
-    OP_ARP_REQUEST,
-    Bus,
-    Lec,
-    Les,
-    atm_address,
-    decode_control,
-    encode_arp_reply,
-    format_mac,
-)
+from .lane import Bus, Lec, Les, atm_address, format_mac
 from .rng import Stream
 from .scenario import (
     ConnectionSpec,
@@ -405,7 +395,6 @@ class LaneRuntime:
         self.host_by_atm: Dict[bytes, str] = {}
         self.direct_vcs: List[LaneVc] = []
         self.traffic: List[LaneTrafficState] = []
-        self.control_decode_errors = 0
 
 
 class Engine:
@@ -538,8 +527,8 @@ class Engine:
             lec = Lec(lec_spec.mac, atm, self, to_les, to_bus, parallel_bus=spec.parallel_bus)
             lane.lecs[host] = lec
             lane.host_by_atm[atm] = host
-            to_les.on_frame = partial(self._les_request, from_les)
-            from_les.on_frame = partial(self._lec_reply, lec)
+            to_les.on_frame = partial(lane.les.serve, reply=partial(self.send_on_vc, from_les))
+            from_les.on_frame = lec.on_control
             to_bus.on_frame = partial(lane.bus.forward, origin_atm=atm)
             from_bus.on_frame = partial(lec.deliver, via_bus=True)
             for vc, src, dst in (
@@ -612,36 +601,6 @@ class Engine:
             vc.reassembly_errors += 1
             return
         vc.on_frame(result)
-
-    def _control_body(self, message: bytes, expected_op: int) -> Any:
-        """Body of a LANE control message, or None (counted) when it does
-        not decode or carries another operation."""
-        lane = self.lane
-        assert lane is not None
-        try:
-            op, body = decode_control(message)
-        except ValueError:
-            op = None
-        if op != expected_op:
-            lane.control_decode_errors += 1
-            return None
-        return body
-
-    def _les_request(self, reply_vc: LaneVc, message: bytes) -> None:
-        body = self._control_body(message, OP_ARP_REQUEST)
-        if body is None:
-            return
-        _requester_mac, target_mac = body
-        lane = self.lane
-        assert lane is not None
-        atm = lane.les.resolve(target_mac)
-        self.send_on_vc(reply_vc, encode_arp_reply(target_mac, atm))
-
-    def _lec_reply(self, lec: Lec, message: bytes) -> None:
-        body = self._control_body(message, OP_ARP_REPLY)
-        if body is not None:
-            mac, atm = body
-            lec.on_arp_reply(mac, atm)
 
     # -- LecPort ---------------------------------------------------------------
 
@@ -946,7 +905,8 @@ class Engine:
             "bus": {"frames_in": lane.bus.frames_in, "copies_out": lane.bus.copies_out},
             "data_direct_vcs": len(lane.direct_vcs),
             "reassembly_errors": vc_errors,
-            "control_decode_errors": lane.control_decode_errors,
+            "control_decode_errors": lane.les.decode_errors
+            + sum(lec.decode_errors for lec in lane.lecs.values()),
             "lecs": lecs,
         }
 

@@ -11,7 +11,9 @@ every attached client except the sender exactly once.
 
 A LEC holds its control-direct VC to the LES and its multicast-send VC
 to the BUS, and drives whatever implements LecPort: the event engine
-itself, or a fake in the unit tests.
+itself, or a fake in the unit tests.  LE-ARP is encoded and decoded here
+alone: the LES answers requests itself (``Les.serve``) and each LEC
+decodes its own replies (``Lec.on_control``); the fabric carries bytes.
 """
 
 from __future__ import annotations
@@ -115,6 +117,15 @@ def decode_control(raw: bytes) -> Tuple[int, Any]:
     raise ValueError(f"unknown control opcode {op}")
 
 
+def _control_body(message: bytes, op: int) -> Any:
+    """Body of a control message carrying ``op``; None for any other message."""
+    try:
+        got, body = decode_control(message)
+    except ValueError:
+        return None
+    return body if got == op else None
+
+
 class Les:
     """LE-ARP server: the MAC -> ATM address directory of one LAN."""
 
@@ -123,6 +134,7 @@ class Les:
         self.arp_requests = 0
         self.arp_hits = 0
         self.arp_misses = 0
+        self.decode_errors = 0
 
     def register(self, mac: bytes, atm: bytes) -> None:
         """Idempotent for the same pair; a different ATM address for a
@@ -142,6 +154,15 @@ class Les:
         else:
             self.arp_hits += 1
         return atm
+
+    def serve(self, request: bytes, reply: Callable[[bytes], None]) -> None:
+        """Answer an LE-ARP request through ``reply``; anything else is a decode error."""
+        body = _control_body(request, OP_ARP_REQUEST)
+        if body is None:
+            self.decode_errors += 1
+            return
+        target = body[1]
+        reply(encode_arp_reply(target, self.resolve(target)))
 
 
 class Bus:
@@ -243,6 +264,7 @@ class Lec:
         # the request outstanding for that MAC
         self._pending: Dict[bytes, Deque[bytes]] = {}
         self._seen: Dict[bytes, None] = {}  # (src+payload[:8]) keys, insertion-ordered
+        self.decode_errors = 0  # control messages that are not LE-ARP replies
 
     # -- sending ---------------------------------------------------------
 
@@ -282,6 +304,14 @@ class Lec:
         if self.parallel_bus:
             stats.sent_bus += 1
             self.port.send_on_vc(self.to_bus, frame)
+
+    def on_control(self, message: bytes) -> None:
+        """A control message from the LES: an LE-ARP reply, or a decode error."""
+        body = _control_body(message, OP_ARP_REPLY)
+        if body is None:
+            self.decode_errors += 1
+        else:
+            self.on_arp_reply(*body)
 
     def on_arp_reply(self, target_mac: bytes, atm: Optional[bytes]) -> None:
         """Reply from the LES: fill the cache, set up the VC and flush the

@@ -91,6 +91,10 @@ class TestSegmentation:
         with pytest.raises(ValueError):
             segment(bytes(MAX_FRAME_BYTES + 1))
 
+    def test_negative_frame_length_rejected(self):
+        with pytest.raises(ValueError, match="frame length -1 out of range"):
+            cell_count(-1)
+
 
 class TestReassembly:
     def test_round_trip_all_small_lengths(self):

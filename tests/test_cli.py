@@ -249,6 +249,17 @@ class TestRun:
         path = write_scenario(tmp_path, raw)
         assert main(["run", path]) == 1
 
+    def test_run_schema_error(self, tmp_path, capsys):
+        raw = small_scenario()
+        raw["colour"] = "red"
+        path = write_scenario(tmp_path, raw)
+        out_dir = tmp_path / "results"
+        assert main(["run", path, "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scenario: unknown keys ['colour']\n"
+        assert not out_dir.exists()
+
     def test_run_refuses_an_id_that_cannot_name_a_file(self, tmp_path, capsys):
         raw = small_scenario()
         raw["connections"][0]["id"] = "x/y"

@@ -687,6 +687,14 @@ class TestLaneRuns:
         second = run(self.lane_scenario()).to_json()
         assert first == second
 
+    def test_undecodable_control_message_is_counted(self):
+        # a one-byte frame of unknown opcode on h1's control-direct VC
+        eng = build(self.lane_scenario())
+        eng.send_on_vc(eng.lane.lecs["h1"].to_les, b"\x09")
+        report = eng.run()  # ends with the conservation audit
+        assert report.lane["control_decode_errors"] == 1
+        assert report.lane["les"]["arp_requests"] == 1
+
 
 def lane_only_scenario(nodes, links, lecs, traffic=()) -> dict:
     """LANE with its LES and BUS on host ``hs``; ``nodes`` maps names to

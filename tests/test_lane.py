@@ -150,6 +150,20 @@ class TestFrameCodec:
         op, (mac, atm) = decode_control(miss)
         assert op == 2 and mac == MAC_C and atm is None
 
+    def test_encode_frame_checks_its_inputs(self):
+        with pytest.raises(ValueError, match="MAC addresses are 6 bytes"):
+            encode_frame(MAC_B[:5], MAC_A, b"")
+        with pytest.raises(ValueError, match="payload too long for the length field"):
+            encode_frame(MAC_B, MAC_A, bytes(0x10000))
+
+    def test_frame_shorter_than_its_header_rejected(self):
+        with pytest.raises(ValueError, match="frame shorter than its 14-byte header"):
+            decode_frame(bytes(13))
+
+    def test_arp_reply_needs_a_20_byte_address(self):
+        with pytest.raises(ValueError, match="ATM addresses are 20 bytes"):
+            encode_arp_reply(MAC_B, ATM_B[:19])
+
 
 class TestLes:
     def test_register_and_resolve(self):
@@ -341,3 +355,66 @@ class TestLecReceiving:
         lec.deliver(frame, via_bus=False)
         lec.deliver(frame, via_bus=True)
         assert lec.counters.duplicates == 1
+
+
+# Control messages that do not decode: empty, an unknown opcode, and a
+# request and a reply one byte short.
+MALFORMED_CONTROL = [
+    pytest.param(b"", id="empty"),
+    pytest.param(bytes((9,)), id="unknown-opcode"),
+    pytest.param(encode_arp_request(MAC_A, MAC_B)[:-1], id="short-request"),
+    pytest.param(encode_arp_reply(MAC_B, ATM_B)[:-1], id="short-reply"),
+]
+
+
+class TestControlMessages:
+    """The LES answers LE-ARP requests and each LEC decodes its replies;
+    every other control message counts one decode error and does nothing."""
+
+    def les(self) -> Les:
+        les = Les()
+        les.register(MAC_B, ATM_B)
+        return les
+
+    @pytest.mark.parametrize(
+        "message",
+        MALFORMED_CONTROL + [pytest.param(encode_arp_reply(MAC_B, ATM_B), id="reply")],
+    )
+    def test_les_counts_a_message_that_is_not_a_request(self, message):
+        les = self.les()
+        replies = []
+        les.serve(message, replies.append)
+        assert les.decode_errors == 1
+        assert replies == []
+        assert les.arp_requests == 0
+
+    @pytest.mark.parametrize(
+        "message",
+        MALFORMED_CONTROL + [pytest.param(encode_arp_request(MAC_A, MAC_B), id="request")],
+    )
+    def test_lec_counts_a_message_that_is_not_a_reply(self, message):
+        lec = make_lec()
+        lec.send(MAC_B, b"waiting")
+        lec.on_control(message)
+        assert lec.decode_errors == 1
+        assert lec.counters.arp_replies == 0
+        assert lec.cache == {}
+        assert lec.port.vc_frames == []
+
+    @pytest.mark.parametrize("target, atm", [(MAC_B, ATM_B), (MAC_C, None)], ids=["hit", "miss"])
+    def test_les_answers_a_request_once(self, target, atm):
+        les = self.les()
+        replies = []
+        les.serve(encode_arp_request(MAC_A, target), replies.append)
+        assert replies == [encode_arp_reply(target, atm)]
+        assert (les.arp_requests, les.decode_errors) == (1, 0)
+
+    def test_lec_takes_a_reply(self):
+        lec = make_lec()
+        lec.send(MAC_B, b"waiting")
+        lec.on_control(encode_arp_reply(MAC_B, ATM_B))
+        assert (lec.decode_errors, lec.counters.arp_replies) == (0, 1)
+        assert lec.cache[MAC_B].atm == ATM_B
+        assert [frame for _, frame in lec.port.vc_frames] == [
+            encode_frame(MAC_B, MAC_A, b"waiting")
+        ]

@@ -349,6 +349,29 @@ class TestTopologyValidation:
         raw["duration_s"] = 0.0
         assert any("duration_s" in v for v in violations_of(raw))
 
+    def test_negative_seed(self):
+        raw = base_scenario()
+        raw["seed"] = -1
+        assert violations_of(raw) == ["seed must be >= 0"]
+
+    def test_queue_capacity_at_least_one(self):
+        raw = base_scenario()
+        raw["nodes"][0]["queue_capacity"] = 0
+        assert violations_of(raw) == ["node a: queue_capacity must be >= 1"]
+
+    def test_booking_factor_positive(self):
+        raw = base_scenario()
+        raw["links"][0]["booking_factor"] = 0
+        assert violations_of(raw) == ["link a--s: booking_factor must be positive"]
+
+    def test_bit_rate_positive(self):
+        raw = base_scenario()
+        raw["links"][0]["bit_rate"] = 0
+        assert violations_of(raw) == [
+            "link a--s: bit_rate must be positive",
+            "connection c1: sends up to 100 cells/s, above the 0 cells/s of link a--s",
+        ]
+
 
 class TestConnectionValidation:
     def test_route_endpoints_must_be_hosts(self):
@@ -428,6 +451,18 @@ class TestConnectionValidation:
         raw["connections"][0]["route"] = ["a", "b"]
         assert violations_of(raw) == []
 
+    def test_duplicate_connection_id(self):
+        raw = base_scenario()
+        raw["connections"].append(dict(raw["connections"][0]))
+        assert violations_of(raw) == ["connection c1: duplicate id"]
+
+    def test_route_visits_a_node_twice(self):
+        raw = base_scenario()
+        raw["nodes"].append({"name": "s2", "kind": "switch"})
+        raw["links"].append({"a": "s", "b": "s2", "bit_rate": 1e6, "propagation_delay": 0.001})
+        raw["connections"][0]["route"] = ["a", "s", "s2", "s", "b"]
+        assert violations_of(raw) == ["connection c1: route visits a node twice"]
+
 
 class TestGeneratorValidation:
     @pytest.mark.parametrize(
@@ -456,6 +491,16 @@ class TestGeneratorValidation:
         assert violations_of(raw) == []
         raw["generators"] = [{**gen, "mean_on_s": 0.0099}]
         assert violations_of(raw) == ["generator g: on_off_vbr needs mean_on_s >= 1/peak_rate"]
+
+    def test_duplicate_generator_id(self):
+        raw = base_scenario()
+        raw["generators"].append({"id": "g", "kind": "paced_cbr", "rate": 100.0})
+        assert violations_of(raw) == ["generator g: duplicate id"]
+
+    def test_unknown_kind(self):
+        raw = base_scenario()
+        raw["generators"].append({"id": "p", "kind": "poisson", "rate": 100.0})
+        assert violations_of(raw) == ["generator p: unknown kind 'poisson'"]
 
 
 class TestLaneValidation:
@@ -531,6 +576,20 @@ class TestLaneValidation:
         sc = load_scenario(raw)
         assert sc.lane is not None
         assert sc.lane.traffic[0].frame_bytes == (64, 1500)
+
+    def test_one_lec_per_host(self):
+        raw = self._with_lane()
+        raw["lane"]["lecs"].append({"host": "a", "mac": "02:00:00:00:00:03"})
+        assert violations_of(raw) == ["lane lec a: one LEC per host"]
+
+    def test_traffic_rate_start_and_count_ranges(self):
+        raw = self._with_lane()
+        raw["lane"]["traffic"][0].update(rate=0, start=-1, count=0)
+        assert violations_of(raw) == [
+            "lane.traffic[0]: rate must be positive",
+            "lane.traffic[0]: start must be >= 0",
+            "lane.traffic[0]: count must be >= 1",
+        ]
 
 
 class TestReadmeExample:

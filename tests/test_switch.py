@@ -194,3 +194,20 @@ class TestBooking:
             booked = math.fsum(d.pcr for d in active)
             assert link.booked == booked
             assert booked <= 1000.0
+
+    @pytest.mark.parametrize(
+        "category, descriptor, message",
+        [
+            (ServiceCategory.VBR_NRT, TrafficDescriptor(pcr=100.0), "VBR admission requires scr"),
+            (ServiceCategory.ABR, TrafficDescriptor(pcr=100.0), "ABR admission requires mcr"),
+        ],
+    )
+    def test_booking_rate_needs_the_booked_field(self, category, descriptor, message):
+        with pytest.raises(ValueError, match=message):
+            booking_rate(category, descriptor)
+
+    def test_link_booking_checks_its_inputs(self):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            LinkBooking(capacity=0.0)
+        with pytest.raises(ValueError, match="booking_factor must be positive"):
+            LinkBooking(capacity=100.0, booking_factor=0.0)

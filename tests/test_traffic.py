@@ -333,6 +333,10 @@ class TestShaper:
         assert releases == [0.0, 1.0, 2.0, None]
         assert overflow == 1
 
+    def test_depth_must_be_positive(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            Shaper([Gcra(increment=1.0, limit=0.0)], depth=0)
+
 
 class TestPolicing:
     def _cell(self, clp: int = 0) -> Cell:
@@ -455,6 +459,10 @@ class TestContractRules:
         with pytest.raises(ValueError):
             QosRequirement(clr_clp0=1.5)
 
+    def test_negative_cdvt_rejected(self):
+        with pytest.raises(ValueError, match="cdvt must be >= 0"):
+            TrafficDescriptor(pcr=1, cdvt=-1)
+
     @pytest.mark.parametrize("field", ["pcr", "cdvt", "scr", "mcr"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rates_rejected(self, field, value):
@@ -489,6 +497,10 @@ class TestMetrics:
         assert compute_clr(metrics) == pytest.approx(14 / 100)
         assert compute_clr(metrics, 0) == pytest.approx(9 / 90)
         assert compute_clr(metrics, 1) == pytest.approx(5 / 10)
+
+    def test_compute_clr_rejects_an_unknown_clp(self):
+        with pytest.raises(ValueError, match="clp must be 0, 1 or None"):
+            compute_clr(ConnectionMetrics(), clp=2)
 
     def test_in_flight(self):
         metrics = ConnectionMetrics()
