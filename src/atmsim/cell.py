@@ -44,6 +44,10 @@ class InterfaceKind(enum.Enum):
     UNI = "uni"
     NNI = "nni"
 
+    # members are singletons compared by identity; Enum.__hash__ is Python
+    # code, and decode_header hashes a member into every memo key
+    __hash__ = object.__hash__
+
 
 def _crc8_table(poly: int) -> Tuple[int, ...]:
     table = []

@@ -159,7 +159,7 @@ def burst_tolerance(mbs: int, scr: float, pcr: float) -> float:
     return (mbs - 1) * (pcr - scr) / (scr * pcr)
 
 
-@dataclass
+@dataclass(slots=True)
 class Gcra:
     """Continuous-state leaky bucket.
 
@@ -220,11 +220,16 @@ def conform_update(buckets: Sequence[Gcra], arrival: float) -> bool:
 
     Buckets are only charged when the cell conforms overall, so a cell
     rejected by one bucket does not consume credit in another.  One pass
-    drains every bucket and stops at the first that refuses.
+    drains every bucket and stops at the first that refuses.  The drain
+    is Gcra.drained written out, as this runs once per cell.
     """
     levels = []
     for bucket in buckets:
-        down = bucket.drained(arrival)
+        last = bucket.last_time
+        if arrival < last:
+            raise OrderingError(f"arrival {arrival} before last conformance {last}")
+        down = bucket.level - (arrival - last)
+        down = down if down > 0 else 0
         if down > bucket.limit:
             return False
         levels.append(down)

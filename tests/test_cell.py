@@ -5,6 +5,8 @@ here from the generator polynomial alone, independent of the table-driven
 code under test.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -222,12 +224,38 @@ class TestDecodeMemo:
         with pytest.raises(ValueError):
             decode_header(bytearray(4), InterfaceKind.UNI)
 
+    def test_one_entry_per_kind(self):
+        raw = encode_header(CellHeader(kind=InterfaceKind.UNI, vpi=0x12, vci=7))
+        cell_module._decode_memo.clear()
+        decode_header(raw, InterfaceKind.UNI)
+        decode_header(raw, InterfaceKind.NNI)
+        decode_header(raw, InterfaceKind.UNI)
+        assert set(cell_module._decode_memo) == {(raw, InterfaceKind.UNI), (raw, InterfaceKind.NNI)}
+
     def test_stays_within_bound(self):
         bound = cell_module.DECODE_MEMO_MAX
         for vci in range(bound + 500):
             header = CellHeader(kind=InterfaceKind.NNI, vpi=1, vci=vci)
             assert decode_header(encode_header(header), InterfaceKind.NNI).header == header
             assert len(cell_module._decode_memo) <= bound
+
+
+class TestInterfaceKindIdentity:
+    """InterfaceKind hashes by identity; members stay singletons."""
+
+    def test_equal_headers_hash_equal(self):
+        for kind in InterfaceKind:
+            first = CellHeader(kind=kind, vpi=5, vci=77, clp=1)
+            second = CellHeader(kind=InterfaceKind(kind.value), vpi=5, vci=77, clp=1)
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
+            assert len({first, second}) == 1
+
+    def test_pickle_and_deepcopy_keep_the_member(self):
+        for kind in InterfaceKind:
+            assert pickle.loads(pickle.dumps(kind)) is kind
+            assert copy.deepcopy(kind) is kind
+            assert copy.deepcopy({kind: 1}) == {kind: 1}
 
 
 class TestCellCodec:

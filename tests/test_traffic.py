@@ -132,6 +132,34 @@ class TestGcra:
         with pytest.raises(OrderingError):
             bucket.conforms(4.0)
 
+    def test_earliest_conforming_before_last_time(self):
+        # records where it raises today, not a specification: it raises
+        # only when it evaluates a time before last_time.  Here the bound
+        # lies past last_time, so no such time is evaluated
+        bucket = Gcra(increment=1.0, limit=0.5, level=2.0, last_time=10.0)
+        assert bucket.earliest_conforming(5.0) == 11.5
+        # the bound lies before last_time and is evaluated: it raises
+        bucket = Gcra(increment=1.0, limit=0.5, level=0.2, last_time=10.0)
+        with pytest.raises(OrderingError, match="arrival 9.7 before last conformance 10.0"):
+            bucket.earliest_conforming(5.0)
+
+    @pytest.mark.parametrize("behind", [0, 1])
+    def test_conform_update_regression_charges_nothing(self, behind):
+        peak = Gcra(increment=0.1, limit=0.5, level=0.3, last_time=2.0)
+        sust = Gcra(increment=0.5, limit=3.0, level=1.5, last_time=2.0)
+        (peak, sust)[behind].last_time = 8.0
+        before = bucket_states([peak, sust])
+        with pytest.raises(OrderingError, match="arrival 5.0 before last conformance 8.0"):
+            conform_update([peak, sust], 5.0)
+        assert bucket_states([peak, sust]) == before
+
+    def test_update_regression_raises_and_charges_nothing(self):
+        bucket = Gcra(increment=1.0, limit=0.0)
+        assert bucket.update(5.0)
+        with pytest.raises(OrderingError, match="arrival 4.0 before last conformance 5.0"):
+            bucket.update(4.0)
+        assert (bucket.level, bucket.last_time) == (1.0, 5.0)
+
     def test_burst_law_exact(self):
         # with tau = BT, exactly mbs back-to-back cells at the peak rate
         # conform against the sustainable-rate bucket
@@ -337,6 +365,128 @@ class TestShaper:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             Shaper([Gcra(increment=1.0, limit=0.0)], depth=0)
 
+
+def reference_conform_update(buckets, arrival) -> bool:
+    """conform_update written on Gcra.drained."""
+    levels = []
+    for bucket in buckets:
+        down = bucket.drained(arrival)
+        if down > bucket.limit:
+            return False
+        levels.append(down)
+    for bucket, down in zip(buckets, levels):
+        bucket.level = down + bucket.increment
+        bucket.last_time = arrival
+    return True
+
+
+class ReferenceShaper:
+    """Shaper.offer on reference_conform_update."""
+
+    def __init__(self, buckets, depth: int):
+        self.buckets = buckets
+        self.depth = depth
+        self.pending = []
+        self.last_release = None
+
+    def offer(self, arrival):
+        self.pending = [t for t in self.pending if t > arrival]
+        if len(self.pending) >= self.depth:
+            return None
+        t = arrival
+        if self.last_release is not None and self.last_release > t:
+            t = self.last_release
+        for bucket in self.buckets:
+            t = bucket.earliest_conforming(t)
+        while not reference_conform_update(self.buckets, t):
+            t = math.nextafter(t, math.inf)
+        self.last_release = t
+        self.pending.append(t)
+        return t
+
+
+def bucket_states(buckets):
+    return [(bucket.level, bucket.last_time) for bucket in buckets]
+
+
+def on_off_bursts(rng: random.Random, cells: int, start: float = 0.0):
+    """Bursts at the peak spacing of the benchmark's contract (1 ms) with
+    a small jitter, separated by silences of 20..150 ms."""
+    times = []
+    t = start + rng.uniform(0.0, 0.05)
+    while len(times) < cells:
+        for _ in range(rng.randint(10, 80)):
+            times.append(t)
+            t += 0.001 + rng.uniform(0.0, 0.0002)
+        t += rng.uniform(0.02, 0.15)
+    return times[:cells]
+
+
+def paced_at_pcr(cells: int):
+    """A source emitting every 1/1000 s by repeated addition, as sources pace."""
+    times, t = [], 0.0
+    for _ in range(cells):
+        times.append(t)
+        t += 1 / 1000.0
+    return times
+
+
+def equal_runs(rng: random.Random, cells: int):
+    """Runs of 1..20 cells at one instant, spaced 0..30 ms apart."""
+    times, t = [], 0.0
+    while len(times) < cells:
+        times.extend([t] * rng.randint(1, 20))
+        t += rng.uniform(0.0, 0.03)
+    return times[:cells]
+
+
+BENCH_CONTRACT = TrafficDescriptor(pcr=1000.0, cdvt=0.0005, scr=400.0, mbs=40)
+
+# (stream, contract, shaper depth); every stream is seeded
+DRAIN_STREAMS = {
+    "on_off_bursts": (lambda: on_off_bursts(random.Random(61), 3000), BENCH_CONTRACT, 1024),
+    "pcr_zero_cdvt": (lambda: paced_at_pcr(2001), TrafficDescriptor(pcr=1000.0), 1024),
+    "pcr_zero_cdvt_anchored": (
+        lambda: [k / 1000.0 for k in range(2001)], TrafficDescriptor(pcr=1000.0), 1024
+    ),
+    "equal_runs": (lambda: equal_runs(random.Random(62), 3000), BENCH_CONTRACT, 16),
+    "near_1e6_s": (lambda: on_off_bursts(random.Random(63), 3000, start=1e6), BENCH_CONTRACT, 1024),
+    "near_1e6_s_fast": (
+        lambda: [1e6 + t / 1000.0 for t in on_off_bursts(random.Random(64), 3000)],
+        TrafficDescriptor(pcr=1e6, cdvt=1e-7, scr=4e5, mbs=40),
+        64,
+    ),
+}
+
+
+class TestDrainMatchesReference:
+    """conform_update drains its buckets inline; on float streams it must
+    agree with the same code written on Gcra.drained, bit for bit, after
+    every call, and so must the shaper that loops over it."""
+
+    @pytest.mark.parametrize("stream", sorted(DRAIN_STREAMS))
+    def test_policing_matches_reference(self, stream):
+        make, contract, _ = DRAIN_STREAMS[stream]
+        buckets, reference = contract_buckets(contract), contract_buckets(contract)
+        for t in make():
+            assert conform_update(buckets, t) == reference_conform_update(reference, t)
+            assert bucket_states(buckets) == bucket_states(reference)
+
+    @pytest.mark.parametrize("stream", sorted(DRAIN_STREAMS))
+    def test_shaping_matches_reference(self, stream):
+        make, contract, depth = DRAIN_STREAMS[stream]
+        arrivals = make()
+        buckets, reference = contract_buckets(contract), contract_buckets(contract)
+        shaper, expected = Shaper(buckets, depth=depth), ReferenceShaper(reference, depth)
+        releases = []
+        for t in arrivals:
+            release = shaper.offer(t)
+            assert release == expected.offer(t)
+            assert bucket_states(buckets) == bucket_states(reference)
+            releases.append(release)
+        assert shape(arrivals, contract_buckets(contract), depth=depth) == (
+            releases, releases.count(None)
+        )
 
 class TestPolicing:
     def _cell(self, clp: int = 0) -> Cell:
