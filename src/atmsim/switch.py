@@ -11,6 +11,9 @@ VcTable and route_cell switch codec-level Cell values by exact-match
 lookup on (input port, VPI, VCI), rewriting the labels for the next hop,
 as cell.set_efci marks them.  The engine does not use them: it keeps one
 VC table per link (see engine.DirectedLink).
+
+Admission books on each link the rate named by the connection's row of
+traffic.CATEGORY_RULES, and admits a route only when every link has room.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cell import Cell
-from .traffic import ServiceCategory, TrafficDescriptor
+from .traffic import CATEGORY_RULES, ServiceCategory, TrafficDescriptor
 
 DEFAULT_QUEUE_CAPACITY = 128
 EFCI_THRESHOLD_FRACTION = 0.8
@@ -154,19 +157,17 @@ class OutputQueue:
 
 
 def booking_rate(category: ServiceCategory, descriptor: TrafficDescriptor) -> float:
-    """Bandwidth a connection books for admission: PCR for CBR, SCR for
-    VBR, MCR for ABR, nothing for UBR."""
-    if category is ServiceCategory.CBR:
-        return descriptor.pcr
-    if category in (ServiceCategory.VBR_RT, ServiceCategory.VBR_NRT):
-        if descriptor.scr is None:
-            raise ValueError("VBR admission requires scr")
-        return descriptor.scr
-    if category is ServiceCategory.ABR:
-        if descriptor.mcr is None:
-            raise ValueError("ABR admission requires mcr")
-        return descriptor.mcr
-    return 0.0
+    """Bandwidth a connection books for admission: the descriptor field
+    its category's row of CATEGORY_RULES books (PCR for CBR, SCR for VBR,
+    MCR for ABR), nothing for UBR."""
+    name = CATEGORY_RULES[category].books
+    if name is None:
+        return 0.0
+    rate = getattr(descriptor, name)
+    if rate is None:
+        # both VBR categories speak as "VBR"
+        raise ValueError(f"{category.name.partition('_')[0]} admission requires {name}")
+    return rate
 
 
 class LinkBooking:
@@ -184,24 +185,24 @@ class LinkBooking:
             raise ValueError("booking_factor must be positive")
         self.capacity = capacity
         self.booking_factor = booking_factor
-        self._booked: List[Tuple[ServiceCategory, float]] = []
+        self._booked: List[float] = []
 
     @property
     def booked(self) -> float:
-        return math.fsum(rate for _, rate in self._booked)
+        return math.fsum(self._booked)
 
     def can_admit(self, category: ServiceCategory, descriptor: TrafficDescriptor) -> bool:
         rate = booking_rate(category, descriptor)
         if rate == 0.0:
             return True  # UBR (and zero-MCR ABR) is never refused for bandwidth
-        total = math.fsum([r for _, r in self._booked] + [rate])
+        total = math.fsum(self._booked + [rate])
         return total <= self.capacity * self.booking_factor
 
     def book(self, category: ServiceCategory, descriptor: TrafficDescriptor) -> None:
-        self._booked.append((category, booking_rate(category, descriptor)))
+        self._booked.append(booking_rate(category, descriptor))
 
     def release(self, category: ServiceCategory, descriptor: TrafficDescriptor) -> None:
-        self._booked.remove((category, booking_rate(category, descriptor)))
+        self._booked.remove(booking_rate(category, descriptor))
 
 
 def cac_admit(

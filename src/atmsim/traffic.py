@@ -10,10 +10,10 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cell import Cell
 from .errors import OrderingError
@@ -78,7 +78,28 @@ class QosRequirement:
                 raise ValueError(f"{name} must be >= 0")
 
 
-_VBR = (ServiceCategory.VBR_RT, ServiceCategory.VBR_NRT)
+_QOS_FIELDS = tuple(f.name for f in fields(QosRequirement))
+
+
+class CategoryRule(NamedTuple):
+    """What one service category declares, books and may request."""
+
+    requires: Tuple[str, ...]  # descriptor fields it must declare
+    excludes: Tuple[str, ...]  # descriptor fields it must leave out
+    books: Optional[str]  # descriptor field admission books; None books nothing
+    qos: Tuple[str, ...]  # QoS fields it may request
+
+
+# The service-category table of ATM Forum TM 4.0 (af-tm-0056.000)
+CATEGORY_RULES = {
+    ServiceCategory.CBR: CategoryRule(("cdvt",), ("scr", "mbs", "mcr"), "pcr", _QOS_FIELDS),
+    ServiceCategory.VBR_RT: CategoryRule(("scr", "mbs"), ("mcr",), "scr", _QOS_FIELDS),
+    ServiceCategory.VBR_NRT: CategoryRule(
+        ("scr", "mbs"), ("mcr",), "scr", ("clr_clp0", "clr_clp1", "max_ctd")
+    ),
+    ServiceCategory.ABR: CategoryRule(("mcr",), ("scr", "mbs"), "mcr", ("clr_clp0", "clr_clp1")),
+    ServiceCategory.UBR: CategoryRule((), ("scr", "mbs", "mcr"), None, ()),
+}
 
 
 def validate_contract(
@@ -89,59 +110,31 @@ def validate_contract(
     """Check descriptor+QoS applicability for a service category.
 
     Returns a list of human-readable violations; empty means the contract
-    is well formed.  Applicability follows the service-category table:
-    CBR books peak rate only, VBR declares its sustainable rate and burst
-    size, ABR needs a minimum rate (zero is fine), and UBR gets no
-    guarantees of any kind.
+    is well formed.  Applicability is the category's row of
+    CATEGORY_RULES: missing required fields first, then declared excluded
+    ones, then QoS fields the category may not request.
     """
     if qos is None:
         qos = QosRequirement()
-    v: List[str] = []
+    rule = CATEGORY_RULES[category]
     cat = category.name
-
-    if category is ServiceCategory.CBR:
-        if descriptor.cdvt is None:
-            v.append("CBR requires CDVT")
-        if descriptor.scr is not None:
-            v.append("SCR not applicable for CBR")
-        if descriptor.mbs is not None:
-            v.append("MBS not applicable for CBR")
-        if descriptor.mcr is not None:
-            v.append("MCR not applicable for CBR")
-    elif category in _VBR:
-        if descriptor.scr is None:
-            v.append(f"{cat} requires SCR")
-        if descriptor.mbs is None:
-            v.append(f"{cat} requires MBS")
-        if descriptor.mcr is not None:
-            v.append(f"MCR not applicable for {cat}")
-    elif category is ServiceCategory.ABR:
-        if descriptor.mcr is None:
-            v.append("ABR requires MCR (zero allowed)")
-        if descriptor.scr is not None:
-            v.append("SCR not applicable for ABR")
-        if descriptor.mbs is not None:
-            v.append("MBS not applicable for ABR")
-    else:  # UBR
-        if descriptor.scr is not None:
-            v.append("SCR not applicable for UBR")
-        if descriptor.mbs is not None:
-            v.append("MBS not applicable for UBR")
-        if descriptor.mcr is not None:
-            v.append("MCR not applicable for UBR")
-
-    if category is ServiceCategory.UBR:
-        for name in ("clr_clp0", "clr_clp1", "max_ctd", "max_cdv"):
-            if getattr(qos, name) is not None:
-                v.append(f"{name} not applicable for UBR (no QoS guarantees)")
-    else:
-        if qos.max_ctd is not None and category is ServiceCategory.ABR:
-            v.append("max_ctd not applicable for ABR")
-        if qos.max_cdv is not None and category not in (
-            ServiceCategory.CBR,
-            ServiceCategory.VBR_RT,
-        ):
-            v.append(f"max_cdv only applies to CBR and VBR_RT, not {cat}")
+    v: List[str] = []
+    for name in rule.requires:
+        if getattr(descriptor, name) is None:
+            v.append(f"{cat} requires {name.upper()}" + (" (zero allowed)" if name == "mcr" else ""))
+    for name in rule.excludes:
+        if getattr(descriptor, name) is not None:
+            v.append(f"{name.upper()} not applicable for {cat}")
+    for name in _QOS_FIELDS:
+        if getattr(qos, name) is None or name in rule.qos:
+            continue
+        if not rule.qos:
+            v.append(f"{name} not applicable for {cat} (no QoS guarantees)")
+        elif name == "max_cdv":
+            cdv = " and ".join(c.name for c, r in CATEGORY_RULES.items() if name in r.qos)
+            v.append(f"max_cdv only applies to {cdv}, not {cat}")
+        else:
+            v.append(f"{name} not applicable for {cat}")
     return v
 
 
@@ -193,10 +186,13 @@ class Gcra:
     def earliest_conforming(self, not_before: float) -> float:
         """Smallest representable time >= not_before at which a cell conforms.
 
-        The algebraic bound last_time + (level - limit) can land one ulp
-        short under float rounding, so the result is nudged with nextafter
-        until the bucket actually agrees.
+        No arrival may precede last_time, so a not_before before it is
+        raised to it.  The algebraic bound last_time + (level - limit) can
+        land one ulp short under float rounding, so the result is nudged
+        with nextafter until the bucket actually agrees.
         """
+        if not_before < self.last_time:
+            not_before = self.last_time
         t = not_before
         bound = self.last_time + (self.level - self.limit)
         if bound > t:

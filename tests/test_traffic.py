@@ -7,6 +7,7 @@ inputs unchanged).
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import statistics
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 from atmsim.cell import Cell, CellHeader, InterfaceKind
 from atmsim.engine import build
 from atmsim.errors import OrderingError
+from atmsim.switch import booking_rate
 from atmsim.traffic import (
+    CATEGORY_RULES,
     DELAY_CHUNK,
     ConnectionMetrics,
     DelayMoments,
@@ -133,15 +136,13 @@ class TestGcra:
             bucket.conforms(4.0)
 
     def test_earliest_conforming_before_last_time(self):
-        # records where it raises today, not a specification: it raises
-        # only when it evaluates a time before last_time.  Here the bound
-        # lies past last_time, so no such time is evaluated
+        # not_before is raised to last_time: a bound past last_time still
+        # decides, and a bucket that conforms at last_time answers it
         bucket = Gcra(increment=1.0, limit=0.5, level=2.0, last_time=10.0)
         assert bucket.earliest_conforming(5.0) == 11.5
-        # the bound lies before last_time and is evaluated: it raises
-        bucket = Gcra(increment=1.0, limit=0.5, level=0.2, last_time=10.0)
-        with pytest.raises(OrderingError, match="arrival 9.7 before last conformance 10.0"):
-            bucket.earliest_conforming(5.0)
+        for level in (0.2, 0.5):
+            bucket = Gcra(increment=1.0, limit=0.5, level=level, last_time=10.0)
+            assert bucket.earliest_conforming(5.0) == 10.0
 
     @pytest.mark.parametrize("behind", [0, 1])
     def test_conform_update_regression_charges_nothing(self, behind):
@@ -588,6 +589,81 @@ class TestContractRules:
             QosRequirement(clr_clp0=1e-6, clr_clp1=1e-3, max_ctd=0.1, max_cdv=0.01),
         )
         assert len(v) == 7  # scr, mbs, mcr + all four QoS fields
+
+    BARE = TrafficDescriptor(pcr=1000.0)
+    FULL = TrafficDescriptor(pcr=1000.0, cdvt=0.001, scr=500.0, mbs=10, mcr=100.0)
+    ALL_QOS = QosRequirement(clr_clp0=1e-6, clr_clp1=1e-3, max_ctd=0.01, max_cdv=0.002)
+
+    @pytest.mark.parametrize(
+        "category, full, expected",
+        [
+            (ServiceCategory.CBR, False, ["CBR requires CDVT"]),
+            (ServiceCategory.VBR_RT, False, ["VBR_RT requires SCR", "VBR_RT requires MBS"]),
+            (ServiceCategory.VBR_NRT, False, ["VBR_NRT requires SCR", "VBR_NRT requires MBS"]),
+            (ServiceCategory.ABR, False, ["ABR requires MCR (zero allowed)"]),
+            (ServiceCategory.UBR, False, []),
+            (
+                ServiceCategory.CBR,
+                True,
+                ["SCR not applicable for CBR", "MBS not applicable for CBR", "MCR not applicable for CBR"],
+            ),
+            (ServiceCategory.VBR_RT, True, ["MCR not applicable for VBR_RT"]),
+            (
+                ServiceCategory.VBR_NRT,
+                True,
+                ["MCR not applicable for VBR_NRT", "max_cdv only applies to CBR and VBR_RT, not VBR_NRT"],
+            ),
+            (
+                ServiceCategory.ABR,
+                True,
+                [
+                    "SCR not applicable for ABR",
+                    "MBS not applicable for ABR",
+                    "max_ctd not applicable for ABR",
+                    "max_cdv only applies to CBR and VBR_RT, not ABR",
+                ],
+            ),
+            (
+                ServiceCategory.UBR,
+                True,
+                [
+                    "SCR not applicable for UBR",
+                    "MBS not applicable for UBR",
+                    "MCR not applicable for UBR",
+                    "clr_clp0 not applicable for UBR (no QoS guarantees)",
+                    "clr_clp1 not applicable for UBR (no QoS guarantees)",
+                    "max_ctd not applicable for UBR (no QoS guarantees)",
+                    "max_cdv not applicable for UBR (no QoS guarantees)",
+                ],
+            ),
+        ],
+    )
+    def test_every_message_in_order(self, category, full, expected):
+        """Bare: PCR alone, no QoS.  Full: every descriptor field and every QoS field."""
+        if full:
+            assert self._check(category, self.FULL, self.ALL_QOS) == expected
+        else:
+            assert self._check(category, self.BARE) == expected
+
+    def test_every_category_has_a_row_that_books_what_it_requires(self):
+        assert set(CATEGORY_RULES) == set(ServiceCategory)
+        for rule in CATEGORY_RULES.values():
+            assert rule.books in ("pcr", None) or rule.books in rule.requires
+
+    @pytest.mark.parametrize("category", list(ServiceCategory))
+    def test_accepted_contracts_book_without_raising(self, category):
+        # why cac_admit cannot raise for a scenario that validated
+        values = {"cdvt": 0.001, "scr": 500.0, "mbs": 10, "mcr": 100.0}
+        books = CATEGORY_RULES[category].books
+        accepted = 0
+        for size in range(len(values) + 1):
+            for names in itertools.combinations(values, size):
+                descriptor = TrafficDescriptor(pcr=1000.0, **{n: values[n] for n in names})
+                if not validate_contract(category, descriptor):
+                    accepted += 1
+                    expected = 0.0 if books is None else getattr(descriptor, books)
+                    assert booking_rate(category, descriptor) == expected
+        assert accepted
 
     def test_cdv_only_for_realtime(self):
         v = self._check(
