@@ -9,8 +9,7 @@ rate paces emission: next cell at last + 1/acr.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import OrderingError
 
@@ -20,36 +19,37 @@ AIR_FRACTION_OF_PCR = 1.0 / 64.0
 INITIAL_ACR_FRACTION_OF_PCR = 1.0 / 16.0
 
 
-@dataclass(frozen=True)
-class FeedbackIndication:
+class FeedbackIndication(NamedTuple):
     """One binary feedback sample; epochs count windows at the destination."""
 
     congested: bool
     epoch: int
 
 
-@dataclass
 class AbrSourceState:
     """Source-side rate state.  acr stays within [mcr, pcr] at all times."""
 
-    pcr: float
-    mcr: float
-    acr: float
-    air: float
-    rdf: float
-    last_epoch: int = -1
+    __slots__ = ("pcr", "mcr", "acr", "air", "rdf", "last_epoch")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mcr <= self.pcr:
+    def __init__(
+        self, pcr: float, mcr: float, acr: float, air: float, rdf: float, last_epoch: int = -1
+    ):
+        if not 0 <= mcr <= pcr:
             raise ValueError("need 0 <= mcr <= pcr")
-        if not self.mcr <= self.acr <= self.pcr:
+        if not mcr <= acr <= pcr:
             raise ValueError("acr must start within [mcr, pcr]")
-        if self.acr <= 0:
+        if acr <= 0:
             raise ValueError("acr must be positive to pace emission")
-        if self.air < 0:
+        if air < 0:
             raise ValueError("air must be >= 0")
-        if not 0 < self.rdf <= 1:
+        if not 0 < rdf <= 1:
             raise ValueError("rdf must lie in (0, 1]")
+        self.pcr = pcr
+        self.mcr = mcr
+        self.acr = acr
+        self.air = air
+        self.rdf = rdf
+        self.last_epoch = last_epoch
 
 
 def default_source(
@@ -87,18 +87,24 @@ def source_adjust(state: AbrSourceState, indication: FeedbackIndication) -> floa
     return state.acr
 
 
-@dataclass
 class EfciObserver:
     """Destination-side window: OR of EFCI bits over runs of nrm data cells."""
 
-    nrm: int = DEFAULT_NRM
-    cells_seen: int = 0
-    congested: bool = False
-    next_epoch: int = 0
+    __slots__ = ("nrm", "cells_seen", "congested", "next_epoch")
 
-    def __post_init__(self) -> None:
-        if self.nrm < 1:
+    def __init__(
+        self,
+        nrm: int = DEFAULT_NRM,
+        cells_seen: int = 0,
+        congested: bool = False,
+        next_epoch: int = 0,
+    ):
+        if nrm < 1:
             raise ValueError("nrm must be >= 1")
+        self.nrm = nrm
+        self.cells_seen = cells_seen
+        self.congested = congested
+        self.next_epoch = next_epoch
 
     def observe(self, efci: bool) -> Optional[FeedbackIndication]:
         """Account one delivered data cell; returns an indication when a

@@ -58,7 +58,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -272,6 +272,7 @@ class ContractFlow(FlowState):
     def __init__(self, spec: ConnectionSpec, gen: GeneratorSpec, seed: int, end: float):
         super().__init__(spec.id)
         self.spec = spec
+        self.clp = spec.clp  # read per emission, as FlowState.vci is
         self.abr_source: Optional[AbrSourceState] = None
         if spec.category is ServiceCategory.ABR:
             self.abr_source = abr_source(spec)
@@ -719,7 +720,7 @@ class Engine:
 
     def _fire(self, flow: ContractFlow) -> None:
         now = self.events.now
-        clp = flow.spec.clp
+        clp = flow.clp
         tc = TransitCell(flow, now, flow.take_seq(), flow.vci, clp)
         flow.on_emitted(clp)
         self._send(flow.tx, tc)
@@ -887,9 +888,9 @@ class Engine:
         for host, lec in lane.lecs.items():
             lecs[host] = {
                 "mac": format_mac(lec.mac),
-                **asdict(lec.counters),
+                **_slot_dict(lec.counters),
                 "per_destination": {
-                    format_mac(mac): asdict(stats) for mac, stats in lec.per_destination.items()
+                    format_mac(mac): _slot_dict(stats) for mac, stats in lec.per_destination.items()
                 },
             }
         vc_errors = sum(
@@ -911,18 +912,44 @@ class Engine:
         }
 
 
-@dataclass
+def _slot_dict(record: Any) -> Dict[str, Any]:
+    """A slotted counter record as a dict, in slot order."""
+    return {name: getattr(record, name) for name in record.__slots__}
+
+
 class RunReport:
     """Run results, serializable to a stable JSON document + CSV series."""
 
-    duration_s: float
-    seed: int
-    events_processed: int
-    connections: Dict[str, Dict[str, Any]]
-    switches: Dict[str, Dict[str, Any]]
-    links: Dict[str, Dict[str, Any]]
-    abr_series: Dict[str, List[Tuple[float, float, bool]]]
-    lane: Optional[Dict[str, Any]]
+    __slots__ = (
+        "duration_s",
+        "seed",
+        "events_processed",
+        "connections",
+        "switches",
+        "links",
+        "abr_series",
+        "lane",
+    )
+
+    def __init__(
+        self,
+        duration_s: float,
+        seed: int,
+        events_processed: int,
+        connections: Dict[str, Dict[str, Any]],
+        switches: Dict[str, Dict[str, Any]],
+        links: Dict[str, Dict[str, Any]],
+        abr_series: Dict[str, List[Tuple[float, float, bool]]],
+        lane: Optional[Dict[str, Any]],
+    ):
+        self.duration_s = duration_s
+        self.seed = seed
+        self.events_processed = events_processed
+        self.connections = connections
+        self.switches = switches
+        self.links = links
+        self.abr_series = abr_series
+        self.lane = lane
 
     def as_dict(self) -> Dict[str, Any]:
         return {

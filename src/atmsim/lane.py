@@ -19,7 +19,6 @@ decodes its own replies (``Lec.on_control``); the fabric carries bytes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional, Protocol, Tuple
 
 from .errors import ContractError
@@ -191,37 +190,81 @@ class Bus:
         return copies
 
 
-@dataclass
 class ArpCacheEntry:
-    atm: bytes
-    vc: Any = None  # engine's VC handle; None while setup failed/pending
-    learned_at: float = 0.0
+    __slots__ = ("atm", "vc", "learned_at")
+
+    def __init__(self, atm: bytes, vc: Any = None, learned_at: float = 0.0):
+        self.atm = atm
+        self.vc = vc  # engine's VC handle; None while setup failed/pending
+        self.learned_at = learned_at
 
 
-@dataclass
 class DestinationStats:
     """Per-target unicast accounting for one client."""
 
-    sent_direct: int = 0
-    sent_bus: int = 0
-    queued: int = 0
-    dropped_overflow: int = 0
-    dropped_timeout: int = 0
-    dropped_setup: int = 0
+    __slots__ = (
+        "sent_direct",
+        "sent_bus",
+        "queued",
+        "dropped_overflow",
+        "dropped_timeout",
+        "dropped_setup",
+    )
+
+    def __init__(
+        self,
+        sent_direct: int = 0,
+        sent_bus: int = 0,
+        queued: int = 0,
+        dropped_overflow: int = 0,
+        dropped_timeout: int = 0,
+        dropped_setup: int = 0,
+    ):
+        self.sent_direct = sent_direct
+        self.sent_bus = sent_bus
+        self.queued = queued
+        self.dropped_overflow = dropped_overflow
+        self.dropped_timeout = dropped_timeout
+        self.dropped_setup = dropped_setup
 
 
-@dataclass
 class LecCounters:
-    frames_sent: int = 0
-    broadcast_sent: int = 0
-    arp_requests: int = 0
-    arp_replies: int = 0
-    received_direct: int = 0
-    received_bus: int = 0
-    received_broadcast: int = 0
-    filtered: int = 0
-    duplicates: int = 0
-    pending_dropped: int = 0
+    __slots__ = (
+        "frames_sent",
+        "broadcast_sent",
+        "arp_requests",
+        "arp_replies",
+        "received_direct",
+        "received_bus",
+        "received_broadcast",
+        "filtered",
+        "duplicates",
+        "pending_dropped",
+    )
+
+    def __init__(
+        self,
+        frames_sent: int = 0,
+        broadcast_sent: int = 0,
+        arp_requests: int = 0,
+        arp_replies: int = 0,
+        received_direct: int = 0,
+        received_bus: int = 0,
+        received_broadcast: int = 0,
+        filtered: int = 0,
+        duplicates: int = 0,
+        pending_dropped: int = 0,
+    ):
+        self.frames_sent = frames_sent
+        self.broadcast_sent = broadcast_sent
+        self.arp_requests = arp_requests
+        self.arp_replies = arp_replies
+        self.received_direct = received_direct
+        self.received_bus = received_bus
+        self.received_broadcast = received_broadcast
+        self.filtered = filtered
+        self.duplicates = duplicates
+        self.pending_dropped = pending_dropped
 
 
 class LecPort(Protocol):

@@ -2,20 +2,21 @@
 
 A scenario gives the topology (nodes, links), the contracted connections
 with their static routes and generators, optional LAN-emulation
-membership and traffic, a duration and an RNG seed.  The frozen spec
-dataclasses below are the schema: each JSON key is one field, read with
-that field's type and default by one reader, ``_record``.  Parsing
-problems raise ScenarioError; semantic problems come back from
-validate_scenario() as a list of human-readable violations.
+membership and traffic, a duration and an RNG seed.  The spec records
+below, each a NamedTuple, are the schema: each JSON key is one field,
+read with that field's type and default by one reader, ``_record``.  A
+field whose JSON value needs a reader of its own names it in its
+``Annotated`` metadata.  Parsing problems raise ScenarioError; semantic
+problems come back from validate_scenario() as a list of human-readable
+violations.
 """
 
 import functools
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional
-from typing import Tuple, Union, get_args, get_origin, get_type_hints
+from typing import AbstractSet, Annotated, Any, Callable, Dict, Iterable, List, Mapping, NamedTuple
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver, default_source
 from .cell import CELL_BITS
@@ -91,14 +92,16 @@ def _frame_bytes(raw: Any, where: str) -> Tuple[int, int]:
     return (_expect(raw[0], int, f"{where}[0]"), _expect(raw[1], int, f"{where}[1]"))
 
 
-def _json(read: Callable[[Any, str], Any], key: Optional[str] = None) -> Any:
-    """A required field whose JSON value is not of its type, so
-    ``read(value, where)`` converts it; from JSON key ``key`` if given."""
-    return field(metadata={"read": read, "key": key})
+class _Json(NamedTuple):
+    """``Annotated`` metadata of a field whose JSON value is not of its
+    type, so ``read(value, where)`` converts it; from JSON key ``key`` if
+    given."""
+
+    read: Callable[[Any, str], Any]
+    key: Optional[str] = None
 
 
-@dataclass(frozen=True, kw_only=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     name: str
     kind: str  # "host" | "switch"
     queue_capacity: Optional[int] = None
@@ -106,8 +109,7 @@ class NodeSpec:
     efci_threshold: Optional[int] = None
 
 
-@dataclass(frozen=True, kw_only=True)
-class LinkSpec:
+class LinkSpec(NamedTuple):
     a: str
     b: str
     bit_rate: float
@@ -115,8 +117,7 @@ class LinkSpec:
     booking_factor: float = 1.0
 
 
-@dataclass(frozen=True, kw_only=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     id: str
     kind: str
     rate: Optional[float] = None  # paced_cbr
@@ -126,8 +127,7 @@ class GeneratorSpec:
     cap: Optional[float] = None  # greedy_ubr
 
 
-@dataclass(frozen=True, kw_only=True)
-class AbrOverrides:
+class AbrOverrides(NamedTuple):
     """ABR parameters; air and initial_acr left None take default_source's
     values derived from the contract."""
 
@@ -137,10 +137,9 @@ class AbrOverrides:
     initial_acr: Optional[float] = None
 
 
-@dataclass(frozen=True, kw_only=True)
-class ConnectionSpec:
+class ConnectionSpec(NamedTuple):
     id: str
-    category: ServiceCategory = _json(_category)
+    category: Annotated[ServiceCategory, _Json(_category)]
     route: Tuple[str, ...]
     generator: str
     descriptor: TrafficDescriptor
@@ -149,24 +148,21 @@ class ConnectionSpec:
     abr: AbrOverrides = AbrOverrides()  # ABR connections only
 
 
-@dataclass(frozen=True, kw_only=True)
-class LecSpec:
+class LecSpec(NamedTuple):
     host: str
-    mac: bytes = _json(_mac)
+    mac: Annotated[bytes, _Json(_mac)]
 
 
-@dataclass(frozen=True, kw_only=True)
-class LaneTrafficSpec:
+class LaneTrafficSpec(NamedTuple):
     src: str  # host name of the sending LEC
-    dst_mac: bytes = _json(_dst_mac, key="dst")  # BROADCAST_MAC for "broadcast"
+    dst_mac: Annotated[bytes, _Json(_dst_mac, key="dst")]  # BROADCAST_MAC for "broadcast"
     rate: float  # frames per second
-    frame_bytes: Tuple[int, int] = _json(_frame_bytes)  # lo == hi means fixed
+    frame_bytes: Annotated[Tuple[int, int], _Json(_frame_bytes)]  # lo == hi means fixed
     start: float = 0.0
     count: Optional[int] = None
 
 
-@dataclass(frozen=True, kw_only=True)
-class LaneSpec:
+class LaneSpec(NamedTuple):
     les: str
     bus: str
     lecs: Tuple[LecSpec, ...] = ()
@@ -174,8 +170,7 @@ class LaneSpec:
     traffic: Tuple[LaneTrafficSpec, ...] = ()
 
 
-@dataclass(frozen=True, kw_only=True)
-class Scenario:
+class Scenario(NamedTuple):
     duration_s: float
     seed: int = 0
     nodes: Tuple[NodeSpec, ...] = ()
@@ -186,7 +181,7 @@ class Scenario:
 
 
 class _Key(NamedTuple):
-    """How ``_record`` reads one JSON key, taken from a dataclass field."""
+    """How ``_record`` reads one JSON key, taken from a record field."""
 
     name: str  # the field's name
     read: Callable[[Any, str], Any]  # (value, where) -> field value
@@ -196,8 +191,13 @@ class _Key(NamedTuple):
     bare: bool  # a list or record of the top level, named by its key alone
 
 
+def _is_record(kind: Any) -> bool:
+    """A NamedTuple record, read from a JSON object by ``_record``."""
+    return isinstance(kind, type) and issubclass(kind, tuple) and hasattr(kind, "_fields")
+
+
 def _reader(kind: Any) -> Callable[[Any, str], Any]:
-    if is_dataclass(kind):
+    if _is_record(kind):
         return functools.partial(_record, kind)
     if get_origin(kind) is tuple:  # Tuple[X, ...]
         item = _reader(get_args(kind)[0])
@@ -209,20 +209,23 @@ def _reader(kind: Any) -> Callable[[Any, str], Any]:
 
 @functools.cache
 def _keys(cls: type) -> Dict[str, _Key]:
-    """The JSON keys of spec dataclass ``cls``, in field order."""
-    hints = get_type_hints(cls)
+    """The JSON keys of spec record ``cls``, in field order."""
+    hints = get_type_hints(cls, include_extras=True)
     keys = {}
-    for f in fields(cls):
-        kind = hints[f.name]
+    for name in cls._fields:
+        kind, key, read = hints[name], name, None
+        if get_origin(kind) is Annotated:  # Annotated[X, _Json(read, key)]
+            kind, meta = get_args(kind)
+            key, read = meta.key or name, meta.read
         optional = get_origin(kind) is Union
         if optional:
             kind = get_args(kind)[0]  # Optional[X] is Union[X, None]
-        keys[f.metadata.get("key") or f.name] = _Key(
-            name=f.name,
-            read=f.metadata.get("read") or _reader(kind),
-            required=f.default is MISSING and f.default_factory is MISSING,
+        keys[key] = _Key(
+            name=name,
+            read=read or _reader(kind),
+            required=name not in cls._field_defaults,
             finite=kind is float,
-            null_absent=optional and is_dataclass(kind),
+            null_absent=optional and _is_record(kind),
             bare=cls is Scenario and kind not in (str, int, float, bool),
         )
     return keys

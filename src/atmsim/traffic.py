@@ -10,10 +10,10 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import mul
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cell import Cell
 from .errors import OrderingError
@@ -27,21 +27,25 @@ class ServiceCategory(enum.Enum):
     UBR = "ubr"
 
 
-@dataclass(frozen=True)
-class TrafficDescriptor:
-    """Declared traffic parameters of one connection.
-
-    pcr is mandatory; the rest only where the service category uses them.
-    cdvt is the tolerance (seconds) granted on top of peak-rate spacing.
-    """
-
+class _TrafficDescriptor(NamedTuple):
     pcr: float
     cdvt: Optional[float] = None
     scr: Optional[float] = None
     mbs: Optional[int] = None
     mcr: Optional[float] = None
 
-    def __post_init__(self) -> None:
+
+class TrafficDescriptor(_TrafficDescriptor):
+    """Declared traffic parameters of one connection.
+
+    pcr is mandatory; the rest only where the service category uses them.
+    cdvt is the tolerance (seconds) granted on top of peak-rate spacing.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> TrafficDescriptor:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("pcr", "cdvt", "scr", "mcr"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -56,18 +60,28 @@ class TrafficDescriptor:
             raise ValueError("mbs must be >= 1")
         if self.mcr is not None and not 0 <= self.mcr <= self.pcr:
             raise ValueError("mcr must satisfy 0 <= mcr <= pcr")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> TrafficDescriptor:
+        # _replace builds through _make: check its result as well
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class QosRequirement:
-    """Requested QoS guarantees; every field optional."""
-
+class _QosRequirement(NamedTuple):
     clr_clp0: Optional[float] = None
     clr_clp1: Optional[float] = None
     max_ctd: Optional[float] = None
     max_cdv: Optional[float] = None
 
-    def __post_init__(self) -> None:
+
+class QosRequirement(_QosRequirement):
+    """Requested QoS guarantees; every field optional."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> QosRequirement:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("clr_clp0", "clr_clp1"):
             value = getattr(self, name)
             if value is not None and not 0 <= value <= 1:
@@ -76,9 +90,15 @@ class QosRequirement:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> QosRequirement:
+        # _replace builds through _make: check its result as well
+        return cls(*iterable)
 
 
-_QOS_FIELDS = tuple(f.name for f in fields(QosRequirement))
+_QOS_FIELDS = QosRequirement._fields
 
 
 class CategoryRule(NamedTuple):
@@ -152,7 +172,6 @@ def burst_tolerance(mbs: int, scr: float, pcr: float) -> float:
     return (mbs - 1) * (pcr - scr) / (scr * pcr)
 
 
-@dataclass(slots=True)
 class Gcra:
     """Continuous-state leaky bucket.
 
@@ -164,10 +183,13 @@ class Gcra:
     bucket).
     """
 
-    increment: float
-    limit: float
-    level: float = 0
-    last_time: float = 0
+    __slots__ = ("increment", "limit", "level", "last_time")
+
+    def __init__(self, increment: float, limit: float, level: float = 0, last_time: float = 0):
+        self.increment = increment
+        self.limit = limit
+        self.level = level
+        self.last_time = last_time
 
     def drained(self, arrival: float) -> float:
         if arrival < self.last_time:
@@ -256,7 +278,6 @@ class PolicingAction(enum.Enum):
 _DROP = PolicingAction.DROP  # read per non-conforming cell; see switch.ACCEPTED
 
 
-@dataclass
 class Policer:
     """Usage parameter control of Cell values, with counters.
 
@@ -266,11 +287,21 @@ class Policer:
     else as a copy whose header gets a fresh HEC when it is serialized.
     """
 
-    buckets: List[Gcra]
-    action: PolicingAction = PolicingAction.DROP
-    passed: int = 0
-    tagged: int = 0
-    dropped: int = 0
+    __slots__ = ("buckets", "action", "passed", "tagged", "dropped")
+
+    def __init__(
+        self,
+        buckets: List[Gcra],
+        action: PolicingAction = PolicingAction.DROP,
+        passed: int = 0,
+        tagged: int = 0,
+        dropped: int = 0,
+    ):
+        self.buckets = buckets
+        self.action = action
+        self.passed = passed
+        self.tagged = tagged
+        self.dropped = dropped
 
     def offer(self, cell: Cell, arrival: float) -> Optional[Cell]:
         if conform_update(self.buckets, arrival):
@@ -463,16 +494,34 @@ def delay_stats(delays: Union[DelayMoments, Sequence[float]]) -> Optional[DelayS
     return delays.stats()
 
 
-@dataclass
 class ConnectionMetrics:
-    """Per-connection cell accounting, split by loss priority."""
+    """Per-connection cell accounting, split by loss priority.  Without
+    ``delays`` it starts an empty DelayMoments of its own."""
 
-    transmitted_clp0: int = 0
-    transmitted_clp1: int = 0
-    lost_clp0: int = 0
-    lost_clp1: int = 0
-    delivered: int = 0
-    delays: DelayMoments = field(default_factory=DelayMoments)
+    __slots__ = (
+        "transmitted_clp0",
+        "transmitted_clp1",
+        "lost_clp0",
+        "lost_clp1",
+        "delivered",
+        "delays",
+    )
+
+    def __init__(
+        self,
+        transmitted_clp0: int = 0,
+        transmitted_clp1: int = 0,
+        lost_clp0: int = 0,
+        lost_clp1: int = 0,
+        delivered: int = 0,
+        delays: Optional[DelayMoments] = None,
+    ):
+        self.transmitted_clp0 = transmitted_clp0
+        self.transmitted_clp1 = transmitted_clp1
+        self.lost_clp0 = lost_clp0
+        self.lost_clp1 = lost_clp1
+        self.delivered = delivered
+        self.delays = DelayMoments() if delays is None else delays
 
     @property
     def transmitted(self) -> int:

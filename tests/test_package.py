@@ -1,8 +1,12 @@
 """Where names live: the package root names the run API only, only
 ``atmsim.lane`` speaks the LE-ARP control format, and the protocol core
-imports nothing from the scenario, engine or CLI layers."""
+imports nothing from the scenario, engine or CLI layers.  How records are
+written: schema values are NamedTuples, run state is slotted classes, and
+only the codec values and two report records stay dataclasses."""
 
 import ast
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -79,3 +83,73 @@ def test_import_reader_sees_every_form():
 def test_protocol_core_does_not_import_upper_layers(module):
     path = Path(atmsim.__file__).parent / f"{module}.py"
     assert not atmsim_imports(path.read_text()) & UPPER_LAYERS
+
+
+SRC = Path(atmsim.__file__).parent
+REFERENCE = Path(__file__).parent / "data" / "reference_scenario.json"
+
+DATACLASSES = {"CellHeader", "Cell", "DecodeOutcome", "DelayStats", "VcRoute"}
+SCHEMA_RECORDS = {
+    "scenario": [
+        "Scenario",
+        "NodeSpec",
+        "LinkSpec",
+        "GeneratorSpec",
+        "AbrOverrides",
+        "ConnectionSpec",
+        "LecSpec",
+        "LaneTrafficSpec",
+        "LaneSpec",
+    ],
+    "traffic": ["TrafficDescriptor", "QosRequirement"],
+    "abr": ["FeedbackIndication"],
+}
+RUN_STATE = {
+    "abr": ["AbrSourceState", "EfciObserver"],
+    "lane": ["LecCounters", "DestinationStats", "ArpCacheEntry"],
+    "traffic": ["Gcra", "Policer", "ConnectionMetrics"],
+    "engine": ["RunReport"],
+}
+
+
+def classes_defined_in_atmsim():
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"atmsim.{path.stem}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                yield value
+
+
+def test_only_the_codec_and_report_values_are_dataclasses():
+    found = {cls.__name__ for cls in classes_defined_in_atmsim() if dataclasses.is_dataclass(cls)}
+    assert found == DATACLASSES
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in SCHEMA_RECORDS.items() for name in names]
+)
+def test_schema_records_are_named_tuples(module, name):
+    cls = getattr(importlib.import_module(f"atmsim.{module}"), name)
+    assert issubclass(cls, tuple) and hasattr(cls, "_fields")
+    assert not dataclasses.is_dataclass(cls)
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in RUN_STATE.items() for name in names]
+)
+def test_run_state_is_slotted(module, name):
+    cls = getattr(importlib.import_module(f"atmsim.{module}"), name)
+    assert cls.__slots__ and "__dict__" not in vars(cls)
+    assert not dataclasses.is_dataclass(cls)
+
+
+def test_loaded_scenario_is_an_immutable_value():
+    first, second = atmsim.load_scenario(str(REFERENCE)), atmsim.load_scenario(str(REFERENCE))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        first.duration_s = 2.0
+    with pytest.raises(AttributeError):
+        first.connections[0].descriptor.pcr = 1.0

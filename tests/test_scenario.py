@@ -165,6 +165,33 @@ EXACT_MESSAGES = [
 ]
 
 
+# The four fields read by a reader of their own, named in their Annotated
+# metadata, where EXACT_MESSAGES leaves a case out: the JSON key is the
+# one the metadata names, and each field is required.
+ANNOTATED_FIELD_MESSAGES = [
+    (C0 + ("category",), DROP, "connections[0]: missing required key 'category'"),
+    (T0 + ("dst",), 2, "lane.traffic[0].dst: expected str, got int"),
+    (T0 + ("dst_mac",), "02:00:00:00:00:02", "lane.traffic[0]: unknown keys ['dst_mac']"),
+    (T0 + ("frame_bytes",), DROP, "lane.traffic[0]: missing required key 'frame_bytes'"),
+]
+
+
+class TestAnnotatedFields:
+    @pytest.mark.parametrize("path, value, message", ANNOTATED_FIELD_MESSAGES)
+    def test_exact_message(self, path, value, message):
+        raw = every_record_scenario()
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        if value is DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(raw)
+        assert str(info.value) == message
+
+
 class TestLoading:
     def test_minimal_scenario_loads(self):
         sc = load_scenario(base_scenario())

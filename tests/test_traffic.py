@@ -698,6 +698,33 @@ class TestContractRules:
         with pytest.raises(ValueError):
             QosRequirement(max_cdv=-0.1)
 
+    @pytest.mark.parametrize(
+        "record, changes",
+        [
+            (TrafficDescriptor(pcr=1.0), {"pcr": -1.0}),
+            (TrafficDescriptor(pcr=100.0, cdvt=0.01), {"scr": 200.0, "mbs": 2}),
+            (TrafficDescriptor(pcr=100.0), {"mcr": math.nan}),
+            (QosRequirement(), {"clr_clp0": 1.5}),
+            (QosRequirement(max_ctd=0.1), {"max_cdv": -0.1}),
+        ],
+    )
+    def test_replace_and_make_check_like_the_constructor(self, record, changes):
+        # a NamedTuple's _replace and _make would build through tuple.__new__
+        values = {**record._asdict(), **changes}
+        with pytest.raises(ValueError) as built:
+            type(record)(**values)
+        with pytest.raises(ValueError) as replaced:
+            record._replace(**changes)
+        with pytest.raises(ValueError) as made:
+            type(record)._make(values.values())
+        assert str(replaced.value) == str(made.value) == str(built.value)
+
+    def test_replace_keeps_the_record_type(self):
+        descriptor = TrafficDescriptor(pcr=100.0)._replace(cdvt=0.01)
+        assert type(descriptor) is TrafficDescriptor
+        assert descriptor == TrafficDescriptor(pcr=100.0, cdvt=0.01)
+        assert type(QosRequirement()._replace(max_ctd=0.1)) is QosRequirement
+
 
 class TestMetrics:
     def test_delay_stats_golden(self):
