@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import ContractError
 
@@ -106,16 +105,7 @@ if len(_SYNDROMES) != 40 or 0 in _SYNDROMES:
     raise AssertionError("single-bit HEC syndromes must be 40 distinct nonzero values")
 
 
-@dataclass(frozen=True)
-class CellHeader:
-    """Decoded header fields.
-
-    The 3-bit payload type is carried decomposed: ``is_management`` is the
-    high bit, ``efci`` the middle bit and ``aal5_last`` the low bit.  The
-    efci and aal5_last flags only carry their usual meaning on user-data
-    cells (``is_management`` false); the bits are preserved either way.
-    """
-
+class _CellHeader(NamedTuple):
     kind: InterfaceKind
     vpi: int
     vci: int
@@ -125,18 +115,38 @@ class CellHeader:
     aal5_last: bool = False
     clp: int = 0
 
-    def __post_init__(self) -> None:
-        vpi_max = VPI_UNI_MAX if self.kind is InterfaceKind.UNI else VPI_NNI_MAX
-        if not 0 <= self.vpi <= vpi_max:
-            raise ValueError(f"vpi {self.vpi} out of range for {self.kind.value}")
-        if not 0 <= self.vci <= VCI_MAX:
-            raise ValueError(f"vci {self.vci} out of range")
-        if not 0 <= self.gfc <= GFC_MAX:
-            raise ValueError(f"gfc {self.gfc} out of range")
-        if self.kind is InterfaceKind.NNI and self.gfc != 0:
+
+class CellHeader(_CellHeader):
+    """Decoded header fields.
+
+    The 3-bit payload type is carried decomposed: ``is_management`` is the
+    high bit, ``efci`` the middle bit and ``aal5_last`` the low bit.  The
+    efci and aal5_last flags only carry their usual meaning on user-data
+    cells (``is_management`` false); the bits are preserved either way.
+    """
+
+    __slots__ = ()
+
+    # The checks run in __init__, not __new__, so that the class has an
+    # __init__ of its own for a profiler to wrap.
+    def __init__(self, *_args: Any, **_kwargs: Any) -> None:
+        kind, vpi, vci, gfc, _, _, _, clp = self
+        vpi_max = VPI_UNI_MAX if kind is InterfaceKind.UNI else VPI_NNI_MAX
+        if not 0 <= vpi <= vpi_max:
+            raise ValueError(f"vpi {vpi} out of range for {kind.value}")
+        if not 0 <= vci <= VCI_MAX:
+            raise ValueError(f"vci {vci} out of range")
+        if not 0 <= gfc <= GFC_MAX:
+            raise ValueError(f"gfc {gfc} out of range")
+        if kind is InterfaceKind.NNI and gfc != 0:
             raise ValueError("gfc only exists at the UNI")
-        if self.clp not in (0, 1):
-            raise ValueError(f"clp must be 0 or 1, got {self.clp}")
+        if clp not in (0, 1):
+            raise ValueError(f"clp must be 0 or 1, got {clp}")
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> CellHeader:
+        # _replace builds through _make: check its result as well
+        return cls(*iterable)
 
     @property
     def pti(self) -> int:
@@ -150,8 +160,7 @@ class DecodeStatus(enum.Enum):
     UNCORRECTABLE = "uncorrectable"
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
+class DecodeOutcome(NamedTuple):
     """Result of decoding a 5-byte header.
 
     ``flipped_bit`` is only set for CORRECTED: the position (0..39, msb of
@@ -205,7 +214,7 @@ def encode_header(header: CellHeader) -> bytes:
 
 # Decoded outcomes by (header bytes, kind).  A link carries few distinct
 # headers (one per VC and CLP/PTI value, plus their corruptions), so most
-# decodes are lookups.  Outcomes are frozen and safe to share.  The memo is
+# decodes are lookups.  Outcomes are immutable and safe to share.  The memo is
 # cleared when it fills, which bounds it at DECODE_MEMO_MAX entries.
 DECODE_MEMO_MAX = 4096
 _decode_memo: Dict[Tuple[bytes, InterfaceKind], DecodeOutcome] = {}
@@ -244,16 +253,26 @@ def _decode(raw: bytes, kind: InterfaceKind) -> DecodeOutcome:
     return DecodeOutcome(DecodeStatus.CORRECTED, _parse_fields(bytes(fixed[:4]), kind), bit)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One fixed-size cell: header plus exactly 48 payload bytes."""
-
+class _Cell(NamedTuple):
     header: CellHeader
     payload: bytes = ZERO_PAYLOAD
 
-    def __post_init__(self) -> None:
-        if len(self.payload) != PAYLOAD_BYTES:
-            raise ValueError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(self.payload)}")
+
+class Cell(_Cell):
+    """One fixed-size cell: header plus exactly 48 payload bytes."""
+
+    __slots__ = ()
+
+    # checked in __init__, as CellHeader is; built once per trace cell, so
+    # the check reads its arguments, which is faster than reading self
+    def __init__(self, header: CellHeader, payload: bytes = ZERO_PAYLOAD) -> None:
+        if len(payload) != PAYLOAD_BYTES:
+            raise ValueError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Cell:
+        # _replace builds through _make: check its result as well
+        return cls(*iterable)
 
 
 def encode_cell(cell: Cell) -> bytes:
@@ -278,7 +297,7 @@ def set_efci(cell: Cell) -> Cell:
         raise ContractError("EFCI marking applies to user-data cells only")
     if cell.header.efci:
         return cell
-    return Cell(replace(cell.header, efci=True), cell.payload)
+    return Cell(cell.header._replace(efci=True), cell.payload)
 
 
 class TraceFormatError(ValueError):

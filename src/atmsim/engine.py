@@ -54,11 +54,9 @@ at the end, compares those counters with the cells still in the network.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict
 from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -147,6 +145,9 @@ def rng_stream(seed: int, label: str) -> Stream:
     The key is the first 16 bytes of the digest as two little-endian
     64-bit words, as ``numpy.random.Philox(key=...)`` reads them.
     """
+    # imported here: loading OpenSSL's _hashlib costs milliseconds at start-up
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return Stream(int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little"))
 
@@ -818,7 +819,7 @@ class Engine:
                 "clr": compute_clr(flow.metrics),
                 "clr_clp0": compute_clr(flow.metrics, 0),
                 "clr_clp1": compute_clr(flow.metrics, 1),
-                "delay": None if stats is None else asdict(stats),
+                "delay": None if stats is None else stats._asdict(),
             }
             if flow.abr_source is not None:
                 feedback = flow.feedback

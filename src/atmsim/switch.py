@@ -21,8 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cell import Cell
 from .traffic import CATEGORY_RULES, ServiceCategory, TrafficDescriptor
@@ -34,8 +33,7 @@ CLP_THRESHOLD_FRACTION = 0.9
 VcKey = Tuple[int, int, int]  # (port, vpi, vci)
 
 
-@dataclass(frozen=True)
-class VcRoute:
+class VcRoute(NamedTuple):
     out_port: int
     out_vpi: int
     out_vci: int
@@ -67,7 +65,7 @@ def route_cell(cell: Cell, in_port: int, table: VcTable) -> Optional[Tuple[Cell,
     route = table.lookup(in_port, cell.header.vpi, cell.header.vci)
     if route is None:
         return None
-    header = replace(cell.header, vpi=route.out_vpi, vci=route.out_vci)
+    header = cell.header._replace(vpi=route.out_vpi, vci=route.out_vci)
     return Cell(header, cell.payload), route.out_port
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import mul
 from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -169,7 +168,18 @@ def burst_tolerance(mbs: int, scr: float, pcr: float) -> float:
         raise ValueError("mbs must be >= 1")
     if not 0 < scr <= pcr:
         raise ValueError("rates must satisfy 0 < scr <= pcr")
-    return (mbs - 1) * (pcr - scr) / (scr * pcr)
+    try:
+        tolerance = (mbs - 1) * (pcr - scr) / (scr * pcr)
+    except (ZeroDivisionError, OverflowError):
+        # scr * pcr underflowed to zero, or mbs is past the float range
+        tolerance = math.inf
+    # a Fraction result is exact, and finite however large
+    if isinstance(tolerance, float) and not math.isfinite(tolerance):
+        raise ValueError(
+            f"burst tolerance (mbs - 1) * (1/scr - 1/pcr) is not a finite number "
+            f"for scr={scr} and pcr={pcr}"
+        )
+    return tolerance
 
 
 class Gcra:
@@ -313,7 +323,7 @@ class Policer:
         self.tagged += 1
         if cell.header.clp == 1:
             return cell
-        return Cell(replace(cell.header, clp=1), cell.payload)
+        return Cell(cell.header._replace(clp=1), cell.payload)
 
 
 class Shaper:
@@ -370,8 +380,7 @@ def shape(
     return releases, shaper.overflow
 
 
-@dataclass(frozen=True)
-class DelayStats:
+class DelayStats(NamedTuple):
     count: int
     mean_ctd: float
     max_ctd: float

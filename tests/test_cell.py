@@ -33,6 +33,8 @@ from atmsim.cell import (
 )
 from atmsim.errors import ContractError
 
+ZERO = bytes(PAYLOAD_BYTES)
+
 
 def crc8_bitserial(data: bytes) -> int:
     """x^8 + x^2 + x + 1, msb first, zero init: one bit at a time."""
@@ -280,6 +282,95 @@ class TestCellCodec:
     def test_default_payload_is_zeroed(self):
         cell = Cell(CellHeader(kind=InterfaceKind.UNI, vpi=0, vci=5))
         assert cell.payload == bytes(PAYLOAD_BYTES)
+
+
+# field changes that a valid UNI header refuses, with the constructor's message
+BAD_HEADER_FIELDS = [
+    ({"vci": 70000}, "vci 70000 out of range"),
+    ({"vpi": 0x100}, "vpi 256 out of range for uni"),
+    ({"gfc": 16}, "gfc 16 out of range"),
+    ({"kind": InterfaceKind.NNI, "gfc": 3}, "gfc only exists at the UNI"),
+    ({"clp": 2}, "clp must be 0 or 1, got 2"),
+]
+
+
+class TestCodecValueChecks:
+    """CellHeader and Cell check their fields however they are built."""
+
+    @staticmethod
+    def header(**changes):
+        return CellHeader(**{"kind": InterfaceKind.UNI, "vpi": 1, "vci": 2, **changes})
+
+    @pytest.mark.parametrize(
+        "changes, message", BAD_HEADER_FIELDS, ids=["vci", "vpi", "gfc", "nni-gfc", "clp"]
+    )
+    def test_header_replace_and_make_check_like_the_constructor(self, changes, message):
+        good = self.header()
+        fields = {**good._asdict(), **changes}
+        for build in (
+            lambda: CellHeader(**fields),
+            lambda: good._replace(**changes),
+            lambda: CellHeader._make(fields.values()),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_cell_replace_and_make_check_like_the_constructor(self):
+        header = self.header()
+        message = f"payload must be {PAYLOAD_BYTES} bytes, got 1"
+        for build in (
+            lambda: Cell(header, b"x"),
+            lambda: Cell(header)._replace(payload=b"x"),
+            lambda: Cell._make((header, b"x")),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_replace_and_make_keep_the_type(self):
+        header = self.header()
+        assert type(header._replace(vci=3)) is CellHeader
+        assert type(CellHeader._make(header)) is CellHeader
+        assert type(Cell(header)._replace(header=header)) is Cell
+        assert type(Cell._make((header, ZERO))) is Cell
+
+    def test_wrapped_init_sees_every_construction(self, monkeypatch):
+        # wrapped the way a profiler wraps a method: from the class's own __dict__
+        counts = {CellHeader: 0, Cell: 0}
+        for cls in counts:
+            original = cls.__dict__["__init__"]
+
+            def counted(self, *args, _cls=cls, _original=original, **kwargs):
+                counts[_cls] += 1
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        header = self.header()
+        header = header._replace(vci=3)
+        header = CellHeader._make(header)
+        cell = Cell(header)
+        cell = cell._replace(payload=ZERO)
+        cell = Cell._make(cell)
+        assert counts == {CellHeader: 3, Cell: 3}
+        set_efci(cell)
+        assert counts == {CellHeader: 4, Cell: 4}
+
+    def test_pickle_and_deepcopy_give_an_equal_value(self):
+        header = self.header(gfc=5, efci=True, clp=1)
+        values = [header, Cell(header, bytes(range(PAYLOAD_BYTES)))]
+        values.append(decode_header(encode_header(header), InterfaceKind.UNI))
+        for value in values:
+            for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert copied == value and type(copied) is type(value)
+
+    def test_values_are_immutable_tuples(self):
+        header = self.header()
+        assert header == (InterfaceKind.UNI, 1, 2, 0, False, False, False, 0)
+        with pytest.raises(AttributeError):
+            header.vci = 3
+        with pytest.raises(AttributeError):
+            Cell(header).payload = ZERO
 
 
 class TestEfci:

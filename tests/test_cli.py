@@ -472,15 +472,32 @@ class TestConformance:
         lines.append(f"{1.0!r} 1 {bytes(raw).hex()}")
         path = write_trace(tmp_path, lines)
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("conformance built a Cell")
 
-        monkeypatch.setattr(Cell, "__post_init__", refuse)
+        monkeypatch.setattr(Cell, "__init__", refuse)
         assert main(["conformance", path, "--pcr", "1024", "--action", "tag"]) == 1
         out = capsys.readouterr().out
         for line in ("cells: 3", "conforming: 2", "nonconforming: 1", "tagged: 1",
                      "corrected_headers: 1", "  line 2: t=0 vpi=0 vci=32 clp=0"):
             assert line + "\n" in out
+
+    @pytest.mark.parametrize(
+        "contract, rates",
+        [
+            (["--pcr", "1e-200", "--scr", "1e-200", "--mbs", "2"], "scr=1e-200 and pcr=1e-200"),
+            (["--pcr", "100", "--scr", "50", "--mbs", str(10**400)], "scr=50.0 and pcr=100.0"),
+        ],
+        ids=["rates-underflow", "mbs-past-float"],
+    )
+    def test_non_finite_burst_tolerance_is_an_error(self, tmp_path, capsys, contract, rates):
+        path = write_trace(tmp_path, [format_trace_line(0.0, 1, trace_cell())])
+        assert main(["conformance", path, *contract]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: burst tolerance (mbs - 1) * (1/scr - 1/pcr) is not a finite number "
+            f"for {rates}\n",
+        )
 
     def test_missing_trace_usage_error(self, tmp_path):
         assert main(["conformance", str(tmp_path / "no.txt"), "--pcr", "10"]) == 2

@@ -1,8 +1,8 @@
 """Where names live: the package root names the run API only, only
 ``atmsim.lane`` speaks the LE-ARP control format, and the protocol core
 imports nothing from the scenario, engine or CLI layers.  How records are
-written: schema values are NamedTuples, run state is slotted classes, and
-only the codec values and two report records stay dataclasses."""
+written: values are NamedTuples, run state is slotted classes, and no
+class is a dataclass."""
 
 import ast
 import dataclasses
@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 import pytest
+from conftest import modules_loaded_by_importing_atmsim
 
 import atmsim
 
@@ -88,7 +89,6 @@ def test_protocol_core_does_not_import_upper_layers(module):
 SRC = Path(atmsim.__file__).parent
 REFERENCE = Path(__file__).parent / "data" / "reference_scenario.json"
 
-DATACLASSES = {"CellHeader", "Cell", "DecodeOutcome", "DelayStats", "VcRoute"}
 SCHEMA_RECORDS = {
     "scenario": [
         "Scenario",
@@ -103,6 +103,11 @@ SCHEMA_RECORDS = {
     ],
     "traffic": ["TrafficDescriptor", "QosRequirement"],
     "abr": ["FeedbackIndication"],
+}
+CODEC_AND_REPORT_VALUES = {
+    "cell": ["CellHeader", "Cell", "DecodeOutcome"],
+    "traffic": ["DelayStats"],
+    "switch": ["VcRoute"],
 }
 RUN_STATE = {
     "abr": ["AbrSourceState", "EfciObserver"],
@@ -122,9 +127,14 @@ def classes_defined_in_atmsim():
                 yield value
 
 
-def test_only_the_codec_and_report_values_are_dataclasses():
+def test_no_class_in_atmsim_is_a_dataclass():
     found = {cls.__name__ for cls in classes_defined_in_atmsim() if dataclasses.is_dataclass(cls)}
-    assert found == DATACLASSES
+    assert found == set()
+
+
+def test_importing_atmsim_loads_no_dataclass_or_hashing_module():
+    loaded = modules_loaded_by_importing_atmsim("dataclasses", "inspect", "hashlib", "_hashlib")
+    assert loaded == []
 
 
 @pytest.mark.parametrize(
@@ -134,6 +144,16 @@ def test_schema_records_are_named_tuples(module, name):
     cls = getattr(importlib.import_module(f"atmsim.{module}"), name)
     assert issubclass(cls, tuple) and hasattr(cls, "_fields")
     assert not dataclasses.is_dataclass(cls)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in CODEC_AND_REPORT_VALUES.items() for name in names],
+)
+def test_codec_and_report_values_are_named_tuples(module, name):
+    cls = getattr(importlib.import_module(f"atmsim.{module}"), name)
+    assert issubclass(cls, tuple) and hasattr(cls, "_fields")
+    assert "__dict__" not in vars(cls)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ exact (the implementation is numeric-type-agnostic and accepts Fraction
 inputs unchanged).
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -99,6 +98,18 @@ class TestBurstTolerance:
             burst_tolerance(3, 100, 50)
         with pytest.raises(ValueError):
             burst_tolerance(3, 0, 100)
+
+    @pytest.mark.parametrize(
+        "mbs, scr, pcr",
+        [(2, 1e-200, 1e-200), (10**400, 50.0, 100.0), (10**10, 1e-300, 1e-10)],
+        ids=["rates-underflow", "mbs-past-float", "result-overflows"],
+    )
+    def test_non_finite_result_rejected(self, mbs, scr, pcr):
+        with pytest.raises(ValueError, match=r"^burst tolerance .* is not a finite number for scr="):
+            burst_tolerance(mbs, scr, pcr)
+
+    def test_huge_exact_result_kept(self):
+        assert burst_tolerance(10**400, Fraction(1), Fraction(2)) == Fraction(10**400 - 1, 2)
 
 
 class TestGcra:
@@ -862,7 +873,7 @@ class TestDelayMoments:
             assert len(samples) == flow.metrics.delivered > 2 * DELAY_CHUNK
             expected = reference_stats(samples)
             assert delay_stats(samples) == expected
-            assert report.connections[flow.id]["delay"] == dataclasses.asdict(expected)
+            assert report.connections[flow.id]["delay"] == expected._asdict()
 
     def test_c11_buffer_stays_below_one_chunk(self, c11_run):
         engine, _report = c11_run
