@@ -11,18 +11,21 @@ and the heap never compares handlers.
 ``EventQueue.schedule`` serves the few events off the cell path (source
 start-up, LANE timers, ABR feedback).  Three per-hop handlers push onto
 the heap directly: ``_start``, the only code that puts a cell on a wire,
-pushes its finish (``_complete``); ``_complete`` pushes the cell's arrival
-at the far end (``_arrive``), then starts the next waiting cell; ``_pace``
-pushes a source's next emission.  An arrival entry carries the cell
-itself, whose ``link`` names the link it crossed.  The handlers pushed
-are bound once, in ``Engine.__init__``, and ``Engine.run`` pops the heap
-directly.  Each invariant is checked at one named place: no entry is
-dated before ``now`` (``OrderingError`` at every push, in ``schedule``
-and in each handler that pushes), entries dispatch in strictly increasing
-(time, seq) order (an assertion in ``run``), the cells of one VC reach
-its endpoint in emission order, gaps being losses (per-VC FIFO, an
-assertion in ``_arrive``), and cells are conserved (``_audit``, after the
-run).
+takes the head of the port's FIFO itself and pushes its finish
+(``_complete``); ``_complete`` pushes the cell's arrival at the far end
+(``_arrive``), then starts the next cell only when one is waiting;
+``_pace`` pushes a source's next emission.  An arrival entry carries the
+cell itself, whose ``link`` names the link it crossed.  The handlers
+pushed are bound once, in ``Engine.__init__``.  ``Engine.run`` pops the
+heap directly, one read per event: it pops an entry, then tests it
+against the end of the run, and pushes the first entry past the end back
+for the audit to find.  Each invariant is checked at one named place: no
+entry is dated before ``now`` (``OrderingError`` at every push, in
+``schedule`` and in each handler that pushes), entries dispatch in
+strictly increasing (time, seq) order (an assertion in ``run``), the
+cells of one VC reach its endpoint in emission order, gaps being losses
+(per-VC FIFO, an assertion in ``_arrive``), and cells are conserved
+(``_audit``, after the run).
 
 Inside the simulator a cell is a TransitCell: the header bits the model
 acts on (VCI, CLP, EFCI, payload type) as plain attributes, beside the
@@ -340,10 +343,11 @@ class DirectedLink:
     node ``src``: the bounded queue, the wire and the transmit stats.
 
     ``holding`` is the cell being serialized; the wire is busy exactly
-    while it is set.  ``vcs`` is the VC table of ``dst_node`` for cells
-    arriving over this link, keyed by the VCI they carry on it: at a
-    switch (``to_switch``) an entry is (next link, next VCI), at a host
-    the VC's sink.
+    while it is set.  ``waiting`` is the queue's FIFO, the same deque,
+    from which ``Engine._start`` takes the next cell.  ``vcs`` is the VC
+    table of ``dst_node`` for cells arriving over this link, keyed by the
+    VCI they carry on it: at a switch (``to_switch``) an entry is (next
+    link, next VCI), at a host the VC's sink.
     """
 
     def __init__(
@@ -363,6 +367,7 @@ class DirectedLink:
         self.prop = prop
         self.booking = booking
         self.queue = queue
+        self.waiting = queue.waiting  # the queue's own deque, not a copy
         self.holding: Optional[TransitCell] = None
         self.tx_time = CELL_BITS / bit_rate
         self.cells = 0
@@ -643,13 +648,14 @@ class Engine:
         if outcome is ACCEPTED:
             if link.holding is None:
                 # an idle link's queue was empty, so tc is its head
-                self._start(link, link.queue.dequeue(), self.events.now)
+                self._start(link, self.events.now)
         else:
             tc.flow.on_lost(tc, outcome.value)
 
-    def _start(self, link: DirectedLink, tc: TransitCell, now: float) -> None:
-        """Put ``tc``, just dequeued, on an idle link's wire at ``now``."""
-        link.holding = tc
+    def _start(self, link: DirectedLink, now: float) -> None:
+        """Put the head of a non-empty queue on its idle link's wire at
+        ``now``."""
+        link.holding = link.waiting.popleft()
         finish = now + link.tx_time
         link.cells += 1
         # add finish - now, as _accrue_busy does: (now + tx_time) - now
@@ -685,11 +691,10 @@ class Engine:
             raise _into_past(arrival, now)
         tc.link = link
         heappush(self._heap, (arrival, self._next_seq(), self._arrive, tc))
-        head = link.queue.dequeue()
-        if head is None:
-            link.holding = None
+        if link.waiting:
+            self._start(link, now)
         else:
-            self._start(link, head, now)
+            link.holding = None
 
     def _arrive(self, tc: TransitCell) -> None:
         link = tc.link  # set by _complete
@@ -759,8 +764,11 @@ class Engine:
         duration = self.duration
         processed = events.processed
         last_time, last_seq = -math.inf, -1
-        while heap and heap[0][0] <= duration:
-            time, seq, fn, arg = heappop(heap)
+        while heap:
+            time, seq, fn, arg = entry = heappop(heap)
+            if not time <= duration:  # the test heap[0][0] <= duration, NaN included
+                heappush(heap, entry)
+                break
             if time < last_time or (time == last_time and seq <= last_seq):
                 raise AssertionError("event dispatched out of order")
             last_time, last_seq = time, seq

@@ -91,6 +91,10 @@ class OutputQueue:
     counts waiting cells only (a cell being serialized onto the link is
     in service, not in the buffer).  Thresholds default to 80% (EFCI)
     and 90% (CLP discard) of capacity.
+
+    ``waiting`` is the FIFO itself, head first.  The port's server pops
+    the head when it puts a cell on the wire; ``dequeue`` does the same
+    for codec-level callers.
     """
 
     def __init__(
@@ -112,7 +116,7 @@ class OutputQueue:
             raise ValueError("clp_threshold must lie within [0, capacity]")
         if not 0 <= self.efci_threshold <= capacity:
             raise ValueError("efci_threshold must lie within [0, capacity]")
-        self._items: Deque[Any] = deque()
+        self.waiting: Deque[Any] = deque()
         self.accepted = 0
         self.full_drops = 0
         self.clp_drops = 0
@@ -120,7 +124,7 @@ class OutputQueue:
 
     @property
     def occupancy(self) -> int:
-        return len(self._items)
+        return len(self.waiting)
 
     def enqueue(self, item: Any) -> EnqueueOutcome:
         """Selective discard, then capacity check, then EFCI marking.
@@ -129,8 +133,8 @@ class OutputQueue:
         queue is attributed to the threshold rule it crossed first.
         Management cells are never marked.
         """
-        items = self._items
-        occ = len(items)
+        waiting = self.waiting
+        occ = len(waiting)
         if item.clp == 1 and occ >= self.clp_threshold:
             self.clp_drops += 1
             return DISCARDED_CLP
@@ -140,18 +144,18 @@ class OutputQueue:
         if occ + 1 > self.efci_threshold and not item.is_management:
             item.efci = True
             self.efci_marks += 1
-        items.append(item)
+        waiting.append(item)
         self.accepted += 1
         return ACCEPTED
 
     def pending(self) -> Iterator[Any]:
         """Waiting items in queue order, without removing them."""
-        return iter(self._items)
+        return iter(self.waiting)
 
     def dequeue(self) -> Optional[Any]:
-        if not self._items:
+        if not self.waiting:
             return None
-        return self._items.popleft()
+        return self.waiting.popleft()
 
 
 def booking_rate(category: ServiceCategory, descriptor: TrafficDescriptor) -> float:

@@ -168,11 +168,16 @@ def burst_tolerance(mbs: int, scr: float, pcr: float) -> float:
         raise ValueError("mbs must be >= 1")
     if not 0 < scr <= pcr:
         raise ValueError("rates must satisfy 0 < scr <= pcr")
-    try:
-        tolerance = (mbs - 1) * (pcr - scr) / (scr * pcr)
-    except (ZeroDivisionError, OverflowError):
-        # scr * pcr underflowed to zero, or mbs is past the float range
-        tolerance = math.inf
+    if mbs == 1:
+        # exactly zero, of the type the factored form gives, without
+        # dividing by scr * pcr, which may underflow to zero
+        tolerance = 0 * scr / pcr
+    else:
+        try:
+            tolerance = (mbs - 1) * (pcr - scr) / (scr * pcr)
+        except (ZeroDivisionError, OverflowError):
+            # scr * pcr underflowed to zero, or mbs is past the float range
+            tolerance = math.inf
     # a Fraction result is exact, and finite however large
     if isinstance(tolerance, float) and not math.isfinite(tolerance):
         raise ValueError(

@@ -499,6 +499,22 @@ class TestConformance:
             f"for {rates}\n",
         )
 
+    def test_single_cell_burst_at_underflowing_rates_is_checked(self, tmp_path, capsys):
+        path = write_trace(tmp_path, [format_trace_line(0.0, 1, trace_cell())])
+        assert main(["conformance", path, "--pcr", "1e-300", "--scr", "1e-300", "--mbs", "1"]) == 0
+        out = capsys.readouterr().out
+        for line in ("cells: 1", "conforming: 1", "nonconforming: 0", "dropped: 0"):
+            assert line + "\n" in out
+
+    def test_longer_burst_at_underflowing_rates_is_still_refused(self, tmp_path, capsys):
+        path = write_trace(tmp_path, [format_trace_line(0.0, 1, trace_cell())])
+        assert main(["conformance", path, "--pcr", "1e-300", "--scr", "1e-300", "--mbs", "2"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: burst tolerance (mbs - 1) * (1/scr - 1/pcr) is not a finite number "
+            "for scr=1e-300 and pcr=1e-300\n",
+        )
+
     def test_missing_trace_usage_error(self, tmp_path):
         assert main(["conformance", str(tmp_path / "no.txt"), "--pcr", "10"]) == 2
 

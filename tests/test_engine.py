@@ -7,6 +7,7 @@ import os
 from types import SimpleNamespace
 
 import pytest
+from conftest import c11_scenario
 
 from atmsim.cell import VCI_MAX
 from atmsim.cli import main
@@ -24,6 +25,7 @@ from atmsim.engine import (
     rng_stream,
     run,
 )
+from atmsim.switch import OutputQueue
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -265,6 +267,47 @@ class TestOneSequence:
         eng.run()
         assert seen == [0, 0, occupancy]
         assert stray.loss_reasons == {"unknown_vc": 3}
+
+
+class TestHopPath:
+    """The engine serves each port straight from its FIFO, and run reads
+    the heap once per event."""
+
+    def test_engine_never_calls_dequeue(self, monkeypatch):
+        calls = []
+        dequeue = OutputQueue.dequeue
+
+        def counting(queue):
+            calls.append(queue)
+            return dequeue(queue)
+
+        monkeypatch.setattr(OutputQueue, "dequeue", counting)
+        eng = build(c11_scenario())
+        eng.run()
+        assert calls == []
+        # cells went on the wire, and some of them waited first (EFCI
+        # marks a cell only when others wait ahead of it)
+        assert sum(link.cells for link in eng.links) > 0
+        assert sum(link.queue.efci_marks for link in eng.links) > 0
+
+    def test_each_link_holds_its_queues_own_fifo(self):
+        eng = build(c11_scenario())
+        assert eng.links
+        for link in eng.links:
+            assert link.waiting is link.queue.waiting
+
+    def test_entry_past_the_end_stays_on_the_heap(self):
+        plain = build(cbr_scenario())
+        plain.run()
+        eng = build(cbr_scenario())
+        fired = []
+        eng.events.schedule(eng.duration + 1.0, fired.append, "late")
+        eng.run()
+        assert fired == []
+        assert [entry for entry in eng.events._heap if entry[2] == fired.append] == [
+            (eng.duration + 1.0, 0, fired.append, "late")
+        ]
+        assert eng.events.processed == plain.events.processed > 0
 
 
 def eight_draws(seed, label):

@@ -111,6 +111,18 @@ class TestBurstTolerance:
     def test_huge_exact_result_kept(self):
         assert burst_tolerance(10**400, Fraction(1), Fraction(2)) == Fraction(10**400 - 1, 2)
 
+    @pytest.mark.parametrize(
+        "scr, pcr, kind",
+        [(1e-300, 1e-300, float), (1e-300, 1e-10, float), (50, 100, float), (Fraction(1, 3), 1, Fraction)],
+        ids=["rates-underflow", "product-underflows", "int-rates", "fraction-rates"],
+    )
+    def test_single_cell_burst_is_exactly_zero(self, scr, pcr, kind):
+        # mbs == 1 needs no division by scr * pcr, which may underflow
+        tolerance = burst_tolerance(1, scr, pcr)
+        assert type(tolerance) is kind
+        assert tolerance == 0
+        assert math.copysign(1.0, tolerance) == 1.0
+
 
 class TestGcra:
     def test_matches_oracle_on_random_streams(self):
