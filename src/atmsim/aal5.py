@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 PAYLOAD_BYTES = 48
 TRAILER_BYTES = 8
@@ -73,10 +73,6 @@ class Reassembler:
     def __init__(self) -> None:
         self._chunks: List[bytes] = []
         self._size = 0
-
-    @property
-    def in_progress(self) -> bool:
-        return self._size > 0
 
     def reset(self) -> None:
         self._chunks.clear()

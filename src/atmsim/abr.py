@@ -31,9 +31,7 @@ class AbrSourceState:
 
     __slots__ = ("pcr", "mcr", "acr", "air", "rdf", "last_epoch")
 
-    def __init__(
-        self, pcr: float, mcr: float, acr: float, air: float, rdf: float, last_epoch: int = -1
-    ):
+    def __init__(self, pcr: float, mcr: float, acr: float, air: float, rdf: float):
         if not 0 <= mcr <= pcr:
             raise ValueError("need 0 <= mcr <= pcr")
         if not mcr <= acr <= pcr:
@@ -49,7 +47,7 @@ class AbrSourceState:
         self.acr = acr
         self.air = air
         self.rdf = rdf
-        self.last_epoch = last_epoch
+        self.last_epoch = -1
 
 
 def default_source(
@@ -92,19 +90,13 @@ class EfciObserver:
 
     __slots__ = ("nrm", "cells_seen", "congested", "next_epoch")
 
-    def __init__(
-        self,
-        nrm: int = DEFAULT_NRM,
-        cells_seen: int = 0,
-        congested: bool = False,
-        next_epoch: int = 0,
-    ):
+    def __init__(self, nrm: int = DEFAULT_NRM):
         if nrm < 1:
             raise ValueError("nrm must be >= 1")
         self.nrm = nrm
-        self.cells_seen = cells_seen
-        self.congested = congested
-        self.next_epoch = next_epoch
+        self.cells_seen = 0
+        self.congested = False
+        self.next_epoch = 0
 
     def observe(self, efci: bool) -> Optional[FeedbackIndication]:
         """Account one delivered data cell; returns an indication when a

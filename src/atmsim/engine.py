@@ -62,7 +62,7 @@ import json
 import math
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .aal5 import Reassembler, ReassemblyError, segment
 from .abr import (
@@ -195,6 +195,10 @@ class TransitCell:
 
     The VPI is always 0 on the paths the engine installs.  ``link`` is
     the link the cell last left, read by the arrival at its far end.
+    ``payload`` is what the cell carries: 48 bytes of an AAL5 frame on a
+    LANE VC, zeros on a data connection, and the FeedbackIndication
+    itself on an ABR feedback cell, since no codec ever sees a cell
+    inside the engine.
     """
 
     __slots__ = (
@@ -219,7 +223,7 @@ class TransitCell:
         clp: int = 0,
         is_management: bool = False,
         aal5_last: bool = False,
-        payload: bytes = ZERO_PAYLOAD,
+        payload: Union[bytes, FeedbackIndication] = ZERO_PAYLOAD,
     ):
         self.flow = flow
         self.link: Optional[DirectedLink] = None
@@ -569,13 +573,9 @@ class Engine:
                 self.events.schedule(now, self._send_feedback, (flow, indication))
 
     def _feedback_sink(self, tc: TransitCell) -> None:
-        feedback = tc.flow
-        flow = feedback.conn
+        flow = tc.flow.conn
         assert flow.abr_source is not None
-        payload = tc.payload
-        indication = FeedbackIndication(
-            congested=payload[0] == 1, epoch=int.from_bytes(payload[1:9], "big")
-        )
+        indication = tc.payload
         flow.rate = source_adjust(flow.abr_source, indication)
         flow.acr_log.append((self.events.now, flow.rate, indication.congested))
 
@@ -583,18 +583,13 @@ class Engine:
         flow, indication = arg
         feedback = flow.feedback
         assert feedback is not None
-        payload = (
-            bytes((1 if indication.congested else 0,))
-            + indication.epoch.to_bytes(8, "big")
-            + bytes(39)
-        )
         tc = TransitCell(
             feedback,
             self.events.now,
             feedback.take_seq(),
             feedback.vci,
             is_management=True,
-            payload=payload,
+            payload=indication,
         )
         feedback.on_emitted(0)
         self._send(feedback.tx, tc)
@@ -790,7 +785,7 @@ class Engine:
         for link in self.links:
             if link.holding is not None:
                 count(link.holding.flow)
-            for tc in link.queue.pending():
+            for tc in link.waiting:
                 count(tc.flow)
         arrive = self._arrive
         for _time, _seq, fn, arg in self._heap:
@@ -926,50 +921,23 @@ def _slot_dict(record: Any) -> Dict[str, Any]:
     return {name: getattr(record, name) for name in record.__slots__}
 
 
-class RunReport:
+class RunReport(NamedTuple):
     """Run results, serializable to a stable JSON document + CSV series."""
 
-    __slots__ = (
-        "duration_s",
-        "seed",
-        "events_processed",
-        "connections",
-        "switches",
-        "links",
-        "abr_series",
-        "lane",
-    )
-
-    def __init__(
-        self,
-        duration_s: float,
-        seed: int,
-        events_processed: int,
-        connections: Dict[str, Dict[str, Any]],
-        switches: Dict[str, Dict[str, Any]],
-        links: Dict[str, Dict[str, Any]],
-        abr_series: Dict[str, List[Tuple[float, float, bool]]],
-        lane: Optional[Dict[str, Any]],
-    ):
-        self.duration_s = duration_s
-        self.seed = seed
-        self.events_processed = events_processed
-        self.connections = connections
-        self.switches = switches
-        self.links = links
-        self.abr_series = abr_series
-        self.lane = lane
+    duration_s: float
+    seed: int
+    events_processed: int
+    connections: Dict[str, Dict[str, Any]]
+    switches: Dict[str, Dict[str, Any]]
+    links: Dict[str, Dict[str, Any]]
+    abr_series: Dict[str, List[Tuple[float, float, bool]]]
+    lane: Optional[Dict[str, Any]]
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "events_processed": self.events_processed,
-            "connections": self.connections,
-            "switches": self.switches,
-            "links": self.links,
-            "lane": self.lane,
-        }
+        """Every field but ``abr_series``, which ``abr_csv`` writes out."""
+        doc = self._asdict()
+        del doc["abr_series"]
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"

@@ -6,6 +6,9 @@ frames go out on a cached data-direct VC when one exists; otherwise the
 client asks the LE-ARP server (LES) for the target's ATM address, queues
 the frame while waiting (optionally copying it through the BUS in
 parallel), and switches to a fresh data-direct VC once the reply lands.
+The fabric refuses a VC only when a link has no VCI left, and never
+frees one, so a refused destination is not retried: its frames are
+dropped until the cache entry ages out and a new LE-ARP reply arrives.
 Multicast and broadcast frames always go through the BUS, which floods
 every attached client except the sender exactly once.
 
@@ -193,9 +196,11 @@ class Bus:
 class ArpCacheEntry:
     __slots__ = ("atm", "vc", "learned_at")
 
-    def __init__(self, atm: bytes, vc: Any = None, learned_at: float = 0.0):
+    def __init__(self, atm: bytes, vc: Any, learned_at: float):
         self.atm = atm
-        self.vc = vc  # engine's VC handle; None while setup failed/pending
+        # the engine's VC handle, or None when the fabric refused the VC;
+        # a refused entry stays refused until it ages out of the cache
+        self.vc = vc
         self.learned_at = learned_at
 
 
@@ -211,21 +216,13 @@ class DestinationStats:
         "dropped_setup",
     )
 
-    def __init__(
-        self,
-        sent_direct: int = 0,
-        sent_bus: int = 0,
-        queued: int = 0,
-        dropped_overflow: int = 0,
-        dropped_timeout: int = 0,
-        dropped_setup: int = 0,
-    ):
-        self.sent_direct = sent_direct
-        self.sent_bus = sent_bus
-        self.queued = queued
-        self.dropped_overflow = dropped_overflow
-        self.dropped_timeout = dropped_timeout
-        self.dropped_setup = dropped_setup
+    def __init__(self) -> None:
+        self.sent_direct = 0
+        self.sent_bus = 0
+        self.queued = 0
+        self.dropped_overflow = 0
+        self.dropped_timeout = 0
+        self.dropped_setup = 0
 
 
 class LecCounters:
@@ -242,29 +239,17 @@ class LecCounters:
         "pending_dropped",
     )
 
-    def __init__(
-        self,
-        frames_sent: int = 0,
-        broadcast_sent: int = 0,
-        arp_requests: int = 0,
-        arp_replies: int = 0,
-        received_direct: int = 0,
-        received_bus: int = 0,
-        received_broadcast: int = 0,
-        filtered: int = 0,
-        duplicates: int = 0,
-        pending_dropped: int = 0,
-    ):
-        self.frames_sent = frames_sent
-        self.broadcast_sent = broadcast_sent
-        self.arp_requests = arp_requests
-        self.arp_replies = arp_replies
-        self.received_direct = received_direct
-        self.received_bus = received_bus
-        self.received_broadcast = received_broadcast
-        self.filtered = filtered
-        self.duplicates = duplicates
-        self.pending_dropped = pending_dropped
+    def __init__(self) -> None:
+        self.frames_sent = 0
+        self.broadcast_sent = 0
+        self.arp_requests = 0
+        self.arp_replies = 0
+        self.received_direct = 0
+        self.received_bus = 0
+        self.received_broadcast = 0
+        self.filtered = 0
+        self.duplicates = 0
+        self.pending_dropped = 0
 
 
 class LecPort(Protocol):
@@ -325,13 +310,10 @@ class Lec:
         entry = self._cache_get(dest_mac)
         if entry is not None:
             if entry.vc is None:
-                # Address known but no VC (earlier setup refused); retry now.
-                entry.vc = self.port.open_data_vc(self.atm, entry.atm)
-            if entry.vc is not None:
+                stats.dropped_setup += 1
+            else:
                 stats.sent_direct += 1
                 self.port.send_on_vc(entry.vc, frame)
-            else:
-                stats.dropped_setup += 1
             return
         queue = self._pending.setdefault(dest_mac, deque())
         if len(queue) >= PENDING_DEPTH:
@@ -359,18 +341,18 @@ class Lec:
     def on_arp_reply(self, target_mac: bytes, atm: Optional[bytes]) -> None:
         """Reply from the LES: fill the cache, set up the VC and flush the
         queue in order.  Unknown targets stay queued until the timeout.  A
-        reply that names the address a cached VC already leads to (a late
-        reply to an earlier request) refreshes the entry and keeps its VC."""
+        reply that names the address of a cached entry (a late reply to an
+        earlier request) only refreshes the entry: it keeps its VC, or its
+        refusal, as a VC the fabric refused once it refuses for good."""
         self.counters.arp_replies += 1
         if atm is None:
             return
         entry = self.cache.get(target_mac)
-        if entry is not None and entry.atm == atm and entry.vc is not None:
+        if entry is not None and entry.atm == atm:
             entry.learned_at = self.port.now()
         else:
-            entry = ArpCacheEntry(atm=atm, vc=None, learned_at=self.port.now())
+            entry = ArpCacheEntry(atm, self.port.open_data_vc(self.atm, atm), self.port.now())
             self.cache[target_mac] = entry
-            entry.vc = self.port.open_data_vc(self.atm, atm)
         queue = self._pending.pop(target_mac, None)
         if not queue:
             return

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cell import Cell
 from .traffic import CATEGORY_RULES, ServiceCategory, TrafficDescriptor
@@ -87,10 +87,10 @@ class OutputQueue:
     """Bounded FIFO for one output port.
 
     Items are cells with ``clp``, ``is_management`` and a writable
-    ``efci`` attribute, as the engine's TransitCell has.  Occupancy
-    counts waiting cells only (a cell being serialized onto the link is
-    in service, not in the buffer).  Thresholds default to 80% (EFCI)
-    and 90% (CLP discard) of capacity.
+    ``efci`` attribute, as the engine's TransitCell has.  Occupancy,
+    ``len(waiting)``, counts waiting cells only (a cell being serialized
+    onto the link is in service, not in the buffer).  Thresholds default
+    to 80% (EFCI) and 90% (CLP discard) of capacity.
 
     ``waiting`` is the FIFO itself, head first.  The port's server pops
     the head when it puts a cell on the wire; ``dequeue`` does the same
@@ -122,10 +122,6 @@ class OutputQueue:
         self.clp_drops = 0
         self.efci_marks = 0
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.waiting)
-
     def enqueue(self, item: Any) -> EnqueueOutcome:
         """Selective discard, then capacity check, then EFCI marking.
 
@@ -147,10 +143,6 @@ class OutputQueue:
         waiting.append(item)
         self.accepted += 1
         return ACCEPTED
-
-    def pending(self) -> Iterator[Any]:
-        """Waiting items in queue order, without removing them."""
-        return iter(self.waiting)
 
     def dequeue(self) -> Optional[Any]:
         if not self.waiting:
@@ -176,8 +168,10 @@ class LinkBooking:
     """Booked-bandwidth ledger for one link direction.
 
     Individual bookings are kept and summed with fsum on demand, so the
-    admit decision never drifts away from the true sum over long
-    admit/release sequences.
+    admit decision never drifts away from the true sum.  A run only
+    books: a connection holds its bandwidth until the run ends.
+    ``release`` and ``booked`` complete the ledger for callers that admit
+    and release, as the admission property tests do over long sequences.
     """
 
     def __init__(self, capacity: float, booking_factor: float = 1.0):

@@ -216,10 +216,6 @@ class Gcra:
         """Would a cell at ``arrival`` conform?  No state change."""
         return self.drained(arrival) <= self.limit
 
-    def update(self, arrival: float) -> bool:
-        """Account for a cell at ``arrival``; True when it conforms."""
-        return conform_update((self,), arrival)
-
     def earliest_conforming(self, not_before: float) -> float:
         """Smallest representable time >= not_before at which a cell conforms.
 
@@ -304,19 +300,12 @@ class Policer:
 
     __slots__ = ("buckets", "action", "passed", "tagged", "dropped")
 
-    def __init__(
-        self,
-        buckets: List[Gcra],
-        action: PolicingAction = PolicingAction.DROP,
-        passed: int = 0,
-        tagged: int = 0,
-        dropped: int = 0,
-    ):
+    def __init__(self, buckets: List[Gcra], action: PolicingAction = PolicingAction.DROP):
         self.buckets = buckets
         self.action = action
-        self.passed = passed
-        self.tagged = tagged
-        self.dropped = dropped
+        self.passed = 0
+        self.tagged = 0
+        self.dropped = 0
 
     def offer(self, cell: Cell, arrival: float) -> Optional[Cell]:
         if conform_update(self.buckets, arrival):
@@ -419,10 +408,6 @@ class DelayMoments:
         self.low = math.inf
         self.high = -math.inf
 
-    @property
-    def count(self) -> int:
-        return self.folded + len(self.pending)
-
     def fold(self) -> None:
         """Add the pending samples to the sums and empty the buffer."""
         xs = self.pending
@@ -509,8 +494,8 @@ def delay_stats(delays: Union[DelayMoments, Sequence[float]]) -> Optional[DelayS
 
 
 class ConnectionMetrics:
-    """Per-connection cell accounting, split by loss priority.  Without
-    ``delays`` it starts an empty DelayMoments of its own."""
+    """Per-connection cell accounting, split by loss priority, and the
+    moments of its transfer delays."""
 
     __slots__ = (
         "transmitted_clp0",
@@ -521,21 +506,13 @@ class ConnectionMetrics:
         "delays",
     )
 
-    def __init__(
-        self,
-        transmitted_clp0: int = 0,
-        transmitted_clp1: int = 0,
-        lost_clp0: int = 0,
-        lost_clp1: int = 0,
-        delivered: int = 0,
-        delays: Optional[DelayMoments] = None,
-    ):
-        self.transmitted_clp0 = transmitted_clp0
-        self.transmitted_clp1 = transmitted_clp1
-        self.lost_clp0 = lost_clp0
-        self.lost_clp1 = lost_clp1
-        self.delivered = delivered
-        self.delays = DelayMoments() if delays is None else delays
+    def __init__(self) -> None:
+        self.transmitted_clp0 = 0
+        self.transmitted_clp1 = 0
+        self.lost_clp0 = 0
+        self.lost_clp1 = 0
+        self.delivered = 0
+        self.delays = DelayMoments()
 
     @property
     def transmitted(self) -> int:

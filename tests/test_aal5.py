@@ -162,30 +162,21 @@ class TestReassembly:
         for _ in range(cell_count(MAX_FRAME_BYTES)):
             assert rs.push(payload, False) is None
         assert rs.push(payload, False) is ReassemblyError.OVERSIZE
-        assert not rs.in_progress
+        # the error reset the buffer: the next frame reassembles cleanly
+        assert reassemble(segment(b"next"), rs) == b"next"
 
     def test_state_resets_after_error(self):
         rs = Reassembler()
         bad = segment(bytes(100))
         del bad[0]
         assert reassemble(bad, rs) is ReassemblyError.LENGTH_MISMATCH
-        assert not rs.in_progress
         frame = bytes(range(48)) * 2
         assert reassemble(segment(frame), rs) == frame
 
     def test_state_resets_after_success(self):
         rs = Reassembler()
         assert reassemble(segment(b"first"), rs) == b"first"
-        assert not rs.in_progress
         assert reassemble(segment(b"second"), rs) == b"second"
-
-    def test_in_progress_flag(self):
-        rs = Reassembler()
-        cells = segment(bytes(100))
-        rs.push(*cells[0])
-        assert rs.in_progress
-        rs.reset()
-        assert not rs.in_progress
 
     def test_wrong_payload_size_rejected(self):
         rs = Reassembler()

@@ -43,6 +43,7 @@ from atmsim.traffic import (
     Shaper,
     TrafficDescriptor,
     burst_tolerance,
+    conform_update,
     validate_contract,
 )
 
@@ -208,7 +209,7 @@ def test_c05_shaped_output_always_conforms():
             release = shaper.offer(now)
             if release is None:
                 continue
-            assert police.update(release)
+            assert conform_update((police,), release)
     print("criterion 5: PASS - 100 shapers x 10000 cells re-policed with 0 nonconforming")
 
 
@@ -226,7 +227,7 @@ def test_c06_burst_size_law_exact():
         oracle = ContinuousBucket(sustain_t, tau)
         for k in range(mbs):
             t = k * peak_t
-            assert bucket.update(t), (pcr, scr, mbs, k)
+            assert conform_update((bucket,), t), (pcr, scr, mbs, k)
             assert oracle.offer(t)
         over = mbs * peak_t
         assert not bucket.conforms(over), (pcr, scr, mbs)
@@ -479,7 +480,7 @@ def test_c10_discard_ordering_under_overload():
         enqueue = queue.enqueue
 
         def record(item):
-            occupancy = queue.occupancy
+            occupancy = len(queue.waiting)
             outcome = enqueue(item)
             if outcome is not EnqueueOutcome.ACCEPTED:
                 drops.append((engine.events.now, item.clp, outcome, occupancy))

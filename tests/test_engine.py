@@ -179,6 +179,32 @@ class TestOrderingGuards:
         with pytest.raises(AssertionError, match="event dispatched out of order"):
             eng.run()
 
+    @pytest.mark.parametrize("fault", ["duplicate", "reordered"])
+    def test_cell_out_of_order_at_its_endpoint_breaks_per_vc_fifo(self, fault):
+        # The first cell bound for host b reaches the real arrival handler
+        # twice, or only after the next cell of its VC has been delivered.
+        eng = build(cbr_scenario())
+        arrive = eng._arrive
+        held = []
+
+        def faulty(tc):
+            if tc.link.to_switch or tc.seq > 1:
+                arrive(tc)
+            elif tc.seq == 0:
+                if fault == "duplicate":
+                    arrive(tc)
+                    arrive(tc)
+                else:
+                    held.append(tc)
+            else:
+                arrive(tc)
+                while held:
+                    arrive(held.pop())
+
+        eng._arrive = faulty
+        with pytest.raises(AssertionError, match="per-VC FIFO violated on c1"):
+            eng.run()
+
 
 class TestOneSequence:
     """Entries from EventQueue.schedule and entries the engine pushes
@@ -246,7 +272,7 @@ class TestOneSequence:
 
         def record(item):
             if item.flow is stray:
-                seen.append(link.queue.occupancy)
+                seen.append(len(link.queue.waiting))
             return enqueue(item)
 
         link.queue.enqueue = record

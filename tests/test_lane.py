@@ -314,10 +314,18 @@ class TestLecSending:
         lec.send(MAC_B, b"one")
         lec.on_arp_reply(MAC_B, ATM_B)
         assert lec.per_destination[MAC_B].dropped_setup == 1
-        # next send retries the setup
+        # a refused destination stays refused while its entry is cached,
+        # even where the port could now open a VC
         lec.port.vc_available = True
         lec.send(MAC_B, b"two")
-        assert lec.per_destination[MAC_B].sent_direct == 1
+        assert lec.per_destination[MAC_B].dropped_setup == 2
+        assert lec.per_destination[MAC_B].sent_direct == 0
+        # and a late reply for the cached address only refreshes the entry
+        lec.port.advance(0.5)
+        lec.on_arp_reply(MAC_B, ATM_B)
+        entry = lec.cache[MAC_B]
+        assert (entry.vc, entry.learned_at) == (None, lec.port.clock)
+        assert lec.port.opened == []
 
     def test_cache_aging_forces_new_resolution(self):
         lec = make_lec()

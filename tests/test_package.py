@@ -108,12 +108,12 @@ CODEC_AND_REPORT_VALUES = {
     "cell": ["CellHeader", "Cell", "DecodeOutcome"],
     "traffic": ["DelayStats"],
     "switch": ["VcRoute"],
+    "engine": ["RunReport"],
 }
 RUN_STATE = {
     "abr": ["AbrSourceState", "EfciObserver"],
     "lane": ["LecCounters", "DestinationStats", "ArpCacheEntry"],
     "traffic": ["Gcra", "Policer", "ConnectionMetrics"],
-    "engine": ["RunReport"],
 }
 
 

@@ -113,13 +113,6 @@ class TestOutputQueue:
         assert queue.efci_threshold == 80
         assert queue.clp_threshold == 90
 
-    def test_pending_iterates_without_removing(self):
-        queue = OutputQueue(capacity=4)
-        queue.enqueue(_transit(vci=40))
-        queue.enqueue(_transit(vci=41))
-        assert [c.vci for c in queue.pending()] == [40, 41]
-        assert queue.occupancy == 2
-
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             OutputQueue(capacity=0)
