@@ -44,7 +44,7 @@ class InterfaceKind(enum.Enum):
     NNI = "nni"
 
     # members are singletons compared by identity; Enum.__hash__ is Python
-    # code, and decode_header hashes a member into every memo key
+    # code, and decode_header hashes a member to pick its memo on every call
     __hash__ = object.__hash__
 
 
@@ -212,12 +212,15 @@ def encode_header(header: CellHeader) -> bytes:
     return first4 + bytes((compute_hec(first4),))
 
 
-# Decoded outcomes by (header bytes, kind).  A link carries few distinct
-# headers (one per VC and CLP/PTI value, plus their corruptions), so most
-# decodes are lookups.  Outcomes are immutable and safe to share.  The memo is
-# cleared when it fills, which bounds it at DECODE_MEMO_MAX entries.
+# Decoded outcomes by header bytes, one memo per interface kind.  A link
+# carries few distinct headers (one per VC and CLP/PTI value, plus their
+# corruptions), so most decodes are one lookup.  Outcomes are immutable and
+# safe to share.  A kind's memo is cleared when it fills, which bounds it at
+# DECODE_MEMO_MAX entries.
 DECODE_MEMO_MAX = 4096
-_decode_memo: Dict[Tuple[bytes, InterfaceKind], DecodeOutcome] = {}
+_decode_memos: Dict[InterfaceKind, Dict[bytes, DecodeOutcome]] = {
+    kind: {} for kind in InterfaceKind
+}
 
 
 def decode_header(raw: bytes, kind: InterfaceKind) -> DecodeOutcome:
@@ -231,13 +234,16 @@ def decode_header(raw: bytes, kind: InterfaceKind) -> DecodeOutcome:
     """
     if len(raw) != HEADER_BYTES:
         raise ValueError(f"header is {HEADER_BYTES} bytes, got {len(raw)}")
-    key = (bytes(raw), kind)
-    outcome = _decode_memo.get(key)
+    # the memo keys on a copy, never on a caller's bytearray (which cannot
+    # be hashed); bytes() of a bytes object returns that object
+    raw = bytes(raw)
+    memo = _decode_memos[kind]
+    outcome = memo.get(raw)
     if outcome is None:
-        outcome = _decode(key[0], kind)
-        if len(_decode_memo) >= DECODE_MEMO_MAX:
-            _decode_memo.clear()
-        _decode_memo[key] = outcome
+        outcome = _decode(raw, kind)
+        if len(memo) >= DECODE_MEMO_MAX:
+            memo.clear()
+        memo[raw] = outcome
     return outcome
 
 
@@ -300,6 +306,10 @@ def set_efci(cell: Cell) -> Cell:
     return Cell(cell.header._replace(efci=True), cell.payload)
 
 
+_INF = math.inf
+_fromhex = bytes.fromhex
+
+
 class TraceFormatError(ValueError):
     """A cell trace line that does not parse."""
 
@@ -316,23 +326,28 @@ def parse_trace_line(line: str) -> Tuple[float, int, bytes]:
     space-separated pairs.
     """
     fields = line.split()
-    if len(fields) < 3:
+    if len(fields) == 3:
+        time_text, port_text, hexrun = fields
+    elif len(fields) > 3:
+        time_text, port_text, *pairs = fields
+        hexrun = "".join(pairs)
+    else:
         raise TraceFormatError(f"expected time, port and cell bytes, got {len(fields)} fields")
     try:
-        time_s = float(fields[0])
+        time_s = float(time_text)
     except ValueError:
-        raise TraceFormatError(f"bad time value {fields[0]!r}") from None
-    if not math.isfinite(time_s) or time_s < 0:
-        raise TraceFormatError(f"time must be finite and >= 0, got {fields[0]}")
+        raise TraceFormatError(f"bad time value {time_text!r}") from None
+    # refuses NaN and both infinities; -0.0 passes
+    if not 0 <= time_s < _INF:
+        raise TraceFormatError(f"time must be finite and >= 0, got {time_text}")
     try:
-        port = int(fields[1])
+        port = int(port_text)
     except ValueError:
-        raise TraceFormatError(f"bad port value {fields[1]!r}") from None
+        raise TraceFormatError(f"bad port value {port_text!r}") from None
     if port < 0:
         raise TraceFormatError(f"port must be >= 0, got {port}")
-    hexrun = fields[2] if len(fields) == 3 else "".join(fields[2:])
     try:
-        raw = bytes.fromhex(hexrun)
+        raw = _fromhex(hexrun)
     except ValueError:
         raise TraceFormatError("cell bytes are not valid hex") from None
     if len(raw) != CELL_BYTES:

@@ -168,15 +168,20 @@ def burst_tolerance(mbs: int, scr: float, pcr: float) -> float:
         raise ValueError("mbs must be >= 1")
     if not 0 < scr <= pcr:
         raise ValueError("rates must satisfy 0 < scr <= pcr")
-    if mbs == 1:
-        # exactly zero, of the type the factored form gives, without
-        # dividing by scr * pcr, which may underflow to zero
+    if mbs == 1 or scr == pcr:
+        # exactly zero, of the type the factored form gives, with no product
+        # that may underflow or mbs that may be past the float range
         tolerance = 0 * scr / pcr
     else:
+        product = scr * pcr
         try:
-            tolerance = (mbs - 1) * (pcr - scr) / (scr * pcr)
-        except (ZeroDivisionError, OverflowError):
-            # scr * pcr underflowed to zero, or mbs is past the float range
+            if product:
+                tolerance = (mbs - 1) * (pcr - scr) / product
+            else:
+                # scr * pcr underflowed to zero; the reciprocals may not
+                tolerance = (mbs - 1) * (1 / scr - 1 / pcr)
+        except OverflowError:
+            # mbs is past the float range
             tolerance = math.inf
     # a Fraction result is exact, and finite however large
     if isinstance(tolerance, float) and not math.isfinite(tolerance):
@@ -222,15 +227,21 @@ class Gcra:
         No arrival may precede last_time, so a not_before before it is
         raised to it.  The algebraic bound last_time + (level - limit) can
         land one ulp short under float rounding, so the result is nudged
-        with nextafter until the bucket actually agrees.
+        with nextafter until the bucket actually agrees.  Each test is
+        conforms() with Gcra.drained written out, as the shaper calls this
+        for every delayed cell.
         """
-        if not_before < self.last_time:
-            not_before = self.last_time
+        last, level, limit = self.last_time, self.level, self.limit
+        if not_before < last:
+            not_before = last
         t = not_before
-        bound = self.last_time + (self.level - self.limit)
+        bound = last + (level - limit)
         if bound > t:
             t = bound
-        while not self.conforms(t):
+        while True:
+            down = level - (t - last)
+            if (down if down > 0 else 0) <= limit:
+                break
             t = math.nextafter(t, math.inf)
         # the bound itself may have rounded up past the true threshold;
         # walk back down to the smallest conforming representable.  Exact
@@ -238,7 +249,10 @@ class Gcra:
         if isinstance(t, float):
             while t > not_before:
                 prev = math.nextafter(t, -math.inf)
-                if prev < not_before or not self.conforms(prev):
+                if prev < not_before:
+                    break
+                down = level - (prev - last)
+                if not (down if down > 0 else 0) <= limit:
                     break
                 t = prev
         return t
@@ -354,6 +368,13 @@ class Shaper:
         if self._last_release is not None and self._last_release > t:
             t = self._last_release
         for bucket in self.buckets:
+            # the drain falls as t grows, so a bucket that conforms at t
+            # (and has no later last_time) would answer t itself
+            last = bucket.last_time
+            if t >= last:
+                down = bucket.level - (t - last)
+                if (down if down > 0 else 0) <= bucket.limit:
+                    continue
             t = bucket.earliest_conforming(t)
         while not conform_update(self.buckets, t):
             t = math.nextafter(t, math.inf)

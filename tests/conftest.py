@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from typing import Any, Callable, Dict, List, Tuple
 import pytest
 
 import atmsim
+from atmsim.cell import CellHeader, InterfaceKind, encode_header
 from atmsim.engine import CELL_BITS, Engine, RunReport, build
 
 RUN_GUARD_S = 5.0
@@ -97,3 +99,44 @@ def modules_loaded_by_importing_atmsim(*packages: str) -> List[str]:
 def guarded_run() -> Callable[..., Tuple[Engine, RunReport]]:
     """``run_guarded``; session-scoped, so hypothesis tests can take it."""
     return run_guarded
+
+
+GOLDEN_CONTRACT = ["--pcr", "1000.0", "--cdvt", "0.0005", "--scr", "400.0", "--mbs", "40"]
+GOLDEN_RUNS = {
+    "tag_port0": ["--action", "tag", "--port", "0"],
+    "tag_port1": ["--action", "tag", "--port", "1"],
+    "drop_all": ["--action", "drop"],
+}
+
+
+def write_seeded_trace(path, seed=7, cells=2000) -> None:
+    """Two ports, one VC each, 2000 cells: on/off bursts at the peak rate of
+    GOLDEN_CONTRACT long enough to overrun its SCR bucket, some CLP=1 cells
+    on port 1, and about 3% one-bit and 1% two-bit header errors."""
+    rng = random.Random(seed)
+    period = 1 / 1000.0
+    entries = []
+    for port in (0, 1):
+        t = rng.uniform(0.0, 0.05)
+        times = []
+        while len(times) < cells // 2:
+            for _ in range(rng.randint(10, 80)):
+                times.append(t)
+                t += period * (1 + rng.uniform(0.0, 0.2))
+            t += rng.uniform(0.02, 0.15)
+        entries.extend((time_s, port) for time_s in times[: cells // 2])
+    entries.sort()
+    payload = bytes(range(48))
+    lines = []
+    for time_s, port in entries:
+        clp = 1 if port == 1 and rng.random() < 0.1 else 0
+        header = CellHeader(kind=InterfaceKind.UNI, vpi=port + 1, vci=40 + port, clp=clp)
+        raw = bytearray(encode_header(header) + payload)
+        draw = rng.random()
+        if draw < 0.04:
+            bits = rng.sample(range(40), 2 if draw < 0.01 else 1)
+            for bit in bits:
+                raw[bit // 8] ^= 0x80 >> (bit % 8)
+        lines.append(f"{time_s!r} {port} {raw.hex()}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

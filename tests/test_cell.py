@@ -198,9 +198,10 @@ class TestDecodeMemo:
             for bit in range(40):
                 corrupted = bytearray(raw)
                 corrupted[bit // 8] ^= 0x80 >> (bit % 8)
-                cell_module._decode_memo.clear()
+                memo = cell_module._decode_memos[kind]
+                memo.clear()
                 first = decode_header(bytes(corrupted), kind)
-                assert (bytes(corrupted), kind) in cell_module._decode_memo
+                assert memo[bytes(corrupted)] is first
                 again = decode_header(bytes(corrupted), kind)
                 assert again is first
                 assert (again.status, again.flipped_bit, again.header) == (
@@ -223,23 +224,31 @@ class TestDecodeMemo:
         assert outcome.status is DecodeStatus.VALID
         buffer[0] ^= 0x01  # the memo keys on a copy, not on the caller's buffer
         assert decode_header(raw, InterfaceKind.UNI).status is DecodeStatus.VALID
+        for key in cell_module._decode_memos[InterfaceKind.UNI]:
+            assert type(key) is bytes
         with pytest.raises(ValueError):
             decode_header(bytearray(4), InterfaceKind.UNI)
 
     def test_one_entry_per_kind(self):
         raw = encode_header(CellHeader(kind=InterfaceKind.UNI, vpi=0x12, vci=7))
-        cell_module._decode_memo.clear()
+        memos = cell_module._decode_memos
+        for memo in memos.values():
+            memo.clear()
         decode_header(raw, InterfaceKind.UNI)
         decode_header(raw, InterfaceKind.NNI)
         decode_header(raw, InterfaceKind.UNI)
-        assert set(cell_module._decode_memo) == {(raw, InterfaceKind.UNI), (raw, InterfaceKind.NNI)}
+        assert {kind: list(memo) for kind, memo in memos.items()} == {
+            InterfaceKind.UNI: [raw], InterfaceKind.NNI: [raw]
+        }
 
     def test_stays_within_bound(self):
         bound = cell_module.DECODE_MEMO_MAX
-        for vci in range(bound + 500):
-            header = CellHeader(kind=InterfaceKind.NNI, vpi=1, vci=vci)
-            assert decode_header(encode_header(header), InterfaceKind.NNI).header == header
-            assert len(cell_module._decode_memo) <= bound
+        for kind in InterfaceKind:
+            for vci in range(bound + 500):
+                header = CellHeader(kind=kind, vpi=1, vci=vci)
+                assert decode_header(encode_header(header), kind).header == header
+                assert len(cell_module._decode_memos[kind]) <= bound
+        assert set(cell_module._decode_memos) == set(InterfaceKind)
 
 
 class TestInterfaceKindIdentity:
@@ -435,6 +444,54 @@ class TestTraceFormat:
         ):
             with pytest.raises(TraceFormatError):
                 parse_trace_line(bad)
+
+    CELL_HEX = "00" * CELL_BYTES
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("", "expected time, port and cell bytes, got 0 fields"),
+            ("0.5 1", "expected time, port and cell bytes, got 2 fields"),
+            (f"x 1 {CELL_HEX}", "bad time value 'x'"),
+            (f"nan 1 {CELL_HEX}", "time must be finite and >= 0, got nan"),
+            (f"-inf 1 {CELL_HEX}", "time must be finite and >= 0, got -inf"),
+            (f"inf 1 {CELL_HEX}", "time must be finite and >= 0, got inf"),
+            (f"1e400 1 {CELL_HEX}", "time must be finite and >= 0, got 1e400"),
+            (f"-1e-300 1 {CELL_HEX}", "time must be finite and >= 0, got -1e-300"),
+            (f"0.5 1.0 {CELL_HEX}", "bad port value '1.0'"),
+            (f"0.5 -2 {CELL_HEX}", "port must be >= 0, got -2"),
+            ("0.5 1 " + "zz" * CELL_BYTES, "cell bytes are not valid hex"),
+            ("0.5 1 " + "0" * (2 * CELL_BYTES - 1), "cell bytes are not valid hex"),
+            ("0.5 1 " + "00" * (CELL_BYTES - 1), f"cell is {CELL_BYTES} bytes, got 52"),
+            ("0.5 1 " + "00 " * (CELL_BYTES + 1), f"cell is {CELL_BYTES} bytes, got 54"),
+            # the first fault in field order decides the message
+            ("nan -2 zz", "time must be finite and >= 0, got nan"),
+            ("0.5 -2 zz", "port must be >= 0, got -2"),
+            ("0.5 2 zz", "cell bytes are not valid hex"),
+        ],
+    )
+    def test_refusal_messages(self, line, message):
+        with pytest.raises(TraceFormatError) as refused:
+            parse_trace_line(line)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "line, time_s, port",
+        [
+            (f"-0.0 1 {CELL_HEX}", -0.0, 1),
+            (f"0.25 +3 {CELL_HEX}", 0.25, 3),
+            (f"0.25\t3\t{CELL_HEX}", 0.25, 3),
+            ("0.25 3 " + " ".join(["00"] * CELL_BYTES), 0.25, 3),
+            (f"0.25 3 {CELL_HEX}\r\n", 0.25, 3),
+            (f"  5e-324 0 {CELL_HEX[:50]} {CELL_HEX[50:]}", 5e-324, 0),
+        ],
+        ids=["negative-zero", "plus-sign", "tabs", "spaced-pairs", "crlf", "split-run"],
+    )
+    def test_accepted_edge_cases(self, line, time_s, port):
+        parsed = parse_trace_line(line)
+        assert parsed == (time_s, port, bytes(CELL_BYTES))
+        assert type(parsed[0]) is float and type(parsed[1]) is int
+        assert repr(parsed[0]) == repr(time_s)  # -0.0 keeps its sign
 
     def test_negative_time_and_port_rejected(self):
         raw_hex = "00" * CELL_BYTES

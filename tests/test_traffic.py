@@ -101,12 +101,29 @@ class TestBurstTolerance:
 
     @pytest.mark.parametrize(
         "mbs, scr, pcr",
-        [(2, 1e-200, 1e-200), (10**400, 50.0, 100.0), (10**10, 1e-300, 1e-10)],
-        ids=["rates-underflow", "mbs-past-float", "result-overflows"],
+        [(10**400, 50.0, 100.0), (10**10, 1e-300, 1e-10)],
+        ids=["mbs-past-float", "result-overflows"],
     )
     def test_non_finite_result_rejected(self, mbs, scr, pcr):
         with pytest.raises(ValueError, match=r"^burst tolerance .* is not a finite number for scr="):
             burst_tolerance(mbs, scr, pcr)
+
+    @pytest.mark.parametrize(
+        "mbs, scr, pcr, expected",
+        [
+            (2, 1e-200, 1e-200, 0.0),
+            (2, 1e-300, 2e-300, 1 / 1e-300 - 1 / 2e-300),
+            (10**400, 100.0, 100.0, 0.0),
+        ],
+        ids=["rates-underflow", "unequal-rates-underflow", "mbs-past-float-equal-rates"],
+    )
+    def test_finite_result_at_float_edges(self, mbs, scr, pcr, expected):
+        # scr * pcr underflows to zero, or mbs is past the float range,
+        # yet the tolerance itself is a finite float
+        tolerance = burst_tolerance(mbs, scr, pcr)
+        assert type(tolerance) is float
+        assert tolerance == expected
+        assert math.copysign(1.0, tolerance) == 1.0
 
     def test_huge_exact_result_kept(self):
         assert burst_tolerance(10**400, Fraction(1), Fraction(2)) == Fraction(10**400 - 1, 2)
@@ -295,6 +312,9 @@ class TestDualBucketOracle:
                 arrivals.append(t)
             releases, overflow = shape(arrivals, fraction_buckets(*contract), depth=10_000)
             assert overflow == 0
+            # exact: the same releases as the shaper written on Gcra.conforms
+            reference = ReferenceShaper(fraction_buckets(*contract), depth=10_000)
+            assert releases == [reference.offer(t) for t in arrivals]
             policer = Policer(buckets=fraction_buckets(*contract), action=PolicingAction.TAG_CLP)
             oracles = [BucketOracle(contract[0], contract[1]), BucketOracle(contract[2], contract[3])]
             cell = Cell(CellHeader(kind=InterfaceKind.UNI, vpi=1, vci=33))
@@ -404,8 +424,28 @@ def reference_conform_update(buckets, arrival) -> bool:
     return True
 
 
+def reference_earliest_conforming(bucket, not_before):
+    """Gcra.earliest_conforming written on Gcra.conforms."""
+    if not_before < bucket.last_time:
+        not_before = bucket.last_time
+    t = not_before
+    bound = bucket.last_time + (bucket.level - bucket.limit)
+    if bound > t:
+        t = bound
+    while not bucket.conforms(t):
+        t = math.nextafter(t, math.inf)
+    if isinstance(t, float):
+        while t > not_before:
+            prev = math.nextafter(t, -math.inf)
+            if prev < not_before or not bucket.conforms(prev):
+                break
+            t = prev
+    return t
+
+
 class ReferenceShaper:
-    """Shaper.offer on reference_conform_update."""
+    """Shaper.offer on reference_earliest_conforming and
+    reference_conform_update, asking every bucket."""
 
     def __init__(self, buckets, depth: int):
         self.buckets = buckets
@@ -421,7 +461,7 @@ class ReferenceShaper:
         if self.last_release is not None and self.last_release > t:
             t = self.last_release
         for bucket in self.buckets:
-            t = bucket.earliest_conforming(t)
+            t = reference_earliest_conforming(bucket, t)
         while not reference_conform_update(self.buckets, t):
             t = math.nextafter(t, math.inf)
         self.last_release = t
@@ -484,9 +524,10 @@ DRAIN_STREAMS = {
 
 
 class TestDrainMatchesReference:
-    """conform_update drains its buckets inline; on float streams it must
-    agree with the same code written on Gcra.drained, bit for bit, after
-    every call, and so must the shaper that loops over it."""
+    """conform_update and Gcra.earliest_conforming drain their buckets
+    inline, and Shaper.offer skips a bucket that already conforms; on
+    float streams each must agree with the same code written on
+    Gcra.drained and Gcra.conforms, bit for bit, after every call."""
 
     @pytest.mark.parametrize("stream", sorted(DRAIN_STREAMS))
     def test_policing_matches_reference(self, stream):
@@ -504,6 +545,14 @@ class TestDrainMatchesReference:
         shaper, expected = Shaper(buckets, depth=depth), ReferenceShaper(reference, depth)
         releases = []
         for t in arrivals:
+            # the arrival may precede a bucket's last_time; the candidate a
+            # delayed cell starts from is the last release
+            starts = [t] if expected.last_release is None else [t, max(t, expected.last_release)]
+            for not_before in starts:
+                for bucket, twin in zip(buckets, reference):
+                    assert bucket.earliest_conforming(not_before) == reference_earliest_conforming(
+                        twin, not_before
+                    )
             release = shaper.offer(t)
             assert release == expected.offer(t)
             assert bucket_states(buckets) == bucket_states(reference)
