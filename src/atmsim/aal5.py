@@ -15,7 +15,8 @@ import struct
 import zlib
 from typing import List, Tuple, Union
 
-PAYLOAD_BYTES = 48
+from .cell import PAYLOAD_BYTES
+
 TRAILER_BYTES = 8
 MAX_FRAME_BYTES = 0xFFFF
 
@@ -72,24 +73,19 @@ class Reassembler:
 
     def __init__(self) -> None:
         self._chunks: List[bytes] = []
-        self._size = 0
-
-    def reset(self) -> None:
-        self._chunks.clear()
-        self._size = 0
 
     def push(self, payload: bytes, is_last: bool) -> PushResult:
         if len(payload) != PAYLOAD_BYTES:
             raise ValueError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
-        if self._size + PAYLOAD_BYTES > _MAX_BUFFER_BYTES:
-            self.reset()
+        chunks = self._chunks
+        if len(chunks) >= _MAX_BUFFER_BYTES // PAYLOAD_BYTES:
+            chunks.clear()
             return ReassemblyError.OVERSIZE
-        self._chunks.append(payload)
-        self._size += PAYLOAD_BYTES
+        chunks.append(payload)
         if not is_last:
             return None
-        buf = b"".join(self._chunks)
-        self.reset()
+        buf = b"".join(chunks)
+        chunks.clear()
         frame_len, _reserved = struct.unpack(">HH", buf[-TRAILER_BYTES : -TRAILER_BYTES + 4])
         # Length first: a lost cell shows up as a size that cannot carry
         # the claimed frame, which is more telling than a CRC failure.

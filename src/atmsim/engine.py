@@ -3,25 +3,26 @@
 Events are dispatched in (time, insertion sequence) order, so identical
 (scenario, seed) pairs replay the exact same event stream and produce
 byte-identical reports.  An event is a ``(time, seq, fn, arg)`` entry on
-the one heap of the EventQueue; dispatch calls ``fn(arg)``, and the
+the one heap of an EventQueue; dispatch calls ``fn(arg)``, and the
 handler identifies the kind of event.  Every entry draws its ``seq`` from
-the queue's one counter, ``EventQueue.next_seq``, so no two entries tie
-and the heap never compares handlers.
+the queue's one counter, ``next_seq``, so no two entries tie and the heap
+never compares handlers.
 
-``EventQueue.schedule`` serves the few events off the cell path (source
-start-up, LANE timers, ABR feedback).  Three per-hop handlers push onto
-the heap directly: ``_start``, the only code that puts a cell on a wire,
-takes the head of the port's FIFO itself and pushes its finish
-(``_complete``); ``_complete`` pushes the cell's arrival at the far end
-(``_arrive``), then starts the next cell only when one is waiting;
-``_pace`` pushes a source's next emission.  An arrival entry carries the
-cell itself, whose ``link`` names the link it crossed.  The handlers
-pushed are bound once, in ``Engine.__init__``.  ``Engine.run`` pops the
-heap directly, one read per event: it pops an entry, then tests it
-against the end of the run, and pushes the first entry past the end back
-for the audit to find.  Each invariant is checked at one named place: no
-entry is dated before ``now`` (``OrderingError`` at every push, in
-``schedule`` and in each handler that pushes), entries dispatch in
+The Engine is that EventQueue: every handler reads the clock as
+``self.now``.  ``schedule`` serves the few events off the cell path
+(source start-up, LANE timers, ABR feedback).  Three per-hop handlers
+push onto ``self._heap`` directly: ``_start``, the only code that puts a
+cell on a wire, takes the head of the port's FIFO itself and pushes its
+finish (``_complete``); ``_complete`` pushes the cell's arrival at the
+far end (``_arrive``), then starts the next cell only when one is
+waiting; ``_pace`` pushes a source's next emission.  An arrival entry
+carries the cell itself, whose ``link`` names the link it crossed.  The
+handlers pushed are bound once, in ``Engine.__init__``.  ``Engine.run``
+pops the heap directly, one read per event: it pops an entry, then tests
+it against the end of the run, and pushes the first entry past the end
+back for the audit to find.  Each invariant is checked at one named
+place: no entry is dated before ``now`` (``OrderingError`` at every push,
+in ``schedule`` and in each handler that pushes), entries dispatch in
 strictly increasing (time, seq) order (an assertion in ``run``), the
 cells of one VC reach its endpoint in emission order, gaps being losses
 (per-VC FIFO, an assertion in ``_arrive``), and cells are conserved
@@ -38,11 +39,11 @@ format and the conformance command), so label ranges are checked when a
 path is installed.
 
 An output port and the link direction it feeds are one record, the
-DirectedLink: a bounded OutputQueue, a single-cell transmitter (424 bits
-serialized at the link rate, then the propagation delay), the node the
-link leads to and the link's transmit stats.  Queue occupancy therefore
-counts waiting cells, with the cell on the wire "in service".  A link
-is idle only while its queue is empty.
+DirectedLink: it is the port's bounded OutputQueue, with a single-cell
+transmitter (424 bits serialized at the link rate, then the propagation
+delay), the node the link leads to and the link's transmit stats.  Queue
+occupancy therefore counts waiting cells, with the cell on the wire "in
+service".  A link is idle only while its queue is empty.
 
 Each DirectedLink also holds the VC table of its far end, keyed by the
 VCI a cell carries on the link, so an arrival is one lookup: at a switch
@@ -79,13 +80,14 @@ from .scenario import (
     ConnectionSpec,
     GeneratorSpec,
     LaneTrafficSpec,
+    NodeSpec,
     Scenario,
     abr_observer,
     abr_source,
     emission_rate,
     link_booking,
     load_scenario,
-    output_queue,
+    queue_settings,
     switch_route,
     validate_scenario,
 )
@@ -114,11 +116,12 @@ def _into_past(time: float, now: float) -> OrderingError:
 
 
 class EventQueue:
-    """Future event list of (time, seq, fn, arg) entries.
+    """Future event list of (time, seq, fn, arg) entries, and its clock.
 
     Entries pop in (time, insertion sequence) order; the run loop calls
     ``fn(arg)`` for each.  Whoever pushes onto ``_heap`` draws ``seq``
     from ``next_seq`` and refuses a time before ``now``, as ``schedule``
+    does; whoever pops sets ``now`` and counts ``processed``, as ``pop``
     does.
     """
 
@@ -342,36 +345,35 @@ class LaneTrafficState:
 # topology runtime
 
 
-class DirectedLink:
+class DirectedLink(OutputQueue):
     """One direction of a physical link, which is also an output port of
-    node ``src``: the bounded queue, the wire and the transmit stats.
+    node ``src``: the port's bounded queue itself, set up from the
+    node's spec, plus the wire and the transmit stats.
 
     ``holding`` is the cell being serialized; the wire is busy exactly
-    while it is set.  ``waiting`` is the queue's FIFO, the same deque,
-    from which ``Engine._start`` takes the next cell.  ``vcs`` is the VC
-    table of ``dst_node`` for cells arriving over this link, keyed by the
-    VCI they carry on it: at a switch (``to_switch``) an entry is (next
-    link, next VCI), at a host the VC's sink.
+    while it is set.  ``Engine._start`` takes the next cell from the head
+    of ``waiting``.  ``vcs`` is the VC table of ``dst_node`` for cells
+    arriving over this link, keyed by the VCI they carry on it: at a
+    switch (``to_switch``) an entry is (next link, next VCI), at a host
+    the VC's sink.
     """
 
     def __init__(
         self,
-        src: str,
+        node: NodeSpec,
         dst_node: "NodeRuntime",
         bit_rate: float,
         prop: float,
         booking: LinkBooking,
-        queue: OutputQueue,
     ):
-        self.src = src
+        super().__init__(*queue_settings(node))
+        self.src = node.name
         self.dst_node = dst_node
         self.dst = dst_node.name
         self.to_switch = dst_node.kind == "switch"
         self.vcs: Dict[int, Union[Tuple[DirectedLink, int], Callable[[TransitCell], None]]] = {}
         self.prop = prop
         self.booking = booking
-        self.queue = queue
-        self.waiting = queue.waiting  # the queue's own deque, not a copy
         self.holding: Optional[TransitCell] = None
         self.tx_time = CELL_BITS / bit_rate
         self.cells = 0
@@ -408,25 +410,23 @@ class LaneRuntime:
         self.traffic: List[LaneTrafficState] = []
 
 
-class Engine:
+class Engine(EventQueue):
     """Builds a runnable network from a scenario and runs it once.
 
-    It is also the LecPort of every LANE client: ``now``,
-    ``send_on_vc``, ``open_data_vc`` and ``set_timer``.
+    It is its own event list, and the LecPort of every LANE client:
+    ``now``, ``schedule``, ``send_on_vc`` and ``open_data_vc``.
     """
 
     def __init__(self, sc: Scenario):
         violations = validate_scenario(sc)
         if violations:
             raise ScenarioInvalid(violations)
+        super().__init__()
         self.sc = sc
         self.duration = sc.duration_s
         self._half = sc.duration_s / 2.0
-        self.events = EventQueue()
         # the per-hop handlers push these very objects, so no push builds
-        # a bound method or looks through ``events``
-        self._heap = self.events._heap
-        self._next_seq = self.events.next_seq
+        # a bound method
         self._complete = self._complete
         self._arrive = self._arrive
         self._fire = self._fire
@@ -451,12 +451,11 @@ class Engine:
         for spec in self.sc.links:
             for src, dst in ((spec.a, spec.b), (spec.b, spec.a)):
                 link = DirectedLink(
-                    src,
+                    node_spec[src],
                     self.nodes[dst],
                     spec.bit_rate,
                     spec.propagation_delay,
                     link_booking(spec),
-                    output_queue(node_spec[src]),
                 )
                 self.nodes[src].ports[dst] = link
                 self.links.append(link)
@@ -561,7 +560,7 @@ class Engine:
 
     def _data_sink(self, tc: TransitCell) -> None:
         flow = tc.flow
-        now = self.events.now
+        now = self.now
         delays = flow.metrics.delays
         pending = delays.pending
         pending.append(now - tc.entry_time)
@@ -570,14 +569,14 @@ class Engine:
         if flow.observer is not None:
             indication = flow.observer.observe(tc.efci)
             if indication is not None:
-                self.events.schedule(now, self._send_feedback, (flow, indication))
+                self.schedule(now, self._send_feedback, (flow, indication))
 
     def _feedback_sink(self, tc: TransitCell) -> None:
         flow = tc.flow.conn
         assert flow.abr_source is not None
         indication = tc.payload
         flow.rate = source_adjust(flow.abr_source, indication)
-        flow.acr_log.append((self.events.now, flow.rate, indication.congested))
+        flow.acr_log.append((self.now, flow.rate, indication.congested))
 
     def _send_feedback(self, arg: Tuple[ContractFlow, FeedbackIndication]) -> None:
         flow, indication = arg
@@ -585,7 +584,7 @@ class Engine:
         assert feedback is not None
         tc = TransitCell(
             feedback,
-            self.events.now,
+            self.now,
             feedback.take_seq(),
             feedback.vci,
             is_management=True,
@@ -606,12 +605,9 @@ class Engine:
 
     # -- LecPort ---------------------------------------------------------------
 
-    def now(self) -> float:
-        return self.events.now
-
     def send_on_vc(self, vc: LaneVc, frame: bytes) -> None:
         """Segment ``frame`` with AAL5 and send its cells on ``vc``."""
-        now = self.events.now
+        now = self.now
         for payload, last in segment(frame):
             tc = TransitCell(vc, now, vc.take_seq(), vc.vci, aal5_last=last, payload=payload)
             vc.on_emitted(0)
@@ -632,18 +628,14 @@ class Engine:
         lane.direct_vcs.append(vc)
         return vc
 
-    def set_timer(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
-        events = self.events
-        events.schedule(events.now + delay, fn, arg)
-
     # -- cell movement -------------------------------------------------------
 
     def _send(self, link: DirectedLink, tc: TransitCell) -> None:
-        outcome = link.queue.enqueue(tc)
+        outcome = link.enqueue(tc)
         if outcome is ACCEPTED:
             if link.holding is None:
                 # an idle link's queue was empty, so tc is its head
-                self._start(link, self.events.now)
+                self._start(link, self.now)
         else:
             tc.flow.on_lost(tc, outcome.value)
 
@@ -663,7 +655,7 @@ class Engine:
             self._accrue_busy(link, now, finish)
         if finish < now:
             raise _into_past(finish, now)
-        heappush(self._heap, (finish, self._next_seq(), self._complete, link))
+        heappush(self._heap, (finish, self.next_seq(), self._complete, link))
 
     def _accrue_busy(self, link: DirectedLink, start: float, finish: float) -> None:
         """Split a span that straddles duration/2 or duration."""
@@ -680,12 +672,12 @@ class Engine:
         and the queue's head, if any, starts now."""
         tc = link.holding
         assert tc is not None
-        now = self.events.now
+        now = self.now
         arrival = now + link.prop
         if arrival < now:
             raise _into_past(arrival, now)
         tc.link = link
-        heappush(self._heap, (arrival, self._next_seq(), self._arrive, tc))
+        heappush(self._heap, (arrival, self.next_seq(), self._arrive, tc))
         if link.waiting:
             self._start(link, now)
         else:
@@ -713,14 +705,14 @@ class Engine:
 
     def _schedule_sources(self) -> None:
         for flow in self.connections:
-            self.events.schedule(0.0, self._fire, flow)
+            self.schedule(0.0, self._fire, flow)
         if self.lane is not None:
             for state in self.lane.traffic:
                 if state.spec.start <= self.duration:
-                    self.events.schedule(state.spec.start, self._lane_fire, state)
+                    self.schedule(state.spec.start, self._lane_fire, state)
 
     def _fire(self, flow: ContractFlow) -> None:
-        now = self.events.now
+        now = self.now
         clp = flow.clp
         tc = TransitCell(flow, now, flow.take_seq(), flow.vci, clp)
         flow.on_emitted(clp)
@@ -738,14 +730,14 @@ class Engine:
     def _pace(self, source: Any, fire: Callable[[Any], None]) -> None:
         """The one pacing rule: a source emits again 1/rate after now,
         moved out of an OFF period by its gate, if it has one."""
-        now = self.events.now
+        now = self.now
         nxt = now + 1.0 / source.rate
         if source.gate is not None:
             nxt = source.gate.admit(nxt)
         if nxt <= self.duration:
             if nxt < now:
                 raise _into_past(nxt, now)
-            heappush(self._heap, (nxt, self._next_seq(), fire, source))
+            heappush(self._heap, (nxt, self.next_seq(), fire, source))
 
     # -- run -------------------------------------------------------------------
 
@@ -754,10 +746,9 @@ class Engine:
             raise RuntimeError("an Engine runs exactly once")
         self._ran = True
         self._schedule_sources()
-        events = self.events
-        heap = events._heap
+        heap = self._heap
         duration = self.duration
-        processed = events.processed
+        processed = self.processed
         last_time, last_seq = -math.inf, -1
         while heap:
             time, seq, fn, arg = entry = heappop(heap)
@@ -767,10 +758,10 @@ class Engine:
             if time < last_time or (time == last_time and seq <= last_seq):
                 raise AssertionError("event dispatched out of order")
             last_time, last_seq = time, seq
-            events.now = time
+            self.now = time
             processed += 1
             fn(arg)
-        events.processed = processed
+        self.processed = processed
         self._audit()
         return self._report()
 
@@ -845,20 +836,19 @@ class Engine:
                 continue
             ports = {}
             for index, link in enumerate(node.ports.values()):
-                queue = link.queue
                 ports[str(index)] = {
                     "toward": link.dst,
-                    "accepted": queue.accepted,
-                    "full_drops": queue.full_drops,
-                    "clp_drops": queue.clp_drops,
-                    "efci_marks": queue.efci_marks,
+                    "accepted": link.accepted,
+                    "full_drops": link.full_drops,
+                    "clp_drops": link.clp_drops,
+                    "efci_marks": link.efci_marks,
                 }
             switches[node.name] = {
                 "routed": node.routed,
                 "unknown_vc_drops": node.unknown_vc,
-                "full_drops": sum(link.queue.full_drops for link in node.ports.values()),
-                "clp_drops": sum(link.queue.clp_drops for link in node.ports.values()),
-                "efci_marks": sum(link.queue.efci_marks for link in node.ports.values()),
+                "full_drops": sum(link.full_drops for link in node.ports.values()),
+                "clp_drops": sum(link.clp_drops for link in node.ports.values()),
+                "efci_marks": sum(link.efci_marks for link in node.ports.values()),
                 "ports": ports,
             }
 
@@ -879,7 +869,7 @@ class Engine:
         return RunReport(
             duration_s=self.duration,
             seed=self.sc.seed,
-            events_processed=self.events.processed,
+            events_processed=self.processed,
             connections=connections,
             switches=switches,
             links=links,

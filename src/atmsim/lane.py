@@ -13,8 +13,11 @@ Multicast and broadcast frames always go through the BUS, which floods
 every attached client except the sender exactly once.
 
 A LEC holds its control-direct VC to the LES and its multicast-send VC
-to the BUS, and drives whatever implements LecPort: the event engine
-itself, or a fake in the unit tests.  LE-ARP is encoded and decoded here
+to the BUS, and drives whatever implements LecPort: it reads the port's
+clock (``now``), puts its LE-ARP timeouts on the port's event list
+(``schedule``), and sends on and opens VCs.  The event engine, which is
+its own event list, is that port; the unit tests use a fake built on an
+EventQueue.  LE-ARP is encoded and decoded here
 alone: the LES answers requests itself (``Les.serve``) and each LEC
 decodes its own replies (``Lec.on_control``); the fabric carries bytes.
 """
@@ -253,18 +256,19 @@ class LecCounters:
 
 
 class LecPort(Protocol):
-    """What a LEC needs of the fabric; the engine (or a test fake) is one."""
+    """What a LEC needs of the fabric: its clock and event list, and its
+    VCs.  The engine, an EventQueue, is one; so is a test fake."""
 
-    def now(self) -> float: ...
+    now: float
+
+    def schedule(self, time: float, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Call ``fn(arg)`` at ``time``, which is not before ``now``."""
 
     def send_on_vc(self, vc: Any, frame: bytes) -> None: ...
 
     def open_data_vc(self, src_atm: bytes, dest_atm: bytes) -> Any:
         """Set up a data-direct VC; None when a link on the way has no
         VCI left, the only reason the fabric refuses one."""
-
-    def set_timer(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
-        """Call ``fn(arg)`` ``delay`` seconds from now."""
 
 
 class Lec:
@@ -325,7 +329,8 @@ class Lec:
         if len(queue) == 1:  # a new queue: resolve dest_mac
             self.counters.arp_requests += 1
             self.port.send_on_vc(self.to_les, encode_arp_request(self.mac, dest_mac))
-            self.port.set_timer(PENDING_TIMEOUT_S, self._on_arp_timeout, (dest_mac, queue))
+            port = self.port
+            port.schedule(port.now + PENDING_TIMEOUT_S, self._on_arp_timeout, (dest_mac, queue))
         if self.parallel_bus:
             stats.sent_bus += 1
             self.port.send_on_vc(self.to_bus, frame)
@@ -349,9 +354,9 @@ class Lec:
             return
         entry = self.cache.get(target_mac)
         if entry is not None and entry.atm == atm:
-            entry.learned_at = self.port.now()
+            entry.learned_at = self.port.now
         else:
-            entry = ArpCacheEntry(atm, self.port.open_data_vc(self.atm, atm), self.port.now())
+            entry = ArpCacheEntry(atm, self.port.open_data_vc(self.atm, atm), self.port.now)
             self.cache[target_mac] = entry
         queue = self._pending.pop(target_mac, None)
         if not queue:
@@ -408,7 +413,7 @@ class Lec:
         entry = self.cache.get(mac)
         if entry is None:
             return None
-        if self.port.now() - entry.learned_at >= CACHE_AGING_S:
+        if self.port.now - entry.learned_at >= CACHE_AGING_S:
             del self.cache[mac]
             return None
         return entry

@@ -274,15 +274,16 @@ def load_scenario(source: Union[str, Path, Dict[str, Any]]) -> Scenario:
     return _record(Scenario, raw, "scenario")
 
 
-# Components a spec configures.  The engine runs with these, and
-# validate_scenario builds them once so that their own range checks come
-# back as violations.
+# Components a spec configures, and the settings of an output port's
+# queue.  The engine runs with these, and validate_scenario builds each
+# component once so that its own range checks come back as violations.
 
 
-def output_queue(node: NodeSpec) -> OutputQueue:
-    """The queue behind each output port of ``node``."""
+def queue_settings(node: NodeSpec) -> Tuple[int, Optional[int], Optional[int]]:
+    """OutputQueue's (capacity, clp_threshold, efci_threshold) for each
+    output port of ``node``."""
     capacity = node.queue_capacity if node.queue_capacity is not None else DEFAULT_QUEUE_CAPACITY
-    return OutputQueue(capacity, node.clp_threshold, node.efci_threshold)
+    return capacity, node.clp_threshold, node.efci_threshold
 
 
 def link_booking(link: LinkSpec) -> LinkBooking:
@@ -324,7 +325,7 @@ def validate_scenario(sc: Scenario) -> List[str]:
         if node.queue_capacity is not None and node.queue_capacity < 1:
             v.append(f"node {node.name}: queue_capacity must be >= 1")
         else:
-            v.extend(_construction_errors(f"node {node.name}", output_queue, node))
+            v.extend(_construction_errors(f"node {node.name}", OutputQueue, *queue_settings(node)))
 
     adjacency: Dict[str, Dict[str, float]] = {}  # node -> neighbour -> link cells/s
     seen_pairs = set()
@@ -437,10 +438,10 @@ def validate_scenario(sc: Scenario) -> List[str]:
     return v
 
 
-def _construction_errors(where: str, build: Callable[[Any], Any], spec: Any) -> List[str]:
-    """The ValueError a component raises for ``spec``, as a violation."""
+def _construction_errors(where: str, build: Callable[..., Any], *args: Any) -> List[str]:
+    """The ValueError ``build(*args)`` raises, as a violation."""
     try:
-        build(spec)
+        build(*args)
     except ValueError as exc:
         return [f"{where}: {exc}"]
     return []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import sys
 from itertools import repeat
 from operator import mul
 from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -160,35 +161,37 @@ def validate_contract(
 def burst_tolerance(mbs: int, scr: float, pcr: float) -> float:
     """Tolerance of the sustainable-rate bucket for a given burst size.
 
-    (mbs - 1) * (1/scr - 1/pcr), computed in factored form so the result
-    stays exact where the inputs allow it.  With this tolerance, exactly
-    mbs back-to-back cells at the peak rate conform.
+    (mbs - 1) * (1/scr - 1/pcr), computed in factored form, (mbs - 1) *
+    (pcr - scr) / (scr * pcr), so the result stays exact where the inputs
+    allow it.  Where float arithmetic cannot give it that way (scr * pcr
+    is not a normal float, mbs is past the float range, or the result
+    overflows on the way), it is evaluated exactly and rounded once; only
+    a result past the float range is refused.  Int or Fraction rates give
+    the factored result, a Fraction for Fraction rates.  With this
+    tolerance, exactly mbs back-to-back cells at the peak rate conform.
     """
     if mbs < 1:
         raise ValueError("mbs must be >= 1")
     if not 0 < scr <= pcr:
         raise ValueError("rates must satisfy 0 < scr <= pcr")
-    if mbs == 1 or scr == pcr:
-        # exactly zero, of the type the factored form gives, with no product
-        # that may underflow or mbs that may be past the float range
-        tolerance = 0 * scr / pcr
-    else:
-        product = scr * pcr
+    product = scr * pcr
+    tolerance = math.inf
+    if not isinstance(product, float) or sys.float_info.min <= product < math.inf:
         try:
-            if product:
-                tolerance = (mbs - 1) * (pcr - scr) / product
-            else:
-                # scr * pcr underflowed to zero; the reciprocals may not
-                tolerance = (mbs - 1) * (1 / scr - 1 / pcr)
+            tolerance = (mbs - 1) * (pcr - scr) / product
+        except OverflowError:  # mbs, or an int quotient, past the float range
+            pass
+    if tolerance == math.inf:
+        # imported here: fractions loads decimal, which costs start-up time
+        from fractions import Fraction
+
+        try:
+            tolerance = float((mbs - 1) * (1 / Fraction(scr) - 1 / Fraction(pcr)))
         except OverflowError:
-            # mbs is past the float range
-            tolerance = math.inf
-    # a Fraction result is exact, and finite however large
-    if isinstance(tolerance, float) and not math.isfinite(tolerance):
-        raise ValueError(
-            f"burst tolerance (mbs - 1) * (1/scr - 1/pcr) is not a finite number "
-            f"for scr={scr} and pcr={pcr}"
-        )
+            raise ValueError(
+                f"burst tolerance (mbs - 1) * (1/scr - 1/pcr) is not a finite number "
+                f"for scr={scr} and pcr={pcr}"
+            ) from None
     return tolerance
 
 
@@ -286,12 +289,12 @@ def contract_buckets(descriptor: TrafficDescriptor) -> List[Gcra]:
     """Conformance buckets for a descriptor: peak-rate bucket always,
     plus the sustainable-rate bucket when scr/mbs are declared."""
     cdvt = descriptor.cdvt if descriptor.cdvt is not None else 0.0
-    buckets = [Gcra(increment=1.0 / descriptor.pcr, limit=cdvt)]
+    buckets = [Gcra(increment=1 / descriptor.pcr, limit=cdvt)]
     if descriptor.scr is not None:
         if descriptor.mbs is None:
             raise ValueError("scr without mbs leaves the burst tolerance undefined")
         bt = burst_tolerance(descriptor.mbs, descriptor.scr, descriptor.pcr)
-        buckets.append(Gcra(increment=1.0 / descriptor.scr, limit=bt + cdvt))
+        buckets.append(Gcra(increment=1 / descriptor.scr, limit=bt + cdvt))
     return buckets
 
 

@@ -483,13 +483,13 @@ def test_c10_discard_ordering_under_overload():
             occupancy = len(queue.waiting)
             outcome = enqueue(item)
             if outcome is not EnqueueOutcome.ACCEPTED:
-                drops.append((engine.events.now, item.clp, outcome, occupancy))
+                drops.append((engine.now, item.clp, outcome, occupancy))
             return outcome
 
         return record
 
     for tx in engine.nodes["s"].ports.values():
-        tx.queue.enqueue = recording(tx.queue)
+        tx.enqueue = recording(tx)
     report = engine.run()
 
     drops.sort(key=lambda d: d[0])

@@ -516,6 +516,16 @@ class TestConformance:
         for line in ("cells: 1", "conforming: 1", "nonconforming: 0", "dropped: 0"):
             assert line + "\n" in out
 
+    def test_burst_past_the_float_range_is_checked(self, tmp_path, capsys):
+        # mbs has no float value, but the burst tolerance is about 5e299
+        path = write_trace(tmp_path, [format_trace_line(0.0, 1, trace_cell())])
+        contract = ["--pcr", "2e100", "--scr", "1e100", "--mbs", str(10**400)]
+        assert main(["conformance", path, *contract]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for line in ("cells: 1", "conforming: 1", "nonconforming: 0", "dropped: 0"):
+            assert line + "\n" in out
+
     def test_missing_trace_usage_error(self, tmp_path):
         assert main(["conformance", str(tmp_path / "no.txt"), "--pcr", "10"]) == 2
 

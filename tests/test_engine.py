@@ -89,7 +89,7 @@ class TestAudit:
         # run ends with cells still propagating toward s and b.
         eng = build(cbr_scenario(rate=1000.0, duration=0.0055))
         eng.run()
-        heap = eng.events._heap
+        heap = eng._heap
         arrivals = [entry for entry in heap if entry[2] == eng._arrive]
         assert arrivals
         eng._audit()
@@ -145,9 +145,9 @@ class TestUnknownVc:
 
         def inject(_arg):
             stray.on_emitted(0)
-            eng._send(link, TransitCell(stray, eng.events.now, stray.take_seq(), VCI_MAX))
+            eng._send(link, TransitCell(stray, eng.now, stray.take_seq(), VCI_MAX))
 
-        eng.events.schedule(0.1, inject)
+        eng.schedule(0.1, inject)
         report = eng.run()
         eng._audit()
         assert stray.loss_reasons == {"unknown_vc": 1}
@@ -170,12 +170,11 @@ class TestOrderingGuards:
 
     def test_entry_dated_before_now_is_dispatched_out_of_order(self):
         eng = build(cbr_scenario())
-        events = eng.events
 
         def backdate(_arg):
-            heapq.heappush(events._heap, (events.now - 0.25, events.next_seq(), print, None))
+            heapq.heappush(eng._heap, (eng.now - 0.25, eng.next_seq(), print, None))
 
-        events.schedule(0.5, backdate)
+        eng.schedule(0.5, backdate)
         with pytest.raises(AssertionError, match="event dispatched out of order"):
             eng.run()
 
@@ -224,26 +223,25 @@ class TestOneSequence:
         raw["duration_s"] = 0.5002
         eng = build(raw)
         eng.run()
-        heap = list(eng.events._heap)
+        heap = list(eng._heap)
         handlers = [fn for _time, _seq, fn, _arg in heap]
         assert eng.lane.lecs["h1"]._on_arp_timeout in handlers
         assert any(fn == eng._complete or fn == eng._arrive for fn in handlers)
         seqs = [seq for _time, seq, _fn, _arg in heap]
         assert len(set(seqs)) == len(seqs)
         # every entry ever pushed was either dispatched or is still here
-        assert eng.events.next_seq() == eng.events.processed + len(heap)
+        assert eng.next_seq() == eng.processed + len(heap)
         keys = [heapq.heappop(heap)[:2] for _ in range(len(seqs))]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
     @pytest.mark.parametrize("order", [("scheduled", "pushed"), ("pushed", "scheduled")])
     def test_entries_at_now_pop_in_insertion_order(self, order):
         eng = build(cbr_scenario())
-        events = eng.events
         seen = []
         # at an infinite rate, _pace pushes the next emission at now
         source = SimpleNamespace(rate=math.inf, gate=None)
         insert = {
-            "scheduled": lambda: events.schedule(events.now, seen.append, "scheduled"),
+            "scheduled": lambda: eng.schedule(eng.now, seen.append, "scheduled"),
             "pushed": lambda: eng._pace(source, lambda _source: seen.append("pushed")),
         }
 
@@ -251,7 +249,7 @@ class TestOneSequence:
             for name in order:
                 insert[name]()
 
-        events.schedule(0.5, both)
+        eng.schedule(0.5, both)
         eng.run()
         assert seen == list(order)
 
@@ -263,33 +261,32 @@ class TestOneSequence:
         # before the run, after it (the waiting cell has left the queue)
         # when the 0.5 s handler scheduled it.
         eng = build(cbr_scenario(rate=1.0))
-        events = eng.events
         link = next(link for link in eng.links if link.name == "a->s")
         stray = FlowState("stray")
         eng.flows.append(stray)
         seen = []
-        enqueue = link.queue.enqueue
+        enqueue = link.enqueue
 
         def record(item):
             if item.flow is stray:
-                seen.append(len(link.queue.waiting))
+                seen.append(len(link.waiting))
             return enqueue(item)
 
-        link.queue.enqueue = record
+        link.enqueue = record
 
         def send(_arg):
             stray.on_emitted(0)
-            eng._send(link, TransitCell(stray, events.now, stray.take_seq(), VCI_MAX))
+            eng._send(link, TransitCell(stray, eng.now, stray.take_seq(), VCI_MAX))
 
         def send_two(_arg):
             send(None)
             send(None)
             if scheduled == "by_handler":
-                events.schedule(events.now + link.tx_time, send)
+                eng.schedule(eng.now + link.tx_time, send)
 
-        events.schedule(0.5, send_two)
+        eng.schedule(0.5, send_two)
         if scheduled == "before_run":
-            events.schedule(0.5 + link.tx_time, send)
+            eng.schedule(0.5 + link.tx_time, send)
         eng.run()
         assert seen == [0, 0, occupancy]
         assert stray.loss_reasons == {"unknown_vc": 3}
@@ -314,26 +311,39 @@ class TestHopPath:
         # cells went on the wire, and some of them waited first (EFCI
         # marks a cell only when others wait ahead of it)
         assert sum(link.cells for link in eng.links) > 0
-        assert sum(link.queue.efci_marks for link in eng.links) > 0
+        assert sum(link.efci_marks for link in eng.links) > 0
 
-    def test_each_link_holds_its_queues_own_fifo(self):
+    def test_each_link_is_its_own_queue(self):
         eng = build(c11_scenario())
         assert eng.links
         for link in eng.links:
-            assert link.waiting is link.queue.waiting
+            assert isinstance(link, OutputQueue)
+            assert type(link).enqueue is OutputQueue.enqueue
+            assert "queue" not in vars(link)
+
+    def test_engine_is_its_own_event_list(self):
+        eng = build(c11_scenario())
+        assert isinstance(eng, EventQueue)
+        for name in ("schedule", "pop"):
+            assert getattr(Engine, name) is getattr(EventQueue, name)
+        assert not hasattr(eng, "events")
+        assert not hasattr(Engine, "set_timer")
+        assert (eng.now, eng.processed) == (0.0, 0)
+        eng.run()
+        assert eng.now <= eng.duration and eng.processed > 0
 
     def test_entry_past_the_end_stays_on_the_heap(self):
         plain = build(cbr_scenario())
         plain.run()
         eng = build(cbr_scenario())
         fired = []
-        eng.events.schedule(eng.duration + 1.0, fired.append, "late")
+        eng.schedule(eng.duration + 1.0, fired.append, "late")
         eng.run()
         assert fired == []
-        assert [entry for entry in eng.events._heap if entry[2] == fired.append] == [
+        assert [entry for entry in eng._heap if entry[2] == fired.append] == [
             (eng.duration + 1.0, 0, fired.append, "late")
         ]
-        assert eng.events.processed == plain.events.processed > 0
+        assert eng.processed == plain.processed > 0
 
 
 def eight_draws(seed, label):

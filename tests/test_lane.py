@@ -3,8 +3,9 @@
 import inspect
 
 import pytest
+from conftest import c11_scenario
 
-from atmsim.engine import Engine
+from atmsim.engine import Engine, EventQueue, build
 from atmsim.lane import (
     BROADCAST_MAC,
     CACHE_AGING_S,
@@ -34,15 +35,15 @@ ATM_B = atm_address("b")
 TO_LES, TO_BUS = "vc-to-les", "vc-to-bus"  # the LEC's control-direct and multicast-send VCs
 
 
-class FakePort(LecPort):
-    """Records every interaction; VC objects are plain string labels."""
+class FakePort(EventQueue, LecPort):
+    """Records every interaction; VC objects are plain string labels.
+    Timers go on the EventQueue's own heap, which ``advance`` serves."""
 
     def __init__(self, vc_available: bool = True):
-        self.clock = 0.0
+        super().__init__()
         self.vc_available = vc_available
         self.sent = []  # (vc, frame), on every VC
         self.opened = []
-        self.timers = []  # (due, fn, arg)
 
     @property
     def arp_requests(self):
@@ -57,9 +58,6 @@ class FakePort(LecPort):
         """(vc, frame) sent on data-direct VCs."""
         return [(vc, frame) for vc, frame in self.sent if vc not in (TO_LES, TO_BUS)]
 
-    def now(self) -> float:
-        return self.clock
-
     def send_on_vc(self, vc, frame: bytes) -> None:
         self.sent.append((vc, frame))
 
@@ -69,15 +67,14 @@ class FakePort(LecPort):
         self.opened.append(dest_atm)
         return f"vc-to-{dest_atm.rstrip(bytes(1)).decode()}"
 
-    def set_timer(self, delay: float, fn, arg) -> None:
-        self.timers.append((self.clock + delay, fn, arg))
-
     def advance(self, dt: float) -> None:
-        self.clock += dt
-        due = [(fn, arg) for when, fn, arg in self.timers if when <= self.clock]
-        self.timers = [timer for timer in self.timers if timer[0] > self.clock]
-        for fn, arg in due:
+        """Move the clock ``dt`` on, firing every entry due by then in
+        (time, seq) order."""
+        until = self.now + dt
+        while self._heap and self._heap[0][0] <= until:
+            _time, _seq, fn, arg = self.pop()
             fn(arg)
+        self.now = until
 
 
 def make_lec(**kwargs) -> Lec:
@@ -86,24 +83,31 @@ def make_lec(**kwargs) -> Lec:
     return lec
 
 
-def port_methods():
-    """The public methods LecPort declares, in order."""
-    return [name for name, value in vars(LecPort).items() if callable(value) and name[0] != "_"]
+def port_members():
+    """The members LecPort declares, in order: its clock, then its methods."""
+    methods = [name for name, value in vars(LecPort).items() if callable(value) and name[0] != "_"]
+    return list(LecPort.__annotations__) + methods
 
 
 class TestLecPort:
-    """The engine and FakePort each define every LecPort method, with
-    the same parameter names, so the fake cannot drift from the port."""
+    """The engine and FakePort each have every LecPort member: ``now``
+    as a float, and each method, found through the class's MRO but not
+    in LecPort itself, with the same parameter names, so the fake cannot
+    drift from the port."""
 
-    def test_four_methods(self):
-        assert port_methods() == ["now", "send_on_vc", "open_data_vc", "set_timer"]
+    def test_four_members(self):
+        assert port_members() == ["now", "schedule", "send_on_vc", "open_data_vc"]
 
     @pytest.mark.parametrize("impl", [Engine, FakePort])
     def test_implementations_match_the_port(self, impl):
-        for name in port_methods():
-            expected = inspect.signature(vars(LecPort)[name]).parameters
-            assert name in vars(impl), f"{impl.__name__} does not define {name}"
-            assert list(inspect.signature(vars(impl)[name]).parameters) == list(expected)
+        port = build(c11_scenario()) if impl is Engine else impl()
+        assert type(port.now) is float
+        for name in port_members()[1:]:
+            declared = vars(LecPort)[name]
+            found = getattr(impl, name)
+            assert found is not declared, f"{impl.__name__} does not define {name}"
+            expected = inspect.signature(declared).parameters
+            assert list(inspect.signature(found).parameters) == list(expected)
 
 
 class TestAddressing:
@@ -260,7 +264,7 @@ class TestLecSending:
         port = lec.port
         assert port.opened == [ATM_B]
         assert lec.cache[MAC_B].vc == vc
-        assert lec.cache[MAC_B].learned_at == port.clock
+        assert lec.cache[MAC_B].learned_at == port.now
         assert [(v, decode_frame(f)[2]) for v, f in port.vc_frames] == [
             (vc, b"two"),
             (vc, b"three"),
@@ -324,8 +328,20 @@ class TestLecSending:
         lec.port.advance(0.5)
         lec.on_arp_reply(MAC_B, ATM_B)
         entry = lec.cache[MAC_B]
-        assert (entry.vc, entry.learned_at) == (None, lec.port.clock)
+        assert (entry.vc, entry.learned_at) == (None, lec.port.now)
         assert lec.port.opened == []
+
+    def test_entry_exactly_cache_aging_old_is_resolved_again(self):
+        lec = make_lec()
+        lec.send(MAC_B, b"one")
+        lec.port.advance(0.5)
+        lec.on_arp_reply(MAC_B, ATM_B)
+        lec.port.advance(CACHE_AGING_S)
+        assert lec.port.now - lec.cache[MAC_B].learned_at == CACHE_AGING_S
+        lec.send(MAC_B, b"two")
+        assert len(lec.port.arp_requests) == 2
+        assert MAC_B not in lec.cache
+        assert len(lec.port.vc_frames) == 1  # only "one", flushed by the reply
 
     def test_cache_aging_forces_new_resolution(self):
         lec = make_lec()

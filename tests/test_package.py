@@ -117,6 +117,27 @@ RUN_STATE = {
 }
 
 
+PUBLIC_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def test_each_public_constant_has_one_home():
+    """No public UPPER_CASE constant is assigned at module level in two
+    modules; every other module imports it from its one home."""
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and PUBLIC_CONSTANT.fullmatch(target.id):
+                    homes.setdefault(target.id, set()).add(path.stem)
+    assert {name: sorted(found) for name, found in homes.items() if len(found) > 1} == {}
+
+
 def classes_defined_in_atmsim():
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "__init__":

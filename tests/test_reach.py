@@ -46,10 +46,9 @@ NOT_REACHED: Dict[str, str] = {
     "engine.ScenarioInvalid.__init__": "error-path",
     "engine._into_past": "error-path",
     "engine.run": "bench",
-    "lane.LecPort.now": "protocol",
     "lane.LecPort.open_data_vc": "protocol",
+    "lane.LecPort.schedule": "protocol",
     "lane.LecPort.send_on_vc": "protocol",
-    "lane.LecPort.set_timer": "protocol",
     "switch.LinkBooking.booked": "unused-by-goldens",
     "switch.LinkBooking.release": "unused-by-goldens",
     "switch.OutputQueue.dequeue": "bench",

@@ -114,16 +114,36 @@ class TestBurstTolerance:
             (2, 1e-200, 1e-200, 0.0),
             (2, 1e-300, 2e-300, 1 / 1e-300 - 1 / 2e-300),
             (10**400, 100.0, 100.0, 0.0),
+            (10**400, 1e100, 2e100, 5e299),
+            (2, 1e-160, 2e-160, 5e159),
+            (2, 3e-160, 7e-160, 1.904761904761905e159),
+            (3, 1e-300, 3e-300, 1.3333333333333334e300),
+            (3, 1e200, 2e200, 1e-200),
         ],
-        ids=["rates-underflow", "unequal-rates-underflow", "mbs-past-float-equal-rates"],
+        ids=[
+            "rates-underflow",
+            "unequal-rates-underflow",
+            "mbs-past-float-equal-rates",
+            "mbs-past-float-unequal-rates",
+            "product-subnormal",
+            "unequal-product-subnormal",
+            "product-underflows-ulp",
+            "product-overflows",
+        ],
     )
     def test_finite_result_at_float_edges(self, mbs, scr, pcr, expected):
-        # scr * pcr underflows to zero, or mbs is past the float range,
-        # yet the tolerance itself is a finite float
+        # scr * pcr is not a normal float, or mbs is past the float range,
+        # yet the tolerance itself is a finite float: the formula is
+        # evaluated exactly and rounded once
         tolerance = burst_tolerance(mbs, scr, pcr)
+        assert tolerance == float((mbs - 1) * (1 / Fraction(scr) - 1 / Fraction(pcr)))
         assert type(tolerance) is float
         assert tolerance == expected
         assert math.copysign(1.0, tolerance) == 1.0
+
+    def test_tiny_fraction_rates_stay_exact(self):
+        scr, pcr = Fraction(1, 10**200), Fraction(1, 10**199)
+        assert burst_tolerance(3, scr, pcr) == Fraction(18 * 10**199)
 
     def test_huge_exact_result_kept(self):
         assert burst_tolerance(10**400, Fraction(1), Fraction(2)) == Fraction(10**400 - 1, 2)
@@ -342,6 +362,21 @@ class TestContractBuckets:
     def test_no_cdvt_means_zero_tolerance(self):
         (bucket,) = contract_buckets(TrafficDescriptor(pcr=100.0))
         assert bucket.limit == 0.0
+
+    def test_fraction_descriptor_gives_exact_buckets(self):
+        descriptor = TrafficDescriptor(
+            pcr=Fraction(100), cdvt=Fraction(1, 1000), scr=Fraction(50), mbs=3
+        )
+        peak, sust = contract_buckets(descriptor)
+        assert (peak.increment, peak.limit) == (Fraction(1, 100), Fraction(1, 1000))
+        assert (sust.increment, sust.limit) == (Fraction(1, 50), Fraction(21, 1000))
+        # level and last_time start at Gcra's exact zero and take the
+        # type of the arrival times, so a Fraction arrival leaves all four
+        # fields Fractions
+        assert conform_update([peak, sust], Fraction(1, 7))
+        for bucket in (peak, sust):
+            for name in Gcra.__slots__:
+                assert type(getattr(bucket, name)) is Fraction, name
 
     def test_scr_without_mbs_rejected(self):
         descriptor = TrafficDescriptor(pcr=100.0, scr=50.0)
