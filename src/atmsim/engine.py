@@ -320,8 +320,11 @@ class LaneVc(FlowState):
 class LaneTrafficState:
     """One frame source feeding a LEC, paced at its frame rate.
 
-    Receivers identify frames by (source MAC, sequence), so every source
-    on one host draws its sequence numbers from the same ``frame_seq``.
+    Each frame's payload opens with an 8-byte tag that every source on
+    one host draws from the same ``frame_seq``, so no two frames of one
+    source MAC are alike: a reassembly that joins the head of one to the
+    tail of another fails its CRC, and the tests' frame law reads
+    (source MAC, tag) as a frame's identity.
     """
 
     gate = None
@@ -534,7 +537,7 @@ class Engine(EventQueue):
             from_les = LaneVc(f"lane:from_les:{spec.les}->{host}")
             to_bus = LaneVc(f"lane:to_bus:{host}->{spec.bus}")
             from_bus = LaneVc(f"lane:from_bus:{spec.bus}->{host}")
-            lec = Lec(lec_spec.mac, atm, self, to_les, to_bus, parallel_bus=spec.parallel_bus)
+            lec = Lec(lec_spec.mac, atm, self, to_les, to_bus)
             lane.lecs[host] = lec
             lane.host_by_atm[atm] = host
             to_les.on_frame = partial(lane.les.serve, reply=partial(self.send_on_vc, from_les))

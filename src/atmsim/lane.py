@@ -4,13 +4,13 @@ broadcast-and-unknown server.
 A client (LEC) bridges Ethernet-style MAC frames onto VCs.  Unicast
 frames go out on a cached data-direct VC when one exists; otherwise the
 client asks the LE-ARP server (LES) for the target's ATM address, queues
-the frame while waiting (optionally copying it through the BUS in
-parallel), and switches to a fresh data-direct VC once the reply lands.
+the frame while waiting, and switches to a fresh data-direct VC once the
+reply lands, so each unicast frame takes exactly one path.
 The fabric refuses a VC only when a link has no VCI left, and never
 frees one, so a refused destination is not retried: its frames are
 dropped until the cache entry ages out and a new LE-ARP reply arrives.
-Multicast and broadcast frames always go through the BUS, which floods
-every attached client except the sender exactly once.
+Multicast and broadcast frames, and only they, go through the BUS, which
+floods every attached client except the sender exactly once.
 
 A LEC holds its control-direct VC to the LES and its multicast-send VC
 to the BUS, and drives whatever implements LecPort: it reads the port's
@@ -36,6 +36,7 @@ FRAME_HEADER_BYTES = 2 * MAC_BYTES + 2
 BROADCAST_MAC = b"\xff" * MAC_BYTES
 
 PENDING_DEPTH = 64  # queued frames per unresolved MAC
+# PENDING_TIMEOUT_S < CACHE_AGING_S, so a MAC's LE-ARP timer finds its own queue or none
 PENDING_TIMEOUT_S = 1.0
 CACHE_AGING_S = 300.0
 
@@ -208,7 +209,9 @@ class ArpCacheEntry:
 
 
 class DestinationStats:
-    """Per-target unicast accounting for one client."""
+    """Per-target unicast accounting for one client.  ``sent_bus`` stays 0,
+    as no unicast frame goes through the BUS; the benchmark's golden report
+    digests keep its slot until LANE 1.0's unknown-frame path fills it."""
 
     __slots__ = (
         "sent_direct",
@@ -229,6 +232,10 @@ class DestinationStats:
 
 
 class LecCounters:
+    """One client's counts.  ``duplicates`` stays 0, as each frame takes one
+    path; the benchmark's golden report digests keep its slot until a
+    golden rewrite drops it."""
+
     __slots__ = (
         "frames_sent",
         "broadcast_sent",
@@ -274,36 +281,26 @@ class LecPort(Protocol):
 class Lec:
     """One LAN-emulation client."""
 
-    def __init__(
-        self,
-        mac: bytes,
-        atm: bytes,
-        port: LecPort,
-        to_les: Any,
-        to_bus: Any,
-        parallel_bus: bool = False,
-    ):
+    def __init__(self, mac: bytes, atm: bytes, port: LecPort, to_les: Any, to_bus: Any):
         self.mac = mac
         self.atm = atm
         self.port = port
         self.to_les = to_les  # control-direct VC
         self.to_bus = to_bus  # multicast-send VC
-        self.parallel_bus = parallel_bus
         self.cache: Dict[bytes, ArpCacheEntry] = {}
         self.counters = LecCounters()
         self.per_destination: Dict[bytes, DestinationStats] = {}
         # frames waiting for a MAC's LE-ARP reply; the queue stands for
         # the request outstanding for that MAC
         self._pending: Dict[bytes, Deque[bytes]] = {}
-        self._seen: Dict[bytes, None] = {}  # (src+payload[:8]) keys, insertion-ordered
         self.decode_errors = 0  # control messages that are not LE-ARP replies
 
     # -- sending ---------------------------------------------------------
 
     def send(self, dest_mac: bytes, payload: bytes) -> None:
-        """Bridge one frame toward dest_mac per the three-step rule:
-        cached VC, else LE-ARP + queue (+ optional parallel BUS copy);
-        group addresses always go through the BUS."""
+        """Bridge one frame toward dest_mac on exactly one path: a group
+        address through the BUS, else the cached data-direct VC, else the
+        queue that waits for dest_mac's LE-ARP reply."""
         frame = encode_frame(dest_mac, self.mac, payload)
         self.counters.frames_sent += 1
         if is_multicast(dest_mac):
@@ -330,10 +327,7 @@ class Lec:
             self.counters.arp_requests += 1
             self.port.send_on_vc(self.to_les, encode_arp_request(self.mac, dest_mac))
             port = self.port
-            port.schedule(port.now + PENDING_TIMEOUT_S, self._on_arp_timeout, (dest_mac, queue))
-        if self.parallel_bus:
-            stats.sent_bus += 1
-            self.port.send_on_vc(self.to_bus, frame)
+            port.schedule(port.now + PENDING_TIMEOUT_S, self._on_arp_timeout, dest_mac)
 
     def on_control(self, message: bytes) -> None:
         """A control message from the LES: an LE-ARP reply, or a decode error."""
@@ -370,11 +364,11 @@ class Lec:
             stats.sent_direct += 1
             self.port.send_on_vc(entry.vc, frame)
 
-    def _on_arp_timeout(self, arg: Tuple[bytes, Deque[bytes]]) -> None:
-        dest_mac, queue = arg
-        if self._pending.get(dest_mac) is not queue:
-            return  # resolved, or superseded by a newer request
-        del self._pending[dest_mac]
+    def _on_arp_timeout(self, dest_mac: bytes) -> None:
+        """Drop dest_mac's queue unless its reply took it first."""
+        queue = self._pending.pop(dest_mac, None)
+        if queue is None:
+            return  # resolved
         stats = self._dst(dest_mac)
         stats.dropped_timeout += len(queue)
         self.counters.pending_dropped += len(queue)
@@ -388,11 +382,6 @@ class Lec:
         if dest != self.mac and not is_multicast(dest):
             self.counters.filtered += 1
             return None
-        key = src + payload[:8]
-        if key in self._seen:
-            self.counters.duplicates += 1
-        else:
-            self._seen[key] = None
         if is_multicast(dest):
             self.counters.received_broadcast += 1
         elif via_bus:

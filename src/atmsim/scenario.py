@@ -166,7 +166,6 @@ class LaneSpec(NamedTuple):
     les: str
     bus: str
     lecs: Tuple[LecSpec, ...] = ()
-    parallel_bus: bool = False
     traffic: Tuple[LaneTrafficSpec, ...] = ()
 
 

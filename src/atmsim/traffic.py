@@ -288,7 +288,7 @@ def conform_update(buckets: Sequence[Gcra], arrival: float) -> bool:
 def contract_buckets(descriptor: TrafficDescriptor) -> List[Gcra]:
     """Conformance buckets for a descriptor: peak-rate bucket always,
     plus the sustainable-rate bucket when scr/mbs are declared."""
-    cdvt = descriptor.cdvt if descriptor.cdvt is not None else 0.0
+    cdvt = descriptor.cdvt if descriptor.cdvt is not None else 0
     buckets = [Gcra(increment=1 / descriptor.pcr, limit=cdvt)]
     if descriptor.scr is not None:
         if descriptor.mbs is None:

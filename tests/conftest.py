@@ -1,18 +1,20 @@
 """Shared test helpers."""
 
+import contextlib
 import json
 import os
 import random
 import signal
 import subprocess
 import sys
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Set, Tuple
 
 import pytest
 
 import atmsim
 from atmsim.cell import CellHeader, InterfaceKind, encode_header
 from atmsim.engine import CELL_BITS, Engine, RunReport, build
+from atmsim.lane import Lec, format_mac
 
 RUN_GUARD_S = 5.0
 
@@ -36,6 +38,48 @@ def run_guarded(raw: Dict[str, Any], seconds: float = RUN_GUARD_S) -> Tuple[Engi
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def frame_law() -> Iterator[List[Tuple[bytes, bytes, bytes, bool]]]:
+    """Check LANE's frame law on every frame a LEC accepts inside the block:
+    no LEC accepts the same (source MAC, tag) twice, and for each
+    (receiver, source MAC, via_bus) the tags strictly increase.  The tag
+    is the payload's first 8 bytes, which every source on one host draws
+    from one counter (engine.LaneTrafficState).
+
+    ``Lec.deliver`` is wrapped on the class, so build the engine inside
+    the block.  Yields the accepted frames as (receiver MAC, source MAC,
+    tag, via_bus), in arrival order.
+    """
+    deliver = Lec.deliver
+    accepted: List[Tuple[bytes, bytes, bytes, bool]] = []
+    seen: Dict[Tuple[bytes, bytes], Set[bytes]] = {}  # (receiver, source) -> tags
+    last: Dict[Tuple[bytes, bytes, bool], bytes] = {}  # (receiver, source, via_bus) -> tag
+
+    def checked(lec: Lec, raw_frame: bytes, via_bus: bool) -> Any:
+        result = deliver(lec, raw_frame, via_bus)
+        if result is not None:
+            _dest, src, payload = result
+            tag = payload[:8]
+            where = f"{format_mac(lec.mac)} from {format_mac(src)}, tag {tag.hex()}"
+            tags = seen.setdefault((lec.mac, src), set())
+            assert tag not in tags, f"frame accepted twice: {where}"
+            tags.add(tag)
+            path = (lec.mac, src, via_bus)
+            assert path not in last or last[path] < tag, (
+                f"frame out of order {'via the BUS' if via_bus else 'direct'}: {where} "
+                f"after {last[path].hex()}"
+            )
+            last[path] = tag
+            accepted.append((lec.mac, src, tag, via_bus))
+        return result
+
+    Lec.deliver = checked  # type: ignore[method-assign]
+    try:
+        yield accepted
+    finally:
+        Lec.deliver = deliver  # type: ignore[method-assign]
 
 
 def c11_scenario() -> Dict[str, Any]:

@@ -587,8 +587,8 @@ def test_c12_lan_emulation_resolution_and_broadcast():
             sender = lane["lecs"][f"h{i}"]
             dst_mac = f"02:00:00:00:00:{(i + 1) % n + 1:02x}"
             per_dst = sender["per_destination"][dst_mac]
-            # Resolution queues the head frames; with no parallel BUS
-            # copies every unicast frame travels the direct VC.
+            # Resolution queues the head frames; then every unicast
+            # frame travels the direct VC, and none goes to the BUS.
             assert per_dst["sent_direct"] == 30
             assert per_dst["sent_bus"] == 0
             assert per_dst["dropped_overflow"] == 0

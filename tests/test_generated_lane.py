@@ -1,6 +1,8 @@
 """Generated LAN-emulation scenarios: each is rejected up front or runs
-with every cell reaching a node that knows its VC."""
+with every cell reaching a node that knows its VC, and every frame
+accepted at most once and in order."""
 
+from conftest import frame_law
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +75,7 @@ def test_rejected_up_front_or_runs_without_unknown_vcs(raw):
     if violations:
         assert all(isinstance(v, str) and v for v in violations)
         return
-    engine = build(raw)
-    engine.run()
+    with frame_law():
+        engine = build(raw)
+        engine.run()
     assert [name for name, node in engine.nodes.items() if node.unknown_vc] == []

@@ -3,8 +3,10 @@ links of random rate and delay, random queue thresholds, connections of
 every service category on random simple paths and, sometimes, LAN
 emulation.  Each scenario is rejected up front with readable messages, or
 runs to a report that passes the audit, balances its counters and comes
-out the same twice."""
+out the same twice, with every LANE frame accepted at most once and in
+order."""
 
+from conftest import frame_law
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -95,7 +97,6 @@ def lane(draw, hosts: list) -> dict:
     return {
         "les": les,
         "bus": bus,
-        "parallel_bus": draw(st.booleans()),
         "lecs": [{"host": h, "mac": mac} for h, mac in macs.items()],
         "traffic": traffic,
     }
@@ -158,8 +159,10 @@ def test_rejected_up_front_or_runs_to_the_same_balanced_report_twice(guarded_run
     if violations:
         assert all(isinstance(v, str) and v for v in violations)
         return
-    # run() ends with the conservation audit, which raises on a fault
-    _engine, report = guarded_run(raw, seconds=2.0)
+    # run() ends with the conservation audit, which raises on a fault,
+    # and each frame a LEC accepts is checked against the frame law
+    with frame_law():
+        _engine, report = guarded_run(raw, seconds=2.0)
     _engine, again = guarded_run(raw, seconds=2.0)
     assert report.to_json() == again.to_json()
     # the counter balance of test_switch_and_connection_counters_balance

@@ -1,9 +1,12 @@
 """LAN emulation: address resolution, data-direct VCs, flooding."""
 
 import inspect
+import json
+from collections import deque
+from pathlib import Path
 
 import pytest
-from conftest import c11_scenario
+from conftest import c11_scenario, frame_law
 
 from atmsim.engine import Engine, EventQueue, build
 from atmsim.lane import (
@@ -270,15 +273,6 @@ class TestLecSending:
             (vc, b"three"),
         ]
 
-    def test_parallel_bus_copy(self):
-        lec = make_lec(parallel_bus=True)
-        lec.send(MAC_B, b"one")
-        port = lec.port
-        assert len(port.bus_frames) == 1  # unresolved: copy via flooding
-        lec.on_arp_reply(MAC_B, ATM_B)
-        lec.send(MAC_B, b"two")
-        assert len(port.bus_frames) == 1  # resolved: direct only
-
     def test_pending_overflow_drops(self):
         lec = make_lec()
         for i in range(PENDING_DEPTH + 2):
@@ -372,14 +366,6 @@ class TestLecReceiving:
         assert lec.deliver(frame, via_bus=True) is not None
         assert lec.counters.received_broadcast == 1
 
-    def test_duplicate_detection(self):
-        # the same frame arriving twice (direct + flooded copy) is counted
-        lec = make_lec()
-        frame = encode_frame(MAC_A, MAC_B, b"same-payload")
-        lec.deliver(frame, via_bus=False)
-        lec.deliver(frame, via_bus=True)
-        assert lec.counters.duplicates == 1
-
 
 # Control messages that do not decode: empty, an unknown opcode, and a
 # request and a reply one byte short.
@@ -442,3 +428,29 @@ class TestControlMessages:
         assert [frame for _, frame in lec.port.vc_frames] == [
             encode_frame(MAC_B, MAC_A, b"waiting")
         ]
+
+
+class TestClientState:
+    """A LEC sends each frame on one path and keeps no state per frame:
+    what it holds is per destination, and a run's frames obey the law
+    that ``conftest.frame_law`` checks."""
+
+    REFERENCE = Path(__file__).resolve().parent / "data" / "reference_scenario.json"
+
+    def test_reference_scenario_keeps_the_frame_law(self):
+        with frame_law() as accepted:
+            build(json.loads(self.REFERENCE.read_text())).run()
+        # direct unicast frames and BUS broadcasts were both checked
+        assert {via_bus for *_, via_bus in accepted} == {False, True}
+
+    @pytest.mark.parametrize("duration_s", [0.5, 5.0])
+    def test_containers_hold_at_most_one_entry_per_other_member(self, duration_s):
+        raw = json.loads(self.REFERENCE.read_text())
+        raw["duration_s"] = duration_s
+        engine = build(raw)
+        engine.run()
+        lecs = engine.lane.lecs.values()
+        for lec in lecs:
+            for name, value in vars(lec).items():
+                if isinstance(value, (dict, list, set, deque)):
+                    assert len(value) <= len(lecs) - 1, (format_mac(lec.mac), name, len(value))

@@ -8,12 +8,22 @@ import pytest
 
 from atmsim.engine import preflight
 from atmsim.scenario import (
+    AbrOverrides,
+    ConnectionSpec,
+    GeneratorSpec,
+    LaneSpec,
+    LaneTrafficSpec,
+    LinkSpec,
+    NodeSpec,
     Scenario,
     ScenarioError,
+    _keys,
     load_scenario,
     validate_scenario,
 )
-from atmsim.traffic import ServiceCategory
+from atmsim.traffic import QosRequirement, ServiceCategory, TrafficDescriptor
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def base_scenario() -> dict:
@@ -135,7 +145,7 @@ EXACT_MESSAGES = [
     (C1 + ("abr",), None, "connections[1].abr: expected dict, got NoneType"),
     (C1 + ("abr", "air"), float("inf"), "connections[1].abr: air must be finite, got inf"),
     (("lane", "les"), DROP, "lane: missing required key 'les'"),
-    (("lane", "parallel_bus"), 1, "lane.parallel_bus: expected bool, got int"),
+    (("lane", "parallel_bus"), True, "lane: unknown keys ['parallel_bus']"),
     (("lane", "elan"), "x", "lane: unknown keys ['elan']"),
     (("lane", "bus"), None, "lane.bus: expected str, got NoneType"),
     (("lane", "lecs"), None, "lane.lecs: expected list, got NoneType"),
@@ -619,10 +629,40 @@ class TestLaneValidation:
         ]
 
 
+# The record each row of the README's "Optional key: default" table names.
+README_RECORDS = {
+    "top level": Scenario,
+    "node": NodeSpec,
+    "link": LinkSpec,
+    "generator": GeneratorSpec,
+    "connection": ConnectionSpec,
+    "`descriptor`": TrafficDescriptor,
+    "`qos`": QosRequirement,
+    "`abr`": AbrOverrides,
+    "`lane`": LaneSpec,
+    "`lane.traffic` entry": LaneTrafficSpec,
+}
+
+
 class TestReadmeExample:
     def test_scenario_format_example_passes_preflight(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        section = readme.split("## Scenario format", 1)[1]
+        section = README.read_text().split("## Scenario format", 1)[1]
         block = re.search(r"```json\n(.*?)```", section, re.S)
         assert block is not None
         assert preflight(json.loads(block.group(1))) == []
+
+    def test_optional_key_table_names_each_records_optional_keys(self):
+        # each row lists "`key`, `key`: default" entries split by ";"
+        table = README.read_text().split("| Record | Optional key: default |\n", 1)[1]
+        rows = {}
+        for line in table.split("\n\n", 1)[0].splitlines()[1:]:  # below the |---| rule
+            record, defaults = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[record] = {
+                key
+                for entry in defaults.split(";")
+                for key in re.findall(r"`([^`]+)`", entry.split(":", 1)[0])
+            }
+        assert rows.keys() == README_RECORDS.keys()
+        for record, cls in README_RECORDS.items():
+            optional = {key for key, spec in _keys(cls).items() if not spec.required}
+            assert rows[record] == optional, record

@@ -377,6 +377,12 @@ class TestContractBuckets:
         for bucket in (peak, sust):
             for name in Gcra.__slots__:
                 assert type(getattr(bucket, name)) is Fraction, name
+        # with cdvt left out the tolerance is the exact int 0, so neither
+        # limit turns into a float
+        descriptor = TrafficDescriptor(pcr=Fraction(100), scr=Fraction(50), mbs=3)
+        peak, sust = contract_buckets(descriptor)
+        assert (peak.limit, sust.limit) == (0, Fraction(1, 50))
+        assert (type(peak.limit), type(sust.limit)) == (int, Fraction)
 
     def test_scr_without_mbs_rejected(self):
         descriptor = TrafficDescriptor(pcr=100.0, scr=50.0)
