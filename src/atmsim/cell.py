@@ -234,9 +234,10 @@ def decode_header(raw: bytes, kind: InterfaceKind) -> DecodeOutcome:
     """
     if len(raw) != HEADER_BYTES:
         raise ValueError(f"header is {HEADER_BYTES} bytes, got {len(raw)}")
-    # the memo keys on a copy, never on a caller's bytearray (which cannot
-    # be hashed); bytes() of a bytes object returns that object
-    raw = bytes(raw)
+    # the memo keys on bytes as given and on an exact bytes copy of anything
+    # else: a bytearray cannot be hashed, a subclass may hash otherwise
+    if type(raw) is not bytes:
+        raw = bytes(raw)
     memo = _decode_memos[kind]
     outcome = memo.get(raw)
     if outcome is None:

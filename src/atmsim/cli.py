@@ -18,11 +18,11 @@ import sys
 from typing import List, Optional
 
 from .cell import (
+    HEADER_BYTES,
     DecodeStatus,
     InterfaceKind,
     TraceFormatError,
     compute_hec,
-    decode_cell,
     decode_header,
     encode_header,
     parse_trace_line,
@@ -190,8 +190,9 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         return _die(problem, USAGE_ERROR)
     if (args.scr is None) != (args.mbs is None):
         return _die("--scr and --mbs must be given together", USAGE_ERROR)
-    if args.port is not None and args.port < 0:
-        return _die(f"--port must be >= 0, got {args.port}", USAGE_ERROR)
+    only_port = args.port
+    if only_port is not None and only_port < 0:
+        return _die(f"--port must be >= 0, got {only_port}", USAGE_ERROR)
     buckets = contract_buckets(
         TrafficDescriptor(pcr=args.pcr, cdvt=args.cdvt, scr=args.scr, mbs=args.mbs)
     )
@@ -212,9 +213,10 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
                 time_s, port, raw = parse_trace_line(line)
             except TraceFormatError as exc:
                 return _die(f"{args.trace}:{lineno}: {exc}", USAGE_ERROR)
-            if args.port is not None and port != args.port:
+            if only_port is not None and port != only_port:
                 continue
-            outcome = decode_cell(raw, kind)[0]
+            # parse_trace_line has checked the 53 bytes; the payload is not read
+            outcome = decode_header(raw[:HEADER_BYTES], kind)
             status = outcome.status
             if status is _UNCORRECTABLE:
                 uncorrectable += 1

@@ -234,7 +234,10 @@ class DestinationStats:
 class LecCounters:
     """One client's counts.  ``duplicates`` stays 0, as each frame takes one
     path; the benchmark's golden report digests keep its slot until a
-    golden rewrite drops it."""
+    golden rewrite drops it.  ``received_bus`` and ``filtered`` stay 0 as
+    well: the BUS floods group frames only, and a data-direct VC carries
+    frames for its resolved MAC only.  LANE 1.0's unknown-frame path would
+    give both a meaning again."""
 
     __slots__ = (
         "frames_sent",

@@ -215,7 +215,7 @@ class Gcra:
         self.last_time = last_time
 
     def drained(self, arrival: float) -> float:
-        if arrival < self.last_time:
+        if not arrival >= self.last_time:  # refuses NaN too
             raise OrderingError(f"arrival {arrival} before last conformance {self.last_time}")
         down = self.level - (arrival - self.last_time)
         return down if down > 0 else 0
@@ -228,14 +228,17 @@ class Gcra:
         """Smallest representable time >= not_before at which a cell conforms.
 
         No arrival may precede last_time, so a not_before before it is
-        raised to it.  The algebraic bound last_time + (level - limit) can
-        land one ulp short under float rounding, so the result is nudged
-        with nextafter until the bucket actually agrees.  Each test is
+        raised to it; a NaN raises OrderingError.  The algebraic bound
+        last_time + (level - limit) can land one ulp short under float
+        rounding, so the result is nudged with nextafter until the bucket
+        actually agrees.  Each test is
         conforms() with Gcra.drained written out, as the shaper calls this
         for every delayed cell.
         """
         last, level, limit = self.last_time, self.level, self.limit
-        if not_before < last:
+        if not not_before >= last:
+            if not not_before < last:  # NaN is neither
+                raise OrderingError(f"time {not_before} is not comparable with {last}")
             not_before = last
         t = not_before
         bound = last + (level - limit)
@@ -265,22 +268,22 @@ def conform_update(buckets: Sequence[Gcra], arrival: float) -> bool:
     """Dual (or n-fold) GCRA: conforming only if every bucket agrees.
 
     Buckets are only charged when the cell conforms overall, so a cell
-    rejected by one bucket does not consume credit in another.  One pass
-    drains every bucket and stops at the first that refuses.  The drain
-    is Gcra.drained written out, as this runs once per cell.
+    rejected by one bucket does not consume credit in another.  The first
+    pass stops at the first bucket that refuses (or raises OrderingError
+    on an arrival before its last_time, or NaN); only when all agree does
+    the second drain each (distinct) bucket again and charge it.  The
+    drain is Gcra.drained written out, as this runs once per cell.
     """
-    levels = []
     for bucket in buckets:
         last = bucket.last_time
-        if arrival < last:
+        if not arrival >= last:
             raise OrderingError(f"arrival {arrival} before last conformance {last}")
         down = bucket.level - (arrival - last)
-        down = down if down > 0 else 0
-        if down > bucket.limit:
+        if (down if down > 0 else 0) > bucket.limit:
             return False
-        levels.append(down)
-    for bucket, down in zip(buckets, levels):
-        bucket.level = down + bucket.increment
+    for bucket in buckets:
+        down = bucket.level - (arrival - bucket.last_time)
+        bucket.level = (down if down > 0 else 0) + bucket.increment
         bucket.last_time = arrival
     return True
 
@@ -353,13 +356,14 @@ class Shaper:
         self.depth = depth
         self.overflow = 0
         self._pending: List[float] = []  # release times not yet in the past
-        self._last_arrival: Optional[float] = None
+        self._last_arrival: float = -math.inf
         self._last_release: Optional[float] = None
 
     def offer(self, arrival: float) -> Optional[float]:
         """Release time for a cell arriving now, or None if it overflows."""
-        if self._last_arrival is not None and arrival < self._last_arrival:
-            raise OrderingError(f"arrival {arrival} precedes {self._last_arrival}")
+        # a NaN fails this test too, the first arrival's included
+        if not arrival >= self._last_arrival:
+            raise OrderingError(f"arrival {arrival} is not at or after {self._last_arrival}")
         self._last_arrival = arrival
         cut = bisect.bisect_right(self._pending, arrival)
         if cut:

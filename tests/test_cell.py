@@ -229,6 +229,24 @@ class TestDecodeMemo:
         with pytest.raises(ValueError):
             decode_header(bytearray(4), InterfaceKind.UNI)
 
+    def test_bytes_input_is_the_key(self):
+        raw = encode_header(CellHeader(kind=InterfaceKind.UNI, vpi=4, vci=77))
+        memo = cell_module._decode_memos[InterfaceKind.UNI]
+        memo.clear()
+        decode_header(raw, InterfaceKind.UNI)
+        assert [key is raw for key in memo] == [True]
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview, type("Octets", (bytes,), {})])
+    def test_other_input_keys_an_exact_bytes_copy(self, wrap):
+        raw = encode_header(CellHeader(kind=InterfaceKind.UNI, vpi=4, vci=78))
+        memo = cell_module._decode_memos[InterfaceKind.UNI]
+        memo.clear()
+        given = wrap(raw)
+        outcome = decode_header(given, InterfaceKind.UNI)
+        (key,) = memo
+        assert type(key) is bytes and key == raw and key is not given
+        assert memo[key] is outcome and outcome.status is DecodeStatus.VALID
+
     def test_one_entry_per_kind(self):
         raw = encode_header(CellHeader(kind=InterfaceKind.UNI, vpi=0x12, vci=7))
         memos = cell_module._decode_memos

@@ -2,11 +2,24 @@
 
 import json
 import os
+import sys
+from collections import Counter
 
 import pytest
 from conftest import GOLDEN_CONTRACT, GOLDEN_RUNS, write_seeded_trace
 
-from atmsim.cell import Cell, CellHeader, InterfaceKind, encode_header, format_trace_line
+from atmsim import cell as cell_module
+from atmsim.cell import (
+    HEADER_BYTES,
+    Cell,
+    CellHeader,
+    DecodeStatus,
+    InterfaceKind,
+    decode_header,
+    encode_header,
+    format_trace_line,
+    parse_trace_line,
+)
 from atmsim.cli import main
 from atmsim.engine import preflight
 
@@ -552,3 +565,54 @@ class TestConformanceGolden:
         write_seeded_trace(path)
         code = main(["conformance", path, *GOLDEN_CONTRACT, *GOLDEN_RUNS[name]])
         assert (code, capsys.readouterr().out) == (golden["exit"], golden["stdout"])
+
+
+class TestConformanceCallBudget:
+    """The per-cell work of ``atmsim conformance``, counted in Python-level
+    calls: one parse per line, one header decode per cell of the port and
+    one bucket update per decodable cell, with the decode itself run only
+    on a miss of the header memo.  No other atmsim function may be entered
+    once per cell."""
+
+    def test_calls_per_cell(self, tmp_path, capsys):
+        path = str(tmp_path / "trace.txt")
+        write_seeded_trace(path)
+        with open(path, encoding="utf-8") as fh:
+            entries = [parse_trace_line(line) for line in fh]
+        port0 = [raw for _, port, raw in entries if port == 0]
+        decodable = [
+            raw
+            for raw in port0
+            if decode_header(raw[:HEADER_BYTES], InterfaceKind.UNI).status
+            is not DecodeStatus.UNCORRECTABLE
+        ]
+        misses = len({raw[:HEADER_BYTES] for raw in port0})
+        assert misses <= cell_module.DECODE_MEMO_MAX
+        for memo in cell_module._decode_memos.values():
+            memo.clear()
+
+        package = os.path.dirname(cell_module.__file__) + os.sep
+        calls: Counter = Counter()
+
+        def profile(frame, event, _arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(package):
+                calls[code] += 1
+
+        sys.setprofile(profile)
+        try:
+            code = main(["conformance", path, *GOLDEN_CONTRACT, "--port", "0"])
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert code == 1  # the seeded trace overruns the contract
+
+        by_name = {getattr(c, "co_qualname", c.co_name): n for c, n in calls.items()}
+        assert by_name.pop("parse_trace_line") == len(entries)
+        assert by_name.pop("decode_header") == len(port0)
+        assert by_name.pop("conform_update") == len(decodable)
+        assert by_name.pop("_decode") == misses
+        # what remains runs once per command, per memo miss or per
+        # reported violation, far fewer times than there are cells
+        assert len(port0) == 1000 and misses < 100
+        assert {name: n for name, n in by_name.items() if n > misses + 10} == {}

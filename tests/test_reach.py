@@ -38,6 +38,7 @@ NOT_REACHED: Dict[str, str] = {
     "cell.Cell.__init__": "bench",
     "cell.Cell._make": "checked-copy",
     "cell.CellHeader._make": "checked-copy",
+    "cell.decode_cell": "bench",
     "cell.encode_cell": "bench",
     "cell.format_trace_line": "bench",
     "cell.set_efci": "bench",

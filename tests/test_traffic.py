@@ -221,6 +221,25 @@ class TestGcra:
             conform_update((bucket,), 4.0)
         assert (bucket.level, bucket.last_time) == (1.0, 5.0)
 
+    @pytest.mark.parametrize("charged", [False, True])
+    def test_nan_arrival_raises_and_charges_nothing(self, charged):
+        peak = Gcra(increment=0.1, limit=0.5)
+        sust = Gcra(increment=0.5, limit=3.0)
+        if charged:
+            assert conform_update([peak, sust], 2.0)
+        before = bucket_states([peak, sust])
+        with pytest.raises(OrderingError):
+            conform_update([peak, sust], math.nan)
+        assert bucket_states([peak, sust]) == before
+        for bucket in (peak, sust):
+            with pytest.raises(OrderingError):
+                bucket.drained(math.nan)
+            with pytest.raises(OrderingError):
+                bucket.conforms(math.nan)
+            with pytest.raises(OrderingError):
+                bucket.earliest_conforming(math.nan)
+        assert bucket_states([peak, sust]) == before
+
     def test_burst_law_exact(self):
         # with tau = BT, exactly mbs back-to-back cells at the peak rate
         # conform against the sustainable-rate bucket
@@ -439,6 +458,27 @@ class TestShaper:
         with pytest.raises(OrderingError):
             shaper.offer(1.0)
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_nan_arrival_raises_and_charges_nothing(self, first):
+        bucket = Gcra(increment=1.0, limit=0.0)
+        shaper = Shaper([bucket])
+        if not first:
+            assert shaper.offer(2.0) == 2.0
+        before = (bucket.level, bucket.last_time, shaper.overflow)
+        with pytest.raises(OrderingError):
+            shaper.offer(math.nan)
+        assert (bucket.level, bucket.last_time, shaper.overflow) == before
+        # the refused arrival left no mark: an earlier arrival than the last
+        # is still refused, and the next one shapes as before
+        if not first:
+            with pytest.raises(OrderingError):
+                shaper.offer(1.0)
+        assert shaper.offer(2.0) == (2.0 if first else 3.0)
+
+    def test_shape_refuses_nan(self):
+        with pytest.raises(OrderingError):
+            shape([0.0, math.nan, 1.0], [Gcra(increment=1.0, limit=0.0)])
+
     def test_shape_helper(self):
         releases, overflow = shape(
             [0.0, 0.0, 0.0, 0.0], [Gcra(increment=1.0, limit=0.0)], depth=2
@@ -547,6 +587,47 @@ def equal_runs(rng: random.Random, cells: int):
 
 BENCH_CONTRACT = TrafficDescriptor(pcr=1000.0, cdvt=0.0005, scr=400.0, mbs=40)
 
+
+def three_buckets():
+    """A peak, a sustainable and a slower third bucket."""
+    return [
+        Gcra(increment=0.001, limit=0.0005),
+        Gcra(increment=0.0025, limit=0.0395),
+        Gcra(increment=0.004, limit=0.25, level=0.1, last_time=0.0),
+    ]
+
+
+def below_floor_buckets():
+    """A bucket whose limit lies below zero, so only the floor at zero
+    decides it: it refuses every cell, where a drain without the floor
+    would pass the first cell after a silence of 0.25 s."""
+    return [Gcra(increment=0.001, limit=0.0005), Gcra(increment=0.5, limit=-0.25)]
+
+
+# (buckets, arrivals, the verdicts given); the arrivals are seeded
+HAND_BUILT_BUCKETS = {
+    # two on/off sources merged, so that each of the three buckets refuses cells
+    "three_buckets": (
+        three_buckets,
+        lambda: sorted(
+            on_off_bursts(random.Random(65), 3000) + on_off_bursts(random.Random(68), 1000)
+        ),
+        {True, False},
+    ),
+    "limit_below_zero": (
+        below_floor_buckets, lambda: equal_runs(random.Random(66), 3000), {False}
+    ),
+    "fraction_state": (
+        lambda: fraction_buckets(
+            Fraction(1, 1000), Fraction(1, 2000), Fraction(1, 400), Fraction(79, 2000)
+        ),
+        lambda: [
+            Fraction(t).limit_denominator(10**9) for t in on_off_bursts(random.Random(67), 600)
+        ],
+        {True, False},
+    ),
+}
+
 # (stream, contract, shaper depth); every stream is seeded
 DRAIN_STREAMS = {
     "on_off_bursts": (lambda: on_off_bursts(random.Random(61), 3000), BENCH_CONTRACT, 1024),
@@ -568,7 +649,8 @@ class TestDrainMatchesReference:
     """conform_update and Gcra.earliest_conforming drain their buckets
     inline, and Shaper.offer skips a bucket that already conforms; on
     float streams each must agree with the same code written on
-    Gcra.drained and Gcra.conforms, bit for bit, after every call."""
+    Gcra.drained and Gcra.conforms, bit for bit, after every call.  So
+    must conform_update on hand-built bucket lists."""
 
     @pytest.mark.parametrize("stream", sorted(DRAIN_STREAMS))
     def test_policing_matches_reference(self, stream):
@@ -577,6 +659,19 @@ class TestDrainMatchesReference:
         for t in make():
             assert conform_update(buckets, t) == reference_conform_update(reference, t)
             assert bucket_states(buckets) == bucket_states(reference)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT_BUCKETS))
+    def test_hand_built_buckets_match_reference(self, name):
+        make, arrivals, given = HAND_BUILT_BUCKETS[name]
+        buckets, reference = make(), make()
+        verdicts = set()
+        for t in arrivals():
+            verdict = conform_update(buckets, t)
+            assert verdict == reference_conform_update(reference, t)
+            # repr tells the number types and the sign of zero apart
+            assert repr(bucket_states(buckets)) == repr(bucket_states(reference))
+            verdicts.add(verdict)
+        assert verdicts == given
 
     @pytest.mark.parametrize("stream", sorted(DRAIN_STREAMS))
     def test_shaping_matches_reference(self, stream):
