@@ -10,14 +10,16 @@ never compares handlers.
 
 The Engine is that EventQueue: every handler reads the clock as
 ``self.now``.  ``schedule`` serves the few events off the cell path
-(source start-up, LANE timers, ABR feedback).  Three per-hop handlers
-push onto ``self._heap`` directly: ``_start``, the only code that puts a
-cell on a wire, takes the head of the port's FIFO itself and pushes its
+(source start-up, LANE timers, ABR feedback).  The per-hop handlers
+push onto ``self._heap`` directly, with ``_send``'s and ``_start``'s work
+written out on purpose where it runs once per hop: ``_fire`` (an
+emission) and ``_arrive`` (a switch forwarding) enqueue a cell, and
+``_start`` puts one sent to an idle link on its wire and pushes its
 finish (``_complete``); ``_complete`` pushes the cell's arrival at the
-far end (``_arrive``), then starts the next cell only when one is
-waiting; ``_pace`` pushes a source's next emission.  An arrival entry
-carries the cell itself, whose ``link`` names the link it crossed.  The
-handlers pushed are bound once, in ``Engine.__init__``.  ``Engine.run``
+far end (``_arrive``), then starts the next waiting cell itself;
+``_pace`` pushes a source's next emission.  An arrival entry carries the
+cell itself, whose ``link`` names the link it crossed.  The handlers
+pushed are bound once, in ``Engine.__init__``.  ``Engine.run``
 pops the heap directly, one read per event: it pops an entry, then tests
 it against the end of the run, and pushes the first entry past the end
 back for the audit to find.  Each invariant is checked at one named
@@ -51,9 +53,9 @@ the entry names the next link and VCI, at a host the sink of the VC that
 ends there.  The label tables of ``atmsim.switch`` serve codec-level
 Cell values only.
 
-Every flow counts its cells once, in its ConnectionMetrics: emitted and
-lost by loss priority, and delivered.  Cell conservation, the audit run
-at the end, compares those counters with the cells still in the network.
+Every flow counts its cells once: emitted in ``sent``, lost by loss
+priority and delivered in its ConnectionMetrics.  Cell conservation, the
+audit run at the end, compares them with the cells still in the network.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -243,26 +246,23 @@ class TransitCell:
 class FlowState:
     """One unidirectional cell stream of any traffic class.
 
-    ``metrics`` holds its only cell counters (emitted and lost by loss
-    priority, delivered), which the conservation audit checks.  ``tx``
-    and ``vci`` are the first hop of the flow's path: the link its cells
-    enter and the label they carry on it.
+    ``sent`` counts its emitted cells and is the next cell's ``seq``.
+    Every cell leaves with the flow's ``clp``, so ``Engine.run`` fills the
+    emitted counters of ``metrics`` from ``sent`` at the end; the audit
+    checks them against losses and deliveries.  ``tx`` and ``vci`` are the
+    first hop of the flow's path: the link its cells enter and the label
+    they carry on it.
     """
 
     def __init__(self, flow_id: str):
         self.id = flow_id
+        self.clp = 0  # a ContractFlow's is its connection's
         self.metrics = ConnectionMetrics()
         self.loss_reasons: Dict[str, int] = {}
-        self.take_seq: Callable[[], int] = itertools.count().__next__  # 0, 1, ... per cell
+        self.sent = 0
         self.last_delivered_seq = -1  # per-VC FIFO, checked by Engine._arrive
         self.tx: Optional[DirectedLink] = None
         self.vci = 0
-
-    def on_emitted(self, clp: int) -> None:
-        if clp == 1:
-            self.metrics.transmitted_clp1 += 1
-        else:
-            self.metrics.transmitted_clp0 += 1
 
     def on_lost(self, tc: TransitCell, reason: str) -> None:
         self.loss_reasons[reason] = self.loss_reasons.get(reason, 0) + 1
@@ -354,8 +354,9 @@ class DirectedLink(OutputQueue):
     node's spec, plus the wire and the transmit stats.
 
     ``holding`` is the cell being serialized; the wire is busy exactly
-    while it is set.  ``Engine._start`` takes the next cell from the head
-    of ``waiting``.  ``vcs`` is the VC table of ``dst_node`` for cells
+    while it is set.  A cell leaves the head of ``waiting`` only to go on
+    the wire, so the report's ``cells`` is ``accepted`` less the cells
+    still waiting.  ``vcs`` is the VC table of ``dst_node`` for cells
     arriving over this link, keyed by the VCI they carry on it: at a
     switch (``to_switch``) an entry is (next link, next VCI), at a host
     the VC's sink.
@@ -379,7 +380,6 @@ class DirectedLink(OutputQueue):
         self.booking = booking
         self.holding: Optional[TransitCell] = None
         self.tx_time = CELL_BITS / bit_rate
-        self.cells = 0
         self.busy_first_half = 0.0
         self.busy_second_half = 0.0
         self.next_vci = FIRST_VCI
@@ -388,6 +388,10 @@ class DirectedLink(OutputQueue):
     def name(self) -> str:
         return f"{self.src}->{self.dst}"
 
+    @property
+    def cells(self) -> int:
+        return self.accepted - len(self.waiting)
+
     def alloc_vci(self) -> int:
         vci = self.next_vci
         self.next_vci += 1
@@ -395,11 +399,13 @@ class DirectedLink(OutputQueue):
 
 
 class NodeRuntime:
+    """A node and its output ports.  Route ends and LANE servers are hosts,
+    so a switch's ``routed`` is the sum of its ports' enqueue counters."""
+
     def __init__(self, name: str, kind: str):
         self.name = name
         self.kind = kind
         self.ports: Dict[str, DirectedLink] = {}  # neighbour -> link to it, in link order
-        self.routed = 0
         self.unknown_vc = 0
 
 
@@ -586,14 +592,9 @@ class Engine(EventQueue):
         feedback = flow.feedback
         assert feedback is not None
         tc = TransitCell(
-            feedback,
-            self.now,
-            feedback.take_seq(),
-            feedback.vci,
-            is_management=True,
-            payload=indication,
+            feedback, self.now, feedback.sent, feedback.vci, is_management=True, payload=indication
         )
-        feedback.on_emitted(0)
+        feedback.sent += 1
         self._send(feedback.tx, tc)
 
     def _lane_sink(self, tc: TransitCell) -> None:
@@ -612,8 +613,8 @@ class Engine(EventQueue):
         """Segment ``frame`` with AAL5 and send its cells on ``vc``."""
         now = self.now
         for payload, last in segment(frame):
-            tc = TransitCell(vc, now, vc.take_seq(), vc.vci, aal5_last=last, payload=payload)
-            vc.on_emitted(0)
+            tc = TransitCell(vc, now, vc.sent, vc.vci, aal5_last=last, payload=payload)
+            vc.sent += 1
             self._send(vc.tx, tc)
 
     def open_data_vc(self, src_atm: bytes, dest_atm: bytes) -> Optional[LaneVc]:
@@ -635,19 +636,16 @@ class Engine(EventQueue):
 
     def _send(self, link: DirectedLink, tc: TransitCell) -> None:
         outcome = link.enqueue(tc)
-        if outcome is ACCEPTED:
-            if link.holding is None:
-                # an idle link's queue was empty, so tc is its head
-                self._start(link, self.now)
-        else:
+        if outcome is not ACCEPTED:
             tc.flow.on_lost(tc, outcome.value)
+        elif link.holding is None:  # an idle link's queue was empty, so tc is its head
+            self._start(link, self.now)
 
     def _start(self, link: DirectedLink, now: float) -> None:
         """Put the head of a non-empty queue on its idle link's wire at
         ``now``."""
         link.holding = link.waiting.popleft()
         finish = now + link.tx_time
-        link.cells += 1
         # add finish - now, as _accrue_busy does: (now + tx_time) - now
         # may differ from tx_time in the last bit
         if finish <= self._half:
@@ -681,10 +679,21 @@ class Engine(EventQueue):
             raise _into_past(arrival, now)
         tc.link = link
         heappush(self._heap, (arrival, self.next_seq(), self._arrive, tc))
-        if link.waiting:
-            self._start(link, now)
-        else:
+        if not link.waiting:
             link.holding = None
+            return
+        # _start written out, as this runs once per hop
+        link.holding = link.waiting.popleft()
+        finish = now + link.tx_time
+        if finish <= self._half:
+            link.busy_first_half += finish - now
+        elif now >= self._half and finish <= self.duration:
+            link.busy_second_half += finish - now
+        else:
+            self._accrue_busy(link, now, finish)
+        if finish < now:
+            raise _into_past(finish, now)
+        heappush(self._heap, (finish, self.next_seq(), self._complete, link))
 
     def _arrive(self, tc: TransitCell) -> None:
         link = tc.link  # set by _complete
@@ -693,9 +702,13 @@ class Engine(EventQueue):
             link.dst_node.unknown_vc += 1
             tc.flow.on_lost(tc, "unknown_vc")
         elif link.to_switch:
-            link.dst_node.routed += 1
             out, tc.vci = entry
-            self._send(out, tc)
+            # _send written out, as this runs once per hop
+            outcome = out.enqueue(tc)
+            if outcome is not ACCEPTED:
+                tc.flow.on_lost(tc, outcome.value)
+            elif out.holding is None:
+                self._start(out, self.now)
         else:
             flow = tc.flow
             if tc.seq <= flow.last_delivered_seq:
@@ -716,10 +729,15 @@ class Engine(EventQueue):
 
     def _fire(self, flow: ContractFlow) -> None:
         now = self.now
-        clp = flow.clp
-        tc = TransitCell(flow, now, flow.take_seq(), flow.vci, clp)
-        flow.on_emitted(clp)
-        self._send(flow.tx, tc)
+        tc = TransitCell(flow, now, flow.sent, flow.vci, flow.clp)
+        flow.sent += 1
+        # _send written out, as this runs once per hop
+        link = flow.tx
+        outcome = link.enqueue(tc)
+        if outcome is not ACCEPTED:
+            flow.on_lost(tc, outcome.value)
+        elif link.holding is None:
+            self._start(link, now)
         self._pace(flow, self._fire)
 
     def _lane_fire(self, state: LaneTrafficState) -> None:
@@ -765,29 +783,22 @@ class Engine(EventQueue):
             processed += 1
             fn(arg)
         self.processed = processed
+        for flow in self.flows:  # every cell of a flow leaves with its clp
+            counts = (0, flow.sent) if flow.clp == 1 else (flow.sent, 0)
+            flow.metrics.transmitted_clp0, flow.metrics.transmitted_clp1 = counts
         self._audit()
         return self._report()
 
     def _audit(self) -> None:
         """Cell conservation: each flow's in_flight counter (emitted -
         delivered - lost) equals the cells of it found in the network."""
-        in_network: Dict[FlowState, int] = {}
-
-        def count(flow: FlowState) -> None:
-            in_network[flow] = in_network.get(flow, 0) + 1
-
-        for link in self.links:
-            if link.holding is not None:
-                count(link.holding.flow)
-            for tc in link.waiting:
-                count(tc.flow)
-        arrive = self._arrive
-        for _time, _seq, fn, arg in self._heap:
-            if fn == arrive:
-                count(arg.flow)
+        links, arrive = self.links, self._arrive
+        in_network = Counter(link.holding.flow for link in links if link.holding is not None)
+        in_network.update(tc.flow for link in links for tc in link.waiting)
+        in_network.update(arg.flow for _time, _seq, fn, arg in self._heap if fn == arrive)
         for flow in self.flows:
             metrics = flow.metrics
-            actual = in_network.get(flow, 0)
+            actual = in_network[flow]
             if metrics.in_flight != actual:
                 raise AssertionError(
                     f"conservation broken on {flow.id}: "
@@ -837,8 +848,9 @@ class Engine(EventQueue):
         for node in self.nodes.values():
             if node.kind != "switch":
                 continue
+            out = node.ports.values()
             ports = {}
-            for index, link in enumerate(node.ports.values()):
+            for index, link in enumerate(out):
                 ports[str(index)] = {
                     "toward": link.dst,
                     "accepted": link.accepted,
@@ -847,11 +859,11 @@ class Engine(EventQueue):
                     "efci_marks": link.efci_marks,
                 }
             switches[node.name] = {
-                "routed": node.routed,
+                "routed": sum(link.accepted + link.full_drops + link.clp_drops for link in out),
                 "unknown_vc_drops": node.unknown_vc,
-                "full_drops": sum(link.full_drops for link in node.ports.values()),
-                "clp_drops": sum(link.clp_drops for link in node.ports.values()),
-                "efci_marks": sum(link.efci_marks for link in node.ports.values()),
+                "full_drops": sum(link.full_drops for link in out),
+                "clp_drops": sum(link.clp_drops for link in out),
+                "efci_marks": sum(link.efci_marks for link in out),
                 "ports": ports,
             }
 

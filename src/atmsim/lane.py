@@ -34,6 +34,7 @@ ATM_ADDRESS_BYTES = 20
 FRAME_HEADER_BYTES = 2 * MAC_BYTES + 2
 
 BROADCAST_MAC = b"\xff" * MAC_BYTES
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 PENDING_DEPTH = 64  # queued frames per unresolved MAC
 # PENDING_TIMEOUT_S < CACHE_AGING_S, so a MAC's LE-ARP timer finds its own queue or none
@@ -46,10 +47,14 @@ class RegistrationConflict(ContractError):
 
 
 def parse_mac(text: str) -> bytes:
+    """Six colon-separated octets of exactly two ASCII hex digits each."""
     parts = text.split(":")
     if len(parts) != MAC_BYTES:
         raise ValueError(f"MAC address needs {MAC_BYTES} octets: {text!r}")
-    return bytes(int(p, 16) for p in parts)
+    for part in parts:
+        if len(part) != 2 or not _HEX_DIGITS.issuperset(part):
+            raise ValueError(f"MAC address octet {part!r} is not two hex digits: {text!r}")
+    return bytes.fromhex("".join(parts))
 
 
 def format_mac(mac: bytes) -> str:

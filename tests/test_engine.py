@@ -4,11 +4,14 @@ import heapq
 import json
 import math
 import os
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 from conftest import c11_scenario
 
+from atmsim.abr import EfciObserver
 from atmsim.cell import VCI_MAX
 from atmsim.cli import main
 from atmsim.engine import (
@@ -144,8 +147,8 @@ class TestUnknownVc:
         eng.flows.append(stray)
 
         def inject(_arg):
-            stray.on_emitted(0)
-            eng._send(link, TransitCell(stray, eng.now, stray.take_seq(), VCI_MAX))
+            eng._send(link, TransitCell(stray, eng.now, stray.sent, VCI_MAX))
+            stray.sent += 1
 
         eng.schedule(0.1, inject)
         report = eng.run()
@@ -275,8 +278,8 @@ class TestOneSequence:
         link.enqueue = record
 
         def send(_arg):
-            stray.on_emitted(0)
-            eng._send(link, TransitCell(stray, eng.now, stray.take_seq(), VCI_MAX))
+            eng._send(link, TransitCell(stray, eng.now, stray.sent, VCI_MAX))
+            stray.sent += 1
 
         def send_two(_arg):
             send(None)
@@ -344,6 +347,69 @@ class TestHopPath:
             (eng.duration + 1.0, 0, fired.append, "late")
         ]
         assert eng.processed == plain.processed > 0
+
+
+class TestHopCallBudget:
+    """The Python calls of a cell hop, counted per dispatched event on the
+    c11 bottleneck: the discard rule once per hop, the pacing rule once
+    per emission, the sink and the EFCI observer once per delivery, and
+    ``_start`` only for a cell sent to an idle link.  ``_fire``,
+    ``_arrive`` and ``_complete`` do ``_send``'s and ``_start``'s work
+    themselves, so they never enter ``_send``, and nothing counts an
+    emission per cell."""
+
+    def test_calls_per_event(self):
+        # 10 of c11's 30 s: the queue at the bottleneck builds and marks
+        eng = build(dict(c11_scenario(), duration_s=10.0))
+        package = os.path.dirname(sys.modules[Engine.__module__].__file__) + os.sep
+        complete = Engine._complete.__code__
+        calls: Counter = Counter()  # (caller, callee) -> calls
+        ended_busy = 0  # _complete events that leave their link idle
+
+        def profile(frame, event, _arg):
+            nonlocal ended_busy
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(package):
+                calls[frame.f_back.f_code, code] += 1
+                if code is complete and not frame.f_locals["link"].waiting:
+                    ended_busy += 1
+
+        sys.setprofile(profile)
+        try:
+            eng.run()
+        finally:
+            sys.setprofile(None)
+
+        def n(callee, caller=None):
+            return sum(
+                count
+                for (frm, to), count in calls.items()
+                if to is callee.__code__ and (caller is None or frm is caller.__code__)
+            )
+
+        fired, arrived = n(Engine._fire, Engine.run), n(Engine._arrive, Engine.run)
+        data = n(Engine._data_sink, Engine._arrive)
+        feedback = n(Engine._feedback_sink, Engine._arrive)
+        fed_back = n(Engine._send_feedback, Engine.run)
+        assert fired and data and feedback and fed_back
+        assert n(Engine._complete, Engine.run) > ended_busy > 0
+        # a hop is an emission, a switch forwarding or a feedback cell;
+        # c11 installs every VCI its cells carry, so each arrival at a
+        # host is a delivery and each other arrival a forwarding
+        assert n(OutputQueue.enqueue, Engine._fire) == fired
+        assert n(OutputQueue.enqueue, Engine._arrive) == arrived - data - feedback
+        assert n(OutputQueue.enqueue, Engine._send) == n(Engine._send) == fed_back
+        assert n(OutputQueue.enqueue) == fired + arrived - data - feedback + fed_back
+        assert n(Engine._pace, Engine._fire) == n(Engine._pace) == fired
+        assert n(EfciObserver.observe, Engine._data_sink) == n(EfciObserver.observe) == data
+        # a busy period starts with a send to an idle link and ends with a
+        # finish that leaves the queue empty, or with the run
+        still_busy = sum(link.holding is not None for link in eng.links)
+        assert n(Engine._start) == ended_busy + still_busy
+        assert n(Engine._start, Engine._complete) == 0
+        for handler in (Engine._fire, Engine._arrive, Engine._complete):
+            assert n(Engine._send, handler) == 0, handler.__name__
+        assert not any(to.co_name == "on_emitted" for _frm, to in calls)
 
 
 def eight_draws(seed, label):

@@ -6,11 +6,20 @@ runs to a report that passes the audit, balances its counters and comes
 out the same twice, with every LANE frame accepted at most once and in
 order."""
 
-from conftest import frame_law
+import contextlib
+import os
+from collections import Counter
+from types import SimpleNamespace
+
+import pytest
+from conftest import c11_scenario, frame_law
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from atmsim.engine import preflight
+from atmsim import engine as engine_module
+from atmsim.engine import Engine, build, preflight
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 CATEGORIES = ["CBR", "VBR_RT", "VBR_NRT", "ABR", "UBR"]
 
@@ -173,3 +182,90 @@ def test_rejected_up_front_or_runs_to_the_same_balanced_report_twice(guarded_run
     for conn_id, conn in report.connections.items():
         assert conn["transmitted"] == conn["delivered"] + conn["lost"] + conn["in_flight"], conn_id
         assert sum(conn["loss_reasons"].values()) == conn["lost"], conn_id
+
+
+@contextlib.contextmanager
+def counted_cells():
+    """Count, test-side, the cells behind three report counters the engine
+    derives: each switch's ``routed``, each link's ``cells`` and each
+    flow's ``transmitted_clp0`` / ``transmitted_clp1``.
+
+    ``Engine._arrive`` is wrapped on the class and ``TransitCell`` replaced
+    in the engine's module, so build the engine inside the block.  Yields
+    ``routed`` (switch name -> arrivals over an installed VCI),
+    ``crossed`` (link -> arrivals dispatched over it) and ``emitted``
+    ((flow, clp) -> cells made).
+    """
+    arrive = Engine._arrive
+    transit_cell = engine_module.TransitCell
+    counts = SimpleNamespace(routed=Counter(), crossed=Counter(), emitted=Counter())
+
+    def counting_arrive(engine, tc):
+        link = tc.link
+        counts.crossed[link] += 1
+        if link.to_switch and tc.vci in link.vcs:
+            counts.routed[link.dst] += 1
+        return arrive(engine, tc)
+
+    class CountedCell(transit_cell):
+        __slots__ = ()
+
+        def __init__(self, flow, *args, **kwargs):
+            super().__init__(flow, *args, **kwargs)
+            counts.emitted[flow, self.clp] += 1
+
+    Engine._arrive = counting_arrive  # type: ignore[method-assign]
+    engine_module.TransitCell = CountedCell  # type: ignore[misc]
+    try:
+        yield counts
+    finally:
+        Engine._arrive = arrive  # type: ignore[method-assign]
+        engine_module.TransitCell = transit_cell  # type: ignore[misc]
+
+
+def assert_counters_match(engine, report, counts) -> None:
+    for name, switch in report.switches.items():
+        assert switch["routed"] == counts.routed[name], name
+    # a cell on the wire is held, propagating (its arrival on the heap)
+    # or has arrived
+    arrive = engine._arrive
+    propagating = Counter(arg.link for _time, _seq, fn, arg in engine._heap if fn == arrive)
+    for link in engine.links:
+        on_wire = counts.crossed[link] + propagating[link] + (link.holding is not None)
+        assert report.links[link.name]["cells"] == on_wire, link.name
+    for flow in engine.flows:
+        emitted = (counts.emitted[flow, 0], counts.emitted[flow, 1])
+        metrics = flow.metrics
+        assert (metrics.transmitted_clp0, metrics.transmitted_clp1) == emitted, flow.id
+    for flow in engine.connections:
+        conn = report.connections[flow.id]
+        assert (conn["transmitted_clp0"], conn["transmitted_clp1"]) == (
+            counts.emitted[flow, 0],
+            counts.emitted[flow, 1],
+        ), flow.id
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenarios())
+def test_derived_counters_match_an_independent_count(guarded_run, raw):
+    if preflight(raw):
+        return
+    with counted_cells() as counts:
+        engine, report = guarded_run(raw, seconds=2.0)
+    assert_counters_match(engine, report, counts)
+
+
+@pytest.mark.parametrize("name", ["reference", "congested", "c11"])
+def test_golden_scenarios_derived_counters_match_an_independent_count(name):
+    source = c11_scenario() if name == "c11" else os.path.join(DATA_DIR, f"{name}_scenario.json")
+    with counted_cells() as counts:
+        engine = build(source)
+        report = engine.run()
+    assert sum(counts.routed.values()) > 0
+    assert_counters_match(engine, report, counts)

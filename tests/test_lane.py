@@ -123,6 +123,12 @@ class TestAddressing:
             parse_mac("02:00:00:00:00")
         with pytest.raises(ValueError):
             parse_mac("02:00:00:00:00:zz")
+        # int(octet, 16) reads each of these as 0x01 or 0x10
+        for octet in ("0x1", "1_0", "+1", " 1", "001", "1", "\u0663"):
+            text = f"02:00:00:00:00:{octet}"
+            with pytest.raises(ValueError) as info:
+                parse_mac(text)
+            assert str(info.value) == f"MAC address octet {octet!r} is not two hex digits: {text!r}"
 
     def test_multicast_is_group_bit(self):
         assert is_multicast(BROADCAST_MAC)

@@ -172,6 +172,8 @@ EXACT_MESSAGES = [
     pytest.param(("nodes", 0, "queue_capacity"), 10**400,
                  "nodes[0].queue_capacity: integer beyond the float range",
                  id="queue_capacity-10**400"),
+    (("lane", "lecs", 0, "mac"), "02:a0:00:00:00:+1",
+     "lane.lecs[0].mac: MAC address octet '+1' is not two hex digits: '02:a0:00:00:00:+1'"),
 ]
 
 
