@@ -9,9 +9,10 @@ rate paces emission: next cell at last + 1/acr.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import OrderingError
+from .record import Record, new_tuple
 
 DEFAULT_NRM = 32
 DEFAULT_RDF = 0.875
@@ -19,11 +20,13 @@ AIR_FRACTION_OF_PCR = 1.0 / 64.0
 INITIAL_ACR_FRACTION_OF_PCR = 1.0 / 16.0
 
 
-class FeedbackIndication(NamedTuple):
+class FeedbackIndication(Record):
     """One binary feedback sample; epochs count windows at the destination."""
 
-    congested: bool
-    epoch: int
+    __slots__ = ()
+
+    def __new__(cls, congested, epoch):
+        return new_tuple(cls, (congested, epoch))
 
 
 class AbrSourceState:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .errors import ContractError
+from .record import Record, new_tuple
 
 CELL_BYTES = 53
 CELL_BITS = 8 * CELL_BYTES
@@ -105,18 +106,7 @@ if len(_SYNDROMES) != 40 or 0 in _SYNDROMES:
     raise AssertionError("single-bit HEC syndromes must be 40 distinct nonzero values")
 
 
-class _CellHeader(NamedTuple):
-    kind: InterfaceKind
-    vpi: int
-    vci: int
-    gfc: int = 0
-    is_management: bool = False
-    efci: bool = False
-    aal5_last: bool = False
-    clp: int = 0
-
-
-class CellHeader(_CellHeader):
+class CellHeader(Record):
     """Decoded header fields.
 
     The 3-bit payload type is carried decomposed: ``is_management`` is the
@@ -126,6 +116,11 @@ class CellHeader(_CellHeader):
     """
 
     __slots__ = ()
+
+    def __new__(
+        cls, kind, vpi, vci, gfc=0, is_management=False, efci=False, aal5_last=False, clp=0
+    ):
+        return new_tuple(cls, (kind, vpi, vci, gfc, is_management, efci, aal5_last, clp))
 
     # The checks run in __init__, not __new__, so that the class has an
     # __init__ of its own for a profiler to wrap.
@@ -143,11 +138,6 @@ class CellHeader(_CellHeader):
         if clp not in (0, 1):
             raise ValueError(f"clp must be 0 or 1, got {clp}")
 
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> CellHeader:
-        # _replace builds through _make: check its result as well
-        return cls(*iterable)
-
     @property
     def pti(self) -> int:
         """The 3-bit payload type field."""
@@ -160,7 +150,7 @@ class DecodeStatus(enum.Enum):
     UNCORRECTABLE = "uncorrectable"
 
 
-class DecodeOutcome(NamedTuple):
+class DecodeOutcome(Record):
     """Result of decoding a 5-byte header.
 
     ``flipped_bit`` is only set for CORRECTED: the position (0..39, msb of
@@ -168,9 +158,10 @@ class DecodeOutcome(NamedTuple):
     codeword.  ``header`` is None exactly when UNCORRECTABLE.
     """
 
-    status: DecodeStatus
-    header: Optional[CellHeader] = None
-    flipped_bit: Optional[int] = None
+    __slots__ = ()
+
+    def __new__(cls, status, header=None, flipped_bit=None):
+        return new_tuple(cls, (status, header, flipped_bit))
 
 
 def _parse_fields(first4: bytes, kind: InterfaceKind) -> CellHeader:
@@ -260,26 +251,19 @@ def _decode(raw: bytes, kind: InterfaceKind) -> DecodeOutcome:
     return DecodeOutcome(DecodeStatus.CORRECTED, _parse_fields(bytes(fixed[:4]), kind), bit)
 
 
-class _Cell(NamedTuple):
-    header: CellHeader
-    payload: bytes = ZERO_PAYLOAD
-
-
-class Cell(_Cell):
+class Cell(Record):
     """One fixed-size cell: header plus exactly 48 payload bytes."""
 
     __slots__ = ()
+
+    def __new__(cls, header, payload=ZERO_PAYLOAD):
+        return new_tuple(cls, (header, payload))
 
     # checked in __init__, as CellHeader is; built once per trace cell, so
     # the check reads its arguments, which is faster than reading self
     def __init__(self, header: CellHeader, payload: bytes = ZERO_PAYLOAD) -> None:
         if len(payload) != PAYLOAD_BYTES:
             raise ValueError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> Cell:
-        # _replace builds through _make: check its result as well
-        return cls(*iterable)
 
 
 def encode_cell(cell: Cell) -> bytes:

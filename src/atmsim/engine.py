@@ -64,9 +64,9 @@ import itertools
 import json
 import math
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .aal5 import Reassembler, ReassemblyError, segment
 from .abr import (
@@ -78,6 +78,7 @@ from .abr import (
 from .cell import CELL_BITS, VCI_MAX, ZERO_PAYLOAD
 from .errors import OrderingError
 from .lane import Bus, Lec, Les, atm_address, format_mac
+from .record import Record, new_tuple
 from .rng import Stream
 from .scenario import (
     ConnectionSpec,
@@ -146,6 +147,15 @@ class EventQueue:
         return entry
 
 
+@cache
+def _sha256() -> Callable[[bytes], Any]:
+    try:  # CPython 3.10 and 3.11 build it in: loading OpenSSL's _hashlib takes milliseconds
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256
+
+
 def rng_stream(seed: int, label: str) -> Stream:
     """Independent 64-bit Philox stream keyed by (seed, label).
 
@@ -154,10 +164,7 @@ def rng_stream(seed: int, label: str) -> Stream:
     The key is the first 16 bytes of the digest as two little-endian
     64-bit words, as ``numpy.random.Philox(key=...)`` reads them.
     """
-    # imported here: loading OpenSSL's _hashlib costs milliseconds at start-up
-    import hashlib
-
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    digest = _sha256()(f"{seed}:{label}".encode()).digest()
     return Stream(int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little"))
 
 
@@ -926,17 +933,17 @@ def _slot_dict(record: Any) -> Dict[str, Any]:
     return {name: getattr(record, name) for name in record.__slots__}
 
 
-class RunReport(NamedTuple):
+class RunReport(Record):
     """Run results, serializable to a stable JSON document + CSV series."""
 
-    duration_s: float
-    seed: int
-    events_processed: int
-    connections: Dict[str, Dict[str, Any]]
-    switches: Dict[str, Dict[str, Any]]
-    links: Dict[str, Dict[str, Any]]
-    abr_series: Dict[str, List[Tuple[float, float, bool]]]
-    lane: Optional[Dict[str, Any]]
+    __slots__ = ()
+
+    # abr_series: connection id -> (time_s, acr, congested) samples; the rest are JSON values
+    def __new__(
+        cls, duration_s, seed, events_processed, connections, switches, links, abr_series, lane
+    ):
+        fields = duration_s, seed, events_processed, connections, switches, links, abr_series, lane
+        return new_tuple(cls, fields)
 
     def as_dict(self) -> Dict[str, Any]:
         """Every field but ``abr_series``, which ``abr_csv`` writes out."""

@@ -13,19 +13,20 @@ Multicast and broadcast frames, and only they, go through the BUS, which
 floods every attached client except the sender exactly once.
 
 A LEC holds its control-direct VC to the LES and its multicast-send VC
-to the BUS, and drives whatever implements LecPort: it reads the port's
-clock (``now``), puts its LE-ARP timeouts on the port's event list
-(``schedule``), and sends on and opens VCs.  The event engine, which is
-its own event list, is that port; the unit tests use a fake built on an
-EventQueue.  LE-ARP is encoded and decoded here
-alone: the LES answers requests itself (``Les.serve``) and each LEC
-decodes its own replies (``Lec.on_control``); the fabric carries bytes.
+to the BUS, and drives its port, the LecPort: a float clock ``now``, an
+event list for its LE-ARP timeouts, ``schedule(time, fn, arg=None)``
+(``fn(arg)`` at ``time``, not before ``now``), ``send_on_vc(vc, frame)``
+and ``open_data_vc(src_atm, dest_atm)``, None only when a link on the way
+has no VCI left.  The engine, its own event list, is that port; the unit
+tests use a fake built on an EventQueue.  LE-ARP is coded here alone:
+the LES answers requests itself (``Les.serve``) and each LEC decodes its
+own replies (``Lec.on_control``); the fabric carries bytes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Protocol, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from .errors import ContractError
 
@@ -270,26 +271,10 @@ class LecCounters:
         self.pending_dropped = 0
 
 
-class LecPort(Protocol):
-    """What a LEC needs of the fabric: its clock and event list, and its
-    VCs.  The engine, an EventQueue, is one; so is a test fake."""
-
-    now: float
-
-    def schedule(self, time: float, fn: Callable[[Any], None], arg: Any = None) -> None:
-        """Call ``fn(arg)`` at ``time``, which is not before ``now``."""
-
-    def send_on_vc(self, vc: Any, frame: bytes) -> None: ...
-
-    def open_data_vc(self, src_atm: bytes, dest_atm: bytes) -> Any:
-        """Set up a data-direct VC; None when a link on the way has no
-        VCI left, the only reason the fabric refuses one."""
-
-
 class Lec:
-    """One LAN-emulation client."""
+    """One LAN-emulation client; ``port`` is its LecPort (see above)."""
 
-    def __init__(self, mac: bytes, atm: bytes, port: LecPort, to_les: Any, to_bus: Any):
+    def __init__(self, mac: bytes, atm: bytes, port: Any, to_les: Any, to_bus: Any):
         self.mac = mac
         self.atm = atm
         self.port = port

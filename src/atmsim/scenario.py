@@ -2,25 +2,24 @@
 
 A scenario gives the topology (nodes, links), the contracted connections
 with their static routes and generators, optional LAN-emulation
-membership and traffic, a duration and an RNG seed.  The spec records
-below, each a NamedTuple, are the schema: each JSON key is one field,
-read with that field's type and default by one reader, ``_record``.  A
-field whose JSON value needs a reader of its own names it in its
-``Annotated`` metadata.  Parsing problems raise ScenarioError; semantic
-problems come back from validate_scenario() as a list of human-readable
-violations.
+membership and traffic, a duration and an RNG seed.  ``_SCHEMA`` gives
+each spec record's JSON keys, one per field in field order, with their
+readers, and ``_record`` reads through it: a key is required when its
+field has no default, and a number must be finite.  Parsing problems
+raise ScenarioError; semantic problems come back from validate_scenario()
+as a list of human-readable violations.
 """
 
-import functools
 import json
 import math
-from pathlib import Path
-from typing import AbstractSet, Annotated, Any, Callable, Dict, Iterable, List, Mapping, NamedTuple
-from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from functools import partial
+from os import PathLike
+from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver, default_source
 from .cell import CELL_BITS
 from .lane import BROADCAST_MAC, atm_address, is_multicast, parse_mac
+from .record import Record, new_tuple
 from .switch import DEFAULT_QUEUE_CAPACITY, LinkBooking, OutputQueue
 from .traffic import QosRequirement, ServiceCategory, TrafficDescriptor, validate_contract
 
@@ -47,7 +46,83 @@ class ScenarioError(ValueError):
     """A scenario document that cannot be parsed."""
 
 
-def _expect(obj: Any, kind: type, where: str) -> Any:
+class NodeSpec(Record):
+    __slots__ = ()
+
+    def __new__(cls, name, kind, queue_capacity=None, clp_threshold=None, efci_threshold=None):
+        return new_tuple(cls, (name, kind, queue_capacity, clp_threshold, efci_threshold))
+
+
+class LinkSpec(Record):
+    __slots__ = ()
+
+    def __new__(cls, a, b, bit_rate, propagation_delay, booking_factor=1.0):
+        return new_tuple(cls, (a, b, bit_rate, propagation_delay, booking_factor))
+
+
+class GeneratorSpec(Record):
+    __slots__ = ()
+
+    def __new__(
+        cls, id, kind, rate=None, peak_rate=None, mean_on_s=None, mean_off_s=None, cap=None
+    ):
+        return new_tuple(cls, (id, kind, rate, peak_rate, mean_on_s, mean_off_s, cap))
+
+
+class AbrOverrides(Record):
+    """ABR parameters; air and initial_acr left None take default_source's
+    values derived from the contract."""
+
+    __slots__ = ()
+
+    def __new__(cls, air=None, rdf=DEFAULT_RDF, nrm=DEFAULT_NRM, initial_acr=None):
+        return new_tuple(cls, (air, rdf, nrm, initial_acr))
+
+
+_NO_QOS, _NO_ABR = QosRequirement(), AbrOverrides()  # ConnectionSpec's defaults
+
+
+class ConnectionSpec(Record):
+    __slots__ = ()
+
+    def __new__(cls, id, category, route, generator, descriptor, qos=_NO_QOS, clp=0, abr=_NO_ABR):
+        return new_tuple(cls, (id, category, route, generator, descriptor, qos, clp, abr))
+
+
+class LecSpec(Record):
+    __slots__ = ()
+
+    def __new__(cls, host, mac):
+        return new_tuple(cls, (host, mac))
+
+
+class LaneTrafficSpec(Record):
+    __slots__ = ()
+
+    def __new__(cls, src, dst_mac, rate, frame_bytes, start=0.0, count=None):
+        return new_tuple(cls, (src, dst_mac, rate, frame_bytes, start, count))
+
+
+class LaneSpec(Record):
+    __slots__ = ()
+
+    def __new__(cls, les, bus, lecs=(), traffic=()):
+        return new_tuple(cls, (les, bus, lecs, traffic))
+
+
+class Scenario(Record):
+    __slots__ = ()
+
+    def __new__(
+        cls, duration_s, seed=0, nodes=(), links=(), connections=(), generators=(), lane=None
+    ):
+        return new_tuple(cls, (duration_s, seed, nodes, links, connections, generators, lane))
+
+
+Reader = Callable[[Any, str], Any]  # (JSON value, where it was found) -> field value
+
+
+def _expect(kind: type, obj: Any, where: str) -> Any:
     if kind is float or kind is int:
         noun, types = ("a number", (int, float)) if kind is float else ("an integer", int)
         if not isinstance(obj, types) or isinstance(obj, bool):
@@ -63,8 +138,11 @@ def _expect(obj: Any, kind: type, where: str) -> Any:
     return obj
 
 
+_str, _int, _number = (partial(_expect, kind) for kind in (str, int, float))
+
+
 def _category(raw: Any, where: str) -> ServiceCategory:
-    name = _expect(raw, str, where)
+    name = _str(raw, where)
     try:
         return ServiceCategory[name.upper()]
     except KeyError:
@@ -72,7 +150,7 @@ def _category(raw: Any, where: str) -> ServiceCategory:
 
 
 def _mac(raw: Any, where: str) -> bytes:
-    text = _expect(raw, str, where)
+    text = _str(raw, where)
     try:
         return parse_mac(text)
     except ValueError as exc:
@@ -85,163 +163,34 @@ def _dst_mac(raw: Any, where: str) -> bytes:
 
 def _frame_bytes(raw: Any, where: str) -> Tuple[int, int]:
     if not isinstance(raw, list):
-        size = _expect(raw, int, where)
-        return (size, size)
+        return (_int(raw, where),) * 2
     if len(raw) != 2:
         raise ScenarioError(f"{where}: a range needs exactly [lo, hi]")
-    return (_expect(raw[0], int, f"{where}[0]"), _expect(raw[1], int, f"{where}[1]"))
+    return (_int(raw[0], f"{where}[0]"), _int(raw[1], f"{where}[1]"))
 
 
-class _Json(NamedTuple):
-    """``Annotated`` metadata of a field whose JSON value is not of its
-    type, so ``read(value, where)`` converts it; from JSON key ``key`` if
-    given."""
-
-    read: Callable[[Any, str], Any]
-    key: Optional[str] = None
+def _tuple_of(read: Reader) -> Reader:
+    return lambda raw, where: tuple(
+        read(x, f"{where}[{i}]") for i, x in enumerate(_expect(list, raw, where))
+    )
 
 
-class NodeSpec(NamedTuple):
-    name: str
-    kind: str  # "host" | "switch"
-    queue_capacity: Optional[int] = None
-    clp_threshold: Optional[int] = None
-    efci_threshold: Optional[int] = None
-
-
-class LinkSpec(NamedTuple):
-    a: str
-    b: str
-    bit_rate: float
-    propagation_delay: float
-    booking_factor: float = 1.0
-
-
-class GeneratorSpec(NamedTuple):
-    id: str
-    kind: str
-    rate: Optional[float] = None  # paced_cbr
-    peak_rate: Optional[float] = None  # on_off_vbr
-    mean_on_s: Optional[float] = None
-    mean_off_s: Optional[float] = None
-    cap: Optional[float] = None  # greedy_ubr
-
-
-class AbrOverrides(NamedTuple):
-    """ABR parameters; air and initial_acr left None take default_source's
-    values derived from the contract."""
-
-    air: Optional[float] = None
-    rdf: float = DEFAULT_RDF
-    nrm: int = DEFAULT_NRM
-    initial_acr: Optional[float] = None
-
-
-class ConnectionSpec(NamedTuple):
-    id: str
-    category: Annotated[ServiceCategory, _Json(_category)]
-    route: Tuple[str, ...]
-    generator: str
-    descriptor: TrafficDescriptor
-    qos: QosRequirement = QosRequirement()
-    clp: int = 0
-    abr: AbrOverrides = AbrOverrides()  # ABR connections only
-
-
-class LecSpec(NamedTuple):
-    host: str
-    mac: Annotated[bytes, _Json(_mac)]
-
-
-class LaneTrafficSpec(NamedTuple):
-    src: str  # host name of the sending LEC
-    dst_mac: Annotated[bytes, _Json(_dst_mac, key="dst")]  # BROADCAST_MAC for "broadcast"
-    rate: float  # frames per second
-    frame_bytes: Annotated[Tuple[int, int], _Json(_frame_bytes)]  # lo == hi means fixed
-    start: float = 0.0
-    count: Optional[int] = None
-
-
-class LaneSpec(NamedTuple):
-    les: str
-    bus: str
-    lecs: Tuple[LecSpec, ...] = ()
-    traffic: Tuple[LaneTrafficSpec, ...] = ()
-
-
-class Scenario(NamedTuple):
-    duration_s: float
-    seed: int = 0
-    nodes: Tuple[NodeSpec, ...] = ()
-    links: Tuple[LinkSpec, ...] = ()
-    connections: Tuple[ConnectionSpec, ...] = ()
-    generators: Tuple[GeneratorSpec, ...] = ()
-    lane: Optional[LaneSpec] = None  # null reads as absent
-
-
-class _Key(NamedTuple):
-    """How ``_record`` reads one JSON key, taken from a record field."""
-
-    name: str  # the field's name
-    read: Callable[[Any, str], Any]  # (value, where) -> field value
-    required: bool
-    finite: bool  # a number, so NaN and infinities are refused
-    null_absent: bool  # an optional record: null means the key is absent
-    bare: bool  # a list or record of the top level, named by its key alone
-
-
-def _is_record(kind: Any) -> bool:
-    """A NamedTuple record, read from a JSON object by ``_record``."""
-    return isinstance(kind, type) and issubclass(kind, tuple) and hasattr(kind, "_fields")
-
-
-def _reader(kind: Any) -> Callable[[Any, str], Any]:
-    if _is_record(kind):
-        return functools.partial(_record, kind)
-    if get_origin(kind) is tuple:  # Tuple[X, ...]
-        item = _reader(get_args(kind)[0])
-        return lambda raw, where: tuple(
-            item(x, f"{where}[{i}]") for i, x in enumerate(_expect(raw, list, where))
-        )
-    return lambda raw, where: _expect(raw, kind, where)
-
-
-@functools.cache
-def _keys(cls: type) -> Dict[str, _Key]:
-    """The JSON keys of spec record ``cls``, in field order."""
-    hints = get_type_hints(cls, include_extras=True)
-    keys = {}
-    for name in cls._fields:
-        kind, key, read = hints[name], name, None
-        if get_origin(kind) is Annotated:  # Annotated[X, _Json(read, key)]
-            kind, meta = get_args(kind)
-            key, read = meta.key or name, meta.read
-        optional = get_origin(kind) is Union
-        if optional:
-            kind = get_args(kind)[0]  # Optional[X] is Union[X, None]
-        keys[key] = _Key(
-            name=name,
-            read=read or _reader(kind),
-            required=name not in cls._field_defaults,
-            finite=kind is float,
-            null_absent=optional and _is_record(kind),
-            bare=cls is Scenario and kind not in (str, int, float, bool),
-        )
-    return keys
+def _top(read: Reader, nullable: bool = False) -> Reader:
+    """``read`` at the top level, named by its key alone; null as None if ``nullable``."""
+    return lambda raw, where: None if nullable and raw is None else read(raw, where.split(".")[-1])
 
 
 def _record(cls: type, raw: Any, where: str) -> Any:
     """Read the JSON object ``raw``, found at ``where``, as a ``cls``."""
-    raw = _expect(raw, dict, where)
-    keys = _keys(cls)
+    raw = _expect(dict, raw, where)
+    keys = _SCHEMA[cls]
     unknown = raw.keys() - keys.keys()
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
     values: Dict[str, Any] = {}
-    for key, spec in keys.items():
-        value = raw.get(key)
-        if value is None and (spec.null_absent or key not in raw):
-            if spec.required:
+    for field, (key, read) in zip(cls._fields, keys.items()):
+        if key not in raw:
+            if field not in cls._field_defaults:
                 raise ScenarioError(f"{where}: missing required key {key!r}")
             continue
         if key == "abr" and values["category"] is not ServiceCategory.ABR:
@@ -250,22 +199,70 @@ def _record(cls: type, raw: Any, where: str) -> Any:
                 f"{where}.abr: only ABR connections take abr parameters, "
                 f"not {values['category'].name}"
             )
-        value = spec.read(value, key if spec.bare else f"{where}.{key}")
-        if spec.finite and not math.isfinite(value):
+        value = read(raw[key], f"{where}.{key}")
+        if read is _number and not math.isfinite(value):
             raise ScenarioError(f"{where}: {key} must be finite, got {value}")
-        values[spec.name] = value
+        values[field] = value
     try:
         return cls(**values)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def load_scenario(source: Union[str, Path, Dict[str, Any]]) -> Scenario:
+_SCHEMA: Dict[type, Dict[str, Reader]] = {
+    Scenario: {
+        "duration_s": _number,
+        "seed": _int,
+        "nodes": _top(_tuple_of(partial(_record, NodeSpec))),
+        "links": _top(_tuple_of(partial(_record, LinkSpec))),
+        "connections": _top(_tuple_of(partial(_record, ConnectionSpec))),
+        "generators": _top(_tuple_of(partial(_record, GeneratorSpec))),
+        "lane": _top(partial(_record, LaneSpec), nullable=True),
+    },
+    NodeSpec: dict.fromkeys(("name", "kind"), _str)
+    | dict.fromkeys(("queue_capacity", "clp_threshold", "efci_threshold"), _int),
+    LinkSpec: dict.fromkeys(("a", "b"), _str)
+    | dict.fromkeys(("bit_rate", "propagation_delay", "booking_factor"), _number),
+    GeneratorSpec: dict.fromkeys(("id", "kind"), _str)
+    | dict.fromkeys(("rate", "peak_rate", "mean_on_s", "mean_off_s", "cap"), _number),
+    AbrOverrides: {"air": _number, "rdf": _number, "nrm": _int, "initial_acr": _number},
+    ConnectionSpec: {
+        "id": _str,
+        "category": _category,
+        "route": _tuple_of(_str),
+        "generator": _str,
+        "descriptor": partial(_record, TrafficDescriptor),
+        "qos": partial(_record, QosRequirement),
+        "clp": _int,
+        "abr": partial(_record, AbrOverrides),  # ABR connections only
+    },
+    TrafficDescriptor: dict.fromkeys(TrafficDescriptor._fields, _number) | {"mbs": _int},
+    QosRequirement: dict.fromkeys(QosRequirement._fields, _number),
+    LecSpec: {"host": _str, "mac": _mac},
+    LaneTrafficSpec: {
+        "src": _str,  # the host of the sending LEC
+        "dst": _dst_mac,  # field dst_mac, BROADCAST_MAC for "broadcast"
+        "rate": _number,  # frames per second
+        "frame_bytes": _frame_bytes,  # (lo, hi), lo == hi for a fixed size
+        "start": _number,
+        "count": _int,
+    },
+    LaneSpec: {
+        "les": _str,
+        "bus": _str,
+        "lecs": _tuple_of(partial(_record, LecSpec)),
+        "traffic": _tuple_of(partial(_record, LaneTrafficSpec)),
+    },
+}
+
+
+def load_scenario(source: Union[str, PathLike[str], Dict[str, Any]]) -> Scenario:
     """Load a scenario from a JSON file path or an already-parsed dict."""
     if isinstance(source, dict):
         raw = source
     else:
-        text = Path(source).read_text()
+        with open(source) as handle:
+            text = handle.read()
         try:
             raw = json.loads(text)
         except ValueError as exc:  # JSONDecodeError, or an integer of too many digits

@@ -21,9 +21,10 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import Any, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .cell import Cell
+from .record import Record, new_tuple
 from .traffic import CATEGORY_RULES, ServiceCategory, TrafficDescriptor
 
 DEFAULT_QUEUE_CAPACITY = 128
@@ -33,10 +34,11 @@ CLP_THRESHOLD_FRACTION = 0.9
 VcKey = Tuple[int, int, int]  # (port, vpi, vci)
 
 
-class VcRoute(NamedTuple):
-    out_port: int
-    out_vpi: int
-    out_vci: int
+class VcRoute(Record):
+    __slots__ = ()
+
+    def __new__(cls, out_port, out_vpi, out_vci):
+        return new_tuple(cls, (out_port, out_vpi, out_vci))
 
 
 class VcTable:

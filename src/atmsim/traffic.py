@@ -13,10 +13,11 @@ import math
 import sys
 from itertools import repeat
 from operator import mul
-from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .cell import Cell
 from .errors import OrderingError
+from .record import Record, new_tuple
 
 
 class ServiceCategory(enum.Enum):
@@ -27,15 +28,7 @@ class ServiceCategory(enum.Enum):
     UBR = "ubr"
 
 
-class _TrafficDescriptor(NamedTuple):
-    pcr: float
-    cdvt: Optional[float] = None
-    scr: Optional[float] = None
-    mbs: Optional[int] = None
-    mcr: Optional[float] = None
-
-
-class TrafficDescriptor(_TrafficDescriptor):
+class TrafficDescriptor(Record):
     """Declared traffic parameters of one connection.
 
     pcr is mandatory; the rest only where the service category uses them.
@@ -44,70 +37,53 @@ class TrafficDescriptor(_TrafficDescriptor):
 
     __slots__ = ()
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> TrafficDescriptor:
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("pcr", "cdvt", "scr", "mcr"):
-            value = getattr(self, name)
+    def __new__(cls, pcr, cdvt=None, scr=None, mbs=None, mcr=None):
+        for name, value in (("pcr", pcr), ("cdvt", cdvt), ("scr", scr), ("mcr", mcr)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.pcr <= 0:
+        if not pcr > 0:
             raise ValueError("pcr must be positive")
-        if self.cdvt is not None and self.cdvt < 0:
+        if cdvt is not None and not cdvt >= 0:
             raise ValueError("cdvt must be >= 0")
-        if self.scr is not None and not 0 < self.scr <= self.pcr:
+        if scr is not None and not 0 < scr <= pcr:
             raise ValueError("scr must satisfy 0 < scr <= pcr")
-        if self.mbs is not None and self.mbs < 1:
+        if mbs is not None and type(mbs) is not int:  # a bool is no count either
+            raise ValueError(f"mbs must be an integer, got {mbs!r}")
+        if mbs is not None and not mbs >= 1:
             raise ValueError("mbs must be >= 1")
-        if self.mcr is not None and not 0 <= self.mcr <= self.pcr:
+        if mcr is not None and not 0 <= mcr <= pcr:
             raise ValueError("mcr must satisfy 0 <= mcr <= pcr")
-        return self
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> TrafficDescriptor:
-        # _replace builds through _make: check its result as well
-        return cls(*iterable)
+        return new_tuple(cls, (pcr, cdvt, scr, mbs, mcr))
 
 
-class _QosRequirement(NamedTuple):
-    clr_clp0: Optional[float] = None
-    clr_clp1: Optional[float] = None
-    max_ctd: Optional[float] = None
-    max_cdv: Optional[float] = None
-
-
-class QosRequirement(_QosRequirement):
+class QosRequirement(Record):
     """Requested QoS guarantees; every field optional."""
 
     __slots__ = ()
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> QosRequirement:
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("clr_clp0", "clr_clp1"):
-            value = getattr(self, name)
+    def __new__(cls, clr_clp0=None, clr_clp1=None, max_ctd=None, max_cdv=None):
+        for name, value in (("clr_clp0", clr_clp0), ("clr_clp1", clr_clp1)):
             if value is not None and not 0 <= value <= 1:
                 raise ValueError(f"{name} must be a ratio in [0, 1]")
-        for name in ("max_ctd", "max_cdv"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+        for name, value in (("max_ctd", max_ctd), ("max_cdv", max_cdv)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        return self
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> QosRequirement:
-        # _replace builds through _make: check its result as well
-        return cls(*iterable)
+        return new_tuple(cls, (clr_clp0, clr_clp1, max_ctd, max_cdv))
 
 
 _QOS_FIELDS = QosRequirement._fields
 
 
-class CategoryRule(NamedTuple):
-    """What one service category declares, books and may request."""
+class CategoryRule(Record):
+    """The descriptor fields one service category ``requires`` and ``excludes``,
+    the one admission ``books`` (None: nothing), and the ``qos`` it may request."""
 
-    requires: Tuple[str, ...]  # descriptor fields it must declare
-    excludes: Tuple[str, ...]  # descriptor fields it must leave out
-    books: Optional[str]  # descriptor field admission books; None books nothing
-    qos: Tuple[str, ...]  # QoS fields it may request
+    __slots__ = ()
+
+    def __new__(cls, requires, excludes, books, qos):
+        return new_tuple(cls, (requires, excludes, books, qos))
 
 
 # The service-category table of ATM Forum TM 4.0 (af-tm-0056.000)
@@ -402,12 +378,11 @@ def shape(
     return releases, shaper.overflow
 
 
-class DelayStats(NamedTuple):
-    count: int
-    mean_ctd: float
-    max_ctd: float
-    cdv_peak_to_peak: float
-    cdv_stddev: float
+class DelayStats(Record):
+    __slots__ = ()
+
+    def __new__(cls, count, mean_ctd, max_ctd, cdv_peak_to_peak, cdv_stddev):
+        return new_tuple(cls, (count, mean_ctd, max_ctd, cdv_peak_to_peak, cdv_stddev))
 
 
 # Delay samples a DelayMoments holds before folding them into its sums.

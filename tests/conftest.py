@@ -125,12 +125,18 @@ def c11_scenario() -> Dict[str, Any]:
     }
 
 
-def modules_loaded_by_importing_atmsim(*packages: str) -> List[str]:
-    """The modules of ``packages`` that ``import atmsim, atmsim.cli``
-    loads in a fresh isolated interpreter."""
+REFERENCE_SCENARIO = os.path.join(os.path.dirname(__file__), "data", "reference_scenario.json")
+
+
+def modules_loaded_by_importing_atmsim(*packages: str, run: bool = True) -> List[str]:
+    """The modules of ``packages`` that ``import atmsim, atmsim.cli``, then,
+    if ``run``, loading and running the reference scenario, load in a fresh
+    isolated interpreter."""
     src = os.path.dirname(os.path.dirname(atmsim.__file__))
+    reference_run = f"atmsim.run(atmsim.load_scenario({REFERENCE_SCENARIO!r})); " if run else ""
     code = (
         f"import json, sys; sys.path.insert(0, {src!r}); import atmsim, atmsim.cli; "
+        f"{reference_run}"
         f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))"
     )
     out = subprocess.run(

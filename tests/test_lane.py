@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import c11_scenario, frame_law
 
+from atmsim import lane
 from atmsim.engine import Engine, EventQueue, build
 from atmsim.lane import (
     BROADCAST_MAC,
@@ -16,7 +17,6 @@ from atmsim.lane import (
     PENDING_TIMEOUT_S,
     Bus,
     Lec,
-    LecPort,
     Les,
     RegistrationConflict,
     atm_address,
@@ -38,7 +38,7 @@ ATM_B = atm_address("b")
 TO_LES, TO_BUS = "vc-to-les", "vc-to-bus"  # the LEC's control-direct and multicast-send VCs
 
 
-class FakePort(EventQueue, LecPort):
+class FakePort(EventQueue):
     """Records every interaction; VC objects are plain string labels.
     Timers go on the EventQueue's own heap, which ``advance`` serves."""
 
@@ -86,31 +86,34 @@ def make_lec(**kwargs) -> Lec:
     return lec
 
 
-def port_members():
-    """The members LecPort declares, in order: its clock, then its methods."""
-    methods = [name for name, value in vars(LecPort).items() if callable(value) and name[0] != "_"]
-    return list(LecPort.__annotations__) + methods
+# The LecPort, as ``atmsim.lane`` documents it: a float clock ``now``, then
+# each method with its parameter names.
+LEC_PORT = {
+    "now": float,
+    "schedule": ["self", "time", "fn", "arg"],
+    "send_on_vc": ["self", "vc", "frame"],
+    "open_data_vc": ["self", "src_atm", "dest_atm"],
+}
 
 
 class TestLecPort:
     """The engine and FakePort each have every LecPort member: ``now``
-    as a float, and each method, found through the class's MRO but not
-    in LecPort itself, with the same parameter names, so the fake cannot
-    drift from the port."""
+    as a float, and each method, found through the class's MRO, with the
+    parameter names of LEC_PORT, so the fake cannot drift from the port."""
 
     def test_four_members(self):
-        assert port_members() == ["now", "schedule", "send_on_vc", "open_data_vc"]
+        assert list(LEC_PORT) == ["now", "schedule", "send_on_vc", "open_data_vc"]
+        for name in LEC_PORT:  # each documented where the LecPort is described
+            assert f"``{name}" in lane.__doc__, name
 
     @pytest.mark.parametrize("impl", [Engine, FakePort])
     def test_implementations_match_the_port(self, impl):
         port = build(c11_scenario()) if impl is Engine else impl()
-        assert type(port.now) is float
-        for name in port_members()[1:]:
-            declared = vars(LecPort)[name]
-            found = getattr(impl, name)
-            assert found is not declared, f"{impl.__name__} does not define {name}"
-            expected = inspect.signature(declared).parameters
-            assert list(inspect.signature(found).parameters) == list(expected)
+        assert type(port.now) is LEC_PORT["now"]
+        for name, parameters in list(LEC_PORT.items())[1:]:
+            found = getattr(impl, name, None)
+            assert callable(found), f"{impl.__name__} does not define {name}"
+            assert list(inspect.signature(found).parameters) == parameters
 
 
 class TestAddressing:

@@ -1,13 +1,17 @@
 """Where names live: the package root names the run API only, only
 ``atmsim.lane`` speaks the LE-ARP control format, and the protocol core
 imports nothing from the scenario, engine or CLI layers.  How records are
-written: values are NamedTuples, run state is slotted classes, and no
-class is a dataclass."""
+written: values are records, tuples with named fields, run state is
+slotted classes, no class is a dataclass, and start-up runs no generated
+code."""
 
 import ast
 import dataclasses
-import importlib
+import importlib.util
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,8 +158,13 @@ def test_no_class_in_atmsim_is_a_dataclass():
 
 
 def test_importing_atmsim_loads_no_dataclass_or_hashing_module():
-    loaded = modules_loaded_by_importing_atmsim("dataclasses", "inspect", "hashlib", "_hashlib")
-    assert loaded == []
+    refused = ("dataclasses", "inspect", "hashlib", "_hashlib")
+    assert modules_loaded_by_importing_atmsim(*refused, run=False) == []
+    # the reference run keys its random streams with SHA-256, which comes
+    # from the builtin _sha256 where the interpreter has one (CPython 3.10,
+    # 3.11) and from OpenSSL's, through hashlib, elsewhere
+    hashing = [] if importlib.util.find_spec("_sha256") else ["_hashlib", "hashlib"]
+    assert modules_loaded_by_importing_atmsim(*refused) == hashing
 
 
 @pytest.mark.parametrize(
@@ -194,3 +203,56 @@ def test_loaded_scenario_is_an_immutable_value():
         first.duration_s = 2.0
     with pytest.raises(AttributeError):
         first.connections[0].descriptor.pcr = 1.0
+
+
+# argv: the directory holding atmsim, the reference scenario, and a JSON
+# list of the other modules atmsim imports
+NO_GENERATED_CODE = """
+import importlib, json, os, sys
+src, scenario, imports = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+for name in imports:
+    try:
+        importlib.import_module(name)
+    except ImportError:  # _sha256 is not on every interpreter
+        pass
+generated = []
+sys.addaudithook(
+    lambda event, args: generated.append(str(args[1]))
+    if event == "compile" and not os.path.isfile(str(args[1]))
+    else None
+)
+sys.path.insert(0, src)
+import atmsim, atmsim.cli
+atmsim.run(atmsim.load_scenario(scenario))
+print(json.dumps(generated))
+"""
+
+
+def imports_outside_atmsim():
+    """Every module the atmsim sources import that is not atmsim's own."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+    return sorted(name for name in names if name.split(".")[0] not in ("atmsim", "__future__"))
+
+
+def test_start_up_runs_no_generated_code():
+    """Importing atmsim and atmsim.cli, then loading and running the
+    reference scenario, compiles nothing but module sources: no class is
+    built by ``eval`` (as ``collections.namedtuple`` builds one) and no
+    annotation is evaluated (as ``typing.get_type_hints`` does).  The
+    standard-library modules atmsim imports are loaded first, so that what
+    they generate for themselves, such as ``functools``' own namedtuple
+    where the interpreter does not load it at start-up, is not counted."""
+    argv = [str(SRC.parent), str(REFERENCE), json.dumps(imports_outside_atmsim())]
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", NO_GENERATED_CODE, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert json.loads(out) == []

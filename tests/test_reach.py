@@ -14,8 +14,8 @@ Reasons:
 - ``error-path``: runs only on input the commands refuse, or on a broken
   invariant;
 - ``fallback``: a branch for inputs the goldens do not produce;
-- ``protocol``: a stub of the LecPort protocol;
-- ``checked-copy``: a ``_make`` override, entered by ``_replace``;
+- ``record-api``: namedtuple's interface on ``record.Record`` (repr,
+  pickling), which no command uses and the record parity tests check;
 - ``unused-by-goldens``: a public helper no golden input calls.
 """
 
@@ -32,12 +32,11 @@ from atmsim.cell import Cell, CellHeader, InterfaceKind, encode_cell
 SRC = Path(atmsim.__file__).parent
 DATA_DIR = Path(__file__).parent / "data"
 
-REASONS = {"bench", "error-path", "fallback", "protocol", "checked-copy", "unused-by-goldens"}
+REASONS = {"bench", "error-path", "fallback", "record-api", "unused-by-goldens"}
 
 NOT_REACHED: Dict[str, str] = {
     "cell.Cell.__init__": "bench",
-    "cell.Cell._make": "checked-copy",
-    "cell.CellHeader._make": "checked-copy",
+    "cell.Cell.__new__": "bench",
     "cell.decode_cell": "bench",
     "cell.encode_cell": "bench",
     "cell.format_trace_line": "bench",
@@ -47,12 +46,14 @@ NOT_REACHED: Dict[str, str] = {
     "engine.ScenarioInvalid.__init__": "error-path",
     "engine._into_past": "error-path",
     "engine.run": "bench",
-    "lane.LecPort.open_data_vc": "protocol",
-    "lane.LecPort.schedule": "protocol",
-    "lane.LecPort.send_on_vc": "protocol",
+    "record.Record.__getnewargs__": "record-api",
+    "record.Record.__repr__": "record-api",
+    "record.Record._make": "bench",
+    "record.Record._replace": "bench",
     "switch.LinkBooking.booked": "unused-by-goldens",
     "switch.LinkBooking.release": "unused-by-goldens",
     "switch.OutputQueue.dequeue": "bench",
+    "switch.VcRoute.__new__": "bench",
     "switch.VcTable.__init__": "bench",
     "switch.VcTable.install": "bench",
     "switch.VcTable.lookup": "bench",
@@ -62,10 +63,8 @@ NOT_REACHED: Dict[str, str] = {
     "traffic.Gcra.earliest_conforming": "bench",
     "traffic.Policer.__init__": "bench",
     "traffic.Policer.offer": "bench",
-    "traffic.QosRequirement._make": "checked-copy",
     "traffic.Shaper.__init__": "bench",
     "traffic.Shaper.offer": "bench",
-    "traffic.TrafficDescriptor._make": "checked-copy",
     "traffic._scaled_ints": "fallback",
     "traffic.shape": "bench",
 }

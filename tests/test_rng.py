@@ -2,13 +2,14 @@
 runs without numpy."""
 
 import hashlib
+import importlib.util
 import json
 import os
 
 import pytest
 from conftest import modules_loaded_by_importing_atmsim
 
-from atmsim.engine import rng_stream
+from atmsim.engine import _sha256, rng_stream
 from atmsim.rng import Stream
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -68,6 +69,18 @@ def test_draws_match_numpy_bit_for_bit():
             assert ours.next64() == twin.bit_generator.random_raw(), (seed, label, r, lo, hi)
     assert draws["exponential"] >= 10**6 and draws["integers"] >= 10**6, draws
     assert draws["tail"] > 0, "no draw took the ziggurat's tail"
+
+
+def test_every_golden_stream_key_is_hashlib_sha256():
+    # rng_stream takes SHA-256 from the builtin _sha256 where there is one
+    builtin = importlib.util.find_spec("_sha256") is not None
+    assert (_sha256().__module__ == "_sha256") is builtin
+    for seed, label in KEYS:
+        digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+        assert _sha256()(f"{seed}:{label}".encode()).digest() == digest, label
+        twin = Stream(int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little"))
+        ours = rng_stream(seed, label)
+        assert [ours.next64() for _ in range(4)] == [twin.next64() for _ in range(4)], label
 
 
 def test_integers_refuses_an_empty_or_64_bit_range():

@@ -13,11 +13,12 @@ from atmsim.scenario import (
     GeneratorSpec,
     LaneSpec,
     LaneTrafficSpec,
+    LecSpec,
     LinkSpec,
     NodeSpec,
     Scenario,
     ScenarioError,
-    _keys,
+    _SCHEMA,
     load_scenario,
     validate_scenario,
 )
@@ -177,9 +178,9 @@ EXACT_MESSAGES = [
 ]
 
 
-# The four fields read by a reader of their own, named in their Annotated
-# metadata, where EXACT_MESSAGES leaves a case out: the JSON key is the
-# one the metadata names, and each field is required.
+# The four fields that _SCHEMA reads with a reader of their own, where
+# EXACT_MESSAGES leaves a case out: the JSON key is the one the table
+# names, and each field is required.
 ANNOTATED_FIELD_MESSAGES = [
     (C0 + ("category",), DROP, "connections[0]: missing required key 'category'"),
     (T0 + ("dst",), 2, "lane.traffic[0].dst: expected str, got int"),
@@ -202,6 +203,17 @@ class TestAnnotatedFields:
         with pytest.raises(ScenarioError) as info:
             load_scenario(raw)
         assert str(info.value) == message
+
+
+class TestSchema:
+    def test_each_record_names_every_field_once_in_field_order(self):
+        for cls, keys in _SCHEMA.items():
+            fields = ["dst_mac" if key == "dst" else key for key in keys]
+            assert tuple(fields) == cls._fields, cls.__name__
+
+    def test_every_record_a_scenario_holds_has_keys(self):
+        records = set(README_RECORDS.values()) | {LecSpec}
+        assert set(_SCHEMA) == records
 
 
 class TestLoading:
@@ -666,5 +678,6 @@ class TestReadmeExample:
             }
         assert rows.keys() == README_RECORDS.keys()
         for record, cls in README_RECORDS.items():
-            optional = {key for key, spec in _keys(cls).items() if not spec.required}
+            keys = zip(_SCHEMA[cls], cls._fields)
+            optional = {key for key, field in keys if field in cls._field_defaults}
             assert rows[record] == optional, record

@@ -906,6 +906,25 @@ class TestContractRules:
         with pytest.raises(ValueError):
             QosRequirement(max_cdv=-0.1)
 
+    @pytest.mark.parametrize("field", ["max_ctd", "max_cdv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_bounds_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            QosRequirement(**{field: value})
+
+    @pytest.mark.parametrize("field", ["clr_clp0", "clr_clp1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_ratios_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a ratio in \[0, 1\]$"):
+            QosRequirement(**{field: value})
+
+    @pytest.mark.parametrize("mbs", [math.nan, math.inf, 2.5, 2.0, Fraction(2), "2", True])
+    def test_mbs_must_be_an_integer(self, mbs):
+        with pytest.raises(ValueError) as info:
+            TrafficDescriptor(pcr=1.0, mbs=mbs)
+        assert str(info.value) == f"mbs must be an integer, got {mbs!r}"
+        assert TrafficDescriptor(pcr=1.0, mbs=2).mbs == 2
+
     @pytest.mark.parametrize(
         "record, changes",
         [
@@ -917,7 +936,7 @@ class TestContractRules:
         ],
     )
     def test_replace_and_make_check_like_the_constructor(self, record, changes):
-        # a NamedTuple's _replace and _make would build through tuple.__new__
+        # a plain namedtuple's _replace and _make build through tuple.__new__
         values = {**record._asdict(), **changes}
         with pytest.raises(ValueError) as built:
             type(record)(**values)
