@@ -126,6 +126,9 @@ class CellHeader(Record):
     # __init__ of its own for a profiler to wrap.
     def __init__(self, *_args: Any, **_kwargs: Any) -> None:
         kind, vpi, vci, gfc, _, _, _, clp = self
+        if not type(vpi) is type(vci) is type(gfc) is int:  # a bool is no label either
+            name = next(n for n, v in zip(("vpi", "vci", "gfc"), self[1:4]) if type(v) is not int)
+            raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         vpi_max = VPI_UNI_MAX if kind is InterfaceKind.UNI else VPI_NNI_MAX
         if not 0 <= vpi <= vpi_max:
             raise ValueError(f"vpi {vpi} out of range for {kind.value}")

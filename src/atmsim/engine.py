@@ -64,7 +64,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from functools import cache, partial
+from functools import cache
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -317,10 +317,10 @@ class FeedbackFlow(FlowState):
 class LaneVc(FlowState):
     """One unidirectional LAN-emulation VC carrying AAL5 frames."""
 
-    def __init__(self, flow_id: str):
+    def __init__(self, flow_id: str, on_frame: Callable[[bytes], Any]):
         super().__init__(flow_id)
         self.reassembler = Reassembler()
-        self.on_frame: Callable[[bytes], Any] = lambda frame: None
+        self.on_frame = on_frame  # the LES's, the BUS's or a LEC's handler
         self.reassembly_errors = 0
 
 
@@ -417,9 +417,9 @@ class NodeRuntime:
 
 
 class LaneRuntime:
-    def __init__(self) -> None:
-        self.les = Les()
-        self.bus = Bus()
+    def __init__(self, port: "Engine") -> None:
+        self.les = Les(port)
+        self.bus = Bus(port)
         self.lecs: Dict[str, Lec] = {}  # host name -> client
         self.host_by_atm: Dict[bytes, str] = {}
         self.direct_vcs: List[LaneVc] = []
@@ -539,24 +539,19 @@ class Engine(EventQueue):
         spec = self.sc.lane
         if spec is None:
             return []
-        lane = LaneRuntime()
-        self.lane = lane
+        lane = self.lane = LaneRuntime(self)
         violations: List[str] = []
         for lec_spec in spec.lecs:
-            host = lec_spec.host
+            host, mac = lec_spec.host, lec_spec.mac
             atm = atm_address(host)
-            lane.les.register(lec_spec.mac, atm)
-            to_les = LaneVc(f"lane:to_les:{host}->{spec.les}")
-            from_les = LaneVc(f"lane:from_les:{spec.les}->{host}")
-            to_bus = LaneVc(f"lane:to_bus:{host}->{spec.bus}")
-            from_bus = LaneVc(f"lane:from_bus:{spec.bus}->{host}")
-            lec = Lec(lec_spec.mac, atm, self, to_les, to_bus)
+            to_les = LaneVc(f"lane:to_les:{host}->{spec.les}", lane.les.serve)
+            to_bus = LaneVc(f"lane:to_bus:{host}->{spec.bus}", lane.bus.forward)
+            lec = Lec(mac, atm, self, to_les, to_bus)
+            from_les = LaneVc(f"lane:from_les:{spec.les}->{host}", lec.on_control)
+            from_bus = LaneVc(f"lane:from_bus:{spec.bus}->{host}", lec.deliver)
+            lane.les.register(mac, atm, from_les)
             lane.lecs[host] = lec
             lane.host_by_atm[atm] = host
-            to_les.on_frame = partial(lane.les.serve, reply=partial(self.send_on_vc, from_les))
-            from_les.on_frame = lec.on_control
-            to_bus.on_frame = partial(lane.bus.forward, origin_atm=atm)
-            from_bus.on_frame = partial(lec.deliver, via_bus=True)
             for vc, src, dst in (
                 (to_les, host, spec.les),
                 (from_les, spec.les, host),
@@ -564,7 +559,7 @@ class Engine(EventQueue):
                 (from_bus, spec.bus, host),
             ):
                 violations += self._open_vc(vc, self._lane_route(src, dst), self._lane_sink)
-            lane.bus.attach(atm, partial(self.send_on_vc, from_bus))
+            lane.bus.attach(mac, from_bus)
         frame_seqs: Dict[str, Iterator[int]] = {}
         for i, traffic in enumerate(spec.traffic):
             rng = rng_stream(self.sc.seed, f"lane:{i}:{traffic.src}")
@@ -632,10 +627,9 @@ class Engine(EventQueue):
         assert lane is not None
         src_host = lane.host_by_atm[src_atm]
         dst_host = lane.host_by_atm[dest_atm]
-        vc = LaneVc(f"lane:data:{src_host}->{dst_host}")
+        vc = LaneVc(f"lane:data:{src_host}->{dst_host}", lane.lecs[dst_host].deliver)
         if self._open_vc(vc, self._lane_route(src_host, dst_host), self._lane_sink):
             return None
-        vc.on_frame = partial(lane.lecs[dst_host].deliver, via_bus=False)
         lane.direct_vcs.append(vc)
         return vc
 

@@ -13,20 +13,22 @@ Multicast and broadcast frames, and only they, go through the BUS, which
 floods every attached client except the sender exactly once.
 
 A LEC holds its control-direct VC to the LES and its multicast-send VC
-to the BUS, and drives its port, the LecPort: a float clock ``now``, an
-event list for its LE-ARP timeouts, ``schedule(time, fn, arg=None)``
-(``fn(arg)`` at ``time``, not before ``now``), ``send_on_vc(vc, frame)``
-and ``open_data_vc(src_atm, dest_atm)``, None only when a link on the way
-has no VCI left.  The engine, its own event list, is that port; the unit
-tests use a fake built on an EventQueue.  LE-ARP is coded here alone:
-the LES answers requests itself (``Les.serve``) and each LEC decodes its
-own replies (``Lec.on_control``); the fabric carries bytes.
+to the BUS.  The LEC, the LES and the BUS drive one port, the LecPort: a
+float clock ``now``, an event list for the LE-ARP timeouts,
+``schedule(time, fn, arg=None)`` (``fn(arg)`` at ``time``, not before
+``now``), ``send_on_vc(vc, frame)`` and ``open_data_vc(src_atm, dest_atm)``,
+None only when a link on the way has no VCI left.  The engine, its own
+event list, is that port, and each VC it builds hands its frames to one
+handler: ``Les.serve``, ``Bus.forward``, ``Lec.on_control`` or
+``Lec.deliver``.  The unit tests use a fake built on an EventQueue.
+LE-ARP is coded here alone: the LES answers requests itself and each LEC
+decodes its own replies; the fabric carries bytes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from .errors import ContractError
 
@@ -141,14 +143,16 @@ def _control_body(message: bytes, op: int) -> Any:
 class Les:
     """LE-ARP server: the MAC -> ATM address directory of one LAN."""
 
-    def __init__(self) -> None:
+    def __init__(self, port: Any) -> None:
+        self.port = port
         self.directory: Dict[bytes, bytes] = {}
+        self._control_vcs: Dict[bytes, Any] = {}  # MAC -> the VC its replies go on
         self.arp_requests = 0
         self.arp_hits = 0
         self.arp_misses = 0
         self.decode_errors = 0
 
-    def register(self, mac: bytes, atm: bytes) -> None:
+    def register(self, mac: bytes, atm: bytes, control_vc: Any) -> None:
         """Idempotent for the same pair; a different ATM address for a
         known MAC is a registration conflict."""
         existing = self.directory.get(mac)
@@ -157,6 +161,7 @@ class Les:
                 f"MAC {format_mac(mac)} already registered to a different address"
             )
         self.directory[mac] = atm
+        self._control_vcs[mac] = control_vc
 
     def resolve(self, mac: bytes) -> Optional[bytes]:
         self.arp_requests += 1
@@ -167,40 +172,39 @@ class Les:
             self.arp_hits += 1
         return atm
 
-    def serve(self, request: bytes, reply: Callable[[bytes], None]) -> None:
-        """Answer an LE-ARP request through ``reply``; anything else is a decode error."""
+    def serve(self, request: bytes) -> None:
+        """Answer an LE-ARP request on its requester's control VC; a request
+        from an unregistered MAC, or any other message, is a decode error."""
         body = _control_body(request, OP_ARP_REQUEST)
-        if body is None:
+        vc = None if body is None else self._control_vcs.get(body[0])
+        if vc is None:
             self.decode_errors += 1
-            return
-        target = body[1]
-        reply(encode_arp_reply(target, self.resolve(target)))
+        else:
+            self.port.send_on_vc(vc, encode_arp_reply(body[1], self.resolve(body[1])))
 
 
 class Bus:
-    """Broadcast-and-unknown server: floods to every attached client but
-    the sender, one copy each."""
+    """Broadcast-and-unknown server: floods each frame to every attached
+    client but the frame's source MAC, one copy each."""
 
-    def __init__(self) -> None:
-        self._attached: Dict[bytes, Callable[[bytes], None]] = {}
+    def __init__(self, port: Any) -> None:
+        self.port = port
+        self._members: Dict[bytes, Any] = {}  # MAC -> its multicast-forward VC
         self.frames_in = 0
         self.copies_out = 0
 
-    def attach(self, atm: bytes, forward: Callable[[bytes], None]) -> None:
-        if atm in self._attached:
+    def attach(self, mac: bytes, vc: Any) -> None:
+        if mac in self._members:
             raise ValueError("already attached to the BUS")
-        self._attached[atm] = forward
+        self._members[mac] = vc
 
-    def forward(self, frame: bytes, origin_atm: bytes) -> int:
-        """Flood one frame; returns the number of copies sent."""
+    def forward(self, frame: bytes) -> None:
         self.frames_in += 1
-        copies = 0
-        for atm, send in self._attached.items():
-            if atm != origin_atm:
-                send(frame)
-                copies += 1
-        self.copies_out += copies
-        return copies
+        source = frame[MAC_BYTES : 2 * MAC_BYTES]
+        for mac, vc in self._members.items():
+            if mac != source:
+                self.port.send_on_vc(vc, frame)
+                self.copies_out += 1
 
 
 class ArpCacheEntry:
@@ -239,11 +243,11 @@ class DestinationStats:
 
 class LecCounters:
     """One client's counts.  ``duplicates`` stays 0, as each frame takes one
-    path; the benchmark's golden report digests keep its slot until a
-    golden rewrite drops it.  ``received_bus`` and ``filtered`` stay 0 as
-    well: the BUS floods group frames only, and a data-direct VC carries
-    frames for its resolved MAC only.  LANE 1.0's unknown-frame path would
-    give both a meaning again."""
+    path; no code increments ``received_bus``, as the BUS floods group
+    frames only, which count as ``received_broadcast``; and ``filtered``
+    stays 0, as a data-direct VC carries frames for its resolved MAC only.
+    The golden report digests keep these slots until a golden rewrite;
+    LANE 1.0's unknown-frame path would give the last two a meaning."""
 
     __slots__ = (
         "frames_sent",
@@ -368,19 +372,17 @@ class Lec:
 
     # -- receiving -------------------------------------------------------
 
-    def deliver(self, raw_frame: bytes, via_bus: bool) -> Optional[Tuple[bytes, bytes, bytes]]:
+    def deliver(self, raw_frame: bytes) -> Optional[Tuple[bytes, bytes, bytes]]:
         """Accept a frame off a VC.  Frames for other stations are
         filtered; returns (dest, src, payload) on acceptance."""
         dest, src, payload = decode_frame(raw_frame)
-        if dest != self.mac and not is_multicast(dest):
-            self.counters.filtered += 1
-            return None
         if is_multicast(dest):
             self.counters.received_broadcast += 1
-        elif via_bus:
-            self.counters.received_bus += 1
-        else:
+        elif dest == self.mac:
             self.counters.received_direct += 1
+        else:
+            self.counters.filtered += 1
+            return None
         return dest, src, payload
 
     # -- internals -------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import atmsim
 from atmsim.cell import CellHeader, InterfaceKind, encode_header
 from atmsim.engine import CELL_BITS, Engine, RunReport, build
-from atmsim.lane import Lec, format_mac
+from atmsim.lane import Lec, format_mac, is_multicast
 
 RUN_GUARD_S = 5.0
 
@@ -44,35 +44,38 @@ def run_guarded(raw: Dict[str, Any], seconds: float = RUN_GUARD_S) -> Tuple[Engi
 def frame_law() -> Iterator[List[Tuple[bytes, bytes, bytes, bool]]]:
     """Check LANE's frame law on every frame a LEC accepts inside the block:
     no LEC accepts the same (source MAC, tag) twice, and for each
-    (receiver, source MAC, via_bus) the tags strictly increase.  The tag
-    is the payload's first 8 bytes, which every source on one host draws
-    from one counter (engine.LaneTrafficState).
+    (receiver, source MAC, group) the tags strictly increase, where group
+    is the destination's group bit.  The BUS carries group frames only and
+    a data-direct VC unicast ones, so group names the path.  The tag is the
+    payload's first 8 bytes, which every source on one host draws from one
+    counter (engine.LaneTrafficState).
 
     ``Lec.deliver`` is wrapped on the class, so build the engine inside
     the block.  Yields the accepted frames as (receiver MAC, source MAC,
-    tag, via_bus), in arrival order.
+    tag, group), in arrival order.
     """
     deliver = Lec.deliver
     accepted: List[Tuple[bytes, bytes, bytes, bool]] = []
     seen: Dict[Tuple[bytes, bytes], Set[bytes]] = {}  # (receiver, source) -> tags
-    last: Dict[Tuple[bytes, bytes, bool], bytes] = {}  # (receiver, source, via_bus) -> tag
+    last: Dict[Tuple[bytes, bytes, bool], bytes] = {}  # (receiver, source, group) -> tag
 
-    def checked(lec: Lec, raw_frame: bytes, via_bus: bool) -> Any:
-        result = deliver(lec, raw_frame, via_bus)
+    def checked(lec: Lec, raw_frame: bytes) -> Any:
+        result = deliver(lec, raw_frame)
         if result is not None:
-            _dest, src, payload = result
+            dest, src, payload = result
             tag = payload[:8]
+            group = is_multicast(dest)
             where = f"{format_mac(lec.mac)} from {format_mac(src)}, tag {tag.hex()}"
             tags = seen.setdefault((lec.mac, src), set())
             assert tag not in tags, f"frame accepted twice: {where}"
             tags.add(tag)
-            path = (lec.mac, src, via_bus)
+            path = (lec.mac, src, group)
             assert path not in last or last[path] < tag, (
-                f"frame out of order {'via the BUS' if via_bus else 'direct'}: {where} "
+                f"frame out of order {'via the BUS' if group else 'direct'}: {where} "
                 f"after {last[path].hex()}"
             )
             last[path] = tag
-            accepted.append((lec.mac, src, tag, via_bus))
+            accepted.append((lec.mac, src, tag, group))
         return result
 
     Lec.deliver = checked  # type: ignore[method-assign]

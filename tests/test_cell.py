@@ -318,6 +318,11 @@ BAD_HEADER_FIELDS = [
     ({"gfc": 16}, "gfc 16 out of range"),
     ({"kind": InterfaceKind.NNI, "gfc": 3}, "gfc only exists at the UNI"),
     ({"clp": 2}, "clp must be 0 or 1, got 2"),
+    # a label must be an int: a float or a bool would pass the range checks
+    ({"vpi": 1.5}, "vpi must be an integer, got 1.5"),
+    ({"vpi": True}, "vpi must be an integer, got True"),
+    ({"vci": 40.0}, "vci must be an integer, got 40.0"),
+    ({"gfc": False}, "gfc must be an integer, got False"),
 ]
 
 
@@ -329,7 +334,12 @@ class TestCodecValueChecks:
         return CellHeader(**{"kind": InterfaceKind.UNI, "vpi": 1, "vci": 2, **changes})
 
     @pytest.mark.parametrize(
-        "changes, message", BAD_HEADER_FIELDS, ids=["vci", "vpi", "gfc", "nni-gfc", "clp"]
+        "changes, message",
+        BAD_HEADER_FIELDS,
+        ids=[
+            "vci", "vpi", "gfc", "nni-gfc", "clp",
+            "vpi-float", "vpi-bool", "vci-float", "gfc-bool",
+        ],
     )
     def test_header_replace_and_make_check_like_the_constructor(self, changes, message):
         good = self.header()

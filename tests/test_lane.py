@@ -9,7 +9,7 @@ import pytest
 from conftest import c11_scenario, frame_law
 
 from atmsim import lane
-from atmsim.engine import Engine, EventQueue, build
+from atmsim.engine import Engine, EventQueue, LaneVc, build
 from atmsim.lane import (
     BROADCAST_MAC,
     CACHE_AGING_S,
@@ -183,42 +183,59 @@ class TestFrameCodec:
 
 class TestLes:
     def test_register_and_resolve(self):
-        les = Les()
-        les.register(MAC_A, ATM_A)
+        les = Les(FakePort())
+        les.register(MAC_A, ATM_A, "vc-to-a")
         assert les.resolve(MAC_A) == ATM_A
         assert les.resolve(MAC_B) is None
         assert (les.arp_requests, les.arp_hits, les.arp_misses) == (2, 1, 1)
 
     def test_reregistration_same_is_idempotent(self):
-        les = Les()
-        les.register(MAC_A, ATM_A)
-        les.register(MAC_A, ATM_A)
+        les = Les(FakePort())
+        les.register(MAC_A, ATM_A, "vc-to-a")
+        les.register(MAC_A, ATM_A, "vc-to-a")
         assert les.directory == {MAC_A: ATM_A}
 
     def test_conflicting_registration_rejected(self):
-        les = Les()
-        les.register(MAC_A, ATM_A)
+        les = Les(FakePort())
+        les.register(MAC_A, ATM_A, "vc-to-a")
         with pytest.raises(RegistrationConflict):
-            les.register(MAC_A, ATM_B)
+            les.register(MAC_A, ATM_B, "vc-to-a")
 
 
 class TestBus:
+    @staticmethod
+    def bus() -> Bus:
+        """A BUS whose members A, B and C, attached in that order, take
+        their copies on vc-to-a, vc-to-b and vc-to-c."""
+        bus = Bus(FakePort())
+        for mac, name in ((MAC_A, "a"), (MAC_B, "b"), (MAC_C, "c")):
+            bus.attach(mac, f"vc-to-{name}")
+        return bus
+
     def test_floods_all_but_origin(self):
-        bus = Bus()
-        got = {name: [] for name in "abc"}
-        for name in "abc":
-            bus.attach(atm_address(name), got[name].append)
+        bus = self.bus()
         frame = encode_frame(BROADCAST_MAC, MAC_A, b"x")
-        copies = bus.forward(frame, atm_address("a"))
-        assert copies == 2
-        assert got["a"] == [] and got["b"] == [frame] and got["c"] == [frame]
+        assert bus.forward(frame) is None
+        assert bus.port.sent == [("vc-to-b", frame), ("vc-to-c", frame)]
         assert (bus.frames_in, bus.copies_out) == (1, 2)
 
+    @pytest.mark.parametrize(
+        "source, members",
+        [(MAC_B, "ac"), (MAC_C, "ab"), (parse_mac("02:00:00:00:00:0d"), "abc")],
+        ids=["b", "c", "not-a-member"],
+    )
+    def test_no_copy_to_the_source_mac(self, source, members):
+        bus = self.bus()
+        frame = encode_frame(BROADCAST_MAC, source, b"x")
+        bus.forward(frame)
+        assert bus.port.sent == [(f"vc-to-{name}", frame) for name in members]
+        assert (bus.frames_in, bus.copies_out) == (1, len(members))
+
     def test_duplicate_attach_rejected(self):
-        bus = Bus()
-        bus.attach(ATM_A, lambda frame: None)
+        bus = Bus(FakePort())
+        bus.attach(MAC_A, "vc-to-a")
         with pytest.raises(ValueError):
-            bus.attach(ATM_A, lambda frame: None)
+            bus.attach(MAC_A, "vc-to-b")
 
 
 class TestLecSending:
@@ -360,19 +377,19 @@ class TestLecReceiving:
     def test_unicast_accepted_and_counted(self):
         lec = make_lec()
         frame = encode_frame(MAC_A, MAC_B, b"hi")
-        assert lec.deliver(frame, via_bus=False) == (MAC_A, MAC_B, b"hi")
+        assert lec.deliver(frame) == (MAC_A, MAC_B, b"hi")
         assert lec.counters.received_direct == 1
 
     def test_foreign_unicast_filtered(self):
         lec = make_lec()
         frame = encode_frame(MAC_C, MAC_B, b"hi")
-        assert lec.deliver(frame, via_bus=True) is None
+        assert lec.deliver(frame) is None
         assert lec.counters.filtered == 1
 
     def test_broadcast_accepted(self):
         lec = make_lec()
         frame = encode_frame(BROADCAST_MAC, MAC_B, b"hi")
-        assert lec.deliver(frame, via_bus=True) is not None
+        assert lec.deliver(frame) is not None
         assert lec.counters.received_broadcast == 1
 
 
@@ -391,8 +408,11 @@ class TestControlMessages:
     every other control message counts one decode error and does nothing."""
 
     def les(self) -> Les:
-        les = Les()
-        les.register(MAC_B, ATM_B)
+        """A LES with A and B registered; its replies go out on vc-to-a and
+        vc-to-b."""
+        les = Les(FakePort())
+        les.register(MAC_A, ATM_A, "vc-to-a")
+        les.register(MAC_B, ATM_B, "vc-to-b")
         return les
 
     @pytest.mark.parametrize(
@@ -401,10 +421,16 @@ class TestControlMessages:
     )
     def test_les_counts_a_message_that_is_not_a_request(self, message):
         les = self.les()
-        replies = []
-        les.serve(message, replies.append)
+        les.serve(message)
         assert les.decode_errors == 1
-        assert replies == []
+        assert les.port.sent == []
+        assert les.arp_requests == 0
+
+    def test_les_counts_a_request_from_an_unregistered_mac(self):
+        les = self.les()
+        les.serve(encode_arp_request(MAC_C, MAC_B))
+        assert les.decode_errors == 1
+        assert les.port.sent == []
         assert les.arp_requests == 0
 
     @pytest.mark.parametrize(
@@ -423,9 +449,8 @@ class TestControlMessages:
     @pytest.mark.parametrize("target, atm", [(MAC_B, ATM_B), (MAC_C, None)], ids=["hit", "miss"])
     def test_les_answers_a_request_once(self, target, atm):
         les = self.les()
-        replies = []
-        les.serve(encode_arp_request(MAC_A, target), replies.append)
-        assert replies == [encode_arp_reply(target, atm)]
+        les.serve(encode_arp_request(MAC_A, target))
+        assert les.port.sent == [("vc-to-a", encode_arp_reply(target, atm))]
         assert (les.arp_requests, les.decode_errors) == (1, 0)
 
     def test_lec_takes_a_reply(self):
@@ -450,7 +475,7 @@ class TestClientState:
         with frame_law() as accepted:
             build(json.loads(self.REFERENCE.read_text())).run()
         # direct unicast frames and BUS broadcasts were both checked
-        assert {via_bus for *_, via_bus in accepted} == {False, True}
+        assert {group for *_, group in accepted} == {False, True}
 
     @pytest.mark.parametrize("duration_s", [0.5, 5.0])
     def test_containers_hold_at_most_one_entry_per_other_member(self, duration_s):
@@ -463,3 +488,33 @@ class TestClientState:
             for name, value in vars(lec).items():
                 if isinstance(value, (dict, list, set, deque)):
                     assert len(value) <= len(lecs) - 1, (format_mac(lec.mac), name, len(value))
+
+
+class TestHandlers:
+    """One handler pattern: every LANE VC is built with the bound method of
+    the endpoint it leads to, so no closure or partial stands between a VC
+    and its LES, BUS or LEC."""
+
+    # a VC's kind, the second field of its flow id -> its handler's name
+    HANDLER = {
+        "to_les": "serve",
+        "to_bus": "forward",
+        "from_les": "on_control",
+        "from_bus": "deliver",
+        "data": "deliver",
+    }
+
+    def test_every_lane_vc_hands_its_frames_to_an_endpoint_method(self):
+        engine = build(json.loads(TestClientState.REFERENCE.read_text()))
+        engine.run()
+        runtime = engine.lane
+        vcs = [flow for flow in engine.flows if isinstance(flow, LaneVc)]
+        assert runtime.direct_vcs  # the run opened data-direct VCs
+        assert len(vcs) == 4 * len(runtime.lecs) + len(runtime.direct_vcs)
+        for vc in vcs:
+            _, kind, route = vc.id.split(":")
+            servers = {"to_les": runtime.les, "to_bus": runtime.bus}
+            endpoint = servers[kind] if kind in servers else runtime.lecs[route.split("->")[1]]
+            assert inspect.ismethod(vc.on_frame), vc.id
+            assert vc.on_frame.__self__ is endpoint, vc.id
+            assert vc.on_frame.__name__ == self.HANDLER[kind], vc.id
