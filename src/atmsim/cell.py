@@ -307,6 +307,14 @@ def format_trace_line(time_s: float, port: int, cell: Cell) -> str:
     return f"{time_s!r} {port} {encode_cell(cell).hex()}"
 
 
+# Validated ports by their text.  A trace names few ports, so most lines
+# read the port with one lookup.  Only a text that int() accepts as a
+# port >= 0 is stored, and the memo is cleared when it fills, which bounds
+# it at _PORT_MEMO_MAX entries.
+_PORT_MEMO_MAX = 1024
+_port_memo: Dict[str, int] = {}
+
+
 def parse_trace_line(line: str) -> Tuple[float, int, bytes]:
     """Parse a trace line to (time_s, port, raw 53 cell bytes).
 
@@ -314,13 +322,15 @@ def parse_trace_line(line: str) -> Tuple[float, int, bytes]:
     space-separated pairs.
     """
     fields = line.split()
-    if len(fields) == 3:
+    try:
         time_text, port_text, hexrun = fields
-    elif len(fields) > 3:
+    except ValueError:
+        if len(fields) < 3:
+            raise TraceFormatError(
+                f"expected time, port and cell bytes, got {len(fields)} fields"
+            ) from None
         time_text, port_text, *pairs = fields
         hexrun = "".join(pairs)
-    else:
-        raise TraceFormatError(f"expected time, port and cell bytes, got {len(fields)} fields")
     try:
         time_s = float(time_text)
     except ValueError:
@@ -328,12 +338,17 @@ def parse_trace_line(line: str) -> Tuple[float, int, bytes]:
     # refuses NaN and both infinities; -0.0 passes
     if not 0 <= time_s < _INF:
         raise TraceFormatError(f"time must be finite and >= 0, got {time_text}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise TraceFormatError(f"bad port value {port_text!r}") from None
-    if port < 0:
-        raise TraceFormatError(f"port must be >= 0, got {port}")
+    port = _port_memo.get(port_text)
+    if port is None:
+        try:
+            port = int(port_text)
+        except ValueError:
+            raise TraceFormatError(f"bad port value {port_text!r}") from None
+        if port < 0:
+            raise TraceFormatError(f"port must be >= 0, got {port}")
+        if len(_port_memo) >= _PORT_MEMO_MAX:
+            _port_memo.clear()
+        _port_memo[port_text] = port
     try:
         raw = _fromhex(hexrun)
     except ValueError:

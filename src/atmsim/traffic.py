@@ -7,13 +7,13 @@ with fractions.Fraction when exact boundary decisions matter.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 import sys
+from collections import deque
 from itertools import repeat
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Deque, List, Optional, Sequence, Tuple, Union
 
 from .cell import Cell
 from .errors import OrderingError
@@ -322,7 +322,10 @@ class Shaper:
     Order is preserved; a cell is dropped (and counted) when more than
     ``depth`` cells are already waiting at its arrival instant.  Shaped
     output re-policed with the same buckets is conforming by
-    construction.
+    construction.  The backlog is a deque of the release times later
+    than the last arrival.  Releases never decrease, so each arrival
+    trims it from its head, and its tail, when it has one, is the last
+    release, the earliest a delayed cell may leave.
     """
 
     def __init__(self, buckets: Sequence[Gcra], depth: int = 1024):
@@ -331,9 +334,8 @@ class Shaper:
         self.buckets = list(buckets)
         self.depth = depth
         self.overflow = 0
-        self._pending: List[float] = []  # release times not yet in the past
+        self._pending: Deque[float] = deque()
         self._last_arrival: float = -math.inf
-        self._last_release: Optional[float] = None
 
     def offer(self, arrival: float) -> Optional[float]:
         """Release time for a cell arriving now, or None if it overflows."""
@@ -341,15 +343,13 @@ class Shaper:
         if not arrival >= self._last_arrival:
             raise OrderingError(f"arrival {arrival} is not at or after {self._last_arrival}")
         self._last_arrival = arrival
-        cut = bisect.bisect_right(self._pending, arrival)
-        if cut:
-            del self._pending[:cut]
-        if len(self._pending) >= self.depth:
+        pending = self._pending
+        while pending and pending[0] <= arrival:
+            pending.popleft()
+        if len(pending) >= self.depth:
             self.overflow += 1
             return None
-        t = arrival
-        if self._last_release is not None and self._last_release > t:
-            t = self._last_release
+        t = pending[-1] if pending else arrival
         for bucket in self.buckets:
             # the drain falls as t grows, so a bucket that conforms at t
             # (and has no later last_time) would answer t itself
@@ -361,8 +361,7 @@ class Shaper:
             t = bucket.earliest_conforming(t)
         while not conform_update(self.buckets, t):
             t = math.nextafter(t, math.inf)
-        self._last_release = t
-        self._pending.append(t)
+        pending.append(t)
         return t
 
 

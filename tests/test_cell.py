@@ -6,10 +6,16 @@ code under test.
 """
 
 import copy
+import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atmsim import cell as cell_module
 from atmsim.cell import (
@@ -527,3 +533,126 @@ class TestTraceFormat:
             parse_trace_line(f"-1.0 0 {raw_hex}")
         with pytest.raises(TraceFormatError):
             parse_trace_line(f"0.5 -2 {raw_hex}")
+
+
+def reference_parse_trace_line(line):
+    """parse_trace_line written plainly: the fields counted first, the port
+    read by int() on every line.  The reference for the property below."""
+    fields = line.split()
+    if len(fields) == 3:
+        time_text, port_text, hexrun = fields
+    elif len(fields) > 3:
+        time_text, port_text, *pairs = fields
+        hexrun = "".join(pairs)
+    else:
+        raise TraceFormatError(f"expected time, port and cell bytes, got {len(fields)} fields")
+    try:
+        time_s = float(time_text)
+    except ValueError:
+        raise TraceFormatError(f"bad time value {time_text!r}") from None
+    if not 0 <= time_s < math.inf:
+        raise TraceFormatError(f"time must be finite and >= 0, got {time_text}")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise TraceFormatError(f"bad port value {port_text!r}") from None
+    if port < 0:
+        raise TraceFormatError(f"port must be >= 0, got {port}")
+    try:
+        raw = bytes.fromhex(hexrun)
+    except ValueError:
+        raise TraceFormatError("cell bytes are not valid hex") from None
+    if len(raw) != CELL_BYTES:
+        raise TraceFormatError(f"cell is {CELL_BYTES} bytes, got {len(raw)}")
+    return time_s, port, raw
+
+
+def parse_outcome(parse, line):
+    """What a parser makes of a line: (repr(time), port, raw) or its refusal."""
+    try:
+        time_s, port, raw = parse(line)
+    except TraceFormatError as exc:
+        return "refused", str(exc)
+    assert type(time_s) is float and type(port) is int and type(raw) is bytes
+    return repr(time_s), port, raw
+
+
+CELL_HEX = "00" * CELL_BYTES
+TRACE_TIMES = ["0", "0.5", "5e-324", "-0.0", "1e400", "nan", "-inf", "1_0.5", "x", "-1"]
+# int() accepts a sign, leading zeros, underscores between digits and any
+# Unicode decimal digit; the port memo must accept exactly the same texts
+TRACE_PORTS = ["0", "1", "007", "+3", "\u0663", "1_0", "-0", "-2", "256", "1.0", "x"]
+
+
+@st.composite
+def trace_lines(draw):
+    """A trace line: good or bad time and port texts, then the cell bytes
+    as one hex run, a run split in two or spaced pairs, cut to 0..5 fields
+    or kept whole, with spaces or tabs between and a line end of none,
+    \\n or \\r\\n."""
+    # half the texts are well formed, so that many lines reach the later checks
+    def text_of(good, edges):
+        kind = draw(st.integers(0, 9))
+        return good if kind < 5 else draw(st.text(max_size=3) if kind == 9 else edges)
+
+    time_text = text_of("0.25", st.sampled_from(TRACE_TIMES))
+    port_text = text_of("2", st.sampled_from(TRACE_PORTS))
+    size = draw(st.sampled_from([CELL_BYTES, CELL_BYTES, CELL_BYTES - 1, CELL_BYTES + 1]))
+    hexrun = draw(st.binary(min_size=size, max_size=size)).hex()
+    hexrun += draw(st.sampled_from(["", "", "", "", "0", "zz"]))
+    layout = draw(st.sampled_from(["run", "split", "pairs"]))
+    if layout == "run":
+        cell_fields = [hexrun]
+    elif layout == "split":
+        cut = draw(st.integers(1, len(hexrun) - 1))
+        cell_fields = [hexrun[:cut], hexrun[cut:]]
+    else:
+        cell_fields = [hexrun[i : i + 2] for i in range(0, len(hexrun), 2)]
+    fields = [time_text, port_text, *cell_fields]
+    fields = fields[: draw(st.sampled_from([len(fields), len(fields), 0, 1, 2, 3, 4, 5]))]
+    blank = st.sampled_from(["", " ", "\t", "  ", " \t "])
+    # the first gap leads the line; an empty one only there
+    gaps = [draw(blank)] + [draw(blank.filter(bool)) for _ in fields[1:]]
+    end = draw(st.sampled_from(["", "\n", "\r\n", " \r\n"]))
+    return "".join(g + f for g, f in zip(gaps, fields)) + end
+
+
+class TestTraceParserMatchesReference:
+    """parse_trace_line unpacks three fields on its fast path and reads
+    ports through a memo; it must give what the plain parser gives, the
+    same values or the same refusal, on a memo miss and on a hit."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(trace_lines())
+    def test_same_outcome_as_reference(self, line):
+        expected = parse_outcome(reference_parse_trace_line, line)
+        assert parse_outcome(parse_trace_line, line) == expected
+        assert parse_outcome(parse_trace_line, line) == expected
+
+    @pytest.mark.parametrize("port_text", TRACE_PORTS)
+    def test_each_port_text_with_an_empty_and_a_filled_memo(self, port_text):
+        line = f"0.5 {port_text} {CELL_HEX}"
+        expected = parse_outcome(reference_parse_trace_line, line)
+        memo = cell_module._port_memo
+        memo.clear()
+        assert parse_outcome(parse_trace_line, line) == expected
+        # only a port the parser accepts is kept
+        assert memo == ({} if expected[0] == "refused" else {port_text: expected[1]})
+        assert parse_outcome(parse_trace_line, line) == expected
+
+    def test_memo_stays_within_bound(self):
+        bound = cell_module._PORT_MEMO_MAX
+        for port in range(bound + 500):
+            assert parse_trace_line(f"0.5 {port} {CELL_HEX}")[1] == port
+            assert len(cell_module._port_memo) <= bound
+
+    def test_importing_fills_no_memo(self):
+        src = os.path.dirname(os.path.dirname(cell_module.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import atmsim.cli, atmsim.cell as c; "
+            "print(len(c._port_memo))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "0\n"

@@ -546,10 +546,31 @@ class TestConformance:
         assert main(["conformance", str(tmp_path), "--pcr", "10"]) == 2
         assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
 
+    # whitespace-only lines: empty, spaces, a tab, a form feed, and a
+    # carriage return that universal newlines reads, with the "\n" that
+    # write_trace puts after it, as one line end
+    BLANKS = ["", "   ", "\t", "\x0c", "\r"]
+
     def test_blank_lines_ignored(self, tmp_path, capsys):
-        path = write_trace(tmp_path, [format_trace_line(0.0, 1, trace_cell()), ""])
-        assert main(["conformance", path, "--pcr", "1024"]) == 0
-        assert "cells: 1" in capsys.readouterr().out
+        cells = [format_trace_line(t, 1, trace_cell()) for t in (0.0, 0.5, 1.0)]
+        plain = write_trace(tmp_path, cells, name="plain.txt")
+        assert main(["conformance", plain, "--pcr", "1024"]) == 0
+        expected = capsys.readouterr().out
+        assert "cells: 3\n" in expected
+        lines = [*self.BLANKS, cells[0], *self.BLANKS, cells[1], cells[2], *self.BLANKS]
+        spaced = write_trace(tmp_path, lines, name="spaced.txt")
+        assert main(["conformance", spaced, "--pcr", "1024"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_refusal_after_blank_lines_names_its_own_line(self, tmp_path, capsys):
+        cell = format_trace_line(0.0, 1, trace_cell())
+        lines = [*self.BLANKS, cell, *self.BLANKS, "0.5 1 zz"]
+        path = write_trace(tmp_path, lines)
+        # each entry is one line, so the malformed one is the last
+        assert main(["conformance", path, "--pcr", "1024"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{len(lines)}: cell bytes are not valid hex\n"
+        )
 
 
 class TestConformanceGolden:

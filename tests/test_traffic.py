@@ -8,16 +8,20 @@ inputs unchanged).
 
 import itertools
 import math
+import os
 import random
 import statistics
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import c11_scenario, modules_loaded_by_importing_atmsim
+from conftest import c11_scenario, modules_loaded_by_importing_atmsim, write_seeded_trace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atmsim.cell import Cell, CellHeader, InterfaceKind
+from atmsim import traffic as traffic_module
+from atmsim.cell import Cell, CellHeader, InterfaceKind, parse_trace_line
 from atmsim.engine import build
 from atmsim.errors import OrderingError
 from atmsim.switch import booking_rate
@@ -696,6 +700,47 @@ class TestDrainMatchesReference:
         assert shape(arrivals, contract_buckets(contract), depth=depth) == (
             releases, releases.count(None)
         )
+
+
+class TestShapeCallBudget:
+    """The per-cell work of ``shape``, counted in Python-level calls: one
+    Shaper.offer per cell, at most one Gcra.earliest_conforming per bucket
+    per cell and one conform_update per released cell.  No other atmsim
+    function may be entered once per cell."""
+
+    def test_calls_per_cell(self, tmp_path):
+        path = str(tmp_path / "trace.txt")
+        write_seeded_trace(path)
+        with open(path, encoding="utf-8") as fh:
+            arrivals = [t for t, port, _ in map(parse_trace_line, fh) if port == 0]
+        buckets = contract_buckets(BENCH_CONTRACT)
+
+        package = os.path.dirname(traffic_module.__file__) + os.sep
+        calls: Counter = Counter()
+
+        def profile(frame, event, _arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(package):
+                calls[code] += 1
+
+        sys.setprofile(profile)
+        try:
+            releases, overflow = shape(arrivals, buckets)
+        finally:
+            sys.setprofile(None)
+
+        released = len(arrivals) - overflow
+        # co_name, not co_qualname: 3.10 has no co_qualname, and shape
+        # enters no other function named offer
+        by_name = {code.co_name: n for code, n in calls.items()}
+        assert by_name.pop("offer") == len(arrivals)
+        assert by_name.pop("conform_update") == released
+        # the seeded bursts overrun the SCR bucket, so cells are delayed
+        assert 0 < by_name.pop("earliest_conforming") <= len(buckets) * len(arrivals)
+        assert len(arrivals) == 1000 and releases.count(None) == overflow
+        # what remains runs once per call of shape
+        assert {name: n for name, n in by_name.items() if n > 10} == {}
+
 
 class TestPolicing:
     def _cell(self, clp: int = 0) -> Cell:
