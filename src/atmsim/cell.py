@@ -303,8 +303,17 @@ class TraceFormatError(ValueError):
 
 
 def format_trace_line(time_s: float, port: int, cell: Cell) -> str:
-    """One trace line: ``<time_s> <port> <53 hex byte pairs>``."""
-    return f"{time_s!r} {port} {encode_cell(cell).hex()}"
+    """One trace line: ``<time_s> <port> <53 hex byte pairs>``.
+
+    The time is written with ``repr`` and the port with ``str``.  Raises
+    TraceFormatError, a ValueError, with parse_trace_line's message when
+    the reader would refuse the line: a NaN, infinite or negative time, a
+    port below 0, or a value whose text the reader cannot read, such as a
+    ``bool`` or ``float`` port.  ``-0.0`` and int times are written.
+    """
+    line = f"{time_s!r} {port} {encode_cell(cell).hex()}"
+    parse_trace_line(line)
+    return line
 
 
 # Validated ports by their text.  A trace names few ports, so most lines
@@ -319,12 +328,21 @@ def parse_trace_line(line: str) -> Tuple[float, int, bytes]:
     """Parse a trace line to (time_s, port, raw 53 cell bytes).
 
     Accepts the 53 byte pairs either as one contiguous hex run or as
-    space-separated pairs.
+    runs and pairs separated by any whitespace.  A line whose cell bytes
+    are hex pairs separated by ASCII whitespace is read with one bounded
+    split and one hex decode.  Any other line, such as one with a pair cut
+    in half or with non-ASCII whitespace among the bytes, is read field by
+    field: every field split off, the byte fields joined, then decoded.
+    Both readings accept the same lines, and refuse the same lines with
+    the same message, the first fault in field order.
     """
-    fields = line.split()
     try:
-        time_text, port_text, hexrun = fields
+        # fromhex skips ASCII whitespace between pairs and at the line end
+        time_text, port_text, hexrun = line.split(None, 2)
+        raw = _fromhex(hexrun)
     except ValueError:
+        raw = None
+        fields = line.split()
         if len(fields) < 3:
             raise TraceFormatError(
                 f"expected time, port and cell bytes, got {len(fields)} fields"
@@ -349,10 +367,11 @@ def parse_trace_line(line: str) -> Tuple[float, int, bytes]:
         if len(_port_memo) >= _PORT_MEMO_MAX:
             _port_memo.clear()
         _port_memo[port_text] = port
-    try:
-        raw = _fromhex(hexrun)
-    except ValueError:
-        raise TraceFormatError("cell bytes are not valid hex") from None
+    if raw is None:
+        try:
+            raw = _fromhex(hexrun)
+        except ValueError:
+            raise TraceFormatError("cell bytes are not valid hex") from None
     if len(raw) != CELL_BYTES:
         raise TraceFormatError(f"cell is {CELL_BYTES} bytes, got {len(raw)}")
     return time_s, port, raw

@@ -207,13 +207,13 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     # so a bad line is refused with its number like any malformed one
     with open(args.trace, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            # file iteration yields no "", so this skips what strip() would
-            # empty without copying the line
-            if line.isspace():
-                continue
             try:
                 time_s, port, raw = parse_trace_line(line)
             except TraceFormatError as exc:
+                # a line of whitespace alone is refused as 0 fields and
+                # skipped; file iteration yields no ""
+                if line.isspace():
+                    continue
                 return _die(f"{args.trace}:{lineno}: {exc}", USAGE_ERROR)
             if only_port is not None and port != only_port:
                 continue

@@ -457,6 +457,54 @@ class TestTraceFormat:
             time_s, _, _ = parse_trace_line(format_trace_line(value, 0, cell))
             assert time_s == value
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False).filter(lambda t: t >= 0)
+        | st.integers(0, 2**1023),
+        st.integers(min_value=0),
+        st.integers(0, 2**32).map(random.Random),
+    )
+    def test_written_line_reads_back(self, time_s, port, rng):
+        cell = Cell(random_header(rng), rng.randbytes(PAYLOAD_BYTES))
+        parsed = parse_trace_line(format_trace_line(time_s, port, cell))
+        assert parsed == (float(time_s), port, encode_cell(cell))
+        assert repr(parsed[0]) == repr(float(time_s))  # -0.0 keeps its sign
+
+    @pytest.mark.parametrize(
+        "time_s, port, message",
+        [
+            (math.nan, 0, "time must be finite and >= 0, got nan"),
+            (math.inf, 0, "time must be finite and >= 0, got inf"),
+            (-math.inf, 0, "time must be finite and >= 0, got -inf"),
+            (-5e-324, 0, "time must be finite and >= 0, got -5e-324"),
+            (-1, 0, "time must be finite and >= 0, got -1"),
+            (10**400, 0, f"time must be finite and >= 0, got {10**400}"),
+            (True, 0, "bad time value 'True'"),
+            (0.5, -1, "port must be >= 0, got -1"),
+            (0.5, True, "bad port value 'True'"),
+            (0.5, False, "bad port value 'False'"),
+            (0.5, 1.0, "bad port value '1.0'"),
+        ],
+        ids=[
+            "nan",
+            "inf",
+            "-inf",
+            "negative-float",
+            "negative-int",
+            "int-past-float-range",
+            "bool-time",
+            "negative-port",
+            "true-port",
+            "false-port",
+            "float-port",
+        ],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, time_s, port, message):
+        cell = Cell(CellHeader(kind=InterfaceKind.UNI, vpi=0, vci=5))
+        with pytest.raises(ValueError) as refused:
+            format_trace_line(time_s, port, cell)
+        assert str(refused.value) == message
+
     def test_accepts_spaced_byte_pairs(self):
         cell = Cell(CellHeader(kind=InterfaceKind.UNI, vpi=0, vci=5))
         raw = encode_cell(cell)
@@ -518,8 +566,21 @@ class TestTraceFormat:
             ("0.25 3 " + " ".join(["00"] * CELL_BYTES), 0.25, 3),
             (f"0.25 3 {CELL_HEX}\r\n", 0.25, 3),
             (f"  5e-324 0 {CELL_HEX[:50]} {CELL_HEX[50:]}", 5e-324, 0),
+            (f"0.25\x0b3\x0c{CELL_HEX[:52]}\x0b{CELL_HEX[52:]}\x0c\n", 0.25, 3),
+            (f"0.25 3 {CELL_HEX[:51]} {CELL_HEX[51:]}\n", 0.25, 3),
+            (f"0.25\xa03\u2003{CELL_HEX[:52]}\x1c{CELL_HEX[52:]}\x85", 0.25, 3),
         ],
-        ids=["negative-zero", "plus-sign", "tabs", "spaced-pairs", "crlf", "split-run"],
+        ids=[
+            "negative-zero",
+            "plus-sign",
+            "tabs",
+            "spaced-pairs",
+            "crlf",
+            "split-run",
+            "ascii-space",
+            "pair-cut",
+            "non-ascii-space",
+        ],
     )
     def test_accepted_edge_cases(self, line, time_s, port):
         parsed = parse_trace_line(line)
@@ -584,12 +645,19 @@ TRACE_TIMES = ["0", "0.5", "5e-324", "-0.0", "1e400", "nan", "-inf", "1_0.5", "x
 TRACE_PORTS = ["0", "1", "007", "+3", "\u0663", "1_0", "-0", "-2", "256", "1.0", "x"]
 
 
+# ASCII whitespace, which bytes.fromhex() skips, then whitespace that
+# str.split() splits on but fromhex() refuses, so that a line holding it
+# among the cell bytes takes the field-by-field reading
+TRACE_SPACE = " \t\x0b\x0c" + "\x1c\x1d\x1e\x1f\x85\xa0\u2003"
+
+
 @st.composite
 def trace_lines(draw):
     """A trace line: good or bad time and port texts, then the cell bytes
-    as one hex run, a run split in two or spaced pairs, cut to 0..5 fields
-    or kept whole, with spaces or tabs between and a line end of none,
-    \\n or \\r\\n."""
+    as one hex run, spaced pairs or a run cut at 1..12 arbitrary points
+    (mid-pair included), cut to 0..5 fields or kept
+    whole, with gaps of spaces, tabs or other whitespace (ASCII or not)
+    and a line end of none, \\n, \\r\\n or whitespace."""
     # half the texts are well formed, so that many lines reach the later checks
     def text_of(good, edges):
         kind = draw(st.integers(0, 9))
@@ -600,27 +668,34 @@ def trace_lines(draw):
     size = draw(st.sampled_from([CELL_BYTES, CELL_BYTES, CELL_BYTES - 1, CELL_BYTES + 1]))
     hexrun = draw(st.binary(min_size=size, max_size=size)).hex()
     hexrun += draw(st.sampled_from(["", "", "", "", "0", "zz"]))
-    layout = draw(st.sampled_from(["run", "split", "pairs"]))
+    layout = draw(st.sampled_from(["run", "pairs", "cuts"]))
     if layout == "run":
         cell_fields = [hexrun]
-    elif layout == "split":
-        cut = draw(st.integers(1, len(hexrun) - 1))
-        cell_fields = [hexrun[:cut], hexrun[cut:]]
-    else:
+    elif layout == "pairs":
         cell_fields = [hexrun[i : i + 2] for i in range(0, len(hexrun), 2)]
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, len(hexrun) - 1), min_size=1, max_size=12)))
+        cell_fields = [hexrun[a:b] for a, b in zip([0, *cuts], [*cuts, len(hexrun)])]
     fields = [time_text, port_text, *cell_fields]
     fields = fields[: draw(st.sampled_from([len(fields), len(fields), 0, 1, 2, 3, 4, 5]))]
-    blank = st.sampled_from(["", " ", "\t", "  ", " \t "])
+    blank = st.sampled_from(["", " ", "\t", "  ", " \t "]) | st.text(
+        st.sampled_from(TRACE_SPACE), max_size=3
+    )
     # the first gap leads the line; an empty one only there
     gaps = [draw(blank)] + [draw(blank.filter(bool)) for _ in fields[1:]]
-    end = draw(st.sampled_from(["", "\n", "\r\n", " \r\n"]))
+    end = draw(
+        st.sampled_from(["", "\n", "\r\n", " \r\n"])
+        | st.text(st.sampled_from(TRACE_SPACE), min_size=1, max_size=2).map(lambda t: t + "\n")
+    )
     return "".join(g + f for g, f in zip(gaps, fields)) + end
 
 
 class TestTraceParserMatchesReference:
-    """parse_trace_line unpacks three fields on its fast path and reads
+    """parse_trace_line reads a line with one bounded split and one hex
+    decode where it can and field by field where it cannot, and reads
     ports through a memo; it must give what the plain parser gives, the
-    same values or the same refusal, on a memo miss and on a hit."""
+    same values or the same refusal, on either reading and on a memo miss
+    and a hit."""
 
     @settings(max_examples=600, deadline=None)
     @given(trace_lines())

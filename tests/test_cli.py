@@ -593,7 +593,9 @@ class TestConformanceCallBudget:
     calls: one parse per line, one header decode per cell of the port and
     one bucket update per decodable cell, with the decode itself run only
     on a miss of the header memo.  No other atmsim function may be entered
-    once per cell."""
+    once per cell.  Of the C calls that scan a line, a well-formed trace
+    makes one bounded split and one hex decode per line, and no
+    whitespace test."""
 
     def test_calls_per_cell(self, tmp_path, capsys):
         path = str(tmp_path / "trace.txt")
@@ -614,11 +616,15 @@ class TestConformanceCallBudget:
 
         package = os.path.dirname(cell_module.__file__) + os.sep
         calls: Counter = Counter()
+        c_calls: Counter = Counter()
 
-        def profile(frame, event, _arg):
+        def profile(frame, event, arg):
             code = frame.f_code
-            if event == "call" and code.co_filename.startswith(package):
-                calls[code] += 1
+            if code.co_filename.startswith(package):
+                if event == "call":
+                    calls[code] += 1
+                elif event == "c_call":
+                    c_calls[getattr(arg, "__qualname__", None)] += 1
 
         sys.setprofile(profile)
         try:
@@ -637,3 +643,6 @@ class TestConformanceCallBudget:
         # reported violation, far fewer times than there are cells
         assert len(port0) == 1000 and misses < 100
         assert {name: n for name, n in by_name.items() if n > misses + 10} == {}
+        assert c_calls["str.split"] == len(entries)
+        assert c_calls["bytes.fromhex"] == len(entries)
+        assert c_calls["str.isspace"] == 0
