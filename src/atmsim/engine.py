@@ -4,9 +4,9 @@ Events are dispatched in (time, insertion sequence) order, so identical
 (scenario, seed) pairs replay the exact same event stream and produce
 byte-identical reports.  An event is a ``(time, seq, fn, arg)`` entry on
 the one heap of an EventQueue; dispatch calls ``fn(arg)``, and the
-handler identifies the kind of event.  Every entry draws its ``seq`` from
-the queue's one counter, ``next_seq``, so no two entries tie and the heap
-never compares handlers.
+handler identifies the kind of event.  Every entry draws its ``seq`` as
+``next(self._seq)`` from the queue's one counter, so no two entries tie
+and the heap never compares handlers.
 
 The Engine is that EventQueue: every handler reads the clock as
 ``self.now``.  ``schedule`` serves the few events off the cell path
@@ -19,10 +19,13 @@ finish (``_complete``); ``_complete`` pushes the cell's arrival at the
 far end (``_arrive``), then starts the next waiting cell itself;
 ``_pace`` pushes a source's next emission.  An arrival entry carries the
 cell itself, whose ``link`` names the link it crossed.  The handlers
-pushed are bound once, in ``Engine.__init__``.  ``Engine.run``
-pops the heap directly, one read per event: it pops an entry, then tests
-it against the end of the run, and pushes the first entry past the end
-back for the audit to find.  Each invariant is checked at one named
+pushed are bound once, in ``Engine.__init__``, under names no method
+has (``_on_fire``, ``_on_complete``, ``_on_arrive``), as an attribute
+that shadows a method never specialises (PEP 659).  ``Engine.run`` pops
+the heap directly, one read per event: it pops an entry, then tests it
+against the end of the run, and pushes the first entry past the end back
+for the audit to find; its loop closes with ``while True:`` so that
+CPython 3.11 warms it.  Each invariant is checked at one named
 place: no entry is dated before ``now`` (``OrderingError`` at every push,
 in ``schedule`` and in each handler that pushes), entries dispatch in
 strictly increasing (time, seq) order (an assertion in ``run``), the
@@ -123,22 +126,22 @@ class EventQueue:
     """Future event list of (time, seq, fn, arg) entries, and its clock.
 
     Entries pop in (time, insertion sequence) order; the run loop calls
-    ``fn(arg)`` for each.  Whoever pushes onto ``_heap`` draws ``seq``
-    from ``next_seq`` and refuses a time before ``now``, as ``schedule``
+    ``fn(arg)`` for each.  Whoever pushes onto ``_heap`` draws ``seq`` as
+    ``next(self._seq)`` and refuses a time before ``now``, as ``schedule``
     does; whoever pops sets ``now`` and counts ``processed``, as ``pop``
     does.
     """
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
-        self.next_seq: Callable[[], int] = itertools.count().__next__
+        self._seq = itertools.count()
         self.now = 0.0
         self.processed = 0
 
     def schedule(self, time: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         if time < self.now:
             raise _into_past(time, self.now)
-        heappush(self._heap, (time, self.next_seq(), fn, arg))
+        heappush(self._heap, (time, next(self._seq), fn, arg))
 
     def pop(self) -> Tuple[float, int, Callable[[Any], None], Any]:
         entry = heappop(self._heap)
@@ -443,10 +446,10 @@ class Engine(EventQueue):
         self.duration = sc.duration_s
         self._half = sc.duration_s / 2.0
         # the per-hop handlers push these very objects, so no push builds
-        # a bound method
-        self._complete = self._complete
-        self._arrive = self._arrive
-        self._fire = self._fire
+        # a bound method; a name no method has lets their loads specialise
+        self._on_complete = self._complete
+        self._on_arrive = self._arrive
+        self._on_fire = self._fire
         self.nodes: Dict[str, NodeRuntime] = {}
         self.links: List[DirectedLink] = []
         self.flows: List[FlowState] = []
@@ -658,7 +661,7 @@ class Engine(EventQueue):
             self._accrue_busy(link, now, finish)
         if finish < now:
             raise _into_past(finish, now)
-        heappush(self._heap, (finish, self.next_seq(), self._complete, link))
+        heappush(self._heap, (finish, next(self._seq), self._on_complete, link))
 
     def _accrue_busy(self, link: DirectedLink, start: float, finish: float) -> None:
         """Split a span that straddles duration/2 or duration."""
@@ -680,7 +683,7 @@ class Engine(EventQueue):
         if arrival < now:
             raise _into_past(arrival, now)
         tc.link = link
-        heappush(self._heap, (arrival, self.next_seq(), self._arrive, tc))
+        heappush(self._heap, (arrival, next(self._seq), self._on_arrive, tc))
         if not link.waiting:
             link.holding = None
             return
@@ -695,7 +698,7 @@ class Engine(EventQueue):
             self._accrue_busy(link, now, finish)
         if finish < now:
             raise _into_past(finish, now)
-        heappush(self._heap, (finish, self.next_seq(), self._complete, link))
+        heappush(self._heap, (finish, next(self._seq), self._on_complete, link))
 
     def _arrive(self, tc: TransitCell) -> None:
         link = tc.link  # set by _complete
@@ -723,7 +726,7 @@ class Engine(EventQueue):
 
     def _schedule_sources(self) -> None:
         for flow in self.connections:
-            self.schedule(0.0, self._fire, flow)
+            self.schedule(0.0, self._on_fire, flow)
         if self.lane is not None:
             for state in self.lane.traffic:
                 if state.spec.start <= self.duration:
@@ -740,7 +743,7 @@ class Engine(EventQueue):
             flow.on_lost(tc, outcome.value)
         elif link.holding is None:
             self._start(link, now)
-        self._pace(flow, self._fire)
+        self._pace(flow, self._on_fire)
 
     def _lane_fire(self, state: LaneTrafficState) -> None:
         size = state.draw_size()
@@ -760,7 +763,7 @@ class Engine(EventQueue):
         if nxt <= self.duration:
             if nxt < now:
                 raise _into_past(nxt, now)
-            heappush(self._heap, (nxt, self.next_seq(), fire, source))
+            heappush(self._heap, (nxt, next(self._seq), fire, source))
 
     # -- run -------------------------------------------------------------------
 
@@ -773,7 +776,11 @@ class Engine(EventQueue):
         duration = self.duration
         processed = self.processed
         last_time, last_seq = -math.inf, -1
-        while heap:
+        # run is entered once, and CPython 3.11 warms code only on entry
+        # and at an unconditional backward jump, which ``while heap:`` lacks
+        while True:
+            if not heap:
+                break
             time, seq, fn, arg = entry = heappop(heap)
             if not time <= duration:  # the test heap[0][0] <= duration, NaN included
                 heappush(heap, entry)
@@ -794,7 +801,7 @@ class Engine(EventQueue):
     def _audit(self) -> None:
         """Cell conservation: each flow's in_flight counter (emitted -
         delivered - lost) equals the cells of it found in the network."""
-        links, arrive = self.links, self._arrive
+        links, arrive = self.links, self._on_arrive
         in_network = Counter(link.holding.flow for link in links if link.holding is not None)
         in_network.update(tc.flow for link in links for tc in link.waiting)
         in_network.update(arg.flow for _time, _seq, fn, arg in self._heap if fn == arrive)

@@ -175,7 +175,7 @@ class TestOrderingGuards:
         eng = build(cbr_scenario())
 
         def backdate(_arg):
-            heapq.heappush(eng._heap, (eng.now - 0.25, eng.next_seq(), print, None))
+            heapq.heappush(eng._heap, (eng.now - 0.25, next(eng._seq), print, None))
 
         eng.schedule(0.5, backdate)
         with pytest.raises(AssertionError, match="event dispatched out of order"):
@@ -186,7 +186,7 @@ class TestOrderingGuards:
         # The first cell bound for host b reaches the real arrival handler
         # twice, or only after the next cell of its VC has been delivered.
         eng = build(cbr_scenario())
-        arrive = eng._arrive
+        arrive = eng._on_arrive
         held = []
 
         def faulty(tc):
@@ -203,7 +203,7 @@ class TestOrderingGuards:
                 while held:
                     arrive(held.pop())
 
-        eng._arrive = faulty
+        eng._on_arrive = faulty
         with pytest.raises(AssertionError, match="per-VC FIFO violated on c1"):
             eng.run()
 
@@ -233,7 +233,7 @@ class TestOneSequence:
         seqs = [seq for _time, seq, _fn, _arg in heap]
         assert len(set(seqs)) == len(seqs)
         # every entry ever pushed was either dispatched or is still here
-        assert eng.next_seq() == eng.processed + len(heap)
+        assert next(eng._seq) == eng.processed + len(heap)
         keys = [heapq.heappop(heap)[:2] for _ in range(len(seqs))]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -356,7 +356,10 @@ class TestHopCallBudget:
     ``_start`` only for a cell sent to an idle link.  ``_fire``,
     ``_arrive`` and ``_complete`` do ``_send``'s and ``_start``'s work
     themselves, so they never enter ``_send``, and nothing counts an
-    emission per cell."""
+    emission per cell.  The heap holds them as the engine's bound
+    ``_on_fire``, ``_on_arrive`` and ``_on_complete``, whose code objects
+    are the methods' own, and each push draws its ``seq`` with the C call
+    ``next(self._seq)``, so no Python call is made per push."""
 
     def test_calls_per_event(self):
         # 10 of c11's 30 s: the queue at the bottleneck builds and marks

@@ -228,7 +228,7 @@ def assert_counters_match(engine, report, counts) -> None:
         assert switch["routed"] == counts.routed[name], name
     # a cell on the wire is held, propagating (its arrival on the heap)
     # or has arrived
-    arrive = engine._arrive
+    arrive = engine._on_arrive
     propagating = Counter(arg.link for _time, _seq, fn, arg in engine._heap if fn == arrive)
     for link in engine.links:
         on_wire = counts.crossed[link] + propagating[link] + (link.holding is not None)
