@@ -72,12 +72,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .aal5 import Reassembler, ReassemblyError, segment
-from .abr import (
-    AbrSourceState,
-    EfciObserver,
-    FeedbackIndication,
-    source_adjust,
-)
+from .abr import AbrSourceState, EfciObserver, source_adjust
 from .cell import CELL_BITS, VCI_MAX, ZERO_PAYLOAD
 from .errors import OrderingError
 from .lane import Bus, Lec, Les, atm_address, format_mac
@@ -89,7 +84,6 @@ from .scenario import (
     LaneTrafficSpec,
     NodeSpec,
     Scenario,
-    abr_observer,
     abr_source,
     emission_rate,
     link_booking,
@@ -212,7 +206,7 @@ class TransitCell:
     The VPI is always 0 on the paths the engine installs.  ``link`` is
     the link the cell last left, read by the arrival at its far end.
     ``payload`` is what the cell carries: 48 bytes of an AAL5 frame on a
-    LANE VC, zeros on a data connection, and the FeedbackIndication
+    LANE VC, zeros on a data connection, and the window's congested bit
     itself on an ABR feedback cell, since no codec ever sees a cell
     inside the engine.  The engine builds every one positionally, as a
     keyword call costs about twice as much.
@@ -240,7 +234,7 @@ class TransitCell:
         clp: int = 0,
         is_management: bool = False,
         aal5_last: bool = False,
-        payload: Union[bytes, FeedbackIndication] = ZERO_PAYLOAD,
+        payload: Union[bytes, bool] = ZERO_PAYLOAD,
     ):
         self.flow = flow
         self.link: Optional[DirectedLink] = None
@@ -533,7 +527,7 @@ class Engine(EventQueue):
             flow = ContractFlow(spec, generators[spec.generator], self.sc.seed, self.duration)
             violations += self._open_vc(flow, spec.route, self._data_sink)
             if spec.category is ServiceCategory.ABR:
-                flow.observer = abr_observer(spec)
+                flow.observer = EfciObserver(spec.abr.nrm)
                 flow.feedback = FeedbackFlow(flow)
                 violations += self._open_vc(flow.feedback, spec.route[::-1], self._feedback_sink)
             self.connections.append(flow)
@@ -582,24 +576,22 @@ class Engine(EventQueue):
         if len(pending) == DELAY_CHUNK:
             delays.fold()
         if flow.observer is not None:
-            indication = flow.observer.observe(tc.efci)
-            if indication is not None:
-                self.schedule(now, self._send_feedback, (flow, indication))
+            congested = flow.observer.observe(tc.efci)
+            if congested is not None:
+                self.schedule(now, self._send_feedback, (flow, congested))
 
     def _feedback_sink(self, tc: TransitCell) -> None:
         flow = tc.flow.conn
         assert flow.abr_source is not None
-        indication = tc.payload
-        flow.rate = source_adjust(flow.abr_source, indication)
-        flow.acr_log.append((self.now, flow.rate, indication.congested))
+        congested = tc.payload
+        flow.rate = source_adjust(flow.abr_source, congested)
+        flow.acr_log.append((self.now, flow.rate, congested))
 
-    def _send_feedback(self, arg: Tuple[ContractFlow, FeedbackIndication]) -> None:
-        flow, indication = arg
+    def _send_feedback(self, arg: Tuple[ContractFlow, bool]) -> None:
+        flow, congested = arg
         feedback = flow.feedback
         assert feedback is not None
-        tc = TransitCell(
-            feedback, self.now, feedback.sent, feedback.vci, 0, True, False, indication
-        )
+        tc = TransitCell(feedback, self.now, feedback.sent, feedback.vci, 0, True, False, congested)
         feedback.sent += 1
         self._send(feedback.tx, tc)
 

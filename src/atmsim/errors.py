@@ -6,4 +6,4 @@ class ContractError(ValueError):
 
 
 class OrderingError(ContractError):
-    """Timestamps or epochs moved backwards."""
+    """A timestamp moved backwards or cannot be compared."""

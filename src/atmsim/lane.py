@@ -147,10 +147,13 @@ class Les:
         self.port = port
         self.directory: Dict[bytes, bytes] = {}
         self._control_vcs: Dict[bytes, Any] = {}  # MAC -> the VC its replies go on
-        self.arp_requests = 0
         self.arp_hits = 0
         self.arp_misses = 0
         self.decode_errors = 0
+
+    @property
+    def arp_requests(self) -> int:
+        return self.arp_hits + self.arp_misses
 
     def register(self, mac: bytes, atm: bytes, control_vc: Any) -> None:
         """Idempotent for the same pair; a different ATM address for a
@@ -164,7 +167,6 @@ class Les:
         self._control_vcs[mac] = control_vc
 
     def resolve(self, mac: bytes) -> Optional[bytes]:
-        self.arp_requests += 1
         atm = self.directory.get(mac)
         if atm is None:
             self.arp_misses += 1

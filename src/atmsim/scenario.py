@@ -16,7 +16,7 @@ from functools import partial
 from os import PathLike
 from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver, default_source
+from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver
 from .cell import CELL_BITS
 from .lane import BROADCAST_MAC, atm_address, is_multicast, parse_mac
 from .record import Record, new_tuple
@@ -70,8 +70,8 @@ class GeneratorSpec(Record):
 
 
 class AbrOverrides(Record):
-    """ABR parameters; air and initial_acr left None take default_source's
-    values derived from the contract."""
+    """ABR parameters; air and initial_acr left None take AbrSourceState's
+    stock values derived from the contract."""
 
     __slots__ = ()
 
@@ -296,11 +296,7 @@ def emission_rate(gen: GeneratorSpec) -> Optional[float]:
 def abr_source(conn: ConnectionSpec) -> AbrSourceState:
     mcr = conn.descriptor.mcr if conn.descriptor.mcr is not None else 0.0
     abr = conn.abr
-    return default_source(conn.descriptor.pcr, mcr, abr.air, abr.rdf, abr.initial_acr)
-
-
-def abr_observer(conn: ConnectionSpec) -> EfciObserver:
-    return EfciObserver(nrm=conn.abr.nrm)
+    return AbrSourceState(conn.descriptor.pcr, mcr, abr.air, abr.rdf, abr.initial_acr)
 
 
 def validate_scenario(sc: Scenario) -> List[str]:
@@ -426,8 +422,8 @@ def validate_scenario(sc: Scenario) -> List[str]:
         for violation in validate_contract(conn.category, conn.descriptor, conn.qos):
             v.append(f"connection {cid}: {violation}")
         if conn.category is ServiceCategory.ABR:
-            for component in (abr_source, abr_observer):
-                v.extend(_construction_errors(f"connection {cid}", component, conn))
+            v.extend(_construction_errors(f"connection {cid}", abr_source, conn))
+            v.extend(_construction_errors(f"connection {cid}", EfciObserver, conn.abr.nrm))
 
     if sc.lane is not None:
         v.extend(_validate_lane(sc, nodes, adjacency))

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from conftest import c11_scenario
 
-from atmsim.abr import EfciObserver
+from atmsim.abr import EfciObserver, source_adjust
 from atmsim.cell import VCI_MAX
 from atmsim.cli import main
 from atmsim.engine import (
@@ -181,16 +181,31 @@ class TestOrderingGuards:
         with pytest.raises(AssertionError, match="event dispatched out of order"):
             eng.run()
 
-    @pytest.mark.parametrize("fault", ["duplicate", "reordered"])
-    def test_cell_out_of_order_at_its_endpoint_breaks_per_vc_fifo(self, fault):
-        # The first cell bound for host b reaches the real arrival handler
-        # twice, or only after the next cell of its VC has been delivered.
-        eng = build(cbr_scenario())
+    @pytest.mark.parametrize(
+        "fault, vc",
+        [
+            pytest.param("duplicate", "data", id="duplicate"),
+            pytest.param("reordered", "data", id="reordered"),
+            pytest.param("duplicate", "feedback", id="feedback-duplicate"),
+            pytest.param("reordered", "feedback", id="feedback-reordered"),
+        ],
+    )
+    def test_cell_out_of_order_at_its_endpoint_breaks_per_vc_fifo(self, fault, vc):
+        # The first cell of the VC reaches the real arrival handler at its
+        # endpoint twice, or only after the VC's next cell has been
+        # delivered: c1's data cells bound for host b, or fa's feedback
+        # cells bound back for host ha.
+        if vc == "data":
+            eng = build(cbr_scenario())
+            target = eng.connections[0]
+        else:
+            eng = build(c11_scenario())
+            target = eng.connections[0].feedback
         arrive = eng._on_arrive
         held = []
 
         def faulty(tc):
-            if tc.link.to_switch or tc.seq > 1:
+            if tc.link.to_switch or tc.flow is not target or tc.seq > 1:
                 arrive(tc)
             elif tc.seq == 0:
                 if fault == "duplicate":
@@ -204,8 +219,13 @@ class TestOrderingGuards:
                     arrive(held.pop())
 
         eng._on_arrive = faulty
-        with pytest.raises(AssertionError, match="per-VC FIFO violated on c1"):
+        with pytest.raises(AssertionError, match=f"per-VC FIFO violated on {target.id}$"):
             eng.run()
+        # the check fires before the sink: only the one in-order delivery
+        # counted, and for feedback, adjusted the source's rate
+        assert target.metrics.delivered == 1
+        if vc == "feedback":
+            assert len(target.conn.acr_log) == 1
 
 
 class TestOneSequence:
@@ -405,6 +425,8 @@ class TestHopCallBudget:
         assert n(OutputQueue.enqueue) == fired + arrived - data - feedback + fed_back
         assert n(Engine._pace, Engine._fire) == n(Engine._pace) == fired
         assert n(EfciObserver.observe, Engine._data_sink) == n(EfciObserver.observe) == data
+        # one rate change per delivered feedback cell, and no other
+        assert n(source_adjust, Engine._feedback_sink) == n(source_adjust) == feedback
         # a busy period starts with a send to an idle link and ends with a
         # finish that leaves the queue empty, or with the run
         still_busy = sum(link.holding is not None for link in eng.links)

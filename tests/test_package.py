@@ -106,7 +106,6 @@ SCHEMA_RECORDS = {
         "LaneSpec",
     ],
     "traffic": ["TrafficDescriptor", "QosRequirement"],
-    "abr": ["FeedbackIndication"],
 }
 CODEC_AND_REPORT_VALUES = {
     "cell": ["CellHeader", "Cell", "DecodeOutcome"],

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import atmsim
-from atmsim.abr import FeedbackIndication
 from atmsim.cell import Cell, CellHeader, DecodeOutcome, DecodeStatus, InterfaceKind
 from atmsim.engine import RunReport
 from atmsim.lane import BROADCAST_MAC
@@ -67,7 +66,6 @@ VALUES = {
     CellHeader: tuple(HEADER),
     Cell: (HEADER, bytes(range(48))),
     DecodeOutcome: (DecodeStatus.CORRECTED, HEADER, 7),
-    FeedbackIndication: (True, 3),
     VcRoute: (1, 2, 3),
     RunReport: (1.0, 0, 10, {"c": {"lost": 0}}, {}, {}, {"c": [(0.0, 1.0, False)]}, None),
 }
