@@ -56,9 +56,12 @@ the entry names the next link and VCI, at a host the sink of the VC that
 ends there.  The label tables of ``atmsim.switch`` serve codec-level
 Cell values only.
 
-Every flow counts its cells once: emitted in ``sent``, lost by loss
-priority and delivered in its ConnectionMetrics.  Cell conservation, the
-audit run at the end, compares them with the cells still in the network.
+Every flow counts its cells once, on its own record: emitted in
+``sent``, delivered in ``delivered`` and lost by cause in
+``loss_reasons``.  A cell always carries its flow's CLP, so the report
+derives every per-CLP count and ratio from these.  Cell conservation,
+the audit run at the end, compares them with the cells still in the
+network.
 """
 
 from __future__ import annotations
@@ -93,13 +96,7 @@ from .scenario import (
     validate_scenario,
 )
 from .switch import ACCEPTED, LinkBooking, OutputQueue, cac_admit
-from .traffic import (
-    DELAY_CHUNK,
-    ConnectionMetrics,
-    ServiceCategory,
-    compute_clr,
-    delay_stats,
-)
+from .traffic import DELAY_CHUNK, DelayMoments, ServiceCategory, delay_stats
 
 FIRST_VCI = 32  # low label values left alone, control-plane style
 
@@ -249,46 +246,49 @@ class TransitCell:
 
 
 class FlowState:
-    """One unidirectional cell stream of any traffic class.
+    """One unidirectional cell stream of any traffic class, and the one
+    record of its cell counts.
 
-    ``sent`` counts its emitted cells and is the next cell's ``seq``.
-    Every cell leaves with the flow's ``clp``, so ``Engine.run`` fills the
-    emitted counters of ``metrics`` from ``sent`` at the end; the audit
-    checks them against losses and deliveries.  ``tx`` and ``vci`` are the
-    first hop of the flow's path: the link its cells enter and the label
-    they carry on it.
+    ``sent`` counts its emitted cells and is the next cell's ``seq``;
+    ``delivered`` counts those that reached the far end and
+    ``loss_reasons`` those lost, by cause.  Every cell leaves with the
+    flow's ``clp``, so the report splits these counts by CLP from it, and
+    the audit checks them against the cells still in the network.  ``tx``
+    and ``vci`` are the first hop of the flow's path: the link its cells
+    enter and the label they carry on it.
     """
 
     def __init__(self, flow_id: str):
         self.id = flow_id
         self.clp = 0  # a ContractFlow's is its connection's
-        self.metrics = ConnectionMetrics()
-        self.loss_reasons: Dict[str, int] = {}
         self.sent = 0
+        self.delivered = 0
+        self.loss_reasons: Dict[str, int] = {}
         self.last_delivered_seq = -1  # per-VC FIFO, checked by Engine._arrive
         self.tx: Optional[DirectedLink] = None
         self.vci = 0
 
     def on_lost(self, tc: TransitCell, reason: str) -> None:
+        """Count a loss by its cause; ``tc``, the cell lost, is there for
+        a wrapper to read."""
         self.loss_reasons[reason] = self.loss_reasons.get(reason, 0) + 1
-        if tc.clp == 1:
-            self.metrics.lost_clp1 += 1
-        else:
-            self.metrics.lost_clp0 += 1
 
 
 class ContractFlow(FlowState):
     """One scenario connection: its pacing, delays, ABR machinery.
 
-    ``rate`` (cells/s) paces emission: the generator's rate, or the ACR of
-    an ABR source, which feedback rewrites.  An on/off source also has a
-    ``gate``, drawing from the connection's own stream.
+    ``delays`` holds the transfer delays its data sink records; no other
+    flow measures them.  ``rate`` (cells/s) paces emission: the
+    generator's rate, or the ACR of an ABR source, which feedback
+    rewrites.  An on/off source also has a ``gate``, drawing from the
+    connection's own stream.
     """
 
     def __init__(self, spec: ConnectionSpec, gen: GeneratorSpec, seed: int, end: float):
         super().__init__(spec.id)
         self.spec = spec
         self.clp = spec.clp  # read per emission, as FlowState.vci is
+        self.delays = DelayMoments()
         self.abr_source: Optional[AbrSourceState] = None
         if spec.category is ServiceCategory.ABR:
             self.abr_source = abr_source(spec)
@@ -570,7 +570,7 @@ class Engine(EventQueue):
     def _data_sink(self, tc: TransitCell) -> None:
         flow = tc.flow
         now = self.now
-        delays = flow.metrics.delays
+        delays = flow.delays
         pending = delays.pending
         pending.append(now - tc.entry_time)
         if len(pending) == DELAY_CHUNK:
@@ -711,7 +711,7 @@ class Engine(EventQueue):
             if tc.seq <= flow.last_delivered_seq:
                 raise AssertionError(f"per-VC FIFO violated on {flow.id}")
             flow.last_delivered_seq = tc.seq
-            flow.metrics.delivered += 1
+            flow.delivered += 1
             entry(tc)
 
     # -- traffic sources -------------------------------------------------------
@@ -784,27 +784,24 @@ class Engine(EventQueue):
             processed += 1
             fn(arg)
         self.processed = processed
-        for flow in self.flows:  # every cell of a flow leaves with its clp
-            counts = (0, flow.sent) if flow.clp == 1 else (flow.sent, 0)
-            flow.metrics.transmitted_clp0, flow.metrics.transmitted_clp1 = counts
         self._audit()
         return self._report()
 
     def _audit(self) -> None:
-        """Cell conservation: each flow's in_flight counter (emitted -
-        delivered - lost) equals the cells of it found in the network."""
+        """Cell conservation: each flow's cells in flight (emitted -
+        delivered - lost) equal the cells of it found in the network."""
         links, arrive = self.links, self._on_arrive
         in_network = Counter(link.holding.flow for link in links if link.holding is not None)
         in_network.update(tc.flow for link in links for tc in link.waiting)
         in_network.update(arg.flow for _time, _seq, fn, arg in self._heap if fn == arrive)
         for flow in self.flows:
-            metrics = flow.metrics
+            lost = sum(flow.loss_reasons.values())
             actual = in_network[flow]
-            if metrics.in_flight != actual:
+            if flow.sent - flow.delivered - lost != actual:
                 raise AssertionError(
                     f"conservation broken on {flow.id}: "
-                    f"{metrics.transmitted} emitted, {metrics.delivered} delivered, "
-                    f"{metrics.lost} lost, {actual} still in the network"
+                    f"{flow.sent} emitted, {flow.delivered} delivered, "
+                    f"{lost} lost, {actual} still in the network"
                 )
 
     # -- reporting ---------------------------------------------------------------
@@ -813,21 +810,25 @@ class Engine(EventQueue):
         connections = {}
         abr_series = {}
         for flow in self.connections:
-            stats = delay_stats(flow.metrics.delays)
+            stats = delay_stats(flow.delays)
+            sent, delivered = flow.sent, flow.delivered
+            lost = sum(flow.loss_reasons.values())
+            clr = lost / sent if sent else 0.0
+            clp1 = flow.clp == 1  # every cell of the flow carries its clp
             entry: Dict[str, Any] = {
                 "category": flow.spec.category.name,
-                "transmitted": flow.metrics.transmitted,
-                "transmitted_clp0": flow.metrics.transmitted_clp0,
-                "transmitted_clp1": flow.metrics.transmitted_clp1,
-                "delivered": flow.metrics.delivered,
-                "lost": flow.metrics.lost,
-                "lost_clp0": flow.metrics.lost_clp0,
-                "lost_clp1": flow.metrics.lost_clp1,
-                "in_flight": flow.metrics.in_flight,
+                "transmitted": sent,
+                "transmitted_clp0": 0 if clp1 else sent,
+                "transmitted_clp1": sent if clp1 else 0,
+                "delivered": delivered,
+                "lost": lost,
+                "lost_clp0": 0 if clp1 else lost,
+                "lost_clp1": lost if clp1 else 0,
+                "in_flight": sent - delivered - lost,
                 "loss_reasons": dict(sorted(flow.loss_reasons.items())),
-                "clr": compute_clr(flow.metrics),
-                "clr_clp0": compute_clr(flow.metrics, 0),
-                "clr_clp1": compute_clr(flow.metrics, 1),
+                "clr": clr,
+                "clr_clp0": 0.0 if clp1 else clr,
+                "clr_clp1": clr if clp1 else 0.0,
                 "delay": None if stats is None else stats._asdict(),
             }
             if flow.abr_source is not None:
@@ -838,9 +839,9 @@ class Engine(EventQueue):
                     "mcr": flow.abr_source.mcr,
                     "pcr": flow.abr_source.pcr,
                     "adjustments": len(flow.acr_log),
-                    "feedback_sent": feedback.metrics.transmitted,
-                    "feedback_delivered": feedback.metrics.delivered,
-                    "feedback_lost": feedback.metrics.lost,
+                    "feedback_sent": feedback.sent,
+                    "feedback_delivered": feedback.delivered,
+                    "feedback_lost": sum(feedback.loss_reasons.values()),
                 }
                 abr_series[flow.id] = list(flow.acr_log)
             connections[flow.id] = entry

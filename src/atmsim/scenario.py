@@ -135,6 +135,11 @@ def _expect(kind: type, obj: Any, where: str) -> Any:
         return as_float if kind is float else obj
     if not isinstance(obj, kind):
         raise ScenarioError(f"{where}: expected {kind.__name__}, got {type(obj).__name__}")
+    if kind is str and not obj.isascii():
+        try:
+            obj.encode("utf-8")
+        except UnicodeEncodeError:  # a \ud800-style escape: no file or terminal takes it
+            raise ScenarioError(f"{where}: string contains a lone surrogate") from None
     return obj
 
 
@@ -261,12 +266,13 @@ def load_scenario(source: Union[str, PathLike[str], Dict[str, Any]]) -> Scenario
     if isinstance(source, dict):
         raw = source
     else:
-        with open(source) as handle:
-            text = handle.read()
-        try:
-            raw = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
-            raise ScenarioError(f"not valid JSON: {exc}") from None
+        with open(source, encoding="utf-8") as handle:  # RFC 8259: JSON text is UTF-8
+            try:
+                raw = json.loads(handle.read())
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, an integer of too many digits, bytes that are
+                # not UTF-8, or arrays or objects nested deeper than the parser goes
+                raise ScenarioError(f"not valid JSON: {exc}") from None
     return _record(Scenario, raw, "scenario")
 
 
@@ -367,9 +373,11 @@ def validate_scenario(sc: Scenario) -> List[str]:
         if cid in conn_ids:
             v.append(f"connection {cid}: duplicate id")
         conn_ids.add(cid)
+        # run --out names a file abr_<id>.csv, and file names stop at 255 bytes
         if "/" in cid or "\0" in cid:
-            # run --out names a file abr_<id>.csv
             v.append(f"connection {cid!r}: id must not contain '/' or NUL")
+        elif len(f"abr_{cid}.csv".encode("utf-8", "surrogatepass")) > 255:
+            v.append(f"connection {cid!r}: id must be at most 247 bytes in UTF-8")
         if conn.clp not in (0, 1):
             v.append(f"connection {cid}: clp must be 0 or 1")
         if len(conn.route) < 2:

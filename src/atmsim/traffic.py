@@ -494,55 +494,3 @@ def delay_stats(delays: Union[DelayMoments, Sequence[float]]) -> Optional[DelayS
         delays = moments
     return delays.stats()
 
-
-class ConnectionMetrics:
-    """Per-connection cell accounting, split by loss priority, and the
-    moments of its transfer delays."""
-
-    __slots__ = (
-        "transmitted_clp0",
-        "transmitted_clp1",
-        "lost_clp0",
-        "lost_clp1",
-        "delivered",
-        "delays",
-    )
-
-    def __init__(self) -> None:
-        self.transmitted_clp0 = 0
-        self.transmitted_clp1 = 0
-        self.lost_clp0 = 0
-        self.lost_clp1 = 0
-        self.delivered = 0
-        self.delays = DelayMoments()
-
-    @property
-    def transmitted(self) -> int:
-        return self.transmitted_clp0 + self.transmitted_clp1
-
-    @property
-    def lost(self) -> int:
-        return self.lost_clp0 + self.lost_clp1
-
-    @property
-    def in_flight(self) -> int:
-        """Cells still inside the network: transmitted - delivered - lost."""
-        return self.transmitted - self.delivered - self.lost
-
-
-def compute_clr(metrics: ConnectionMetrics, clp: Optional[int] = None) -> float:
-    """Cell loss ratio lost/transmitted for one CLP class (None = both).
-
-    Zero transmitted cells give a CLR of 0.0 rather than a division error.
-    """
-    if clp is None:
-        lost, transmitted = metrics.lost, metrics.transmitted
-    elif clp == 0:
-        lost, transmitted = metrics.lost_clp0, metrics.transmitted_clp0
-    elif clp == 1:
-        lost, transmitted = metrics.lost_clp1, metrics.transmitted_clp1
-    else:
-        raise ValueError("clp must be 0, 1 or None")
-    if transmitted == 0:
-        return 0.0
-    return lost / transmitted

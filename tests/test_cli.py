@@ -2,12 +2,14 @@
 
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 
 import pytest
 from conftest import GOLDEN_CONTRACT, GOLDEN_RUNS, write_seeded_trace
 
+import atmsim
 from atmsim import cell as cell_module
 from atmsim.cell import (
     HEADER_BYTES,
@@ -24,6 +26,13 @@ from atmsim.cli import main
 from atmsim.engine import preflight
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.dirname(os.path.dirname(atmsim.__file__))
+
+# argv: the directory holding atmsim, then the CLI's own arguments
+CLI = (
+    "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "from atmsim.cli import main; sys.exit(main())"
+)
 
 
 def write_scenario(tmp_path, raw: dict, name="scenario.json") -> str:
@@ -198,6 +207,24 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{oops")
         assert main(["validate", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"duration_s": 1, "nodes": ' + b"[" * 200_000, b'{"duration_s": 1, "seed": "\xff"}'],
+        ids=["nested_200000_deep", "not_utf8"],
+    )
+    def test_unparsable_json_is_one_error_line(self, tmp_path, text):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text)
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", CLI, SRC, "validate", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: not valid JSON: ")
+        assert len(done.stderr.splitlines()) == 1
 
     def test_admission_failure_reported(self, tmp_path, capsys):
         raw = small_scenario()

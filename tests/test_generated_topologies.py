@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from atmsim import engine as engine_module
-from atmsim.engine import Engine, build, preflight
+from atmsim.engine import Engine, FlowState, build, preflight
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -186,19 +186,21 @@ def test_rejected_up_front_or_runs_to_the_same_balanced_report_twice(guarded_run
 
 @contextlib.contextmanager
 def counted_cells():
-    """Count, test-side, the cells behind three report counters the engine
+    """Count, test-side, the cells behind the report counters the engine
     derives: each switch's ``routed``, each link's ``cells`` and each
-    flow's ``transmitted_clp0`` / ``transmitted_clp1``.
+    flow's cells emitted and lost by CLP.
 
-    ``Engine._arrive`` is wrapped on the class and ``TransitCell`` replaced
-    in the engine's module, so build the engine inside the block.  Yields
-    ``routed`` (switch name -> arrivals over an installed VCI),
-    ``crossed`` (link -> arrivals dispatched over it) and ``emitted``
-    ((flow, clp) -> cells made).
+    ``Engine._arrive`` and ``FlowState.on_lost`` are wrapped on their
+    classes and ``TransitCell`` replaced in the engine's module, so build
+    the engine inside the block.  Yields ``routed`` (switch name ->
+    arrivals over an installed VCI), ``crossed`` (link -> arrivals
+    dispatched over it), ``emitted`` ((flow, clp) -> cells made) and
+    ``lost`` ((flow, clp) -> cells lost, by the CLP each carried when lost).
     """
     arrive = Engine._arrive
+    on_lost = FlowState.on_lost
     transit_cell = engine_module.TransitCell
-    counts = SimpleNamespace(routed=Counter(), crossed=Counter(), emitted=Counter())
+    counts = SimpleNamespace(routed=Counter(), crossed=Counter(), emitted=Counter(), lost=Counter())
 
     def counting_arrive(engine, tc):
         link = tc.link
@@ -206,6 +208,10 @@ def counted_cells():
         if link.to_switch and tc.vci in link.vcs:
             counts.routed[link.dst] += 1
         return arrive(engine, tc)
+
+    def counting_on_lost(flow, tc, reason):
+        counts.lost[flow, tc.clp] += 1
+        return on_lost(flow, tc, reason)
 
     class CountedCell(transit_cell):
         __slots__ = ()
@@ -215,11 +221,13 @@ def counted_cells():
             counts.emitted[flow, self.clp] += 1
 
     Engine._arrive = counting_arrive  # type: ignore[method-assign]
+    FlowState.on_lost = counting_on_lost  # type: ignore[method-assign]
     engine_module.TransitCell = CountedCell  # type: ignore[misc]
     try:
         yield counts
     finally:
         Engine._arrive = arrive  # type: ignore[method-assign]
+        FlowState.on_lost = on_lost  # type: ignore[method-assign]
         engine_module.TransitCell = transit_cell  # type: ignore[misc]
 
 
@@ -233,16 +241,17 @@ def assert_counters_match(engine, report, counts) -> None:
     for link in engine.links:
         on_wire = counts.crossed[link] + propagating[link] + (link.holding is not None)
         assert report.links[link.name]["cells"] == on_wire, link.name
+    # the report splits a flow's counts by its clp: no cell of a flow may
+    # be emitted or lost with the other CLP
     for flow in engine.flows:
-        emitted = (counts.emitted[flow, 0], counts.emitted[flow, 1])
-        metrics = flow.metrics
-        assert (metrics.transmitted_clp0, metrics.transmitted_clp1) == emitted, flow.id
+        other = 1 - flow.clp
+        assert (counts.emitted[flow, other], counts.lost[flow, other]) == (0, 0), flow.id
+        assert counts.emitted[flow, flow.clp] == flow.sent, flow.id
     for flow in engine.connections:
         conn = report.connections[flow.id]
-        assert (conn["transmitted_clp0"], conn["transmitted_clp1"]) == (
-            counts.emitted[flow, 0],
-            counts.emitted[flow, 1],
-        ), flow.id
+        for clp in (0, 1):
+            assert conn[f"transmitted_clp{clp}"] == counts.emitted[flow, clp], flow.id
+            assert conn[f"lost_clp{clp}"] == counts.lost[flow, clp], flow.id
 
 
 @settings(

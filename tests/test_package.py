@@ -116,7 +116,7 @@ CODEC_AND_REPORT_VALUES = {
 RUN_STATE = {
     "abr": ["AbrSourceState", "EfciObserver"],
     "lane": ["LecCounters", "DestinationStats", "ArpCacheEntry"],
-    "traffic": ["Gcra", "Policer", "ConnectionMetrics"],
+    "traffic": ["Gcra", "Policer", "DelayMoments"],
 }
 
 

@@ -480,12 +480,36 @@ class TestConnectionValidation:
         [
             ("x/y", "connection 'x/y': id must not contain '/' or NUL"),
             ("x\0y", "connection 'x\\x00y': id must not contain '/' or NUL"),
+            pytest.param(
+                "x" * 248,
+                f"connection {'x' * 248!r}: id must be at most 247 bytes in UTF-8",
+                id="248-bytes",
+            ),
+            pytest.param(
+                "é" * 124,
+                f"connection {'é' * 124!r}: id must be at most 247 bytes in UTF-8",
+                id="248-bytes-of-124-chars",
+            ),
+            pytest.param(
+                "fa\ud800",
+                "connections[0].id: string contains a lone surrogate",
+                id="lone-surrogate",
+            ),
         ],
     )
     def test_id_that_cannot_name_a_file_rejected(self, cid, message):
         raw = base_scenario()
         raw["connections"][0]["id"] = cid
-        assert violations_of(raw) == [message]
+        try:
+            found = violations_of(raw)
+        except ScenarioError as exc:  # a string no file name can hold
+            found = [str(exc)]
+        assert found == [message]
+
+    def test_id_of_247_bytes_accepted(self):
+        raw = base_scenario()
+        raw["connections"][0]["id"] = "x" * 247
+        assert violations_of(raw) == []
 
     def test_clp_range(self):
         raw = base_scenario()

@@ -28,7 +28,6 @@ from atmsim.switch import booking_rate
 from atmsim.traffic import (
     CATEGORY_RULES,
     DELAY_CHUNK,
-    ConnectionMetrics,
     DelayMoments,
     DelayStats,
     Gcra,
@@ -39,7 +38,6 @@ from atmsim.traffic import (
     Shaper,
     TrafficDescriptor,
     burst_tolerance,
-    compute_clr,
     conform_update,
     contract_buckets,
     delay_stats,
@@ -1012,27 +1010,7 @@ class TestMetrics:
     def test_delay_stats_empty(self):
         assert delay_stats([]) is None
 
-    def test_compute_clr(self):
-        metrics = ConnectionMetrics()
-        assert compute_clr(metrics) == 0.0
-        metrics.transmitted_clp0 = 90
-        metrics.transmitted_clp1 = 10
-        metrics.lost_clp0 = 9
-        metrics.lost_clp1 = 5
-        assert compute_clr(metrics) == pytest.approx(14 / 100)
-        assert compute_clr(metrics, 0) == pytest.approx(9 / 90)
-        assert compute_clr(metrics, 1) == pytest.approx(5 / 10)
 
-    def test_compute_clr_rejects_an_unknown_clp(self):
-        with pytest.raises(ValueError, match="clp must be 0, 1 or None"):
-            compute_clr(ConnectionMetrics(), clp=2)
-
-    def test_in_flight(self):
-        metrics = ConnectionMetrics()
-        metrics.transmitted_clp0 = 10
-        metrics.delivered = 7
-        metrics.lost_clp0 = 1
-        assert metrics.in_flight == 2
 def reference_stats(samples):
     """What delay_stats must give: the statistics module on the whole list."""
     return DelayStats(
@@ -1079,7 +1057,7 @@ class RecordingMoments(DelayMoments):
 def c11_run():
     engine = build(c11_scenario())
     for flow in engine.connections:
-        flow.metrics.delays = RecordingMoments()
+        flow.delays = RecordingMoments()
     return engine, engine.run()
 
 
@@ -1130,8 +1108,8 @@ class TestDelayMoments:
     def test_c11_delays_match_statistics_module(self, c11_run):
         engine, report = c11_run
         for flow in engine.connections:
-            samples = flow.metrics.delays.samples
-            assert len(samples) == flow.metrics.delivered > 2 * DELAY_CHUNK
+            samples = flow.delays.samples
+            assert len(samples) == flow.delivered > 2 * DELAY_CHUNK
             expected = reference_stats(samples)
             assert delay_stats(samples) == expected
             assert report.connections[flow.id]["delay"] == expected._asdict()
@@ -1139,9 +1117,9 @@ class TestDelayMoments:
     def test_c11_buffer_stays_below_one_chunk(self, c11_run):
         engine, _report = c11_run
         for flow in engine.connections:
-            delays = flow.metrics.delays
+            delays = flow.delays
             assert len(delays.pending) < DELAY_CHUNK
-            assert delays.folded + len(delays.pending) == flow.metrics.delivered
+            assert delays.folded + len(delays.pending) == flow.delivered
             # folded as each chunk filled during the run, never above one
             assert max(delays.fold_sizes) == DELAY_CHUNK
 
