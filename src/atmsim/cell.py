@@ -50,12 +50,14 @@ class InterfaceKind(enum.Enum):
 
 
 def _crc8_table(poly: int) -> Tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte
+    # CRC-8 with zero init is linear: only the eight single-bit bytes go
+    # through the register, and entry 2**k + low is row 2**k XOR entry low.
+    table = [0]
+    for k in range(8):
+        crc = 1 << k
         for _ in range(8):
             crc = ((crc << 1) ^ poly) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
-        table.append(crc)
+        table += [crc ^ low for low in table]
     return tuple(table)
 
 

@@ -4,6 +4,9 @@
 cell-rate buckets whether the cell conforms; it counts verdicts and
 builds no cell.
 
+Only ``run`` and ``validate`` import the simulator, through the package
+root; ``conformance`` and ``hec`` load only the codec and the contract.
+
 Exit codes: 0 on success, 1 when a scenario fails validation or a trace
 contains non-conforming cells, 2 on usage errors (a missing file or a
 directory given as one, a ``run --out`` that names a file or a path
@@ -27,9 +30,7 @@ from .cell import (
     encode_header,
     parse_trace_line,
 )
-from .engine import ScenarioInvalid, build, preflight
 from .errors import OrderingError
-from .scenario import ScenarioError, load_scenario
 from .traffic import TrafficDescriptor, conform_update, contract_buckets
 
 USAGE_ERROR = 2
@@ -80,6 +81,8 @@ def _not_a_directory(out: str) -> Optional[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from . import ScenarioError, ScenarioInvalid, build, load_scenario
+
     problem = _not_a_file(args.scenario)
     if problem is not None:
         return _die(problem, USAGE_ERROR)
@@ -164,6 +167,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from . import ScenarioError, load_scenario, preflight
+
     problem = _not_a_file(args.scenario)
     if problem is not None:
         return _die(problem, USAGE_ERROR)

@@ -131,21 +131,25 @@ def c11_scenario() -> Dict[str, Any]:
 REFERENCE_SCENARIO = os.path.join(os.path.dirname(__file__), "data", "reference_scenario.json")
 
 
+def modules_loaded_by(code: str, *packages: str) -> List[str]:
+    """The modules of ``packages`` loaded in a fresh isolated interpreter
+    that imports atmsim from this checkout's sources and runs ``code``."""
+    src = os.path.dirname(os.path.dirname(atmsim.__file__))
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r})\n{code}\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 def modules_loaded_by_importing_atmsim(*packages: str, run: bool = True) -> List[str]:
     """The modules of ``packages`` that ``import atmsim, atmsim.cli``, then,
     if ``run``, loading and running the reference scenario, load in a fresh
     isolated interpreter."""
-    src = os.path.dirname(os.path.dirname(atmsim.__file__))
-    reference_run = f"atmsim.run(atmsim.load_scenario({REFERENCE_SCENARIO!r})); " if run else ""
-    code = (
-        f"import json, sys; sys.path.insert(0, {src!r}); import atmsim, atmsim.cli; "
-        f"{reference_run}"
-        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    return json.loads(out)
+    reference_run = f"atmsim.run(atmsim.load_scenario({REFERENCE_SCENARIO!r}))" if run else ""
+    return modules_loaded_by(f"import atmsim, atmsim.cli\n{reference_run}", *packages)
 
 
 @pytest.fixture(scope="session")

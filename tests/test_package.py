@@ -1,6 +1,7 @@
-"""Where names live: the package root names the run API only, only
-``atmsim.lane`` speaks the LE-ARP control format, and the protocol core
-imports nothing from the scenario, engine or CLI layers.  How records are
+"""Where names live: the package root names the run API only and loads
+it on first use, only ``atmsim.lane`` speaks the LE-ARP control format,
+the protocol core imports nothing from the scenario, engine or CLI
+layers, and the CLI's cell commands load no simulator.  How records are
 written: values are records, tuples with named fields, run state is
 slotted classes, no class is a dataclass, and start-up runs no generated
 code."""
@@ -15,7 +16,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import modules_loaded_by_importing_atmsim
+from conftest import (
+    GOLDEN_CONTRACT,
+    modules_loaded_by,
+    modules_loaded_by_importing_atmsim,
+    write_seeded_trace,
+)
 
 import atmsim
 
@@ -88,6 +94,70 @@ def test_import_reader_sees_every_form():
 def test_protocol_core_does_not_import_upper_layers(module):
     path = Path(atmsim.__file__).parent / f"{module}.py"
     assert not atmsim_imports(path.read_text()) & UPPER_LAYERS
+
+
+def test_importing_the_package_root_loads_no_submodule():
+    assert modules_loaded_by("import atmsim", "atmsim") == ["atmsim"]
+
+
+@pytest.mark.parametrize("module", PROTOCOL_CORE)
+def test_protocol_core_loads_no_upper_layer(module):
+    """The run-time counterpart of the source check above: importing a
+    protocol-core module alone loads none of the upper layers."""
+    loaded = modules_loaded_by(f"import atmsim.{module}", "atmsim")
+    assert f"atmsim.{module}" in loaded
+    assert not {name.split(".")[-1] for name in loaded} & UPPER_LAYERS
+
+
+# what only a simulation needs
+SIMULATOR = ["aal5", "abr", "engine", "lane", "rng", "scenario", "switch"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["hec", "00000000"], 0),
+        (["hec", "0000000055"], 0),
+        (["conformance", "{trace}", *GOLDEN_CONTRACT], 1),
+    ],
+    ids=["hec-compute", "hec-check", "conformance"],
+)
+def test_cell_commands_leave_the_simulator_unloaded(argv, code, tmp_path):
+    trace = tmp_path / "trace.txt"
+    if "{trace}" in argv:
+        write_seeded_trace(trace)
+    argv = [arg.format(trace=trace) for arg in argv]
+    run_cli = (
+        "import contextlib, io, atmsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert atmsim.cli.main({argv!r}) == {code}"
+    )
+    loaded = {name.split(".")[-1] for name in modules_loaded_by(run_cli, "atmsim")}
+    assert "cli" in loaded
+    assert sorted(loaded & set(SIMULATOR)) == []
+
+
+RESOLVE_RUN_API = """
+import atmsim
+assert "build" not in vars(atmsim)
+from atmsim import build
+assert build is vars(atmsim)["build"]
+import atmsim.engine
+assert atmsim.run is atmsim.engine.run
+assert atmsim.Scenario is atmsim.scenario.Scenario
+try:
+    atmsim.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("atmsim.no_such_name resolved")
+from atmsim import cell
+assert cell is sys.modules["atmsim.cell"]
+"""
+
+
+def test_package_root_resolves_the_run_api_on_first_use():
+    assert "atmsim.engine" in modules_loaded_by(RESOLVE_RUN_API, "atmsim")
 
 
 SRC = Path(atmsim.__file__).parent
