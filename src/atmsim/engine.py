@@ -62,6 +62,16 @@ Every flow counts its cells once, on its own record: emitted in
 derives every per-CLP count and ratio from these.  Cell conservation,
 the audit run at the end, compares them with the cells still in the
 network.
+
+A build loads only the layers its scenario uses.  ``atmsim.lane`` and
+``atmsim.aal5`` are imported by ``Engine._build_lane``, once per build
+and only when the scenario has a ``lane`` section; the functions the
+frame paths call while running (``segment``, ``Reassembler`` for each
+data-direct VC, ``format_mac`` for the report) are bound on the build's
+``LaneRuntime``.  ``atmsim.rng`` (and SHA-256) load with the first
+random stream a build draws, for an on/off source or a LANE frame
+source.  So a build with neither, such as an ABR bottleneck, loads none
+of the three, and no step of ``Engine.run`` imports anything.
 """
 
 from __future__ import annotations
@@ -72,15 +82,23 @@ import math
 from collections import Counter
 from functools import cache
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from .aal5 import Reassembler, ReassemblyError, segment
 from .abr import AbrSourceState, EfciObserver, source_adjust
 from .cell import CELL_BITS, VCI_MAX, ZERO_PAYLOAD
 from .errors import OrderingError
-from .lane import Bus, Lec, Les, atm_address, format_mac
 from .record import Record, new_tuple
-from .rng import Stream
 from .scenario import (
     ConnectionSpec,
     GeneratorSpec,
@@ -97,6 +115,11 @@ from .scenario import (
 )
 from .switch import ACCEPTED, LinkBooking, OutputQueue, cac_admit
 from .traffic import DELAY_CHUNK, DelayMoments, ServiceCategory, delay_stats
+
+if TYPE_CHECKING:  # loaded by the builds that use them: _build_lane, rng_stream
+    from .aal5 import Reassembler
+    from .lane import Bus, Lec, Les
+    from .rng import Stream
 
 FIRST_VCI = 32  # low label values left alone, control-plane style
 
@@ -150,6 +173,14 @@ def _sha256() -> Callable[[bytes], Any]:
     return sha256
 
 
+@cache
+def _stream_class() -> type[Stream]:
+    """``rng.Stream``, loaded by the first build that draws a random stream."""
+    from .rng import Stream
+
+    return Stream
+
+
 def rng_stream(seed: int, label: str) -> Stream:
     """Independent 64-bit Philox stream keyed by (seed, label).
 
@@ -159,7 +190,8 @@ def rng_stream(seed: int, label: str) -> Stream:
     64-bit words, as ``numpy.random.Philox(key=...)`` reads them.
     """
     digest = _sha256()(f"{seed}:{label}".encode()).digest()
-    return Stream(int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little"))
+    stream = _stream_class()
+    return stream(int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +347,9 @@ class FeedbackFlow(FlowState):
 class LaneVc(FlowState):
     """One unidirectional LAN-emulation VC carrying AAL5 frames."""
 
-    def __init__(self, flow_id: str, on_frame: Callable[[bytes], Any]):
+    def __init__(self, flow_id: str, on_frame: Callable[[bytes], Any], reassembler: Reassembler):
         super().__init__(flow_id)
-        self.reassembler = Reassembler()
+        self.reassembler = reassembler
         self.on_frame = on_frame  # the LES's, the BUS's or a LEC's handler
         self.reassembly_errors = 0
 
@@ -415,9 +447,24 @@ class NodeRuntime:
 
 
 class LaneRuntime:
-    def __init__(self, port: "Engine") -> None:
-        self.les = Les(port)
-        self.bus = Bus(port)
+    """The LAN-emulation side of one build: its servers and clients, and
+    the AAL5 and LANE names that its frame paths call during the run.
+    ``Engine._build_lane`` imports those layers and binds the names here,
+    so no step of a run imports anything."""
+
+    def __init__(
+        self,
+        les: Les,
+        bus: Bus,
+        segment: Callable[[bytes], List[Tuple[bytes, bool]]],
+        new_reassembler: Callable[[], Reassembler],
+        format_mac: Callable[[bytes], str],
+    ) -> None:
+        self.les = les
+        self.bus = bus
+        self.segment = segment  # aal5.segment, per frame sent
+        self.new_reassembler = new_reassembler  # aal5.Reassembler, per data-direct VC
+        self.format_mac = format_mac  # lane.format_mac, for the report
         self.lecs: Dict[str, Lec] = {}  # host name -> client
         self.host_by_atm: Dict[bytes, str] = {}
         self.direct_vcs: List[LaneVc] = []
@@ -476,6 +523,7 @@ class Engine(EventQueue):
         # LANE VCs follow the route rule validate_scenario checks
         self._adjacency = {name: node.ports for name, node in self.nodes.items()}
         self._switches = {name for name, node in self.nodes.items() if node.kind == "switch"}
+        self._lane_routes: Dict[Tuple[str, str], List[str]] = {}  # (src, dst) -> route
 
     def _chain(self, route: Sequence[str]) -> List[DirectedLink]:
         nodes = self.nodes
@@ -512,8 +560,14 @@ class Engine(EventQueue):
         return []
 
     def _lane_route(self, src: str, dst: str) -> List[str]:
-        route = switch_route(self._adjacency, self._switches, src, dst)
-        assert route is not None, "validate_scenario checks every LANE route"
+        """The route of a LANE VC, searched once per (src, dst) pair: each
+        LEC's VCs to the LES and to the BUS share theirs when one host
+        runs both."""
+        route = self._lane_routes.get((src, dst))
+        if route is None:
+            route = switch_route(self._adjacency, self._switches, src, dst)
+            assert route is not None, "validate_scenario checks every LANE route"
+            self._lane_routes[src, dst] = route
         return route
 
     def _build_connections(self) -> List[str]:
@@ -537,16 +591,20 @@ class Engine(EventQueue):
         spec = self.sc.lane
         if spec is None:
             return []
-        lane = self.lane = LaneRuntime(self)
+        # the one place a build loads LAN emulation and AAL5
+        from .aal5 import Reassembler, segment
+        from .lane import Bus, Lec, Les, atm_address, format_mac
+
+        lane = self.lane = LaneRuntime(Les(self), Bus(self), segment, Reassembler, format_mac)
         violations: List[str] = []
         for lec_spec in spec.lecs:
             host, mac = lec_spec.host, lec_spec.mac
             atm = atm_address(host)
-            to_les = LaneVc(f"lane:to_les:{host}->{spec.les}", lane.les.serve)
-            to_bus = LaneVc(f"lane:to_bus:{host}->{spec.bus}", lane.bus.forward)
+            to_les = LaneVc(f"lane:to_les:{host}->{spec.les}", lane.les.serve, Reassembler())
+            to_bus = LaneVc(f"lane:to_bus:{host}->{spec.bus}", lane.bus.forward, Reassembler())
             lec = Lec(mac, atm, self, to_les, to_bus)
-            from_les = LaneVc(f"lane:from_les:{spec.les}->{host}", lec.on_control)
-            from_bus = LaneVc(f"lane:from_bus:{spec.bus}->{host}", lec.deliver)
+            from_les = LaneVc(f"lane:from_les:{spec.les}->{host}", lec.on_control, Reassembler())
+            from_bus = LaneVc(f"lane:from_bus:{spec.bus}->{host}", lec.deliver, Reassembler())
             lane.les.register(mac, atm, from_les)
             lane.lecs[host] = lec
             lane.host_by_atm[atm] = host
@@ -600,17 +658,18 @@ class Engine(EventQueue):
         result = vc.reassembler.push(tc.payload, tc.aal5_last)
         if result is None:
             return
-        if isinstance(result, ReassemblyError):
+        if isinstance(result, bytes):
+            vc.on_frame(result)
+        else:  # a ReassemblyError
             vc.reassembly_errors += 1
-            return
-        vc.on_frame(result)
 
     # -- LecPort ---------------------------------------------------------------
 
     def send_on_vc(self, vc: LaneVc, frame: bytes) -> None:
         """Segment ``frame`` with AAL5 and send its cells on ``vc``."""
+        assert self.lane is not None
         now = self.now
-        for payload, last in segment(frame):
+        for payload, last in self.lane.segment(frame):
             tc = TransitCell(vc, now, vc.sent, vc.vci, 0, False, last, payload)
             vc.sent += 1
             self._send(vc.tx, tc)
@@ -623,7 +682,9 @@ class Engine(EventQueue):
         assert lane is not None
         src_host = lane.host_by_atm[src_atm]
         dst_host = lane.host_by_atm[dest_atm]
-        vc = LaneVc(f"lane:data:{src_host}->{dst_host}", lane.lecs[dst_host].deliver)
+        vc = LaneVc(
+            f"lane:data:{src_host}->{dst_host}", lane.lecs[dst_host].deliver, lane.new_reassembler()
+        )
         if self._open_vc(vc, self._lane_route(src_host, dst_host), self._lane_sink):
             return None
         lane.direct_vcs.append(vc)
@@ -895,6 +956,7 @@ class Engine(EventQueue):
         )
 
     def _lane_report(self, lane: LaneRuntime) -> Dict[str, Any]:
+        format_mac = lane.format_mac
         lecs = {}
         for host, lec in lane.lecs.items():
             lecs[host] = {

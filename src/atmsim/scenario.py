@@ -8,17 +8,21 @@ readers, and ``_record`` reads through it: a key is required when its
 field has no default, and a number must be finite.  Parsing problems
 raise ScenarioError; semantic problems come back from validate_scenario()
 as a list of human-readable violations.
+
+``atmsim.lane``, whose MAC and address helpers read and check the
+``lane`` section, loads with the first scenario that has one: a
+scenario without it loads and validates without LAN emulation.
 """
 
 import json
 import math
-from functools import partial
+from functools import cache, partial
 from os import PathLike
+from types import ModuleType
 from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver
 from .cell import CELL_BITS
-from .lane import BROADCAST_MAC, atm_address, is_multicast, parse_mac
 from .record import Record, new_tuple
 from .switch import DEFAULT_QUEUE_CAPACITY, LinkBooking, OutputQueue
 from .traffic import QosRequirement, ServiceCategory, TrafficDescriptor, validate_contract
@@ -154,16 +158,24 @@ def _category(raw: Any, where: str) -> ServiceCategory:
         raise ScenarioError(f"{where}: unknown service category {name!r}") from None
 
 
+@cache
+def _lane_layer() -> ModuleType:
+    """``atmsim.lane``, loaded by the first scenario with a ``lane`` section."""
+    from . import lane
+
+    return lane
+
+
 def _mac(raw: Any, where: str) -> bytes:
     text = _str(raw, where)
     try:
-        return parse_mac(text)
+        return _lane_layer().parse_mac(text)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _dst_mac(raw: Any, where: str) -> bytes:
-    return BROADCAST_MAC if raw == "broadcast" else _mac(raw, where)
+    return _lane_layer().BROADCAST_MAC if raw == "broadcast" else _mac(raw, where)
 
 
 def _frame_bytes(raw: Any, where: str) -> Tuple[int, int]:
@@ -480,6 +492,7 @@ def _validate_lane(
     v: List[str] = []
     lane = sc.lane
     assert lane is not None
+    layer = _lane_layer()
     switches = {name for name, node in nodes.items() if node.kind == "switch"}
 
     def unreachable(src: str, dst: str) -> bool:
@@ -504,11 +517,11 @@ def _validate_lane(
         if lec.mac in host_of:
             v.append(f"lane lec {lec.host}: duplicate MAC")
         host_of[lec.mac] = lec.host
-        if is_multicast(lec.mac):
+        if layer.is_multicast(lec.mac):
             v.append(f"lane lec {lec.host}: MAC must be an individual address")
         if lec.host in (lane.les, lane.bus):
             v.append(f"lane lec {lec.host}: LEC host cannot also run the LES/BUS")
-        v.extend(_construction_errors(f"lane lec {lec.host}", atm_address, lec.host))
+        v.extend(_construction_errors(f"lane lec {lec.host}", layer.atm_address, lec.host))
         for server in dict.fromkeys((lane.les, lane.bus)):
             if unreachable(lec.host, server):
                 v.append(f"lane lec {lec.host}: no route to {server} through switches only")
@@ -516,7 +529,7 @@ def _validate_lane(
         w = f"lane.traffic[{i}]"
         if flow.src not in hosts:
             v.append(f"{w}: src {flow.src} has no LEC")
-        if flow.dst_mac != BROADCAST_MAC:
+        if flow.dst_mac != layer.BROADCAST_MAC:
             dst = host_of.get(flow.dst_mac)
             if dst is None:
                 v.append(f"{w}: dst MAC is not a member LEC")

@@ -1,12 +1,14 @@
-"""Every supported CPython gives the reference run the same report, and
-``atmsim conformance`` the same output.
+"""Every supported CPython gives the reference run and the c11 ABR
+bottleneck the same reports, and ``atmsim conformance`` the same output.
 
 ``pyproject.toml`` declares ``requires-python >= 3.10``.  For each of
 CPython 3.10 to 3.13 that is installed, the reference scenario runs in a
 subprocess of that interpreter, which needs only the standard library,
 and the sha256 of its report must equal the ``reference`` digest that
-``bench/golden.json`` records.  In another subprocess the same
-interpreter runs ``atmsim conformance`` on the seeded golden trace, whose
+``bench/golden.json`` records.  The c11 run's must equal its
+``abr_bottleneck`` seed 11 digest, and that run must load none of
+``atmsim.aal5``, ``atmsim.lane`` and ``atmsim.rng``.  In another
+subprocess the same interpreter runs ``atmsim conformance`` on the seeded golden trace, whose
 exit codes and stdout must equal ``tests/data/conformance_golden.json``
 byte for byte.  An interpreter is looked up on ``PATH`` and then among
 pyenv's installed versions; one that is not installed, or whose launcher
@@ -21,7 +23,7 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from conftest import GOLDEN_CONTRACT, GOLDEN_RUNS, write_seeded_trace
+from conftest import GOLDEN_CONTRACT, GOLDEN_RUNS, c11_scenario, write_seeded_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -38,6 +40,16 @@ import atmsim
 assert os.path.dirname(atmsim.__file__) == os.path.join(sys.argv[1], "atmsim"), atmsim.__file__
 report = atmsim.run(sys.argv[2])
 print(hashlib.sha256(report.to_json().encode()).hexdigest(), report.events_processed)
+"""
+
+# argv: src, then the c11 scenario as JSON text
+C11_RUN = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import atmsim
+report = atmsim.run(json.loads(sys.argv[2]))
+unused = sorted({"atmsim.aal5", "atmsim.lane", "atmsim.rng"} & set(sys.modules))
+print(hashlib.sha256(report.to_json().encode()).hexdigest(), json.dumps(unused))
 """
 
 # argv: src, then a JSON object of run name -> CLI arguments
@@ -96,6 +108,23 @@ def test_reference_run_matches_golden_digest(version):
     assert done.returncode == 0, done.stderr
     digest, events = done.stdout.split()
     assert digest == GOLDEN["reference"], f"{executable} gives {events} events"
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_c11_run_matches_golden_digest_and_loads_no_unused_layer(version):
+    executable = _interpreter(version)
+    if not executable:
+        pytest.skip(f"python{version} is not installed")
+    done = subprocess.run(
+        [executable, "-I", "-c", C11_RUN, str(SRC), json.dumps(c11_scenario())],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    digest, unused = done.stdout.split(maxsplit=1)
+    assert digest == GOLDEN["abr_bottleneck"]["11"], executable
+    assert json.loads(unused) == [], executable
 
 
 @pytest.mark.parametrize("version", VERSIONS)

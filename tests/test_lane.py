@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import c11_scenario, frame_law
 
+import atmsim.engine
 from atmsim import lane
 from atmsim.engine import Engine, EventQueue, LaneVc, build
 from atmsim.lane import (
@@ -518,3 +519,31 @@ class TestHandlers:
             assert inspect.ismethod(vc.on_frame), vc.id
             assert vc.on_frame.__self__ is endpoint, vc.id
             assert vc.on_frame.__name__ == self.HANDLER[kind], vc.id
+
+
+class TestRouteSearches:
+    """A build searches the switch-only route of each distinct (src, dst)
+    pair of LANE VCs once: the LES and the BUS of the reference scenario
+    run on one host, so each LEC's VCs to and from them share a pair."""
+
+    def test_each_distinct_pair_is_searched_once_per_build(self, monkeypatch):
+        raw = json.loads(TestClientState.REFERENCE.read_text())
+        spec = raw["lane"]
+        assert spec["les"] == spec["bus"]
+        searched = []
+        search = atmsim.engine.switch_route
+
+        def counted(adjacency, switches, src, dst):
+            searched.append((src, dst))
+            return search(adjacency, switches, src, dst)
+
+        monkeypatch.setattr(atmsim.engine, "switch_route", counted)
+        build(raw)
+        pairs = {
+            pair
+            for lec in spec["lecs"]
+            for server in (spec["les"], spec["bus"])
+            for pair in ((lec["host"], server), (server, lec["host"]))
+        }
+        assert len(pairs) == 2 * len(spec["lecs"])
+        assert sorted(searched) == sorted(pairs)

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from conftest import (
     GOLDEN_CONTRACT,
+    c11_scenario,
     modules_loaded_by,
     modules_loaded_by_importing_atmsim,
     write_seeded_trace,
@@ -137,6 +138,58 @@ def test_cell_commands_leave_the_simulator_unloaded(argv, code, tmp_path):
     assert sorted(loaded & set(SIMULATOR)) == []
 
 
+DATA = Path(__file__).parent / "data"
+# the layers only some scenarios use: LAN emulation, AAL5 and the random streams
+OPTIONAL_LAYERS = ["aal5", "lane", "rng"]
+
+
+def scenario_text(name):
+    """A scenario as JSON text, for a child to parse: a child that imports
+    conftest, where ``c11_scenario`` lives, loads ``atmsim.lane`` itself."""
+    if name == "c11":
+        return json.dumps(c11_scenario())
+    return (DATA / f"{name}_scenario.json").read_text(encoding="utf-8")
+
+
+def layers_loaded(code):
+    """Which of OPTIONAL_LAYERS a child running ``code`` loads."""
+    loaded = {name.split(".")[-1] for name in modules_loaded_by(code, "atmsim")}
+    return sorted(loaded & set(OPTIONAL_LAYERS))
+
+
+@pytest.mark.parametrize(
+    "name, layers",
+    [("c11", []), ("congested", ["rng"]), ("reference", OPTIONAL_LAYERS)],
+    ids=["c11-abr-only", "congested-on-off", "reference-lane"],
+)
+def test_a_run_loads_only_the_layers_its_scenario_uses(name, layers):
+    run = f"import atmsim, json\natmsim.run(json.loads({scenario_text(name)!r}))"
+    assert layers_loaded(run) == layers
+
+
+def test_validating_a_scenario_without_lane_loads_no_lane_layer():
+    argv = ["validate", str(DATA / "congested_scenario.json")]
+    validate = (
+        "import contextlib, io, atmsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert atmsim.cli.main({argv!r}) == 0"
+    )
+    assert not set(layers_loaded(validate)) & {"aal5", "lane"}
+
+
+def test_a_lane_run_imports_nothing_after_its_build():
+    """LAN emulation and AAL5 load during ``build``; ``run`` then reaches
+    them through names bound there, so every module is loaded by then."""
+    build_then_run = (
+        "import atmsim, json\n"
+        f"engine = atmsim.build(json.loads({scenario_text('reference')!r}))\n"
+        "built = sorted(sys.modules)\n"
+        "engine.run()\n"
+        "assert sorted(sys.modules) == built, sorted(set(sys.modules) - set(built))"
+    )
+    assert layers_loaded(build_then_run) == OPTIONAL_LAYERS
+
+
 RESOLVE_RUN_API = """
 import atmsim
 assert "build" not in vars(atmsim)
@@ -161,7 +214,7 @@ def test_package_root_resolves_the_run_api_on_first_use():
 
 
 SRC = Path(atmsim.__file__).parent
-REFERENCE = Path(__file__).parent / "data" / "reference_scenario.json"
+REFERENCE = DATA / "reference_scenario.json"
 
 SCHEMA_RECORDS = {
     "scenario": [
