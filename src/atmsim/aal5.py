@@ -15,7 +15,7 @@ import struct
 import zlib
 from typing import List, Tuple, Union
 
-from .cell import PAYLOAD_BYTES
+from .wire import PAYLOAD_BYTES
 
 TRAILER_BYTES = 8
 MAX_FRAME_BYTES = 0xFFFF

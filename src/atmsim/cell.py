@@ -21,11 +21,7 @@ from typing import Any, Dict, Tuple
 
 from .errors import ContractError
 from .record import Record, new_tuple
-
-CELL_BYTES = 53
-CELL_BITS = 8 * CELL_BYTES
-HEADER_BYTES = 5
-PAYLOAD_BYTES = 48
+from .wire import CELL_BYTES, HEADER_BYTES, PAYLOAD_BYTES, VCI_MAX, ZERO_PAYLOAD
 
 HEC_POLY = 0x07  # x^8 + x^2 + x + 1, msb-first
 HEC_COSET = 0x55
@@ -33,9 +29,6 @@ HEC_COSET = 0x55
 GFC_MAX = 0xF
 VPI_UNI_MAX = 0xFF
 VPI_NNI_MAX = 0xFFF
-VCI_MAX = 0xFFFF
-
-ZERO_PAYLOAD = bytes(PAYLOAD_BYTES)
 
 
 class InterfaceKind(enum.Enum):

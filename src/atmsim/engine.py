@@ -41,7 +41,9 @@ header layouts differ only in fields the model leaves at zero (GFC and the
 upper VPI bits), so the engine does not track them.  Cell and CellHeader,
 with their range checks and HEC, exist only at codec boundaries (the trace
 format and the conformance command), so label ranges are checked when a
-path is installed.
+path is installed, against ``atmsim.wire``'s VCI_MAX.  The simulator
+reads the cell's size and label range from that leaf module and never
+loads the codec, ``atmsim.cell``.
 
 An output port and the link direction it feeds are one record, the
 DirectedLink: it is the port's bounded OutputQueue, with a single-cell
@@ -63,15 +65,16 @@ derives every per-CLP count and ratio from these.  Cell conservation,
 the audit run at the end, compares them with the cells still in the
 network.
 
-A build loads only the layers its scenario uses.  ``atmsim.lane`` and
-``atmsim.aal5`` are imported by ``Engine._build_lane``, once per build
-and only when the scenario has a ``lane`` section; the functions the
-frame paths call while running (``segment``, ``Reassembler`` for each
-data-direct VC, ``format_mac`` for the report) are bound on the build's
-``LaneRuntime``.  ``atmsim.rng`` (and SHA-256) load with the first
-random stream a build draws, for an on/off source or a LANE frame
-source.  So a build with neither, such as an ABR bottleneck, loads none
-of the three, and no step of ``Engine.run`` imports anything.
+A build loads only the layers its scenario uses, and never the codec.
+``atmsim.lane`` and ``atmsim.aal5`` are imported by
+``Engine._build_lane``, once per build and only when the scenario has a
+``lane`` section; the functions the frame paths call while running
+(``segment``, ``Reassembler`` for each data-direct VC, ``format_mac``
+for the report) are bound on the build's ``LaneRuntime``.
+``atmsim.rng`` (and SHA-256) load with the first random stream a build
+draws, for an on/off source or a LANE frame source.  So a build with
+neither, such as an ABR bottleneck, loads none of the three, and no step
+of ``Engine.run`` imports anything.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ from typing import (
 )
 
 from .abr import AbrSourceState, EfciObserver, source_adjust
-from .cell import CELL_BITS, VCI_MAX, ZERO_PAYLOAD
 from .errors import OrderingError
 from .record import Record, new_tuple
 from .scenario import (
@@ -115,6 +117,7 @@ from .scenario import (
 )
 from .switch import ACCEPTED, LinkBooking, OutputQueue, cac_admit
 from .traffic import DELAY_CHUNK, DelayMoments, ServiceCategory, delay_stats
+from .wire import CELL_BITS, VCI_MAX, ZERO_PAYLOAD
 
 if TYPE_CHECKING:  # loaded by the builds that use them: _build_lane, rng_stream
     from .aal5 import Reassembler

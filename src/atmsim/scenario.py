@@ -22,16 +22,20 @@ from types import ModuleType
 from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver
-from .cell import CELL_BITS
 from .record import Record, new_tuple
 from .switch import DEFAULT_QUEUE_CAPACITY, LinkBooking, OutputQueue
 from .traffic import QosRequirement, ServiceCategory, TrafficDescriptor, validate_contract
+from .wire import CELL_BITS
 
-GENERATOR_KINDS = ("paced_cbr", "on_off_vbr", "greedy_abr", "greedy_ubr")
-
-# The field holding the cells/s a generator kind paces its source at.  A
-# greedy_abr source has none: it is paced at its allowed cell rate.
-RATE_FIELD = {"paced_cbr": "rate", "on_off_vbr": "peak_rate", "greedy_ubr": "cap"}
+# The GeneratorSpec fields each generator kind reads, first the cells/s
+# it paces its source at.  A greedy_abr source reads none: it is paced at
+# its allowed cell rate.
+GENERATOR_FIELDS = {
+    "paced_cbr": ("rate",),
+    "on_off_vbr": ("peak_rate", "mean_on_s", "mean_off_s"),
+    "greedy_abr": (),
+    "greedy_ubr": ("cap",),
+}
 
 # Which generator drives which service category.
 GENERATOR_FOR_CATEGORY = {
@@ -307,8 +311,8 @@ def link_booking(link: LinkSpec) -> LinkBooking:
 
 def emission_rate(gen: GeneratorSpec) -> Optional[float]:
     """The cells/s ``gen`` paces its source at; None for greedy_abr."""
-    name = RATE_FIELD.get(gen.kind)
-    return None if name is None else getattr(gen, name)
+    fields = GENERATOR_FIELDS.get(gen.kind)
+    return getattr(gen, fields[0]) if fields else None
 
 
 def abr_source(conn: ConnectionSpec) -> AbrSourceState:
@@ -365,12 +369,16 @@ def validate_scenario(sc: Scenario) -> List[str]:
         if gen.id in generators:
             v.append(f"generator {gen.id}: duplicate id")
         generators[gen.id] = gen
-        if gen.kind not in GENERATOR_KINDS:
+        fields = GENERATOR_FIELDS.get(gen.kind)
+        if fields is None:
             v.append(f"generator {gen.id}: unknown kind {gen.kind!r}")
             continue
+        for name in GeneratorSpec._field_defaults:
+            if name not in fields and getattr(gen, name) is not None:
+                v.append(f"generator {gen.id}: {gen.kind} does not take {name}")
         rate = emission_rate(gen)
-        if gen.kind in RATE_FIELD and (rate is None or rate <= 0):
-            v.append(f"generator {gen.id}: {gen.kind} needs a positive {RATE_FIELD[gen.kind]}")
+        if fields and (rate is None or rate <= 0):
+            v.append(f"generator {gen.id}: {gen.kind} needs a positive {fields[0]}")
         if gen.kind == "on_off_vbr":
             if gen.mean_on_s is None or gen.mean_on_s <= 0:
                 v.append(f"generator {gen.id}: on_off_vbr needs a positive mean_on_s")
@@ -413,7 +421,7 @@ def validate_scenario(sc: Scenario) -> List[str]:
         gen = generators.get(conn.generator)
         if gen is None:
             v.append(f"connection {cid}: unknown generator {conn.generator}")
-        elif gen.kind in GENERATOR_KINDS:
+        elif gen.kind in GENERATOR_FIELDS:
             wanted = GENERATOR_FOR_CATEGORY[conn.category]
             if gen.kind != wanted:
                 v.append(

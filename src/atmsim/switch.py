@@ -9,8 +9,10 @@ on the item itself.
 
 VcTable and route_cell switch codec-level Cell values by exact-match
 lookup on (input port, VPI, VCI), rewriting the labels for the next hop,
-as cell.set_efci marks them.  The engine does not use them: it keeps one
-VC table per link (see engine.DirectedLink).
+as cell.set_efci marks them.  route_cell builds the rewritten cell with
+the cell's own ``_replace``, which runs Cell's checks, so this module
+never loads the codec.  The engine does not use them: it keeps one VC
+table per link (see engine.DirectedLink).
 
 Admission books on each link the rate named by the connection's row of
 traffic.CATEGORY_RULES, and admits a route only when every link has room.
@@ -21,11 +23,13 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from .cell import Cell
 from .record import Record, new_tuple
 from .traffic import CATEGORY_RULES, ServiceCategory, TrafficDescriptor
+
+if TYPE_CHECKING:  # route_cell builds its cells through Cell._replace
+    from .cell import Cell
 
 DEFAULT_QUEUE_CAPACITY = 128
 EFCI_THRESHOLD_FRACTION = 0.8
@@ -68,7 +72,7 @@ def route_cell(cell: Cell, in_port: int, table: VcTable) -> Optional[Tuple[Cell,
     if route is None:
         return None
     header = cell.header._replace(vpi=route.out_vpi, vci=route.out_vci)
-    return Cell(header, cell.payload), route.out_port
+    return cell._replace(header=header), route.out_port
 
 
 class EnqueueOutcome(enum.Enum):

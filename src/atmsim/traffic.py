@@ -13,11 +13,13 @@ import sys
 from collections import deque
 from itertools import repeat
 from operator import mul
-from typing import Deque, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
 
-from .cell import Cell
 from .errors import OrderingError
 from .record import Record, new_tuple
+
+if TYPE_CHECKING:  # Policer.offer builds its cells through Cell._replace
+    from .cell import Cell
 
 
 class ServiceCategory(enum.Enum):
@@ -313,7 +315,7 @@ class Policer:
         self.tagged += 1
         if cell.header.clp == 1:
             return cell
-        return Cell(cell.header._replace(clp=1), cell.payload)
+        return cell._replace(header=cell.header._replace(clp=1))
 
 
 class Shaper:
@@ -478,19 +480,13 @@ def _sqrt_of_frac(num: int, den: int) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
-def delay_stats(delays: Union[DelayMoments, Sequence[float]]) -> Optional[DelayStats]:
-    """Transfer-delay statistics; None for an empty sample set.
+def delay_stats(delays: DelayMoments) -> Optional[DelayStats]:
+    """Transfer-delay statistics of the samples ``delays`` took; None for
+    none.
 
-    ``delays`` is a list of samples or the DelayMoments that took them.
     Peak-to-peak delay variation is max - min; the spread statistic is
     the population standard deviation.  A non-finite sample raises
     ValueError.
     """
-    if not isinstance(delays, DelayMoments):
-        moments = DelayMoments()
-        for start in range(0, len(delays), DELAY_CHUNK):
-            moments.pending.extend(delays[start : start + DELAY_CHUNK])
-            moments.fold()
-        delays = moments
     return delays.stats()
 

@@ -7,7 +7,8 @@ subprocess of that interpreter, which needs only the standard library,
 and the sha256 of its report must equal the ``reference`` digest that
 ``bench/golden.json`` records.  The c11 run's must equal its
 ``abr_bottleneck`` seed 11 digest, and that run must load none of
-``atmsim.aal5``, ``atmsim.lane`` and ``atmsim.rng``.  In another
+``atmsim.aal5``, ``atmsim.lane``, ``atmsim.rng`` and the cell codec
+``atmsim.cell``.  In another
 subprocess the same interpreter runs ``atmsim conformance`` on the seeded golden trace, whose
 exit codes and stdout must equal ``tests/data/conformance_golden.json``
 byte for byte.  An interpreter is looked up on ``PATH`` and then among
@@ -48,7 +49,7 @@ import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
 import atmsim
 report = atmsim.run(json.loads(sys.argv[2]))
-unused = sorted({"atmsim.aal5", "atmsim.lane", "atmsim.rng"} & set(sys.modules))
+unused = sorted({"atmsim.aal5", "atmsim.cell", "atmsim.lane", "atmsim.rng"} & set(sys.modules))
 print(hashlib.sha256(report.to_json().encode()).hexdigest(), json.dumps(unused))
 """
 

@@ -1,10 +1,11 @@
 """Where names live: the package root names the run API only and loads
 it on first use, only ``atmsim.lane`` speaks the LE-ARP control format,
 the protocol core imports nothing from the scenario, engine or CLI
-layers, and the CLI's cell commands load no simulator.  How records are
-written: values are records, tuples with named fields, run state is
-slotted classes, no class is a dataclass, and start-up runs no generated
-code."""
+layers, the CLI's cell commands load no simulator, no simulation loads
+the cell codec, and every name a module imports is read there.  How
+records are written: values are records, tuples with named fields, run
+state is slotted classes, no class is a dataclass, and start-up runs no
+generated code."""
 
 import ast
 import dataclasses
@@ -39,7 +40,7 @@ RUN_API = [
     "validate_scenario",
 ]
 
-PROTOCOL_CORE = ["aal5", "abr", "cell", "errors", "lane", "rng", "switch", "traffic"]
+PROTOCOL_CORE = ["aal5", "abr", "cell", "errors", "lane", "rng", "switch", "traffic", "wire"]
 UPPER_LAYERS = {"scenario", "engine", "cli"}
 
 LE_ARP_NAMES = re.compile(
@@ -151,10 +152,14 @@ def scenario_text(name):
     return (DATA / f"{name}_scenario.json").read_text(encoding="utf-8")
 
 
+def atmsim_modules_loaded(code):
+    """The atmsim modules, by name in the package, a child running ``code`` loads."""
+    return {name.split(".")[-1] for name in modules_loaded_by(code, "atmsim")}
+
+
 def layers_loaded(code):
     """Which of OPTIONAL_LAYERS a child running ``code`` loads."""
-    loaded = {name.split(".")[-1] for name in modules_loaded_by(code, "atmsim")}
-    return sorted(loaded & set(OPTIONAL_LAYERS))
+    return sorted(atmsim_modules_loaded(code) & set(OPTIONAL_LAYERS))
 
 
 @pytest.mark.parametrize(
@@ -163,8 +168,22 @@ def layers_loaded(code):
     ids=["c11-abr-only", "congested-on-off", "reference-lane"],
 )
 def test_a_run_loads_only_the_layers_its_scenario_uses(name, layers):
+    """A run loads the optional layers its scenario uses, and never the
+    cell codec: no simulation encodes or decodes a cell."""
     run = f"import atmsim, json\natmsim.run(json.loads({scenario_text(name)!r}))"
-    assert layers_loaded(run) == layers
+    loaded = atmsim_modules_loaded(run)
+    assert sorted(loaded & set(OPTIONAL_LAYERS)) == layers
+    assert "cell" not in loaded
+
+
+@pytest.mark.parametrize("module", ["engine", "switch", "traffic"])
+def test_simulator_modules_leave_the_codec_unloaded(module):
+    """The engine reads the cell's geometry from ``atmsim.wire``, and
+    ``route_cell`` and ``Policer.offer`` build their cells through the
+    cell's own ``_replace``, so none of them loads ``atmsim.cell``."""
+    loaded = atmsim_modules_loaded(f"import atmsim.{module}")
+    assert module in loaded
+    assert "cell" not in loaded
 
 
 def test_validating_a_scenario_without_lane_loads_no_lane_layer():
@@ -378,3 +397,68 @@ def test_start_up_runs_no_generated_code():
         check=True,
     ).stdout
     assert json.loads(out) == []
+
+
+def imported_names(tree):
+    """(name, line) for every name an import statement in ``tree`` binds,
+    at module level, under ``if TYPE_CHECKING:`` or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def names_read(tree):
+    """Every name ``tree`` reads, those in annotations written as strings
+    included."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    read |= names_read(ast.parse(part.value, mode="eval"))
+    return read
+
+
+def test_dead_import_reader_sees_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, json\n"
+        "from typing import TYPE_CHECKING, List, Tuple\n"
+        "if TYPE_CHECKING:\n"
+        "    from .cell import Cell\n"
+        "    from .rng import Stream\n"
+        "def f(x: 'List[Cell]') -> int:\n"
+        "    from .lane import Les as L\n"
+        "    return os.sep\n"
+        "y: Tuple[int] = ()\n"
+    )
+    tree = ast.parse(source)
+    unread = [name for name, _ in imported_names(tree) if name not in names_read(tree)]
+    assert unread == ["json", "Stream", "L"]
+
+
+def test_every_imported_name_is_read():
+    """A name a module imports and never reads, in code or in an
+    annotation, is a leftover: the import only costs start-up time."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = names_read(tree)
+        unread += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported_names(tree)
+            if name not in read
+        ]
+    assert unread == []

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+from conftest import REFERENCE_SCENARIO
 
 from atmsim.engine import preflight
 from atmsim.scenario import (
@@ -576,6 +577,26 @@ class TestGeneratorValidation:
         raw = base_scenario()
         raw["generators"].append({"id": "p", "kind": "poisson", "rate": 100.0})
         assert violations_of(raw) == ["generator p: unknown kind 'poisson'"]
+
+    @pytest.mark.parametrize(
+        "gen_id, stray",
+        [
+            ("steady", {"peak_rate": 800.0, "mean_off_s": 0.03}),
+            ("bursty", {"rate": 500.0}),
+            ("elastic", {"cap": 300.0}),
+            ("filler", {"rate": 300.0, "mean_on_s": 0.02}),
+        ],
+    )
+    def test_field_its_kind_never_reads_refused(self, gen_id, stray):
+        """A value the generator would silently ignore is one violation
+        per field, named in field order."""
+        raw = json.loads(Path(REFERENCE_SCENARIO).read_text(encoding="utf-8"))
+        assert preflight(raw) == []
+        (gen,) = (g for g in raw["generators"] if g["id"] == gen_id)
+        gen.update(stray)
+        assert preflight(raw) == [
+            f"generator {gen_id}: {gen['kind']} does not take {field}" for field in stray
+        ]
 
 
 class TestLaneValidation:

@@ -999,7 +999,7 @@ class TestContractRules:
 class TestMetrics:
     def test_delay_stats_golden(self):
         samples = [0.001, 0.002, 0.003, 0.006]
-        stats = delay_stats(samples)
+        stats = delay_stats(moments_of(samples))
         assert stats is not None
         assert stats.count == 4
         assert stats.mean_ctd == 0.003
@@ -1008,7 +1008,18 @@ class TestMetrics:
         assert stats.cdv_stddev == statistics.pstdev(samples)
 
     def test_delay_stats_empty(self):
-        assert delay_stats([]) is None
+        assert delay_stats(moments_of([])) is None
+
+
+def moments_of(samples):
+    """A DelayMoments filled as the engine fills one: each sample appended,
+    and the pending samples folded whenever DELAY_CHUNK of them wait."""
+    moments = DelayMoments()
+    for sample in samples:
+        moments.pending.append(sample)
+        if len(moments.pending) == DELAY_CHUNK:
+            moments.fold()
+    return moments
 
 
 def reference_stats(samples):
@@ -1068,12 +1079,12 @@ class TestDelayMoments:
     @settings(max_examples=300, deadline=None)
     @given(finite_samples)
     def test_matches_statistics_module(self, samples):
-        assert delay_stats(samples) == reference_stats(samples)
+        assert delay_stats(moments_of(samples)) == reference_stats(samples)
 
     @pytest.mark.parametrize("count", [1, DELAY_CHUNK - 1, DELAY_CHUNK, DELAY_CHUNK + 1])
     def test_chunk_boundaries(self, count):
         samples = delay_like(count)
-        assert delay_stats(samples) == reference_stats(samples)
+        assert delay_stats(moments_of(samples)) == reference_stats(samples)
 
     def test_later_chunk_with_the_smallest_magnitude_rescales(self):
         samples = delay_like(2 * DELAY_CHUNK + 100)
@@ -1085,7 +1096,7 @@ class TestDelayMoments:
             moments.fold()
             scales.append(moments.scale)
         assert scales[0] == scales[1] < scales[2]
-        assert moments.stats() == delay_stats(samples) == reference_stats(samples)
+        assert moments.stats() == delay_stats(moments_of(samples)) == reference_stats(samples)
 
     @pytest.mark.parametrize(
         "samples",
@@ -1097,13 +1108,13 @@ class TestDelayMoments:
         ids=["one-chunk", "tiny-last", "huge-last"],
     )
     def test_span_beyond_ldexp_range(self, samples):
-        assert delay_stats(samples) == reference_stats(samples)
+        assert delay_stats(moments_of(samples)) == reference_stats(samples)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("before", [1, DELAY_CHUNK])
     def test_non_finite_sample_rejected(self, value, before):
         with pytest.raises(ValueError, match=r"^delay sample -?(inf|nan) is not finite$"):
-            delay_stats([0.001] * before + [value])
+            delay_stats(moments_of([0.001] * before + [value]))
 
     def test_c11_delays_match_statistics_module(self, c11_run):
         engine, report = c11_run
@@ -1111,7 +1122,7 @@ class TestDelayMoments:
             samples = flow.delays.samples
             assert len(samples) == flow.delivered > 2 * DELAY_CHUNK
             expected = reference_stats(samples)
-            assert delay_stats(samples) == expected
+            assert delay_stats(moments_of(samples)) == expected
             assert report.connections[flow.id]["delay"] == expected._asdict()
 
     def test_c11_buffer_stays_below_one_chunk(self, c11_run):
