@@ -323,27 +323,18 @@ def parse_trace_line(line: str) -> Tuple[float, int, bytes]:
     """Parse a trace line to (time_s, port, raw 53 cell bytes).
 
     Accepts the 53 byte pairs either as one contiguous hex run or as
-    runs and pairs separated by any whitespace.  A line whose cell bytes
-    are hex pairs separated by ASCII whitespace is read with one bounded
-    split and one hex decode.  Any other line, such as one with a pair cut
-    in half or with non-ASCII whitespace among the bytes, is read field by
-    field: every field split off, the byte fields joined, then decoded.
-    Both readings accept the same lines, and refuse the same lines with
-    the same message, the first fault in field order.
+    runs and pairs separated by any whitespace.  The time and the port are
+    split off once, and the rest is decoded with one hex decode; only when
+    that refuses, as it does a pair cut in half or non-ASCII whitespace
+    among the bytes, are the remaining fields joined and decoded once more.
+    A refused line gets the message of its first fault in field order.
     """
     try:
-        # fromhex skips ASCII whitespace between pairs and at the line end
         time_text, port_text, hexrun = line.split(None, 2)
-        raw = _fromhex(hexrun)
     except ValueError:
-        raw = None
-        fields = line.split()
-        if len(fields) < 3:
-            raise TraceFormatError(
-                f"expected time, port and cell bytes, got {len(fields)} fields"
-            ) from None
-        time_text, port_text, *pairs = fields
-        hexrun = "".join(pairs)
+        raise TraceFormatError(
+            f"expected time, port and cell bytes, got {len(line.split())} fields"
+        ) from None
     try:
         time_s = float(time_text)
     except ValueError:
@@ -362,9 +353,12 @@ def parse_trace_line(line: str) -> Tuple[float, int, bytes]:
         if len(_port_memo) >= _PORT_MEMO_MAX:
             _port_memo.clear()
         _port_memo[port_text] = port
-    if raw is None:
+    try:
+        # fromhex skips ASCII whitespace between pairs and at the line end
+        raw = _fromhex(hexrun)
+    except ValueError:
         try:
-            raw = _fromhex(hexrun)
+            raw = _fromhex("".join(hexrun.split()))
         except ValueError:
             raise TraceFormatError("cell bytes are not valid hex") from None
     if len(raw) != CELL_BYTES:

@@ -201,7 +201,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     buckets = contract_buckets(
         TrafficDescriptor(pcr=args.pcr, cdvt=args.cdvt, scr=args.scr, mbs=args.mbs)
     )
-    kind = InterfaceKind.NNI if args.kind == "nni" else InterfaceKind.UNI
+    kind = InterfaceKind(args.kind)
 
     total = 0
     conforming = 0
@@ -278,7 +278,7 @@ def _cmd_hec(args: argparse.Namespace) -> int:
         print((raw + bytes((hec,))).hex())
         return 0
     if len(raw) == 5:
-        kind = InterfaceKind.NNI if args.kind == "nni" else InterfaceKind.UNI
+        kind = InterfaceKind(args.kind)
         outcome = decode_header(raw, kind)
         if outcome.status is DecodeStatus.VALID:
             print("valid")
@@ -323,7 +323,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_con.add_argument("--port", type=int, help="only check cells on this port")
     p_con.add_argument(
-        "--kind", choices=("uni", "nni"), default="uni",
+        "--kind", choices=[kind.value for kind in InterfaceKind], default="uni",
         help="header layout of the traced interface",
     )
     p_con.set_defaults(fn=_cmd_conformance)
@@ -331,7 +331,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_hec = sub.add_parser("hec", help="compute or check a header checksum")
     p_hec.add_argument("header", help="4 bytes of hex to compute, 5 to check")
     p_hec.add_argument(
-        "--kind", choices=("uni", "nni"), default="uni",
+        "--kind", choices=[kind.value for kind in InterfaceKind], default="uni",
         help="header layout when checking 5 bytes",
     )
     p_hec.set_defaults(fn=_cmd_hec)

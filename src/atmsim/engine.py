@@ -65,6 +65,11 @@ derives every per-CLP count and ratio from these.  Cell conservation,
 the audit run at the end, compares them with the cells still in the
 network.
 
+An ABR connection's loop is one record, the FeedbackFlow on its
+``feedback``: the backward feedback cells, the destination's EFCI window,
+the source's rate state and the log of its rate changes.  The connection
+keeps only ``rate``, the copy of the ACR that pacing reads.
+
 A build loads only the layers its scenario uses, and never the codec.
 ``atmsim.lane`` and ``atmsim.aal5`` are imported by
 ``Engine._build_lane``, once per build and only when the scenario has a
@@ -98,7 +103,7 @@ from typing import (
     Union,
 )
 
-from .abr import AbrSourceState, EfciObserver, source_adjust
+from .abr import EfciObserver, source_adjust
 from .errors import OrderingError
 from .record import Record, new_tuple
 from .scenario import (
@@ -310,13 +315,14 @@ class FlowState:
 
 
 class ContractFlow(FlowState):
-    """One scenario connection: its pacing, delays, ABR machinery.
+    """One scenario connection: its pacing and delays, and its ABR loop.
 
     ``delays`` holds the transfer delays its data sink records; no other
     flow measures them.  ``rate`` (cells/s) paces emission: the
     generator's rate, or the ACR of an ABR source, which feedback
     rewrites.  An on/off source also has a ``gate``, drawing from the
-    connection's own stream.
+    connection's own stream.  An ABR connection's ``feedback`` is its
+    whole feedback loop; every other connection's is None.
     """
 
     def __init__(self, spec: ConnectionSpec, gen: GeneratorSpec, seed: int, end: float):
@@ -324,27 +330,29 @@ class ContractFlow(FlowState):
         self.spec = spec
         self.clp = spec.clp  # read per emission, as FlowState.vci is
         self.delays = DelayMoments()
-        self.abr_source: Optional[AbrSourceState] = None
-        if spec.category is ServiceCategory.ABR:
-            self.abr_source = abr_source(spec)
-        rate = emission_rate(gen) if self.abr_source is None else self.abr_source.acr
+        abr = spec.category is ServiceCategory.ABR
+        self.feedback: Optional[FeedbackFlow] = FeedbackFlow(self) if abr else None
+        rate = emission_rate(gen) if self.feedback is None else self.feedback.source.acr
         assert rate is not None, "validate_scenario checks every generator's rate"
         self.rate = rate
         self.gate: Optional[OnOffGate] = None
         if gen.kind == "on_off_vbr":
             rng = rng_stream(seed, f"conn:{spec.id}")
             self.gate = OnOffGate(gen.mean_on_s, gen.mean_off_s, rng, end)  # type: ignore[arg-type]
-        self.observer: Optional[EfciObserver] = None
-        self.feedback: Optional[FeedbackFlow] = None
-        self.acr_log: List[Tuple[float, float, bool]] = []
 
 
 class FeedbackFlow(FlowState):
-    """Backward management cells of one ABR connection."""
+    """The feedback loop of ABR connection ``conn``: as a flow, the cells
+    carrying back the congested bit of each window of ``observer``, the
+    destination's; ``source`` is the source's rate state, and ``acr_log``
+    its (time, acr, congested) changes, in order."""
 
     def __init__(self, conn: ContractFlow):
         super().__init__(f"{conn.id}:feedback")
         self.conn = conn
+        self.observer = EfciObserver(conn.spec.abr.nrm)
+        self.source = abr_source(conn.spec)
+        self.acr_log: List[Tuple[float, float, bool]] = []
 
 
 class LaneVc(FlowState):
@@ -583,9 +591,7 @@ class Engine(EventQueue):
                 continue
             flow = ContractFlow(spec, generators[spec.generator], self.sc.seed, self.duration)
             violations += self._open_vc(flow, spec.route, self._data_sink)
-            if spec.category is ServiceCategory.ABR:
-                flow.observer = EfciObserver(spec.abr.nrm)
-                flow.feedback = FeedbackFlow(flow)
+            if flow.feedback is not None:
                 violations += self._open_vc(flow.feedback, spec.route[::-1], self._feedback_sink)
             self.connections.append(flow)
         return violations
@@ -636,17 +642,17 @@ class Engine(EventQueue):
         pending.append(now - tc.entry_time)
         if len(pending) == DELAY_CHUNK:
             delays.fold()
-        if flow.observer is not None:
-            congested = flow.observer.observe(tc.efci)
+        feedback = flow.feedback
+        if feedback is not None:
+            congested = feedback.observer.observe(tc.efci)
             if congested is not None:
                 self.schedule(now, self._send_feedback, (flow, congested))
 
     def _feedback_sink(self, tc: TransitCell) -> None:
-        flow = tc.flow.conn
-        assert flow.abr_source is not None
+        loop = tc.flow
         congested = tc.payload
-        flow.rate = source_adjust(flow.abr_source, congested)
-        flow.acr_log.append((self.now, flow.rate, congested))
+        loop.conn.rate = rate = source_adjust(loop.source, congested)
+        loop.acr_log.append((self.now, rate, congested))
 
     def _send_feedback(self, arg: Tuple[ContractFlow, bool]) -> None:
         flow, congested = arg
@@ -895,19 +901,19 @@ class Engine(EventQueue):
                 "clr_clp1": clr if clp1 else 0.0,
                 "delay": None if stats is None else stats._asdict(),
             }
-            if flow.abr_source is not None:
-                feedback = flow.feedback
-                assert feedback is not None
+            feedback = flow.feedback
+            if feedback is not None:
+                source = feedback.source
                 entry["abr"] = {
-                    "final_acr": flow.abr_source.acr,
-                    "mcr": flow.abr_source.mcr,
-                    "pcr": flow.abr_source.pcr,
-                    "adjustments": len(flow.acr_log),
+                    "final_acr": source.acr,
+                    "mcr": source.mcr,
+                    "pcr": source.pcr,
+                    "adjustments": len(feedback.acr_log),
                     "feedback_sent": feedback.sent,
                     "feedback_delivered": feedback.delivered,
                     "feedback_lost": sum(feedback.loss_reasons.values()),
                 }
-                abr_series[flow.id] = list(flow.acr_log)
+                abr_series[flow.id] = list(feedback.acr_log)
             connections[flow.id] = entry
 
         switches = {}

@@ -692,10 +692,10 @@ def trace_lines(draw):
 
 class TestTraceParserMatchesReference:
     """parse_trace_line reads a line with one bounded split and one hex
-    decode where it can and field by field where it cannot, and reads
-    ports through a memo; it must give what the plain parser gives, the
-    same values or the same refusal, on either reading and on a memo miss
-    and a hit."""
+    decode, decodes the joined byte fields once more only when that
+    refuses, and reads ports through a memo; it must give what the plain
+    parser gives, the same values or the same refusal, on a memo miss and
+    a hit."""
 
     @settings(max_examples=600, deadline=None)
     @given(trace_lines())

@@ -116,6 +116,11 @@ class TestHec:
     def test_wrong_length_is_usage_error(self):
         assert main(["hec", "001000"]) == 2
 
+    @pytest.mark.parametrize("kind", [kind.value for kind in InterfaceKind])
+    def test_checks_under_each_interface_kind(self, kind, capsys):
+        assert main(["hec", "0010001087", "--kind", kind]) == 0
+        assert capsys.readouterr().out.strip() == "valid"
+
 
 def reference_scenario() -> dict:
     with open(os.path.join(DATA_DIR, "reference_scenario.json"), encoding="utf-8") as handle:
@@ -390,6 +395,14 @@ class TestConformance:
         assert "tagged: 2" in out
         assert "  line 2: t=0 vpi=0 vci=32 clp=1" in out
         assert "  line 3: t=0 vpi=0 vci=32 clp=1" in out
+
+    @pytest.mark.parametrize("kind, vpi", [("nni", 0x123), ("uni", 0x23)])
+    def test_kind_selects_the_header_layout(self, tmp_path, capsys, kind, vpi):
+        # an NNI header with a 12-bit VPI; at the UNI its top 4 bits are the GFC
+        cell = Cell(CellHeader(kind=InterfaceKind.NNI, vpi=0x123, vci=32), bytes(48))
+        path = write_trace(tmp_path, [format_trace_line(0.0, 1, cell) for _ in range(2)])
+        assert main(["conformance", path, "--pcr", "1024", "--kind", kind]) == 1
+        assert f"  line 2: t=0 vpi={vpi} vci=32 clp=0" in capsys.readouterr().out
 
     def test_port_filter(self, tmp_path, capsys):
         lines = [

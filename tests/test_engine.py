@@ -225,7 +225,7 @@ class TestOrderingGuards:
         # counted, and for feedback, adjusted the source's rate
         assert target.delivered == 1
         if vc == "feedback":
-            assert len(target.conn.acr_log) == 1
+            assert len(target.acr_log) == 1
 
 
 class TestOneSequence:

@@ -252,6 +252,14 @@ def assert_counters_match(engine, report, counts) -> None:
         for clp in (0, 1):
             assert conn[f"transmitted_clp{clp}"] == counts.emitted[flow, clp], flow.id
             assert conn[f"lost_clp{clp}"] == counts.lost[flow, clp], flow.id
+        abr = conn.get("abr")
+        if abr is not None:
+            # the ABR law: one feedback cell per nrm delivered data cells,
+            # one rate change per feedback cell delivered, each in [mcr, pcr]
+            series = report.abr_series[flow.id]
+            assert abr["feedback_sent"] == conn["delivered"] // flow.spec.abr.nrm, flow.id
+            assert abr["adjustments"] == abr["feedback_delivered"] == len(series), flow.id
+            assert all(abr["mcr"] <= acr <= abr["pcr"] for _time, acr, _bit in series), flow.id
 
 
 @settings(
