@@ -20,8 +20,8 @@ from .wire import PAYLOAD_BYTES
 TRAILER_BYTES = 8
 MAX_FRAME_BYTES = 0xFFFF
 
-# Largest padded buffer a legal frame can occupy: ceil((65535+8)/48)*48.
-_MAX_BUFFER_BYTES = -(-(MAX_FRAME_BYTES + TRAILER_BYTES) // PAYLOAD_BYTES) * PAYLOAD_BYTES
+# Most cell payloads a legal frame can occupy: ceil((65535+8)/48).
+_MAX_BUFFER_CELLS = -(-(MAX_FRAME_BYTES + TRAILER_BYTES) // PAYLOAD_BYTES)
 
 
 class ReassemblyError(enum.Enum):
@@ -78,7 +78,7 @@ class Reassembler:
         if len(payload) != PAYLOAD_BYTES:
             raise ValueError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
         chunks = self._chunks
-        if len(chunks) >= _MAX_BUFFER_BYTES // PAYLOAD_BYTES:
+        if len(chunks) >= _MAX_BUFFER_CELLS:
             chunks.clear()
             return ReassemblyError.OVERSIZE
         chunks.append(payload)

@@ -12,6 +12,7 @@ import os
 import random
 import statistics
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -1133,6 +1134,21 @@ class TestDelayMoments:
             assert delays.folded + len(delays.pending) == flow.delivered
             # folded as each chunk filled during the run, never above one
             assert max(delays.fold_sizes) == DELAY_CHUNK
+
+    def test_c11_run_allocates_little_beyond_what_it_keeps(self):
+        # tracemalloc's peak during run(), less what the run still holds
+        # after it, is mostly each connection's pending samples and the
+        # temporaries of their folds, which DELAY_CHUNK bounds
+        tracemalloc.start()
+        try:
+            engine = build(dict(c11_scenario(), duration_s=10.0))
+            tracemalloc.reset_peak()
+            report = engine.run()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.connections["fa"]["delivered"] > DELAY_CHUNK
+        assert peak - held < 64 * 1024
 
     def test_importing_atmsim_leaves_statistics_and_fractions_unloaded(self):
         assert modules_loaded_by_importing_atmsim("statistics", "fractions", "decimal") == []
