@@ -1073,6 +1073,12 @@ def c11_run():
     return engine, engine.run()
 
 
+# a sample count that fills many chunks exactly, so the cases either side of
+# it fold more than eight full chunks before the partial one
+MANY_CHUNKS = 4096
+assert MANY_CHUNKS % DELAY_CHUNK == 0 and MANY_CHUNKS // DELAY_CHUNK > 8
+
+
 class TestDelayMoments:
     """delay_stats streams exact integer moments; each field must equal
     what len, fmean, max, max - min and pstdev give on the whole list."""
@@ -1082,7 +1088,11 @@ class TestDelayMoments:
     def test_matches_statistics_module(self, samples):
         assert delay_stats(moments_of(samples)) == reference_stats(samples)
 
-    @pytest.mark.parametrize("count", [1, DELAY_CHUNK - 1, DELAY_CHUNK, DELAY_CHUNK + 1])
+    @pytest.mark.parametrize(
+        "count",
+        [1, DELAY_CHUNK - 1, DELAY_CHUNK, DELAY_CHUNK + 1]
+        + [MANY_CHUNKS - 1, MANY_CHUNKS, MANY_CHUNKS + 1],
+    )
     def test_chunk_boundaries(self, count):
         samples = delay_like(count)
         assert delay_stats(moments_of(samples)) == reference_stats(samples)
@@ -1112,7 +1122,7 @@ class TestDelayMoments:
         assert delay_stats(moments_of(samples)) == reference_stats(samples)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("before", [1, DELAY_CHUNK])
+    @pytest.mark.parametrize("before", [1, DELAY_CHUNK, MANY_CHUNKS])
     def test_non_finite_sample_rejected(self, value, before):
         with pytest.raises(ValueError, match=r"^delay sample -?(inf|nan) is not finite$"):
             delay_stats(moments_of([0.001] * before + [value]))
