@@ -28,10 +28,12 @@ for the audit to find; its loop closes with ``while True:`` so that
 CPython 3.11 warms it.  Each invariant is checked at one named
 place: no entry is dated before ``now`` (``OrderingError`` at every push,
 in ``schedule`` and in each handler that pushes), entries dispatch in
-strictly increasing (time, seq) order (an assertion in ``run``), the
-cells of one VC reach its endpoint in emission order, gaps being losses
-(per-VC FIFO, an assertion in ``_arrive``), and cells are conserved
-(``_audit``, after the run).
+strictly increasing (time, seq) order (an assertion in ``run``), every
+VCI a cell carries is installed on the link it crosses (``_open_vc``
+installs it before the VC's first cell, and a miss in ``_arrive`` raises
+``KeyError``), the cells of one VC reach its endpoint in emission order,
+gaps being losses (per-VC FIFO, an assertion in ``_arrive``), and cells
+are conserved (``_audit``, after the run).
 
 Inside the simulator a cell is a TransitCell: the header bits the model
 acts on (VCI, CLP, EFCI, payload type) as plain attributes, beside the
@@ -48,15 +50,16 @@ loads the codec, ``atmsim.cell``.
 An output port and the link direction it feeds are one record, the
 DirectedLink: it is the port's bounded OutputQueue, with a single-cell
 transmitter (424 bits serialized at the link rate, then the propagation
-delay), the node the link leads to and the link's transmit stats.  Queue
-occupancy therefore counts waiting cells, with the cell on the wire "in
-service".  A link is idle only while its queue is empty.
+delay) and the link's transmit stats.  Queue occupancy therefore counts
+waiting cells, with the cell on the wire "in service".  A link is idle
+only while its queue is empty.
 
 Each DirectedLink also holds the VC table of its far end, keyed by the
 VCI a cell carries on the link, so an arrival is one lookup: at a switch
 the entry names the next link and VCI, at a host the sink of the VC that
-ends there.  The label tables of ``atmsim.switch`` serve codec-level
-Cell values only.
+ends there.  The links are the whole topology: ``Engine.ports`` maps
+each node to its neighbours and the link to each one.  The label tables
+of ``atmsim.switch`` serve codec-level Cell values only.
 
 Every flow counts its cells once, on its own record: emitted in
 ``sent``, delivered in ``delivered`` and lost by cause in
@@ -76,10 +79,11 @@ A build loads only the layers its scenario uses, and never the codec.
 ``lane`` section; the functions the frame paths call while running
 (``segment``, ``Reassembler`` for each data-direct VC, ``format_mac``
 for the report) are bound on the build's ``LaneRuntime``.
-``atmsim.rng`` (and SHA-256) load with the first random stream a build
-draws, for an on/off source or a LANE frame source.  So a build with
-neither, such as an ABR bottleneck, loads none of the three, and no step
-of ``Engine.run`` imports anything.
+``atmsim.rng``, and SHA-256 with it, is imported only where a build keys
+a random stream: by ``ContractFlow`` for an on/off source, and by
+``_build_lane`` beside those two.  So a build with neither, such as an
+ABR bottleneck, loads none of the three, and no step of ``Engine.run``
+imports anything.
 """
 
 from __future__ import annotations
@@ -88,7 +92,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from functools import cache
 from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
@@ -124,7 +127,7 @@ from .switch import ACCEPTED, LinkBooking, OutputQueue, cac_admit
 from .traffic import DELAY_CHUNK, DelayMoments, ServiceCategory, delay_stats
 from .wire import CELL_BITS, VCI_MAX, ZERO_PAYLOAD
 
-if TYPE_CHECKING:  # loaded by the builds that use them: _build_lane, rng_stream
+if TYPE_CHECKING:  # loaded by the builds that use them: _build_lane, ContractFlow
     from .aal5 import Reassembler
     from .lane import Bus, Lec, Les
     from .rng import Stream
@@ -170,36 +173,6 @@ class EventQueue:
         self.now = entry[0]
         self.processed += 1
         return entry
-
-
-@cache
-def _sha256() -> Callable[[bytes], Any]:
-    try:  # CPython 3.10 and 3.11 build it in: loading OpenSSL's _hashlib takes milliseconds
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-    return sha256
-
-
-@cache
-def _stream_class() -> type[Stream]:
-    """``rng.Stream``, loaded by the first build that draws a random stream."""
-    from .rng import Stream
-
-    return Stream
-
-
-def rng_stream(seed: int, label: str) -> Stream:
-    """Independent 64-bit Philox stream keyed by (seed, label).
-
-    Keys are derived by hashing, so streams are stable per label: adding
-    a connection to a scenario does not perturb the draws of the others.
-    The key is the first 16 bytes of the digest as two little-endian
-    64-bit words, as ``numpy.random.Philox(key=...)`` reads them.
-    """
-    digest = _sha256()(f"{seed}:{label}".encode()).digest()
-    stream = _stream_class()
-    return stream(int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +310,8 @@ class ContractFlow(FlowState):
         self.rate = rate
         self.gate: Optional[OnOffGate] = None
         if gen.kind == "on_off_vbr":
+            from .rng import rng_stream
+
             rng = rng_stream(seed, f"conn:{spec.id}")
             self.gate = OnOffGate(gen.mean_on_s, gen.mean_off_s, rng, end)  # type: ignore[arg-type]
 
@@ -404,7 +379,7 @@ class DirectedLink(OutputQueue):
     ``holding`` is the cell being serialized; the wire is busy exactly
     while it is set.  A cell leaves the head of ``waiting`` only to go on
     the wire, so the report's ``cells`` is ``accepted`` less the cells
-    still waiting.  ``vcs`` is the VC table of ``dst_node`` for cells
+    still waiting.  ``vcs`` is the VC table of node ``dst`` for cells
     arriving over this link, keyed by the VCI they carry on it: at a
     switch (``to_switch``) an entry is (next link, next VCI), at a host
     the VC's sink.
@@ -413,16 +388,15 @@ class DirectedLink(OutputQueue):
     def __init__(
         self,
         node: NodeSpec,
-        dst_node: "NodeRuntime",
+        far: NodeSpec,
         bit_rate: float,
         prop: float,
         booking: LinkBooking,
     ):
         super().__init__(*queue_settings(node))
         self.src = node.name
-        self.dst_node = dst_node
-        self.dst = dst_node.name
-        self.to_switch = dst_node.kind == "switch"
+        self.dst = far.name
+        self.to_switch = far.kind == "switch"
         self.vcs: Dict[int, Union[Tuple[DirectedLink, int], Callable[[TransitCell], None]]] = {}
         self.prop = prop
         self.booking = booking
@@ -439,22 +413,6 @@ class DirectedLink(OutputQueue):
     @property
     def cells(self) -> int:
         return self.accepted - len(self.waiting)
-
-    def alloc_vci(self) -> int:
-        vci = self.next_vci
-        self.next_vci += 1
-        return vci
-
-
-class NodeRuntime:
-    """A node and its output ports.  Route ends and LANE servers are hosts,
-    so a switch's ``routed`` is the sum of its ports' enqueue counters."""
-
-    def __init__(self, name: str, kind: str):
-        self.name = name
-        self.kind = kind
-        self.ports: Dict[str, DirectedLink] = {}  # neighbour -> link to it, in link order
-        self.unknown_vc = 0
 
 
 class LaneRuntime:
@@ -502,7 +460,8 @@ class Engine(EventQueue):
         self._on_complete = self._complete
         self._on_arrive = self._arrive
         self._on_fire = self._fire
-        self.nodes: Dict[str, NodeRuntime] = {}
+        # node -> neighbour -> link to it, in link order
+        self.ports: Dict[str, Dict[str, DirectedLink]] = {}
         self.links: List[DirectedLink] = []
         self.flows: List[FlowState] = []
         self.connections: List[ContractFlow] = []
@@ -516,29 +475,26 @@ class Engine(EventQueue):
     # -- construction ------------------------------------------------------
 
     def _build_topology(self) -> None:
-        node_spec = {}
-        for spec in self.sc.nodes:
-            self.nodes[spec.name] = NodeRuntime(spec.name, spec.kind)
-            node_spec[spec.name] = spec
+        node_spec = {spec.name: spec for spec in self.sc.nodes}
+        self.ports = {name: {} for name in node_spec}
         for spec in self.sc.links:
             for src, dst in ((spec.a, spec.b), (spec.b, spec.a)):
                 link = DirectedLink(
                     node_spec[src],
-                    self.nodes[dst],
+                    node_spec[dst],
                     spec.bit_rate,
                     spec.propagation_delay,
                     link_booking(spec),
                 )
-                self.nodes[src].ports[dst] = link
+                self.ports[src][dst] = link
                 self.links.append(link)
         # LANE VCs follow the route rule validate_scenario checks
-        self._adjacency = {name: node.ports for name, node in self.nodes.items()}
-        self._switches = {name for name, node in self.nodes.items() if node.kind == "switch"}
+        self._switches = {spec.name for spec in self.sc.nodes if spec.kind == "switch"}
         self._lane_routes: Dict[Tuple[str, str], List[str]] = {}  # (src, dst) -> route
 
     def _chain(self, route: Sequence[str]) -> List[DirectedLink]:
-        nodes = self.nodes
-        return [nodes[a].ports[b] for a, b in zip(route, route[1:])]
+        ports = self.ports
+        return [ports[a][b] for a, b in zip(route, route[1:])]
 
     def _open_vc(
         self, flow: FlowState, route: Sequence[str], sink: Callable[[TransitCell], None]
@@ -559,12 +515,13 @@ class Engine(EventQueue):
         ]
         if exhausted:
             return exhausted
-        vcis = [link.alloc_vci() for link in chain]
+        vcis = [link.next_vci for link in chain]  # a route crosses each link once
         entries: List[Any] = list(zip(chain[1:], vcis[1:])) + [sink]
         for link, vci, entry in zip(chain, vcis, entries):
             if vci in link.vcs:
                 raise ValueError(f"{flow.id}: VCI {vci} already installed on link {link.name}")
             link.vcs[vci] = entry
+            link.next_vci = vci + 1
         flow.tx = chain[0]
         flow.vci = vcis[0]
         self.flows.append(flow)
@@ -576,7 +533,7 @@ class Engine(EventQueue):
         runs both."""
         route = self._lane_routes.get((src, dst))
         if route is None:
-            route = switch_route(self._adjacency, self._switches, src, dst)
+            route = switch_route(self.ports, self._switches, src, dst)
             assert route is not None, "validate_scenario checks every LANE route"
             self._lane_routes[src, dst] = route
         return route
@@ -603,6 +560,7 @@ class Engine(EventQueue):
         # the one place a build loads LAN emulation and AAL5
         from .aal5 import Reassembler, segment
         from .lane import Bus, Lec, Les, atm_address, format_mac
+        from .rng import rng_stream
 
         lane = self.lane = LaneRuntime(Les(self), Bus(self), segment, Reassembler, format_mac)
         violations: List[str] = []
@@ -764,11 +722,8 @@ class Engine(EventQueue):
 
     def _arrive(self, tc: TransitCell) -> None:
         link = tc.link  # set by _complete
-        entry = link.vcs.get(tc.vci)
-        if entry is None:
-            link.dst_node.unknown_vc += 1
-            tc.flow.on_lost(tc, "unknown_vc")
-        elif link.to_switch:
+        entry = link.vcs[tc.vci]
+        if link.to_switch:
             out, tc.vci = entry
             # _send written out, as this runs once per hop
             outcome = out.enqueue(tc)
@@ -916,11 +871,13 @@ class Engine(EventQueue):
                 abr_series[flow.id] = list(feedback.acr_log)
             connections[flow.id] = entry
 
+        # route ends and LANE servers are hosts, so a switch's ``routed`` is
+        # the sum of its ports' enqueue counters
         switches = {}
-        for node in self.nodes.values():
-            if node.kind != "switch":
+        for name, node_ports in self.ports.items():
+            if name not in self._switches:
                 continue
-            out = node.ports.values()
+            out = node_ports.values()
             ports = {}
             for index, link in enumerate(out):
                 ports[str(index)] = {
@@ -930,9 +887,11 @@ class Engine(EventQueue):
                     "clp_drops": link.clp_drops,
                     "efci_marks": link.efci_marks,
                 }
-            switches[node.name] = {
+            switches[name] = {
                 "routed": sum(link.accepted + link.full_drops + link.clp_drops for link in out),
-                "unknown_vc_drops": node.unknown_vc,
+                # always 0, as every VCI is installed; the goldens pin this
+                # slot until a golden rewrite drops it
+                "unknown_vc_drops": 0,
                 "full_drops": sum(link.full_drops for link in out),
                 "clp_drops": sum(link.clp_drops for link in out),
                 "efci_marks": sum(link.efci_marks for link in out),

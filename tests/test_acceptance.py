@@ -488,7 +488,7 @@ def test_c10_discard_ordering_under_overload():
 
         return record
 
-    for tx in engine.nodes["s"].ports.values():
+    for tx in engine.ports["s"].values():
         tx.enqueue = recording(tx)
     report = engine.run()
 

@@ -25,9 +25,9 @@ from atmsim.engine import (
     build,
     load_scenario,
     preflight,
-    rng_stream,
     run,
 )
+from atmsim.rng import rng_stream
 from atmsim.switch import OutputQueue
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -129,36 +129,6 @@ class TestAudit:
         ids = [flow.id for flow in eng.flows]
         assert ids.count("lane:data:h1->h2") == 1
         assert report.lane["data_direct_vcs"] == 1
-
-
-class TestUnknownVc:
-    """A cell whose VCI has no entry in the VC table of the link it
-    arrives on is lost as ``unknown_vc`` at the receiving node."""
-
-    @pytest.mark.parametrize(
-        "link_name, receiver",
-        [("a->s", "s"), ("s->b", "b")],
-        ids=["host_to_switch", "switch_to_host"],
-    )
-    def test_uninstalled_vci_is_lost_at_the_receiver(self, link_name, receiver):
-        eng = build(cbr_scenario())
-        link = next(link for link in eng.links if link.name == link_name)
-        stray = FlowState("stray")
-        eng.flows.append(stray)
-
-        def inject(_arg):
-            eng._send(link, TransitCell(stray, eng.now, stray.sent, VCI_MAX))
-            stray.sent += 1
-
-        eng.schedule(0.1, inject)
-        report = eng.run()
-        eng._audit()
-        assert stray.loss_reasons == {"unknown_vc": 1}
-        assert (stray.sent, sum(stray.loss_reasons.values())) == (1, 1)
-        unknown = {name: node.unknown_vc for name, node in eng.nodes.items()}
-        assert unknown == {name: int(name == receiver) for name in eng.nodes}
-        assert report.switches["s"]["unknown_vc_drops"] == unknown["s"]
-        assert report.connections["c1"]["lost"] == 0
 
 
 class TestOrderingGuards:
@@ -286,7 +256,7 @@ class TestOneSequence:
         eng = build(cbr_scenario(rate=1.0))
         link = next(link for link in eng.links if link.name == "a->s")
         stray = FlowState("stray")
-        eng.flows.append(stray)
+        eng._open_vc(stray, ("a", "s", "b"), lambda _tc: None)
         seen = []
         enqueue = link.enqueue
 
@@ -298,7 +268,7 @@ class TestOneSequence:
         link.enqueue = record
 
         def send(_arg):
-            eng._send(link, TransitCell(stray, eng.now, stray.sent, VCI_MAX))
+            eng._send(link, TransitCell(stray, eng.now, stray.sent, stray.vci))
             stray.sent += 1
 
         def send_two(_arg):
@@ -312,7 +282,7 @@ class TestOneSequence:
             eng.schedule(0.5 + link.tx_time, send)
         eng.run()
         assert seen == [0, 0, occupancy]
-        assert stray.loss_reasons == {"unknown_vc": 3}
+        assert (stray.sent, stray.delivered) == (3, 3)
 
 
 class TestHopPath:
@@ -922,7 +892,6 @@ class TestLaneRoutes:
         report = eng.run()
         assert report.lane["lecs"]["h2"]["received_direct"] == 5
         assert report.switches["s"]["routed"] > 0
-        assert all(node.unknown_vc == 0 for node in eng.nodes.values())
 
     def test_traffic_to_own_mac_is_invalid(self, tmp_path):
         raw = lane_only_scenario(

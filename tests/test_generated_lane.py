@@ -5,6 +5,7 @@ accepted at most once and in order."""
 from conftest import frame_law
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_generated_topologies import assert_vcs_installed
 
 from atmsim.engine import build, preflight
 
@@ -78,4 +79,4 @@ def test_rejected_up_front_or_runs_without_unknown_vcs(raw):
     with frame_law():
         engine = build(raw)
         engine.run()
-    assert [name for name, node in engine.nodes.items() if node.unknown_vc] == []
+    assert_vcs_installed(engine)

@@ -193,9 +193,9 @@ def counted_cells():
     ``Engine._arrive`` and ``FlowState.on_lost`` are wrapped on their
     classes and ``TransitCell`` replaced in the engine's module, so build
     the engine inside the block.  Yields ``routed`` (switch name ->
-    arrivals over an installed VCI), ``crossed`` (link -> arrivals
-    dispatched over it), ``emitted`` ((flow, clp) -> cells made) and
-    ``lost`` ((flow, clp) -> cells lost, by the CLP each carried when lost).
+    arrivals at it), ``crossed`` (link -> arrivals dispatched over it),
+    ``emitted`` ((flow, clp) -> cells made) and ``lost`` ((flow, clp) ->
+    cells lost, by the CLP each carried when lost).
     """
     arrive = Engine._arrive
     on_lost = FlowState.on_lost
@@ -205,7 +205,7 @@ def counted_cells():
     def counting_arrive(engine, tc):
         link = tc.link
         counts.crossed[link] += 1
-        if link.to_switch and tc.vci in link.vcs:
+        if link.to_switch:
             counts.routed[link.dst] += 1
         return arrive(engine, tc)
 
@@ -231,7 +231,34 @@ def counted_cells():
         engine_module.TransitCell = transit_cell  # type: ignore[misc]
 
 
+def assert_vcs_installed(engine) -> None:
+    """Each flow's label tables lead, hop by hop, from its first link to
+    the sink of a host, and hold nothing else: no (link, VCI) pair serves
+    two flows, and no entry lies off every flow's path."""
+    owner = {}
+    for flow in engine.flows:
+        link, vci = flow.tx, flow.vci
+        for _hop in range(len(engine.links)):
+            claimed = owner.setdefault((link, vci), flow)
+            assert claimed is flow, f"{flow.id} and {claimed.id} share VCI {vci} on {link.name}"
+            assert vci in link.vcs, f"{flow.id}: VCI {vci} not installed on {link.name}"
+            entry = link.vcs[vci]
+            if not link.to_switch:
+                assert callable(entry), f"{flow.id}: no sink at {link.dst}"
+                break
+            nxt, vci = entry
+            assert nxt.src == link.dst, f"{flow.id}: {link.name} is followed by {nxt.name}"
+            link = nxt
+        else:
+            raise AssertionError(f"{flow.id}: no sink within {len(engine.links)} hops")
+    orphans = [
+        (link.name, vci) for link in engine.links for vci in link.vcs if (link, vci) not in owner
+    ]
+    assert orphans == [], orphans
+
+
 def assert_counters_match(engine, report, counts) -> None:
+    assert_vcs_installed(engine)
     for name, switch in report.switches.items():
         assert switch["routed"] == counts.routed[name], name
     # a cell on the wire is held, propagating (its arrival on the heap)

@@ -9,8 +9,7 @@ import os
 import pytest
 from conftest import modules_loaded_by_importing_atmsim
 
-from atmsim.engine import _sha256, rng_stream
-from atmsim.rng import Stream
+from atmsim.rng import Stream, rng_stream, sha256
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -74,10 +73,10 @@ def test_draws_match_numpy_bit_for_bit():
 def test_every_golden_stream_key_is_hashlib_sha256():
     # rng_stream takes SHA-256 from the builtin _sha256 where there is one
     builtin = importlib.util.find_spec("_sha256") is not None
-    assert (_sha256().__module__ == "_sha256") is builtin
+    assert (sha256.__module__ == "_sha256") is builtin
     for seed, label in KEYS:
         digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-        assert _sha256()(f"{seed}:{label}".encode()).digest() == digest, label
+        assert sha256(f"{seed}:{label}".encode()).digest() == digest, label
         twin = Stream(int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little"))
         ours = rng_stream(seed, label)
         assert [ours.next64() for _ in range(4)] == [twin.next64() for _ in range(4)], label
