@@ -130,9 +130,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
     for name, sw in report.switches.items():
         print(
-            f"switch {name}: routed {sw['routed']} unknown_vc {sw['unknown_vc_drops']} "
-            f"full_drops {sw['full_drops']} clp_drops {sw['clp_drops']} "
-            f"efci_marks {sw['efci_marks']}"
+            f"switch {name}: routed {sw['routed']} full_drops {sw['full_drops']} "
+            f"clp_drops {sw['clp_drops']} efci_marks {sw['efci_marks']}"
         )
     for name, link in report.links.items():
         print(

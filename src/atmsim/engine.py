@@ -331,10 +331,20 @@ class FeedbackFlow(FlowState):
 
 
 class LaneVc(FlowState):
-    """One unidirectional LAN-emulation VC carrying AAL5 frames."""
+    """One unidirectional LAN-emulation VC carrying AAL5 frames from host
+    ``src`` to host ``dst``; its id is ``lane:<role>:<src>-><dst>``."""
 
-    def __init__(self, flow_id: str, on_frame: Callable[[bytes], Any], reassembler: Reassembler):
-        super().__init__(flow_id)
+    def __init__(
+        self,
+        role: str,
+        src: str,
+        dst: str,
+        on_frame: Callable[[bytes], Any],
+        reassembler: Reassembler,
+    ):
+        super().__init__(f"lane:{role}:{src}->{dst}")
+        self.src = src
+        self.dst = dst
         self.reassembler = reassembler
         self.on_frame = on_frame  # the LES's, the BUS's or a LEC's handler
         self.reassembly_errors = 0
@@ -527,16 +537,17 @@ class Engine(EventQueue):
         self.flows.append(flow)
         return []
 
-    def _lane_route(self, src: str, dst: str) -> List[str]:
-        """The route of a LANE VC, searched once per (src, dst) pair: each
-        LEC's VCs to the LES and to the BUS share theirs when one host
-        runs both."""
-        route = self._lane_routes.get((src, dst))
+    def _open_lane_vc(self, vc: LaneVc) -> List[str]:
+        """Open ``vc`` from ``vc.src`` to ``vc.dst``, as ``_open_vc`` does.
+        Its route is searched once per (src, dst) pair: each LEC's VCs to
+        the LES and to the BUS share theirs when one host runs both."""
+        ends = (vc.src, vc.dst)
+        route = self._lane_routes.get(ends)
         if route is None:
-            route = switch_route(self.ports, self._switches, src, dst)
+            route = switch_route(self.ports, self._switches, *ends)
             assert route is not None, "validate_scenario checks every LANE route"
-            self._lane_routes[src, dst] = route
-        return route
+            self._lane_routes[ends] = route
+        return self._open_vc(vc, route, self._lane_sink)
 
     def _build_connections(self) -> List[str]:
         violations: List[str] = []
@@ -567,21 +578,16 @@ class Engine(EventQueue):
         for lec_spec in spec.lecs:
             host, mac = lec_spec.host, lec_spec.mac
             atm = atm_address(host)
-            to_les = LaneVc(f"lane:to_les:{host}->{spec.les}", lane.les.serve, Reassembler())
-            to_bus = LaneVc(f"lane:to_bus:{host}->{spec.bus}", lane.bus.forward, Reassembler())
+            to_les = LaneVc("to_les", host, spec.les, lane.les.serve, Reassembler())
+            to_bus = LaneVc("to_bus", host, spec.bus, lane.bus.forward, Reassembler())
             lec = Lec(mac, atm, self, to_les, to_bus)
-            from_les = LaneVc(f"lane:from_les:{spec.les}->{host}", lec.on_control, Reassembler())
-            from_bus = LaneVc(f"lane:from_bus:{spec.bus}->{host}", lec.deliver, Reassembler())
+            from_les = LaneVc("from_les", spec.les, host, lec.on_control, Reassembler())
+            from_bus = LaneVc("from_bus", spec.bus, host, lec.deliver, Reassembler())
             lane.les.register(mac, atm, from_les)
             lane.lecs[host] = lec
             lane.host_by_atm[atm] = host
-            for vc, src, dst in (
-                (to_les, host, spec.les),
-                (from_les, spec.les, host),
-                (to_bus, host, spec.bus),
-                (from_bus, spec.bus, host),
-            ):
-                violations += self._open_vc(vc, self._lane_route(src, dst), self._lane_sink)
+            for vc in (to_les, from_les, to_bus, from_bus):  # VCIs follow this order
+                violations += self._open_lane_vc(vc)
             lane.bus.attach(mac, from_bus)
         frame_seqs: Dict[str, Iterator[int]] = {}
         for i, traffic in enumerate(spec.traffic):
@@ -649,10 +655,8 @@ class Engine(EventQueue):
         assert lane is not None
         src_host = lane.host_by_atm[src_atm]
         dst_host = lane.host_by_atm[dest_atm]
-        vc = LaneVc(
-            f"lane:data:{src_host}->{dst_host}", lane.lecs[dst_host].deliver, lane.new_reassembler()
-        )
-        if self._open_vc(vc, self._lane_route(src_host, dst_host), self._lane_sink):
+        vc = LaneVc("data", src_host, dst_host, lane.lecs[dst_host].deliver, lane.new_reassembler())
+        if self._open_lane_vc(vc):
             return None
         lane.direct_vcs.append(vc)
         return vc

@@ -16,9 +16,8 @@ scenario without it loads and validates without LAN emulation.
 
 import json
 import math
-from functools import cache, partial
+from functools import partial
 from os import PathLike
-from types import ModuleType
 from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver
@@ -162,24 +161,20 @@ def _category(raw: Any, where: str) -> ServiceCategory:
         raise ScenarioError(f"{where}: unknown service category {name!r}") from None
 
 
-@cache
-def _lane_layer() -> ModuleType:
-    """``atmsim.lane``, loaded by the first scenario with a ``lane`` section."""
-    from . import lane
-
-    return lane
-
-
 def _mac(raw: Any, where: str) -> bytes:
+    from .lane import parse_mac
+
     text = _str(raw, where)
     try:
-        return _lane_layer().parse_mac(text)
+        return parse_mac(text)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _dst_mac(raw: Any, where: str) -> bytes:
-    return _lane_layer().BROADCAST_MAC if raw == "broadcast" else _mac(raw, where)
+    from .lane import BROADCAST_MAC
+
+    return BROADCAST_MAC if raw == "broadcast" else _mac(raw, where)
 
 
 def _frame_bytes(raw: Any, where: str) -> Tuple[int, int]:
@@ -500,7 +495,8 @@ def _validate_lane(
     v: List[str] = []
     lane = sc.lane
     assert lane is not None
-    layer = _lane_layer()
+    from .lane import BROADCAST_MAC, atm_address, is_multicast
+
     switches = {name for name, node in nodes.items() if node.kind == "switch"}
 
     def unreachable(src: str, dst: str) -> bool:
@@ -525,11 +521,11 @@ def _validate_lane(
         if lec.mac in host_of:
             v.append(f"lane lec {lec.host}: duplicate MAC")
         host_of[lec.mac] = lec.host
-        if layer.is_multicast(lec.mac):
+        if is_multicast(lec.mac):
             v.append(f"lane lec {lec.host}: MAC must be an individual address")
         if lec.host in (lane.les, lane.bus):
             v.append(f"lane lec {lec.host}: LEC host cannot also run the LES/BUS")
-        v.extend(_construction_errors(f"lane lec {lec.host}", layer.atm_address, lec.host))
+        v.extend(_construction_errors(f"lane lec {lec.host}", atm_address, lec.host))
         for server in dict.fromkeys((lane.les, lane.bus)):
             if unreachable(lec.host, server):
                 v.append(f"lane lec {lec.host}: no route to {server} through switches only")
@@ -537,7 +533,7 @@ def _validate_lane(
         w = f"lane.traffic[{i}]"
         if flow.src not in hosts:
             v.append(f"{w}: src {flow.src} has no LEC")
-        if flow.dst_mac != layer.BROADCAST_MAC:
+        if flow.dst_mac != BROADCAST_MAC:
             dst = host_of.get(flow.dst_mac)
             if dst is None:
                 v.append(f"{w}: dst MAC is not a member LEC")

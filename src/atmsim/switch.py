@@ -7,12 +7,12 @@ with their congestion bit set.  The queue holds the simulator's transit
 cells, whose header bits are plain attributes, so marking sets ``efci``
 on the item itself.
 
-VcTable and route_cell switch codec-level Cell values by exact-match
-lookup on (input port, VPI, VCI), rewriting the labels for the next hop,
-as cell.set_efci marks them.  route_cell builds the rewritten cell with
-the cell's own ``_replace``, which runs Cell's checks, so this module
-never loads the codec.  The engine does not use them: it keeps one VC
-table per link (see engine.DirectedLink).
+route_cell switches codec-level Cell values by exact-match lookup on
+(input port, VPI, VCI) in a plain dict, rewriting the labels for the
+next hop, as cell.set_efci marks them.  route_cell builds the rewritten
+cell with the cell's own ``_replace``, which runs Cell's checks, so this
+module never loads the codec.  The engine does not use it: it keeps one
+VC table per link (see engine.DirectedLink).
 
 Admission books on each link the rate named by the connection's row of
 traffic.CATEGORY_RULES, and admits a route only when every link has room.
@@ -23,9 +23,8 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Deque, List, Mapping, Optional, Sequence, Tuple
 
-from .record import Record, new_tuple
 from .traffic import CATEGORY_RULES, ServiceCategory, TrafficDescriptor
 
 if TYPE_CHECKING:  # route_cell builds its cells through Cell._replace
@@ -35,44 +34,24 @@ DEFAULT_QUEUE_CAPACITY = 128
 EFCI_THRESHOLD_FRACTION = 0.8
 CLP_THRESHOLD_FRACTION = 0.9
 
-VcKey = Tuple[int, int, int]  # (port, vpi, vci)
 
-
-class VcRoute(Record):
-    __slots__ = ()
-
-    def __new__(cls, out_port, out_vpi, out_vci):
-        return new_tuple(cls, (out_port, out_vpi, out_vci))
-
-
-class VcTable:
-    """Per-switch switching table: (in_port, vpi, vci) -> outgoing labels."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[VcKey, VcRoute] = {}
-
-    def install(self, in_port: int, in_vpi: int, in_vci: int, route: VcRoute) -> None:
-        key = (in_port, in_vpi, in_vci)
-        if key in self._entries:
-            raise ValueError(f"VC table entry for {key} already installed")
-        self._entries[key] = route
-
-    def lookup(self, in_port: int, vpi: int, vci: int) -> Optional[VcRoute]:
-        return self._entries.get((in_port, vpi, vci))
-
-
-def route_cell(cell: Cell, in_port: int, table: VcTable) -> Optional[Tuple[Cell, int]]:
-    """Rewrite a cell's labels per the table; None means unknown VC.
+def route_cell(
+    cell: Cell, in_port: int, table: Mapping[Tuple[int, int, int], Tuple[int, int, int]]
+) -> Optional[Tuple[Cell, int]]:
+    """Rewrite a cell's labels per ``table``, which maps the (port, VPI,
+    VCI) a cell arrives on to the (port, VPI, VCI) it leaves on; None
+    means unknown VC.
 
     The returned cell carries the outgoing VPI/VCI (its HEC is derived
     from the new header at serialization).  Callers count unknown-VC
     drops.
     """
-    route = table.lookup(in_port, cell.header.vpi, cell.header.vci)
+    route = table.get((in_port, cell.header.vpi, cell.header.vci))
     if route is None:
         return None
-    header = cell.header._replace(vpi=route.out_vpi, vci=route.out_vci)
-    return cell._replace(header=header), route.out_port
+    out_port, out_vpi, out_vci = route
+    header = cell.header._replace(vpi=out_vpi, vci=out_vci)
+    return cell._replace(header=header), out_port
 
 
 class EnqueueOutcome(enum.Enum):

@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from typing import Any, Callable, Dict, Iterator, List, Set, Tuple
 
 import pytest
@@ -17,6 +18,38 @@ from atmsim.engine import CELL_BITS, Engine, RunReport, build
 from atmsim.lane import Lec, format_mac, is_multicast
 
 RUN_GUARD_S = 5.0
+
+
+class BucketOracle:
+    """Reference leaky bucket, written apart from the implementation, in
+    exact rational arithmetic."""
+
+    def __init__(self, increment: Fraction, limit: Fraction):
+        self.increment = increment
+        self.limit = limit
+        self.level = Fraction(0)
+        self.last = Fraction(0)
+
+    def offer(self, t: Fraction) -> bool:
+        level = max(Fraction(0), self.level - (t - self.last))
+        if level > self.limit:
+            return False
+        self.level = level + self.increment
+        self.last = t
+        return True
+
+
+def assert_report_balances(report: RunReport) -> None:
+    """Each switch routes every cell its ports queue or drop, and each
+    connection's transmitted cells are delivered, lost or in flight, with
+    its loss reasons summing to its losses."""
+    for name, switch in report.switches.items():
+        ports = switch["ports"].values()
+        queued = sum(p["accepted"] + p["full_drops"] + p["clp_drops"] for p in ports)
+        assert switch["routed"] == queued, name
+    for conn_id, conn in report.connections.items():
+        assert conn["transmitted"] == conn["delivered"] + conn["lost"] + conn["in_flight"], conn_id
+        assert sum(conn["loss_reasons"].values()) == conn["lost"], conn_id
 
 
 def run_guarded(raw: Dict[str, Any], seconds: float = RUN_GUARD_S) -> Tuple[Engine, RunReport]:

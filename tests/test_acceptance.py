@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import c11_scenario
+from conftest import BucketOracle, assert_report_balances, c11_scenario
 
 from atmsim.aal5 import (
     PAYLOAD_BYTES,
@@ -87,24 +87,6 @@ def crc8_register(data: bytes) -> int:
 
 def header_syndrome(buf: bytes) -> int:
     return crc8_register(buf[:4]) ^ 0x55 ^ buf[4]
-
-
-class ContinuousBucket:
-    """Reference leaky bucket in exact arithmetic."""
-
-    def __init__(self, increment: Fraction, limit: Fraction):
-        self.increment = increment
-        self.limit = limit
-        self.level = Fraction(0)
-        self.last = Fraction(0)
-
-    def offer(self, t: Fraction) -> bool:
-        drained = max(Fraction(0), self.level - (t - self.last))
-        if drained > self.limit:
-            return False
-        self.level = drained + self.increment
-        self.last = t
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +206,7 @@ def test_c06_burst_size_law_exact():
         tau = (mbs - 1) * (sustain_t - peak_t)
 
         bucket = Gcra(sustain_t, tau)
-        oracle = ContinuousBucket(sustain_t, tau)
+        oracle = BucketOracle(sustain_t, tau)
         for k in range(mbs):
             t = k * peak_t
             assert conform_update((bucket,), t), (pcr, scr, mbs, k)
@@ -656,13 +638,4 @@ def test_congested_report_matches_golden_file():
 
 @pytest.mark.parametrize("name", ["reference", "congested"])
 def test_switch_and_connection_counters_balance(name):
-    report = run(os.path.join(DATA_DIR, f"{name}_scenario.json"))
-    for switch_name, switch in report.switches.items():
-        queued = sum(
-            port["accepted"] + port["full_drops"] + port["clp_drops"]
-            for port in switch["ports"].values()
-        )
-        assert switch["routed"] == queued, switch_name
-    for conn_id, conn in report.connections.items():
-        assert conn["transmitted"] == conn["delivered"] + conn["lost"] + conn["in_flight"], conn_id
-        assert sum(conn["loss_reasons"].values()) == conn["lost"], conn_id
+    assert_report_balances(run(os.path.join(DATA_DIR, f"{name}_scenario.json")))

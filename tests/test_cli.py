@@ -315,6 +315,20 @@ class TestRun:
         assert "invalid: connection 'x/y': id must not contain '/' or NUL\n" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("name", ["reference", "congested"])
+    def test_switch_lines_state_the_reports_counts(self, tmp_path, capsys, name):
+        out_dir = tmp_path / "results"
+        scenario = os.path.join(DATA_DIR, f"{name}_scenario.json")
+        assert main(["run", scenario, "--out", str(out_dir)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("switch ")]
+        switches = json.loads((out_dir / "report.json").read_text())["switches"]
+        assert switches
+        assert lines == [
+            f"switch {name}: routed {sw['routed']} full_drops {sw['full_drops']} "
+            f"clp_drops {sw['clp_drops']} efci_marks {sw['efci_marks']}"
+            for name, sw in switches.items()
+        ]
+
     def test_run_writes_report(self, tmp_path, capsys):
         path = write_scenario(tmp_path, small_scenario())
         out_dir = tmp_path / "results"

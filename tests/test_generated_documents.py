@@ -10,6 +10,7 @@ from a fixed list.
 
 import copy
 
+from conftest import assert_report_balances
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -143,11 +144,4 @@ def test_refused_or_runs_to_the_same_report_twice(guarded_run, mutations):
     _engine, report = guarded_run(raw, seconds=2.0)
     _engine, again = guarded_run(raw, seconds=2.0)
     assert report.to_json() == again.to_json()
-    # the counter balance of test_switch_and_connection_counters_balance
-    for name, switch in report.switches.items():
-        ports = switch["ports"].values()
-        queued = sum(p["accepted"] + p["full_drops"] + p["clp_drops"] for p in ports)
-        assert switch["routed"] == queued, name
-    for conn_id, conn in report.connections.items():
-        assert conn["transmitted"] == conn["delivered"] + conn["lost"] + conn["in_flight"], conn_id
-        assert sum(conn["loss_reasons"].values()) == conn["lost"], conn_id
+    assert_report_balances(report)

@@ -12,12 +12,12 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from conftest import c11_scenario, frame_law
+from conftest import assert_report_balances, c11_scenario, frame_law
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from atmsim import engine as engine_module
-from atmsim.engine import Engine, FlowState, build, preflight
+from atmsim.engine import Engine, FeedbackFlow, FlowState, LaneVc, build, preflight
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -174,14 +174,7 @@ def test_rejected_up_front_or_runs_to_the_same_balanced_report_twice(guarded_run
         _engine, report = guarded_run(raw, seconds=2.0)
     _engine, again = guarded_run(raw, seconds=2.0)
     assert report.to_json() == again.to_json()
-    # the counter balance of test_switch_and_connection_counters_balance
-    for name, switch in report.switches.items():
-        ports = switch["ports"].values()
-        queued = sum(p["accepted"] + p["full_drops"] + p["clp_drops"] for p in ports)
-        assert switch["routed"] == queued, name
-    for conn_id, conn in report.connections.items():
-        assert conn["transmitted"] == conn["delivered"] + conn["lost"] + conn["in_flight"], conn_id
-        assert sum(conn["loss_reasons"].values()) == conn["lost"], conn_id
+    assert_report_balances(report)
 
 
 @contextlib.contextmanager
@@ -231,13 +224,27 @@ def counted_cells():
         engine_module.TransitCell = transit_cell  # type: ignore[misc]
 
 
+def flow_ends(flow) -> tuple:
+    """The hosts a flow's path joins, as its own record names them: a
+    connection's route, its feedback's route reversed, a LANE VC's ends.
+    A sink takes any cell of its flow, so only a walk of the tables shows
+    a VC opened between the wrong hosts."""
+    if isinstance(flow, LaneVc):
+        return flow.src, flow.dst
+    route = flow.conn.spec.route[::-1] if isinstance(flow, FeedbackFlow) else flow.spec.route
+    return route[0], route[-1]
+
+
 def assert_vcs_installed(engine) -> None:
-    """Each flow's label tables lead, hop by hop, from its first link to
-    the sink of a host, and hold nothing else: no (link, VCI) pair serves
-    two flows, and no entry lies off every flow's path."""
+    """Each flow's label tables lead, hop by hop, from a link out of its
+    source host to the sink of its destination host, and hold nothing
+    else: no (link, VCI) pair serves two flows, and no entry lies off
+    every flow's path."""
     owner = {}
     for flow in engine.flows:
+        src, dst = flow_ends(flow)
         link, vci = flow.tx, flow.vci
+        assert link.src == src, f"{flow.id}: starts on {link.name}, not out of {src}"
         for _hop in range(len(engine.links)):
             claimed = owner.setdefault((link, vci), flow)
             assert claimed is flow, f"{flow.id} and {claimed.id} share VCI {vci} on {link.name}"
@@ -245,6 +252,7 @@ def assert_vcs_installed(engine) -> None:
             entry = link.vcs[vci]
             if not link.to_switch:
                 assert callable(entry), f"{flow.id}: no sink at {link.dst}"
+                assert link.dst == dst, f"{flow.id}: ends on {link.name}, not into {dst}"
                 break
             nxt, vci = entry
             assert nxt.src == link.dst, f"{flow.id}: {link.name} is followed by {nxt.name}"

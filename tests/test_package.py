@@ -252,7 +252,6 @@ SCHEMA_RECORDS = {
 CODEC_AND_REPORT_VALUES = {
     "cell": ["CellHeader", "Cell", "DecodeOutcome"],
     "traffic": ["DelayStats"],
-    "switch": ["VcRoute"],
     "engine": ["RunReport"],
 }
 RUN_STATE = {

@@ -53,10 +53,6 @@ NOT_REACHED: Dict[str, str] = {
     "switch.LinkBooking.booked": "unused-by-goldens",
     "switch.LinkBooking.release": "unused-by-goldens",
     "switch.OutputQueue.dequeue": "bench",
-    "switch.VcRoute.__new__": "bench",
-    "switch.VcTable.__init__": "bench",
-    "switch.VcTable.install": "bench",
-    "switch.VcTable.lookup": "bench",
     "switch.route_cell": "bench",
     "traffic.Gcra.conforms": "bench",
     "traffic.Gcra.drained": "bench",

@@ -28,7 +28,6 @@ from atmsim.scenario import (
     NodeSpec,
     Scenario,
 )
-from atmsim.switch import VcRoute
 from atmsim.traffic import (
     CategoryRule,
     DelayStats,
@@ -66,7 +65,6 @@ VALUES = {
     CellHeader: tuple(HEADER),
     Cell: (HEADER, bytes(range(48))),
     DecodeOutcome: (DecodeStatus.CORRECTED, HEADER, 7),
-    VcRoute: (1, 2, 3),
     RunReport: (1.0, 0, 10, {"c": {"lost": 0}}, {}, {}, {"c": [(0.0, 1.0, False)]}, None),
 }
 

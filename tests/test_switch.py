@@ -11,8 +11,6 @@ from atmsim.switch import (
     EnqueueOutcome,
     LinkBooking,
     OutputQueue,
-    VcRoute,
-    VcTable,
     booking_rate,
     cac_admit,
     route_cell,
@@ -28,24 +26,9 @@ def _cell(vpi=0, vci=40, clp=0, management=False) -> Cell:
     )
 
 
-class TestVcTable:
-    def test_install_and_lookup(self):
-        table = VcTable()
-        route = VcRoute(out_port=2, out_vpi=1, out_vci=77)
-        table.install(0, 0, 40, route)
-        assert table.lookup(0, 0, 40) == route
-        assert table.lookup(0, 0, 41) is None
-        assert table.lookup(1, 0, 40) is None
-
-    def test_duplicate_entry_rejected(self):
-        table = VcTable()
-        table.install(0, 0, 40, VcRoute(1, 0, 50))
-        with pytest.raises(ValueError):
-            table.install(0, 0, 40, VcRoute(2, 0, 60))
-
+class TestRouteCell:
     def test_route_cell_translates_labels(self):
-        table = VcTable()
-        table.install(3, 0, 40, VcRoute(out_port=1, out_vpi=2, out_vci=99))
+        table = {(3, 0, 40): (1, 2, 99)}
         cell = _cell(vpi=0, vci=40, clp=1)
         routed = route_cell(cell, 3, table)
         assert routed is not None
@@ -57,7 +40,10 @@ class TestVcTable:
         assert out_cell.payload == cell.payload
 
     def test_route_cell_unknown_vc(self):
-        assert route_cell(_cell(), 0, VcTable()) is None
+        assert route_cell(_cell(), 0, {}) is None
+        table = {(0, 0, 40): (1, 0, 50)}
+        assert route_cell(_cell(vci=41), 0, table) is None  # another VCI
+        assert route_cell(_cell(vci=40), 1, table) is None  # another port
 
 
 def _transit(vci=40, clp=0, management=False) -> TransitCell:

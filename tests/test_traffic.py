@@ -17,7 +17,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import c11_scenario, modules_loaded_by_importing_atmsim, write_seeded_trace
+from conftest import (
+    BucketOracle,
+    c11_scenario,
+    modules_loaded_by_importing_atmsim,
+    write_seeded_trace,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,24 +50,6 @@ from atmsim.traffic import (
     shape,
     validate_contract,
 )
-
-
-class BucketOracle:
-    """Independent continuous-state bucket in exact rational arithmetic."""
-
-    def __init__(self, increment: Fraction, limit: Fraction):
-        self.increment = increment
-        self.limit = limit
-        self.level = Fraction(0)
-        self.last = Fraction(0)
-
-    def offer(self, t: Fraction) -> bool:
-        level = max(Fraction(0), self.level - (t - self.last))
-        if level > self.limit:
-            return False
-        self.level = level + self.increment
-        self.last = t
-        return True
 
 
 def random_rational(rng: random.Random, lo: int, hi: int, den: int) -> Fraction:
