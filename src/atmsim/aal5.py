@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
-from typing import List, Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple, Union
 
 from .wire import PAYLOAD_BYTES
 
@@ -30,7 +30,8 @@ class ReassemblyError(enum.Enum):
     OVERSIZE = "oversize"
 
 
-PushResult = Union[None, bytes, ReassemblyError]
+if TYPE_CHECKING:
+    PushResult = Union[None, bytes, ReassemblyError]
 
 
 def cell_count(frame_len: int) -> int:

@@ -8,6 +8,8 @@ namedtuple's interface, whose ``_make`` and ``_replace`` build through
 ``cls(...)`` and so check what the constructor checks.
 """
 
+from __future__ import annotations
+
 from collections import _tuplegetter  # type: ignore[attr-defined]
 from typing import Any, Dict, Iterable, Tuple
 

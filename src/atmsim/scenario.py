@@ -14,11 +14,13 @@ as a list of human-readable violations.
 scenario without it loads and validates without LAN emulation.
 """
 
+from __future__ import annotations
+
 import json
 import math
 from functools import partial
 from os import PathLike
-from typing import AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .abr import DEFAULT_NRM, DEFAULT_RDF, AbrSourceState, EfciObserver
 from .record import Record, new_tuple
@@ -126,7 +128,8 @@ class Scenario(Record):
         return new_tuple(cls, (duration_s, seed, nodes, links, connections, generators, lane))
 
 
-Reader = Callable[[Any, str], Any]  # (JSON value, where it was found) -> field value
+if TYPE_CHECKING:
+    Reader = Callable[[Any, str], Any]  # (JSON value, where it was found) -> field value
 
 
 def _expect(kind: type, obj: Any, where: str) -> Any:

@@ -5,7 +5,7 @@ layers, the CLI's cell commands load no simulator, no simulation loads
 the cell codec, and every name a module imports is read there.  How
 records are written: values are records, tuples with named fields, run
 state is slotted classes, no class is a dataclass, and start-up runs no
-generated code."""
+generated code and evaluates no annotation or ``typing`` alias."""
 
 import ast
 import dataclasses
@@ -384,7 +384,9 @@ def test_start_up_runs_no_generated_code():
     """Importing atmsim and atmsim.cli, then loading and running the
     reference scenario, compiles nothing but module sources: no class is
     built by ``eval`` (as ``collections.namedtuple`` builds one) and no
-    annotation is evaluated (as ``typing.get_type_hints`` does).  The
+    annotation string is compiled (as ``typing.get_type_hints`` compiles
+    one).  That annotations are not evaluated at all is
+    ``test_import_evaluates_no_typing_construct``'s check.  The
     standard-library modules atmsim imports are loaded first, so that what
     they generate for themselves, such as ``functools``' own namedtuple
     where the interpreter does not load it at start-up, is not counted."""
@@ -396,6 +398,102 @@ def test_start_up_runs_no_generated_code():
         check=True,
     ).stdout
     assert json.loads(out) == []
+
+
+def annotation_of(node):
+    """The return, argument or variable annotation ``node`` carries, if any."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.returns
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return node.annotation
+    return None
+
+
+def bound_by(statement):
+    """The names a module-level statement binds, or else its line."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = getattr(statement, "targets", None) or [getattr(statement, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)] or [statement.lineno]
+
+
+def evaluated_at_import(node, postponed):
+    """``node`` and every node under it that runs when its module is
+    imported: not a function or lambda body, not an ``if TYPE_CHECKING:``
+    block, and no annotation if ``postponed`` (the module has ``from
+    __future__ import annotations``)."""
+    if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+        for child in node.orelse:
+            yield from evaluated_at_import(child, postponed)
+        return
+    yield node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        children = [*getattr(node, "decorator_list", ()), node.args]  # not the body
+        if not postponed:
+            children.append(getattr(node, "returns", None))
+    elif postponed and isinstance(node, (ast.arg, ast.AnnAssign)):
+        children = [getattr(node, "value", None)]  # not the annotation
+    else:
+        children = ast.iter_child_nodes(node)
+    for child in filter(None, children):
+        yield from evaluated_at_import(child, postponed)
+
+
+def test_import_evaluation_reader_skips_what_import_does_not_run():
+    tree = ast.parse(
+        "if TYPE_CHECKING:\n"
+        "    A = List[int]\n"
+        "def f(x: List = Dict, *, y: Set) -> Tuple:\n"
+        "    return Deque\n"
+        "z: Optional = lambda: Union\n"
+    )
+
+    def read(postponed):
+        return sorted(
+            {
+                node.id
+                for statement in tree.body
+                for node in evaluated_at_import(statement, postponed)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+        )
+
+    assert read(postponed=True) == ["Dict"]
+    assert read(postponed=False) == ["Dict", "List", "Optional", "Set", "Tuple"]
+
+
+def test_import_evaluates_no_typing_construct():
+    """Importing a module builds no ``typing`` alias: each ``List[int]``
+    or ``Callable[..., Any]`` evaluated costs start-up time and nothing
+    reads it at run time.  So a module whose annotations hold anything but
+    a plain name postpones them with ``from __future__ import
+    annotations``, and no statement run at import, outside ``if
+    TYPE_CHECKING:``, reads a name imported from ``typing``."""
+    unpostponed, evaluated = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        postponed = any(
+            isinstance(node, ast.ImportFrom)
+            and node.module == "__future__"
+            and "annotations" in [alias.name for alias in node.names]
+            for node in tree.body
+        )
+        annotations = filter(None, map(annotation_of, ast.walk(tree)))
+        if not postponed and not all(isinstance(a, (ast.Name, ast.Constant)) for a in annotations):
+            unpostponed.append(path.name)
+        typing_names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "typing"
+            for alias in node.names
+        }
+        for statement in tree.body:
+            if any(
+                isinstance(node, ast.Name) and node.id in typing_names
+                for node in evaluated_at_import(statement, postponed)
+            ):
+                evaluated += [f"{path.stem}.{name}" for name in bound_by(statement)]
+    assert (unpostponed, evaluated) == ([], [])
 
 
 def imported_names(tree):
@@ -416,14 +514,8 @@ def names_read(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        annotations = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for annotation in filter(None, annotations):
+        annotation = annotation_of(node)
+        if annotation is not None:
             for part in ast.walk(annotation):
                 if isinstance(part, ast.Constant) and isinstance(part.value, str):
                     read |= names_read(ast.parse(part.value, mode="eval"))

@@ -416,6 +416,11 @@ class TestTopologyValidation:
         raw["links"][0]["booking_factor"] = 0
         assert violations_of(raw) == ["link a--s: booking_factor must be positive"]
 
+    def test_propagation_delay_not_negative(self):
+        raw = base_scenario()
+        raw["links"][0]["propagation_delay"] = -0.001
+        assert violations_of(raw) == ["link a--s: propagation_delay must be >= 0"]
+
     def test_bit_rate_positive(self):
         raw = base_scenario()
         raw["links"][0]["bit_rate"] = 0
@@ -532,6 +537,11 @@ class TestConnectionValidation:
         raw["connections"].append(dict(raw["connections"][0]))
         assert violations_of(raw) == ["connection c1: duplicate id"]
 
+    def test_route_needs_two_nodes(self):
+        raw = base_scenario()
+        raw["connections"][0]["route"] = ["a"]
+        assert violations_of(raw) == ["connection c1: route needs at least two nodes"]
+
     def test_route_visits_a_node_twice(self):
         raw = base_scenario()
         raw["nodes"].append({"name": "s2", "kind": "switch"})
@@ -567,6 +577,20 @@ class TestGeneratorValidation:
         assert violations_of(raw) == []
         raw["generators"] = [{**gen, "mean_on_s": 0.0099}]
         assert violations_of(raw) == ["generator g: on_off_vbr needs mean_on_s >= 1/peak_rate"]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mean_on_s", 0.0, "needs a positive mean_on_s"),
+            ("mean_off_s", -0.1, "needs mean_off_s >= 0"),
+        ],
+    )
+    def test_on_off_periods_in_range(self, field, value, message):
+        raw = base_scenario()
+        raw["connections"] = []
+        gen = dict(id="g", kind="on_off_vbr", peak_rate=100.0, mean_on_s=0.1, mean_off_s=0.1)
+        raw["generators"] = [{**gen, field: value}]
+        assert violations_of(raw) == [f"generator g: on_off_vbr {message}"]
 
     def test_duplicate_generator_id(self):
         raw = base_scenario()
